@@ -16,7 +16,6 @@ from tmfejer.blaschke import (
     boundary_phase,
     eval_blaschke,
     gamma_density,
-    second_derivative,
 )
 from tmfejer.operators import (
     AnalyticTestFunction,
@@ -48,11 +47,8 @@ from tmfejer.quadrature import (
 from tmfejer.tm_basis import (
     DiagonalSingularity,
     ExtendedOffCircle,
-    IndexOutOfRange,
     TMBasis,
     cd_kernel,
-    cd_kernel_diagonal,
-    eval_phi,
     phi_jet,
     phi_values,
 )
@@ -63,19 +59,15 @@ __all__ = [
     "BlaschkeEval",
     "PoleProximity",
     "eval_blaschke",
-    "second_derivative",
     "boundary_derivative_modulus",
     "gamma_density",
     "boundary_phase",
     "TMBasis",
-    "IndexOutOfRange",
     "ExtendedOffCircle",
     "DiagonalSingularity",
     "phi_values",
     "phi_jet",
-    "eval_phi",
     "cd_kernel",
-    "cd_kernel_diagonal",
     "BoundaryGridFunction",
     "NormReport",
     "NoConvergence",

@@ -81,6 +81,17 @@ def _sup_with_candidates(ev, extras=()) -> tuple[float, float]:
     return best_x, best
 
 
+def _boundary_error(f: AnalyticTestFunction, basis: TMBasis, coeffs):
+    """The map theta -> |f - sigma_positive(f)| at e^{i theta}."""
+
+    def ev(theta):
+        t = np.exp(1j * np.asarray(theta, dtype=np.float64))
+        s = sigma_positive(f, basis, t, coeffs=coeffs)
+        return np.abs(np.asarray(f.value(t)) - np.asarray(s))
+
+    return ev
+
+
 @dataclass(frozen=True)
 class SequenceDiagnostics:
     order: int
@@ -180,12 +191,7 @@ def convergence_experiment(
         basis = TMBasis(sequence, n)
         coeffs = coefficients_of(f, basis, resolution=grid_n)
         diag = diagnose_sequence(sequence, n)
-
-        def ev(theta):
-            t = np.exp(1j * np.asarray(theta, dtype=np.float64))
-            s = sigma_positive(f, basis, t, coeffs=coeffs)
-            return np.abs(np.asarray(f.value(t)) - np.asarray(s))
-
+        ev = _boundary_error(f, basis, coeffs)
         _, err_sup = _sup_with_candidates(ev, extras=(diag.argmin_angle,))
         res = grid_n or default_resolution(n)
         grid = 2.0 * np.pi * np.arange(res) / res
@@ -285,7 +291,7 @@ class SaturationRow:
             "label": self.label,
             "error_sup": self.error_sup,
             "lower_bound": self.lower_bound,
-            "ratio": self.ratio,
+            "ratio": None if np.isnan(self.ratio) else self.ratio,
         }
 
 
@@ -300,7 +306,7 @@ def saturation_check(
     The floor is (1/n) max_j (1 - |a_j|^2) |f'(a_j)| over the poles in
     play.  Grid-backed Cauchy members are skipped: their boundary trace is
     not available for the sup.  Ratio is error over floor (nan when the
-    floor vanishes, e.g. for constants).
+    floor vanishes, e.g. for constants; None in the report row).
     """
     if members is None:
         members = [m for m in standard_corpus() if m.kind != "cauchy_transform"]
@@ -312,12 +318,7 @@ def saturation_check(
         if f.kind == "cauchy_transform":
             continue
         coeffs = coefficients_of(f, basis, resolution=grid_n)
-
-        def ev(theta):
-            t = np.exp(1j * np.asarray(theta, dtype=np.float64))
-            s = sigma_positive(f, basis, t, coeffs=coeffs)
-            return np.abs(np.asarray(f.value(t)) - np.asarray(s))
-
+        ev = _boundary_error(f, basis, coeffs)
         _, err_sup = _sup_with_candidates(ev, extras=(diag.argmin_angle,))
         fp = np.abs(np.asarray(f.derivative(pts), dtype=np.complex128))
         lower = float(((1.0 - np.abs(pts) ** 2) * fp).max() / order)

@@ -5,8 +5,11 @@ products
 
     B_0(z) = 1,    B_n(z) = prod_{j<n} (z - a_j) / (1 - z*conj(a_j)),
 
-which are unimodular on the unit circle.  This module evaluates B_n and
-B_n', the boundary modulus
+which are unimodular on the unit circle.  B_n and B_n' come from one
+first-order recursion over the poles, B_{k+1} = B_k (z - a_k)/(1 - z*conj(a_k))
+carried with its derivative; the same pass yields the Takenaka-Malmquist
+functions phi_k = sqrt(1 - |a_k|^2) B_k / (1 - z*conj(a_k)) of tm_basis.
+The module also evaluates the boundary modulus
 
     |B_n'(e^{ix})| = sum_{k<n} (1 - |a_k|^2) / |1 - e^{-ix} a_k|^2
 
@@ -22,12 +25,10 @@ import numpy as np
 __all__ = [
     "MODULUS_MARGIN",
     "POLE_TOL",
-    "ZERO_SWITCH",
     "PoleProximity",
     "PointSequence",
     "BlaschkeEval",
     "eval_blaschke",
-    "second_derivative",
     "boundary_derivative_modulus",
     "gamma_density",
     "boundary_phase",
@@ -37,8 +38,6 @@ __all__ = [
 MODULUS_MARGIN = 1e-12
 # Evaluation rejects points with |1 - z*conj(a_j)| below POLE_TOL.
 POLE_TOL = 1e-12
-# Derivative switches to the explicit product rule within ZERO_SWITCH of a zero.
-ZERO_SWITCH = 1e-8
 
 
 class PoleProximity(ArithmeticError):
@@ -98,76 +97,56 @@ def _check_order(sequence: PointSequence, n: int) -> None:
         raise ValueError(f"order {n!r} outside [0, {len(sequence)}]")
 
 
-def _product_rule_derivative(fac: np.ndarray, w: np.ndarray, den: np.ndarray) -> np.ndarray:
-    # sum_j f_j'(z) * prod_{i<j} f_i * prod_{i>j} f_i with f_j' = w_j / den_j^2.
-    # Exact at the zeros a_j: every term but one carries a vanishing factor.
-    n = fac.shape[0]
-    pre = np.ones_like(fac)
-    suf = np.ones_like(fac)
-    if n > 1:
-        pre[1:] = np.cumprod(fac[:-1], axis=0)
-        suf[:-1] = np.cumprod(fac[::-1], axis=0)[-2::-1]
-    return (w / den**2 * pre * suf).sum(axis=0)
+def _recurse(
+    sequence: PointSequence, n: int, zf: np.ndarray, rows: bool = False, jet: bool = True
+):
+    """Run the basis recursion over the first n poles at the flat points zf.
+
+    With u_k = 1 - z*conj(a_k) and w_k = 1 - |a_k|^2 each step sets
+
+        phi_k  = sqrt(w_k) B_k / u_k,
+        phi_k' = sqrt(w_k) (conj(a_k) B_k / u_k + B_k') / u_k,
+        B_{k+1}  = B_k (z - a_k) / u_k,
+        B_{k+1}' = B_k' (z - a_k) / u_k + B_k w_k / u_k^2.
+
+    Nothing divides by z - a_k, so zeros of B_n, repeated ones included,
+    are ordinary points.  Returns (B_n, B_n', phi rows, phi' rows); the
+    rows are None unless `rows`, the derivatives None unless `jet`.
+    Raises PoleProximity when z comes within POLE_TOL of a pole.
+    """
+    b = np.ones_like(zf)
+    bp = np.zeros_like(zf) if jet else None
+    vals = np.empty((n, zf.size), dtype=np.complex128) if rows else None
+    ders = np.empty((n, zf.size), dtype=np.complex128) if rows and jet else None
+    for k, a in enumerate(sequence.points[:n]):
+        u = 1.0 - zf * a.conjugate()
+        if zf.size and np.abs(u).min() < POLE_TOL:
+            raise PoleProximity(f"point within {POLE_TOL} of the pole of phi_{k}")
+        w = 1.0 - abs(a) ** 2
+        inv = 1.0 / u
+        q = inv * b
+        m = (zf - a) * inv
+        if rows:
+            vals[k] = np.sqrt(w) * q
+        if jet:
+            if rows:
+                ders[k] = np.sqrt(w) * inv * (a.conjugate() * q + bp)
+            bp = bp * m + w * inv * q
+        b = b * m
+    return b, bp, vals, ders
 
 
 def eval_blaschke(sequence: PointSequence, n: int, z) -> BlaschkeEval:
-    """Evaluate B_n and B_n' at z (scalar or array).
+    """Evaluate B_n and B_n' at z (scalar or array) by the basis recursion.
 
-    The derivative uses the logarithmic form
-
-        B_n'(z) = B_n(z) * sum_{j<n} (1 - |a_j|^2) / ((z - a_j)(1 - z*conj(a_j)))
-
-    and switches to an explicit product-rule expansion for points within
-    ZERO_SWITCH of any zero, so evaluation at interpolation nodes is exact.
-    Raises PoleProximity when z comes within POLE_TOL of a pole.
+    The recursion never divides by z - a_j, so evaluation at the zeros of
+    B_n is exact.  Raises PoleProximity when z comes within POLE_TOL of a
+    pole.
     """
     _check_order(sequence, n)
     zf, shape, scalar = _flatten(z)
-    if n == 0:
-        return BlaschkeEval(
-            _restore(np.ones_like(zf), shape, scalar),
-            _restore(np.zeros_like(zf), shape, scalar),
-            0,
-        )
-    a = sequence.as_array()[:n, None]
-    w = 1.0 - np.abs(a) ** 2
-    den = 1.0 - zf[None, :] * np.conj(a)
-    if np.abs(den).min() < POLE_TOL:
-        raise PoleProximity(f"point within {POLE_TOL} of a pole of B_{n}")
-    num = zf[None, :] - a
-    fac = num / den
-    value = fac.prod(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        derivative = value * (w / (num * den)).sum(axis=0)
-    near = (np.abs(num) < ZERO_SWITCH).any(axis=0)
-    if near.any():
-        derivative[near] = _product_rule_derivative(fac[:, near], w, den[:, near])
+    value, derivative, _, _ = _recurse(sequence, n, zf)
     return BlaschkeEval(_restore(value, shape, scalar), _restore(derivative, shape, scalar), n)
-
-
-def second_derivative(sequence: PointSequence, n: int, z):
-    """B_n''(z) through the logarithmic derivative.
-
-    With S = B_n'/B_n one has B_n'' = B_n (S^2 + S').  The formula divides
-    by (z - a_j), so it is only meant for points farther than ZERO_SWITCH
-    from every zero; boundary points always qualify.
-    """
-    _check_order(sequence, n)
-    zf, shape, scalar = _flatten(z)
-    if n == 0:
-        return _restore(np.zeros_like(zf), shape, scalar)
-    a = sequence.as_array()[:n, None]
-    w = 1.0 - np.abs(a) ** 2
-    den = 1.0 - zf[None, :] * np.conj(a)
-    if np.abs(den).min() < POLE_TOL:
-        raise PoleProximity(f"point within {POLE_TOL} of a pole of B_{n}")
-    num = zf[None, :] - a
-    if np.abs(num).min() < ZERO_SWITCH:
-        raise ValueError("second_derivative is not supported within ZERO_SWITCH of a zero")
-    value = (num / den).prod(axis=0)
-    s = (w / (num * den)).sum(axis=0)
-    sp = (-w / (num**2 * den)).sum(axis=0) + (w * np.conj(a) / (num * den**2)).sum(axis=0)
-    return _restore(value * (s**2 + sp), shape, scalar)
 
 
 def _flatten_real(x):

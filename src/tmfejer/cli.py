@@ -364,6 +364,8 @@ def _execute(config: ExperimentConfig) -> list[dict]:
 
 
 def _format_cell(value) -> str:
+    if value is None:  # an undefined value; CSV has no null
+        return "nan"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -385,11 +387,13 @@ def _render(config: ExperimentConfig, rows: list[dict]) -> str:
     }
     if config.format == "json":
         doc = {
-            "schema_version": "1",
+            "schema_version": "2",
             "metadata": meta,
             "rows": rows,
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        # Undefined values are None and come out as null; a non-finite
+        # number makes json.dumps raise instead of writing bare NaN.
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     lines = [
         f"# tool: tmfejer {__version__}",
         f"# command: {config.command}",

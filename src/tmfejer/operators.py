@@ -3,12 +3,16 @@
 Fourier data with respect to the extended system gives partial sums and
 Cesaro means.  The positive summation method rests on the kernel
 
-    F_n(t, z) = |B_n'(z)|^{-1} * |(B_n(t) - B_n(z)) / (t - z)|^2,
+    F_n(t, z) = |K_n(t, z)|^2 / K_n(z, z),   K_n(t, z) = sum_{k<n} phi_k(t) conj(phi_k(z)),
 
-which is nonnegative with unit mean in t for every boundary z.  The
-induced operator
+the squared Christoffel-Darboux kernel normalized by its diagonal, which
+is nonnegative with unit mean in t for every boundary z.  On the circle it
+equals |B_n'(z)|^{-1} |(B_n(t) - B_n(z)) / (t - z)|^2 and takes the value
+|B_n'(z)| on the diagonal.  The induced operator
 
     sigma_rusak(f)(z) = (1/2pi) * integral f(t) F_n(t, z) |dt|
+                      = phi(z)^T G conj(phi(z)) / |phi(z)|^2,
+    G_jk = (1/2pi) * integral f(t) conj(phi_j(t)) phi_k(t) |dt|,
 
 agrees on the circle with the holomorphic expression
 
@@ -31,12 +35,10 @@ from typing import Callable
 import numpy as np
 
 from tmfejer.blaschke import (
-    ZERO_SWITCH,
     PointSequence,
     _flatten,
     _restore,
     eval_blaschke,
-    second_derivative,
 )
 from tmfejer.quadrature import BoundaryGridFunction, default_resolution
 from tmfejer.tm_basis import (
@@ -51,6 +53,7 @@ __all__ = [
     "CRITICAL_TOL",
     "NEAR_BOUNDARY_MARGIN",
     "SAFE_RATIO_FLOOR",
+    "ZERO_SWITCH",
     "CriticalPoint",
     "NearBoundary",
     "AnalyticTestFunction",
@@ -73,8 +76,8 @@ CRITICAL_TOL = 1e-12
 NEAR_BOUNDARY_MARGIN = 1e-9
 # Below this floor on |B_n| or |B_n'| delta switches to its integral form.
 SAFE_RATIO_FLOOR = 1e-6
-# Kernel patch bands around the diagonal.
-_DIAG_FLOOR = 1e-12
+# fejer_kernel_angular takes its diagonal limit within ZERO_SWITCH of y = x.
+ZERO_SWITCH = 1e-8
 
 _KINDS = ("rational", "cauchy_transform", "schur", "blaschke_multiple")
 
@@ -218,61 +221,21 @@ def cesaro_mean(coeffs: CoefficientVector, basis: TMBasis, n: int, t):
     return _restore(out, shape, scalar)
 
 
-def _kernel_values(
-    sequence: PointSequence,
-    n: int,
-    bt: np.ndarray,
-    bz: np.ndarray,
-    bpz: np.ndarray,
-    zf: np.ndarray,
-    diff: np.ndarray,
-) -> np.ndarray:
-    """Elementwise kernel from precomputed Blaschke data.
-
-    All arrays share one shape; `diff` is t - z.  Within ZERO_SWITCH of the
-    diagonal the limit |B_n'(z)| is used, with a first-order correction via
-    B_n'' on the band _DIAG_FLOOR < |t - z| < ZERO_SWITCH.
-    """
-    ad = np.abs(diff)
-    far = ad >= ZERO_SWITCH
-    absbp = np.abs(bpz)
-    safe = np.where(far, diff, 1.0)
-    q = (bt - bz) / safe
-    vals = np.abs(q) ** 2 / absbp
-    near_vals = np.broadcast_to(absbp, diff.shape).copy()
-    mid = ~far & (ad > _DIAG_FLOOR)
-    if mid.any():
-        idx = np.nonzero(mid)
-        zmid = np.broadcast_to(zf, diff.shape)[idx]
-        bpp = np.asarray(second_derivative(sequence, n, zmid)).reshape(-1)
-        bp_mid = np.broadcast_to(bpz, diff.shape)[idx]
-        corr = (diff[idx] * bpp * np.conj(bp_mid)).real / np.abs(bp_mid)
-        near_vals[idx] = near_vals[idx] + corr
-    return np.where(far, vals, near_vals)
-
-
 def fejer_kernel(basis: TMBasis, t, z):
-    """F_n(t, z) for boundary points, broadcasting t against z elementwise.
+    """F_n(t, z) = |K_n(t, z)|^2 / K_n(z, z) for boundary points, broadcasting t against z.
 
     Nonnegative, and (1/2pi) integral F_n(t, z) |dt| = 1 for every z on the
-    circle.  On the diagonal the value is |B_n'(z)|, the diagonal of the
-    Christoffel-Darboux kernel.
+    circle.  The basis sum is smooth across the diagonal, where it takes
+    the value K_n(z, z) = |B_n'(z)|.
     """
     n = basis.order
     if n == 0:
         raise ValueError("the kernel needs order >= 1")
-    tb, zb = np.broadcast_arrays(
-        np.asarray(t, dtype=np.complex128), np.asarray(z, dtype=np.complex128)
-    )
-    shape = tb.shape
-    scalar = tb.ndim == 0
-    tf = tb.reshape(-1)
-    zf = zb.reshape(-1)
-    seq = basis.sequence
-    bt = eval_blaschke(seq, n, tf).value
-    be = eval_blaschke(seq, n, zf)
-    out = _kernel_values(seq, n, bt, be.value, be.derivative, zf, tf - zf)
-    return _restore(out, shape, scalar)
+    # Basis index last, so the point shapes of t and z broadcast as given.
+    vt = np.moveaxis(phi_values(basis, t), 0, -1)
+    vz = np.moveaxis(phi_values(basis, z), 0, -1)
+    cd = (vt * np.conj(vz)).sum(axis=-1)
+    return (np.abs(cd) ** 2 / (np.abs(vz) ** 2).sum(axis=-1))[()]
 
 
 def fejer_kernel_angular(basis: TMBasis, x, y):
@@ -326,12 +289,9 @@ def sigma_positive(
     if coeffs is None:
         coeffs = coefficients_of(f, basis, resolution)
     c = coeffs.positive()
-    vals, ders = phi_jet(basis, zf)
-    s = (c[:, None] * vals.reshape(n, -1)).sum(axis=0)
-    sp = (c[:, None] * ders.reshape(n, -1)).sum(axis=0)
-    be = eval_blaschke(basis.sequence, n, zf)
-    bz = np.asarray(be.value).reshape(-1)
-    bpz = np.asarray(be.derivative).reshape(-1)
+    vals, ders, bz, bpz = phi_jet(basis, zf)
+    s = (c[:, None] * vals).sum(axis=0)
+    sp = (c[:, None] * ders).sum(axis=0)
     absb = np.abs(bz)
     absbp = np.abs(bpz)
     critical = (absbp < CRITICAL_TOL) & (absb >= CRITICAL_TOL)
@@ -346,10 +306,13 @@ def sigma_positive(
 def sigma_rusak(f: BoundaryGridFunction, basis: TMBasis, z):
     """Kernel quadrature (1/2pi) integral f(t) F_n(t, z) |dt| over f's own grid.
 
-    Defined for boundary data and boundary evaluation points; order zero
-    returns the sample nearest to z.  Positive and norm-one: nonnegative
-    data gives nonnegative values and the sup never exceeds the data sup
-    beyond quadrature error.
+    Expanding |K_n(t, z)|^2 in the basis turns the quadrature into
+    phi(z)^T G conj(phi(z)) / |phi(z)|^2 with the n x n matrix
+    G_jk = mean_t f(t) conj(phi_j(t)) phi_k(t) on the grid, which is the
+    same sum at O((N + M) n^2) cost.  Defined for boundary data and
+    boundary evaluation points; order zero returns the sample nearest to z.
+    Positive and norm-one: nonnegative data gives nonnegative values and
+    the sup never exceeds the data sup beyond quadrature error.
     """
     zf, shape, scalar = _flatten(z)
     _require_circle(zf, "sigma_rusak")
@@ -358,18 +321,10 @@ def sigma_rusak(f: BoundaryGridFunction, basis: TMBasis, z):
     if n == 0:
         idx = np.rint(np.angle(zf) / (2.0 * np.pi / npts)).astype(int) % npts
         return _restore(f.samples[idx], shape, scalar)
-    seq = basis.sequence
-    tpts = f.points
-    bt = eval_blaschke(seq, n, tpts).value
-    out = np.empty(zf.shape, dtype=np.complex128)
-    for lo in range(0, zf.size, _CHUNK):
-        zc = zf[lo : lo + _CHUNK]
-        be = eval_blaschke(seq, n, zc)
-        bz = np.asarray(be.value).reshape(-1, 1)
-        bpz = np.asarray(be.derivative).reshape(-1, 1)
-        diff = tpts[None, :] - zc[:, None]
-        rows = _kernel_values(seq, n, bt[None, :], bz, bpz, zc[:, None], diff)
-        out[lo : lo + _CHUNK] = (f.samples[None, :] * rows).mean(axis=1)
+    vt = phi_values(basis, f.points)
+    gram = (np.conj(vt) * f.samples) @ vt.T / npts
+    vz = phi_values(basis, zf)
+    out = (vz * (gram @ np.conj(vz))).sum(axis=0) / (np.abs(vz) ** 2).sum(axis=0)
     return _restore(out, shape, scalar)
 
 

@@ -10,12 +10,15 @@ completes it to an orthonormal family in L^2 of the circle.  With all
 a_k = 0 the functions reduce to the monomials z^k and the classical
 trigonometric system.
 
-The Christoffel-Darboux kernel of the first `order` functions has the
-closed form
+phi_values and phi_jet run the first-order recursion of blaschke over the
+poles, which carries B_k and B_k' along with the rows phi_k and phi_k'.
+The Christoffel-Darboux kernel of the first `order` functions,
 
-    sum_{k<n} phi_k(z) conj(phi_k(t)) = (1 - B_n(z) conj(B_n(t))) / (1 - z conj(t)),
+    K_n(z, t) = sum_{k<n} phi_k(z) conj(phi_k(t)) = (1 - B_n(z) conj(B_n(t))) / (1 - z conj(t)),
 
-with diagonal value |B_n'(t)| on the circle.
+is evaluated in closed form by cd_kernel; its diagonal K_n(t, t) on the
+circle is |B_n'(t)|.  The positive kernel of operators is
+F_n(t, z) = |K_n(t, z)|^2 / K_n(z, z), taken as the basis sum.
 """
 
 from __future__ import annotations
@@ -25,11 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from tmfejer.blaschke import (
-    POLE_TOL,
     PointSequence,
-    PoleProximity,
-    _check_order,
     _flatten,
+    _recurse,
     _restore,
     eval_blaschke,
 )
@@ -37,25 +38,18 @@ from tmfejer.blaschke import (
 __all__ = [
     "CIRCLE_TOL",
     "DIAG_TOL",
-    "IndexOutOfRange",
     "ExtendedOffCircle",
     "DiagonalSingularity",
     "TMBasis",
     "phi_values",
     "phi_jet",
-    "eval_phi",
     "cd_kernel",
-    "cd_kernel_diagonal",
 ]
 
 # Points are accepted as boundary points when ||z| - 1| <= CIRCLE_TOL.
 CIRCLE_TOL = 1e-10
 # cd_kernel refuses arguments with |1 - z*conj(t)| < DIAG_TOL.
 DIAG_TOL = 1e-12
-
-
-class IndexOutOfRange(IndexError):
-    """Basis index outside [-order, order)."""
 
 
 class ExtendedOffCircle(ValueError):
@@ -80,74 +74,25 @@ class TMBasis:
             )
 
 
-def _on_circle(zf: np.ndarray) -> bool:
-    if zf.size == 0:
-        return True
-    m = np.abs(zf)
-    return bool(np.abs(m - 1.0).max() <= CIRCLE_TOL)
-
-
 def phi_values(basis: TMBasis, z) -> np.ndarray:
     """phi_0..phi_{order-1} at z; result shape is (order,) + shape(z)."""
     zf, shape, _ = _flatten(z)
-    n = basis.order
-    vals = np.empty((n, zf.size), dtype=np.complex128)
-    b = np.ones_like(zf)
-    for k in range(n):
-        a = basis.sequence[k]
-        w = 1.0 - abs(a) ** 2
-        u = 1.0 - zf * np.conj(a)
-        if np.abs(u).min() < POLE_TOL:
-            raise PoleProximity(f"point within {POLE_TOL} of the pole of phi_{k}")
-        vals[k] = np.sqrt(w) / u * b
-        b = b * (zf - a) / u
-    return vals.reshape((n,) + shape)
+    _, _, vals, _ = _recurse(basis.sequence, basis.order, zf, rows=True, jet=False)
+    return vals.reshape((basis.order,) + shape)
 
 
-def phi_jet(basis: TMBasis, z) -> tuple[np.ndarray, np.ndarray]:
-    """Values and z-derivatives of phi_0..phi_{order-1} at z.
+def phi_jet(basis: TMBasis, z):
+    """Values and z-derivatives of phi_0..phi_{order-1} at z, with B_n and B_n'.
 
-    Runs the same first-order recursion as phi_values, carrying B_k and
-    B_k' along, so no division by (z - a_j) ever occurs and interpolation
-    nodes are handled exactly.
+    Returns (phi rows, phi' rows, B_n, B_n'); the rows have shape
+    (order,) + shape(z), the Blaschke data shape(z).  One pass of the
+    recursion gives all four, so interpolation nodes are handled exactly.
     """
     zf, shape, _ = _flatten(z)
     n = basis.order
-    vals = np.empty((n, zf.size), dtype=np.complex128)
-    ders = np.empty((n, zf.size), dtype=np.complex128)
-    b = np.ones_like(zf)
-    bp = np.zeros_like(zf)
-    for k in range(n):
-        a = basis.sequence[k]
-        w = 1.0 - abs(a) ** 2
-        s = np.sqrt(w)
-        u = 1.0 - zf * np.conj(a)
-        if np.abs(u).min() < POLE_TOL:
-            raise PoleProximity(f"point within {POLE_TOL} of the pole of phi_{k}")
-        vals[k] = s / u * b
-        ders[k] = s * np.conj(a) / u**2 * b + s / u * bp
-        bp = bp * (zf - a) / u + b * w / u**2
-        b = b * (zf - a) / u
-    return vals.reshape((n,) + shape), ders.reshape((n,) + shape)
-
-
-def eval_phi(basis: TMBasis, k: int, z):
-    """phi_k(z) for k in [-order, order); negative k is boundary-only."""
-    if not -basis.order <= k < basis.order:
-        raise IndexOutOfRange(f"index {k} outside [-{basis.order}, {basis.order})")
-    zf, shape, scalar = _flatten(z)
-    if k >= 0:
-        a = basis.sequence[k]
-        u = 1.0 - zf * np.conj(a)
-        if np.abs(u).min() < POLE_TOL:
-            raise PoleProximity(f"point within {POLE_TOL} of the pole of phi_{k}")
-        b = eval_blaschke(basis.sequence, k, zf).value
-        out = np.sqrt(1.0 - abs(a) ** 2) / u * b
-        return _restore(out, shape, scalar)
-    if not _on_circle(zf):
-        raise ExtendedOffCircle("phi_k with k < 0 is defined on the unit circle only")
-    inner, _, _ = _flatten(eval_phi(basis, -k - 1, zf))
-    return _restore(np.conj(zf * inner), shape, scalar)
+    b, bp, vals, ders = _recurse(basis.sequence, n, zf, rows=True)
+    rows = (n,) + shape
+    return vals.reshape(rows), ders.reshape(rows), b.reshape(shape), bp.reshape(shape)
 
 
 def cd_kernel(basis: TMBasis, z, t):
@@ -166,20 +111,10 @@ def cd_kernel(basis: TMBasis, z, t):
     den = 1.0 - zf * np.conj(tf)
     if zf.size and np.abs(den).min() < DIAG_TOL:
         raise DiagonalSingularity(
-            "1 - z*conj(t) vanishes; use cd_kernel_diagonal on the circle"
+            "1 - z*conj(t) vanishes; use the basis sum of phi_values there"
         )
     n = basis.order
     bz = eval_blaschke(basis.sequence, n, zf).value
     bt = eval_blaschke(basis.sequence, n, tf).value
     out = (1.0 - bz * np.conj(bt)) / den
-    return _restore(out, shape, scalar)
-
-
-def cd_kernel_diagonal(basis: TMBasis, t):
-    """Diagonal kernel value sum_{k<order} |phi_k(t)|^2 = |B_n'(t)| for |t| = 1."""
-    tf, shape, scalar = _flatten(t)
-    if not _on_circle(tf):
-        raise ValueError("cd_kernel_diagonal requires |t| = 1")
-    der = eval_blaschke(basis.sequence, basis.order, tf).derivative
-    out = np.abs(np.asarray(der, dtype=np.complex128).reshape(-1))
     return _restore(out, shape, scalar)

@@ -17,7 +17,6 @@ from tmfejer.blaschke import (
     boundary_phase,
     eval_blaschke,
     gamma_density,
-    second_derivative,
 )
 
 
@@ -61,8 +60,8 @@ class TestEvalBlaschke:
             assert be.derivative == pytest.approx(fd, abs=5e-9)
 
     def test_derivative_at_a_zero_of_the_product(self, seq_mixed):
-        # B vanishes at each a_j; the log-derivative route degenerates and
-        # the product-rule fallback must still match the difference oracle.
+        # B vanishes at each a_j; the recursion never divides by z - a_j,
+        # so the derivative there must still match the difference oracle.
         for j in (0, 3, 5):
             z = complex(seq_mixed[j])
             be = eval_blaschke(seq_mixed, 8, z)
@@ -99,21 +98,6 @@ class TestEvalBlaschke:
         t = complex(np.exp(1j * x))
         be = eval_blaschke(seq, len(seq), t)
         assert abs(be.value) == pytest.approx(1.0, abs=1e-10)
-
-
-class TestSecondDerivative:
-    def test_against_central_difference(self, seq_mixed):
-        z = 0.2 + 0.3j
-        fd = central_difference(lambda w: eval_blaschke(seq_mixed, 8, w).derivative, z)
-        assert second_derivative(seq_mixed, 8, z) == pytest.approx(fd, abs=1e-7)
-
-    def test_monomial(self):
-        seq = PointSequence((0.0,) * 3)
-        assert second_derivative(seq, 3, 0.5) == pytest.approx(3.0)
-
-    def test_rejected_near_zeros(self, seq_mixed):
-        with pytest.raises(ValueError):
-            second_derivative(seq_mixed, 8, complex(seq_mixed[0]))
 
 
 class TestBoundaryDensities:

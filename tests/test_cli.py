@@ -1,6 +1,8 @@
 """Config parsing, sequence generators, command execution, output formats."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,7 +157,7 @@ class TestCommands:
         text = out.read_text()
         if fmt == "json":
             doc = json.loads(text)
-            assert doc["schema_version"] == "1"
+            assert doc["schema_version"] == "2"
             assert doc["metadata"]["command"] == cfg.command
             assert doc["rows"]
         else:
@@ -225,6 +227,23 @@ class TestCommands:
             assert row["error_sup"] < 1e-9
             assert row["error_l1"] < 1e-9
 
+    def test_saturation_json_is_strict(self, tmp_path):
+        # The constant member has a vanishing floor, so its ratio is
+        # undefined: null in JSON, never a bare NaN.
+        out = tmp_path / "s.json"
+        cfg = parse_config(
+            "command = saturation\nsequence = list:[0.5,0.3]\norders = [1,2]\n"
+            f"grid_n = 1024\nformat = json\nout = {out}\n"
+        )
+        assert run(cfg) == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+
+        rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
+        assert [r["ratio"] for r in rows if r["label"] == "one"] == [None, None]
+        assert all(r["ratio"] is not None for r in rows if r["label"] != "one")
+
     def test_stdout_when_no_out_path(self, capsys):
         cfg = parse_config("command = frostman\nsequence = constant:0.5\norders = [1]\n")
         assert run(cfg) == 0
@@ -236,6 +255,64 @@ class TestCommands:
         cfg = parse_config(MINIMAL + f"orders = [1]\nout = {out}\n")
         assert run(cfg) == 0
         assert out.exists()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+BUNDLED = (
+    ("kernel", "kernel.csv"),
+    ("converge", "converge.csv"),
+    ("voronovskaya", "voronovskaya.csv"),
+    ("saturation", "saturation.csv"),
+    ("frostman", "frostman.csv"),
+    ("counterexample", "counterexample.json"),
+)
+# Report cells agree to GOLDEN_RTOL relative.  Cells that are cancellation
+# residues of order-one quantities (an extremal gap of 1e-16, the error of
+# a constant) carry no relative precision; GOLDEN_ATOL, about 45 ulp at
+# unit scale, absorbs their rounding.
+GOLDEN_RTOL = 1e-12
+GOLDEN_ATOL = 1e-14
+
+
+def _same(got, want) -> bool:
+    """Numbers agree to the golden tolerances, NaN with NaN; text exactly."""
+    if isinstance(want, str):
+        try:
+            got, want = float(got), float(want)
+        except ValueError:
+            return got == want
+    if isinstance(want, float) and isinstance(got, (int, float)):
+        if math.isnan(want) or math.isnan(got):
+            return math.isnan(want) and math.isnan(got)
+        return math.isclose(got, want, rel_tol=GOLDEN_RTOL, abs_tol=GOLDEN_ATOL)
+    if isinstance(want, dict):
+        return isinstance(got, dict) and got.keys() == want.keys() and all(
+            _same(got[k], want[k]) for k in want
+        )
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) and all(map(_same, got, want))
+    return got == want
+
+
+@pytest.mark.parametrize("command,report", BUNDLED, ids=[c for c, _ in BUNDLED])
+def test_bundled_reports_match_results(tmp_path, monkeypatch, command, report):
+    # results/ is the golden copy of scripts/run_all_experiments.py's output.
+    monkeypatch.delenv("TMFEJER_GRID_N", raising=False)
+    out = tmp_path / report
+    cfg = ROOT / "scripts" / "configs" / f"{command}.cfg"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    got = out.read_text(encoding="utf-8")
+    want = (ROOT / "results" / report).read_text(encoding="utf-8")
+    if report.endswith(".json"):
+        assert _same(json.loads(got), json.loads(want))
+        return
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines)
+    for g, w in zip(got_lines, want_lines):
+        if w.startswith("#"):
+            assert g == w
+        else:
+            assert _same(g.split(","), w.split(",")), (g, w)
 
 
 class TestGridOverride:

@@ -293,6 +293,19 @@ class TestSigmaRusak:
             sp = np.asarray(sigma_positive(f, basis, probes))
             assert np.abs(sr - sp).max() < 1e-7, f.label
 
+    def test_gram_form_is_the_kernel_quadrature(self, seq_mixed):
+        # The n x n Gram matrix only reorders the grid sum of f(t) F_n(t, z);
+        # probes on the grid put t = z inside the sum.
+        basis = TMBasis(seq_mixed, 8)
+        t = circle_grid(1024)
+        probes = np.concatenate([t[::97], circle_grid(13) * np.exp(0.01j)])
+        for f in rational_corpus(4):
+            data = grid_of(f, 1024)
+            kern = np.asarray(fejer_kernel(basis, t[None, :], probes[:, None]))
+            quadrature = (data.samples * kern).mean(axis=1)
+            got = np.asarray(sigma_rusak(data, basis, probes))
+            assert np.abs(got - quadrature).max() < 1e-12, f.label
+
     def test_contraction_in_all_norms(self, seq_mixed):
         basis = TMBasis(seq_mixed, 8)
         probes = circle_grid(256)

@@ -7,17 +7,7 @@ from hypothesis import given, settings
 from conftest import angles, central_difference, circle_grid, disc_points, small_sequences
 from tmfejer.blaschke import PointSequence, eval_blaschke
 from tmfejer.quadrature import default_resolution
-from tmfejer.tm_basis import (
-    DiagonalSingularity,
-    ExtendedOffCircle,
-    IndexOutOfRange,
-    TMBasis,
-    cd_kernel,
-    cd_kernel_diagonal,
-    eval_phi,
-    phi_jet,
-    phi_values,
-)
+from tmfejer.tm_basis import DiagonalSingularity, TMBasis, cd_kernel, phi_jet, phi_values
 
 
 class TestBasisConstruction:
@@ -34,7 +24,7 @@ class TestPhiValues:
     def test_first_function_frozen(self):
         # phi_0(0) = sqrt(1 - 0.25) for a_0 = 0.5.
         basis = TMBasis(PointSequence((0.5,)), 1)
-        assert eval_phi(basis, 0, 0.0) == pytest.approx(np.sqrt(0.75), abs=1e-15)
+        assert phi_values(basis, 0.0)[0] == pytest.approx(np.sqrt(0.75), abs=1e-15)
 
     def test_monomial_reduction(self):
         basis = TMBasis(PointSequence((0.0,) * 5), 5)
@@ -49,47 +39,23 @@ class TestPhiValues:
         gram = (vals @ vals.conj().T) / t.size
         assert np.abs(gram - np.eye(8)).max() < 1e-8
 
-    def test_rows_match_eval_phi(self, seq_mixed):
-        basis = TMBasis(seq_mixed, 6)
-        z = np.array([0.2 + 0.1j, -0.5j])
-        vals = phi_values(basis, z)
-        for k in range(6):
-            assert np.abs(vals[k] - eval_phi(basis, k, z)).max() < 1e-14
-
     def test_jet_derivative_against_central_difference(self, seq_mixed):
         basis = TMBasis(seq_mixed, 8)
         z = 0.3 + 0.25j
-        _, ders = phi_jet(basis, z)
+        _, ders, _, _ = phi_jet(basis, z)
         for k in range(8):
-            fd = central_difference(lambda w, k=k: eval_phi(basis, k, w), z)
+            fd = central_difference(lambda w, k=k: phi_values(basis, w)[k], z)
             assert ders[k] == pytest.approx(fd, abs=5e-9)
 
 
 class TestExtendedSystem:
-    def test_negative_indices_on_circle(self, seq_mixed):
-        basis = TMBasis(seq_mixed, 4)
-        t = circle_grid(32)
-        for k in range(1, 5):
-            expected = np.conj(t * phi_values(basis, t)[k - 1])
-            assert np.abs(eval_phi(basis, -k, t) - expected).max() < 1e-14
-
-    def test_negative_indices_require_circle(self, seq_short):
-        basis = TMBasis(seq_short, 2)
-        with pytest.raises(ExtendedOffCircle):
-            eval_phi(basis, -1, 0.5)
-
-    def test_index_range(self, seq_short):
-        basis = TMBasis(seq_short, 2)
-        with pytest.raises(IndexOutOfRange):
-            eval_phi(basis, 2, 0.1)
-        with pytest.raises(IndexOutOfRange):
-            eval_phi(basis, -3, complex(np.exp(1j)))
-
     def test_extended_orthonormality(self, seq_short):
         # The 2n - 1 functions phi_k, |k| < n, stay orthonormal on the circle.
         basis = TMBasis(seq_short, 3)
         t = circle_grid(4096)
-        rows = np.stack([np.asarray(eval_phi(basis, k, t)) for k in range(-2, 3)])
+        # phi_{-k}(t) = conj(t * phi_{k-1}(t)) for k = 1, 2.
+        vals = phi_values(basis, t)
+        rows = np.concatenate([np.conj(t * vals[1::-1]), vals])
         gram = (rows @ rows.conj().T) / t.size
         assert np.abs(gram - np.eye(5)).max() < 1e-10
 
@@ -103,27 +69,21 @@ class TestChristoffelDarboux:
                 complex(r * np.exp(2j * np.pi * p))
                 for r, p in rng.uniform(0, 0.95, (2, 2))
             )
-            explicit = sum(
-                complex(eval_phi(basis, k, z)) * np.conj(complex(eval_phi(basis, k, t)))
-                for k in range(8)
-            )
+            explicit = (phi_values(basis, z) * np.conj(phi_values(basis, t))).sum()
             assert cd_kernel(basis, z, t) == pytest.approx(explicit, abs=1e-10)
 
     def test_diagonal_frozen_value(self):
         # n = 1, a = 0.5, t = 1: (1 - 0.25)/|1 - 0.5|^2 = 3.
         basis = TMBasis(PointSequence((0.5,)), 1)
-        assert cd_kernel_diagonal(basis, 1.0 + 0j) == pytest.approx(3.0, abs=1e-12)
+        diagonal = (np.abs(phi_values(basis, 1.0 + 0j)) ** 2).sum()
+        assert diagonal == pytest.approx(3.0, abs=1e-12)
 
     def test_diagonal_matches_derivative_modulus(self, seq_mixed):
         basis = TMBasis(seq_mixed, 8)
         t = circle_grid(16)
         direct = np.abs(eval_blaschke(seq_mixed, 8, t).derivative)
-        assert np.abs(np.asarray(cd_kernel_diagonal(basis, t)) - direct).max() < 1e-12
-
-    def test_diagonal_requires_circle(self, seq_short):
-        basis = TMBasis(seq_short, 3)
-        with pytest.raises(ValueError):
-            cd_kernel_diagonal(basis, 0.5 + 0j)
+        diagonal = (np.abs(phi_values(basis, t)) ** 2).sum(axis=0)
+        assert np.abs(diagonal - direct).max() < 1e-12
 
     def test_coincidence_guard(self, seq_short):
         # The quotient blows up where z * conj(t) = 1: equal boundary points,
@@ -153,4 +113,4 @@ class TestChristoffelDarboux:
     def test_diagonal_positive(self, seq, x):
         basis = TMBasis(seq, len(seq))
         t = complex(np.exp(1j * x))
-        assert float(np.asarray(cd_kernel_diagonal(basis, t))) > 0.0
+        assert (np.abs(phi_values(basis, t)) ** 2).sum() > 0.0
