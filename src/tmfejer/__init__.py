@@ -15,11 +15,9 @@ from tmfejer.blaschke import (
     boundary_derivative_modulus,
     boundary_phase,
     eval_blaschke,
-    gamma_density,
 )
 from tmfejer.operators import (
     AnalyticTestFunction,
-    CoefficientVector,
     CriticalPoint,
     NearBoundary,
     cesaro_mean,
@@ -29,7 +27,6 @@ from tmfejer.operators import (
     extremal_voronovskaya,
     fejer_kernel,
     fejer_kernel_angular,
-    partial_sum,
     sigma_positive,
     sigma_rusak,
 )
@@ -37,9 +34,7 @@ from tmfejer.quadrature import (
     BoundaryGridFunction,
     NoConvergence,
     NormReport,
-    adaptive_integrate,
     default_resolution,
-    integrate,
     norms,
     refined_maximum,
     refined_minimum,
@@ -60,7 +55,6 @@ __all__ = [
     "PoleProximity",
     "eval_blaschke",
     "boundary_derivative_modulus",
-    "gamma_density",
     "boundary_phase",
     "TMBasis",
     "ExtendedOffCircle",
@@ -71,19 +65,15 @@ __all__ = [
     "BoundaryGridFunction",
     "NormReport",
     "NoConvergence",
-    "integrate",
     "norms",
-    "adaptive_integrate",
     "default_resolution",
     "refined_minimum",
     "refined_maximum",
     "AnalyticTestFunction",
-    "CoefficientVector",
     "CriticalPoint",
     "NearBoundary",
     "coefficients",
     "coefficients_of",
-    "partial_sum",
     "cesaro_mean",
     "fejer_kernel",
     "fejer_kernel_angular",

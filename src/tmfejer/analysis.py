@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tmfejer.blaschke import PointSequence, boundary_derivative_modulus
+from tmfejer.blaschke import PointSequence, boundary_derivative_modulus, eval_blaschke
 from tmfejer.corpus import cauchy_transform, constant_one, random_unit_density, standard_corpus
 from tmfejer.operators import (
     AnalyticTestFunction,
@@ -251,8 +251,6 @@ def voronovskaya_experiment(
     zs = interior_probes(probes)
     res = grid_n or default_resolution(order)
     rng = np.random.default_rng(seed)
-    from tmfejer.blaschke import eval_blaschke
-
     bounds = np.abs(eval_blaschke(sequence, order, zs).value) / (1.0 - np.abs(zs) ** 2)
     random_max = np.zeros(probes)
     for trial in range(trials):
@@ -377,11 +375,11 @@ def cesaro_counterexample(
         if not 1 <= n <= len(sequence):
             raise ValueError(f"order {n} outside [1, {len(sequence)}]")
         basis = TMBasis(sequence, n)
-        coeffs = coefficients_of(e0, basis, resolution=grid_n, include_negative=True)
+        coeffs = coefficients_of(e0, basis, resolution=grid_n)
 
         def ev(theta):
             t = np.exp(1j * np.asarray(theta, dtype=np.float64))
-            return np.abs(1.0 - np.asarray(cesaro_mean(coeffs, basis, n, t)))
+            return np.abs(1.0 - np.asarray(cesaro_mean(coeffs, basis, t)))
 
         _, sup = _sup_with_candidates(ev, extras=(np.pi,))
         closed = 1.0 + float(np.cumprod(arr.real[:n]).sum()) / n

@@ -13,12 +13,14 @@ The module also evaluates the boundary modulus
 
     |B_n'(e^{ix})| = sum_{k<n} (1 - |a_k|^2) / |1 - e^{-ix} a_k|^2
 
-(a partial Frostman sum), the density gamma_n = |B_n'|/2, and the
-continuous boundary phase of B_n.  Every evaluator accepts scalars or
-numpy arrays of points and returns matching shapes.
+(a partial Frostman sum) and the continuous boundary phase of B_n, the
+integral of the density gamma_n = |B_n'|/2.  Every evaluator accepts
+scalars or numpy arrays of points and returns matching shapes.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +32,10 @@ __all__ = [
     "BlaschkeEval",
     "eval_blaschke",
     "boundary_derivative_modulus",
-    "gamma_density",
     "boundary_phase",
 ]
 
-# Construction rejects |a_k| >= 1 - MODULUS_MARGIN.
+# Construction rejects any a_k without |a_k| < 1 - MODULUS_MARGIN, NaN included.
 MODULUS_MARGIN = 1e-12
 # Evaluation rejects points with |1 - z*conj(a_j)| below POLE_TOL.
 POLE_TOL = 1e-12
@@ -42,9 +43,6 @@ POLE_TOL = 1e-12
 
 class PoleProximity(ArithmeticError):
     """Evaluation point too close to a pole 1/conj(a_j) of the product."""
-
-
-from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ class PointSequence:
     def __post_init__(self) -> None:
         pts = tuple(complex(p) for p in self.points)
         for j, p in enumerate(pts):
-            if abs(p) >= 1.0 - MODULUS_MARGIN:
+            if not abs(p) < 1.0 - MODULUS_MARGIN:
                 raise ValueError(
                     f"point {j} has modulus {abs(p)}; require |a_k| < 1 - {MODULUS_MARGIN}"
                 )
@@ -164,23 +162,6 @@ def boundary_derivative_modulus(sequence: PointSequence, n: int, angle):
     w = 1.0 - np.abs(a) ** 2
     t = np.exp(1j * ang)[None, :]
     out = (w / np.abs(1.0 - np.conj(t) * a) ** 2).sum(axis=0)
-    return _restore(out, shape, scalar)
-
-
-def gamma_density(sequence: PointSequence, n: int, angle):
-    """gamma_n(x) = (1/2) sum_{k<n} (1-|a_k|^2) / (1 - 2|a_k|cos(x - arg a_k) + |a_k|^2).
-
-    This is half the partial Frostman sum, i.e. |B_n'(e^{ix})|/2.
-    """
-    _check_order(sequence, n)
-    if n < 1:
-        raise ValueError("gamma_density needs n >= 1")
-    ang, shape, scalar = _flatten_real(angle)
-    a = sequence.as_array()[:n, None]
-    r = np.abs(a)
-    ph = np.angle(a)
-    den = 1.0 - 2.0 * r * np.cos(ang[None, :] - ph) + r**2
-    out = 0.5 * ((1.0 - r**2) / den).sum(axis=0)
     return _restore(out, shape, scalar)
 
 

@@ -25,12 +25,15 @@ value-level problems are ValidationError (exit 2); numerical failures
 exit 3.  Reruns with an identical config produce byte-identical files:
 no timestamps, fixed float formatting, sorted JSON keys.  The
 environment variable TMFEJER_GRID_N overrides the automatic grid
-resolution, and an explicit grid_n in the config wins over both.
+resolution, and an explicit grid_n in the config wins over both; the
+report metadata records the grid so resolved (null for the per-order
+default).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import os
@@ -100,9 +103,13 @@ class ValidationError(Exception):
 
 def _parse_complex(text: str, field: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError:
         raise ValidationError(field, f"not a number: {text!r}") from None
+    # NaN fails every range check below, so it is refused here.
+    if not cmath.isfinite(value):
+        raise ValidationError(field, f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_bracket_list(text: str, field: str) -> list[str]:
@@ -382,7 +389,7 @@ def _render(config: ExperimentConfig, rows: list[dict]) -> str:
         "generator_version": GENERATOR_VERSION,
         "orders": list(config.orders),
         "seed": config.seed,
-        "grid_n": config.grid_n,
+        "grid_n": _resolved_grid_n(config),
         "function": config.function,
     }
     if config.format == "json":

@@ -60,7 +60,7 @@ def identity_map() -> AnalyticTestFunction:
 def mobius(alpha: complex) -> AnalyticTestFunction:
     """w_alpha(z) = (z - alpha)/(1 - z conj(alpha)), a disc automorphism."""
     a = complex(alpha)
-    if abs(a) >= 1.0:
+    if not abs(a) < 1.0:
         raise ValueError("mobius parameter must lie in the open disc")
 
     def value(z):
@@ -93,7 +93,7 @@ def simple_pole(pole: complex, residue: complex = 1.0) -> AnalyticTestFunction:
     """f(z) = residue / (pole - z) with the pole outside the closed disc."""
     p = complex(pole)
     r = complex(residue)
-    if abs(p) <= 1.0:
+    if not abs(p) > 1.0:
         raise ValueError("pole must lie outside the closed unit disc")
 
     return AnalyticTestFunction(
@@ -119,38 +119,15 @@ def blaschke_multiple(points, scale: complex = 1.0) -> AnalyticTestFunction:
 
 
 def schur_product(alphas) -> AnalyticTestFunction:
-    """Product of mobius factors; bounded by one on the closed disc."""
-    pars = tuple(complex(a) for a in alphas)
-    if any(abs(a) >= 1.0 for a in pars):
-        raise ValueError("factors must have parameters in the open disc")
-
-    def _factors(zf):
-        vals = [(zf - a) / (1.0 - zf * np.conj(a)) for a in pars]
-        ders = [(1.0 - abs(a) ** 2) / (1.0 - zf * np.conj(a)) ** 2 for a in pars]
-        return vals, ders
-
-    def value(z):
-        zf = _as_complex(z)
-        vals, _ = _factors(zf)
-        out = np.ones_like(zf)
-        for v in vals:
-            out = out * v
-        return out
-
-    def derivative(z):
-        zf = _as_complex(z)
-        vals, ders = _factors(zf)
-        out = np.zeros_like(zf)
-        for j in range(len(pars)):
-            term = ders[j]
-            for i, v in enumerate(vals):
-                if i != j:
-                    term = term * v
-            out = out + term
-        return out
+    """Blaschke product over the given parameters; bounded by one on the closed disc."""
+    seq = PointSequence(tuple(alphas))
+    m = len(seq)
 
     return AnalyticTestFunction(
-        value=value, derivative=derivative, kind="schur", label=f"schur(deg {len(pars)})"
+        value=lambda z: eval_blaschke(seq, m, z).value,
+        derivative=lambda z: eval_blaschke(seq, m, z).derivative,
+        kind="schur",
+        label=f"schur(deg {m})",
     )
 
 

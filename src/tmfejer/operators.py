@@ -1,7 +1,10 @@
 """Summation operators built on a Takenaka-Malmquist basis.
 
-Fourier data with respect to the extended system gives partial sums and
-Cesaro means.  The positive summation method rests on the kernel
+Fourier data with respect to the extended system, c_k = <f, phi_k> for
+|k| < n, is one array of length 2n - 1 holding c_k at index n - 1 + k.
+Its upper half c_0, ..., c_{n-1} gives the partial sum S_n(f) used by
+sigma_positive and delta; the whole array gives the Cesaro means.  The
+positive summation method rests on the kernel
 
     F_n(t, z) = |K_n(t, z)|^2 / K_n(z, z),   K_n(t, z) = sum_{k<n} phi_k(t) conj(phi_k(z)),
 
@@ -38,6 +41,8 @@ from tmfejer.blaschke import (
     PointSequence,
     _flatten,
     _restore,
+    boundary_derivative_modulus,
+    boundary_phase,
     eval_blaschke,
 )
 from tmfejer.quadrature import BoundaryGridFunction, default_resolution
@@ -57,10 +62,8 @@ __all__ = [
     "CriticalPoint",
     "NearBoundary",
     "AnalyticTestFunction",
-    "CoefficientVector",
     "coefficients",
     "coefficients_of",
-    "partial_sum",
     "cesaro_mean",
     "fejer_kernel",
     "fejer_kernel_angular",
@@ -114,30 +117,14 @@ class AnalyticTestFunction:
             raise ValueError("cauchy_transform members carry their boundary density")
 
 
-@dataclass(frozen=True, eq=False)
-class CoefficientVector:
-    """Fourier data <f, phi_k> for k in [-(order-1), order-1]."""
+def coefficients(f: BoundaryGridFunction, basis: TMBasis) -> np.ndarray:
+    """Grid quadrature of <f, phi_k> = (1/2pi) integral f(t) conj(phi_k(t)) |dt| for |k| < n.
 
-    entries: dict
-    order: int
-
-    def __getitem__(self, k: int) -> complex:
-        return self.entries[k]
-
-    def __contains__(self, k: int) -> bool:
-        return k in self.entries
-
-    def positive(self) -> np.ndarray:
-        return np.asarray([self.entries[k] for k in range(self.order)], dtype=np.complex128)
-
-
-def coefficients(
-    f: BoundaryGridFunction, basis: TMBasis, include_negative: bool = False
-) -> CoefficientVector:
-    """Grid quadrature of <f, phi_k> = (1/2pi) integral f(t) conj(phi_k(t)) |dt|.
-
-    Negative indices use conj(phi_{-m}(t)) = t * phi_{m-1}(t).  The grid
-    must resolve the basis; stated tolerances elsewhere assume at least
+    Returns the 2n - 1 values as one array with <f, phi_k> at index
+    n - 1 + k; order zero gives an empty array.  Negative indices use
+    conj(phi_{-m}(t)) = t * phi_{m-1}(t), so both halves are products of
+    the same n rows phi_k(t) with the samples.  The grid must resolve the
+    basis; stated tolerances elsewhere assume at least
     default_resolution(order) samples.
     """
     n = basis.order
@@ -145,35 +132,36 @@ def coefficients(
         raise ValueError(
             f"resolution {f.resolution} too coarse for order {n}; need >= {16 * max(n, 1)}"
         )
-    entries: dict = {}
-    if n:
-        pts = f.points
-        vals = phi_values(basis, pts)
-        for k in range(n):
-            entries[k] = complex((f.samples * np.conj(vals[k])).mean())
-        if include_negative:
-            for m in range(1, n):
-                entries[-m] = complex((f.samples * pts * vals[m - 1]).mean())
-    return CoefficientVector(entries, n)
+    pts = f.points
+    vals = phi_values(basis, pts)
+    positive = np.conj(vals @ np.conj(f.samples)) / f.resolution
+    negative = vals[: n - 1] @ (f.samples * pts) / f.resolution
+    return np.concatenate([negative[::-1], positive])
 
 
 def coefficients_of(
-    f: AnalyticTestFunction,
-    basis: TMBasis,
-    resolution: int | None = None,
-    include_negative: bool = False,
-) -> CoefficientVector:
+    f: AnalyticTestFunction, basis: TMBasis, resolution: int | None = None
+) -> np.ndarray:
     """Coefficients of an analytic member sampled on the default boundary grid.
 
-    Cauchy-transform members are never sampled on the circle: the Riesz
-    projection is self-adjoint against the basis, so <K(mu), phi_k> equals
-    <mu, phi_k> and the stored density serves as the boundary data.
+    Same layout as `coefficients`.  Cauchy-transform members are never
+    sampled on the circle: the Riesz projection is self-adjoint against the
+    basis, so <K(mu), phi_k> equals <mu, phi_k> for k >= 0 and the stored
+    density serves as the boundary data; the boundary values of K(mu) lie
+    in H^2, so their negative-index coefficients vanish.
     """
     if f.kind == "cauchy_transform":
-        return coefficients(f.density, basis, include_negative)
+        c = coefficients(f.density, basis)
+        c[: basis.order - 1] = 0.0
+        return c
     res = resolution or default_resolution(basis.order)
     grid = BoundaryGridFunction.from_callable(f.value, res)
-    return coefficients(grid, basis, include_negative)
+    return coefficients(grid, basis)
+
+
+def _require_length(coeffs: np.ndarray, n: int, what: str) -> None:
+    if len(coeffs) != 2 * n - 1:
+        raise ValueError(f"{what} of order {n} needs 2n - 1 coefficients, got {len(coeffs)}")
 
 
 def _require_circle(zf: np.ndarray, what: str) -> None:
@@ -181,44 +169,20 @@ def _require_circle(zf: np.ndarray, what: str) -> None:
         raise ExtendedOffCircle(f"{what} requires points on the unit circle")
 
 
-def partial_sum(
-    coeffs: CoefficientVector, basis: TMBasis, m: int, z, symmetric: bool = False
-):
-    """S_m(f)(z) = sum_{k<m} c_k phi_k(z); symmetric form adds k in (-m, 0).
+def cesaro_mean(coeffs: np.ndarray, basis: TMBasis, t):
+    """Cesaro mean sum_{|k|<n} (1 - |k|/n) c_k phi_k(t) on the circle, n = basis.order.
 
-    The symmetric variant involves the boundary-only functions, so it
-    requires |z| = 1 whenever m > 1.
+    `coeffs` holds the 2n - 1 values c_k = <f, phi_k> in the layout of
+    `coefficients`, c_k at index n - 1 + k.
     """
-    if not 0 <= m <= min(basis.order, coeffs.order):
-        raise ValueError(f"partial sum length {m} outside [0, {min(basis.order, coeffs.order)}]")
-    zf, shape, scalar = _flatten(z)
-    out = np.zeros_like(zf)
-    if m:
-        vals = phi_values(basis, zf)[:m]
-        c = np.asarray([coeffs[k] for k in range(m)], dtype=np.complex128)
-        out = (c[:, None] * vals).sum(axis=0)
-        if symmetric and m > 1:
-            _require_circle(zf, "the symmetric partial sum")
-            for k in range(1, m):
-                out += coeffs[-k] * np.conj(zf * vals[k - 1])
-    return _restore(out, shape, scalar)
-
-
-def cesaro_mean(coeffs: CoefficientVector, basis: TMBasis, n: int, t):
-    """Cesaro mean sum_{|k|<n} (1 - |k|/n) c_k phi_k(t) on the circle."""
-    if not 1 <= n <= min(basis.order, coeffs.order):
-        raise ValueError(f"cesaro order {n} outside [1, {min(basis.order, coeffs.order)}]")
-    if n > 1 and -1 not in coeffs:
-        raise ValueError("cesaro_mean needs coefficients computed with include_negative")
+    n = basis.order
+    _require_length(coeffs, n, "cesaro_mean")
     tf, shape, scalar = _flatten(t)
     _require_circle(tf, "cesaro_mean")
-    vals = phi_values(basis, tf)[:n]
-    out = np.zeros_like(tf)
-    for k in range(n):
-        out += (1.0 - k / n) * coeffs[k] * vals[k]
-    for k in range(1, n):
-        out += (1.0 - k / n) * coeffs[-k] * np.conj(tf * vals[k - 1])
-    return _restore(out, shape, scalar)
+    vals = phi_values(basis, tf)
+    rows = np.concatenate([np.conj(tf * vals[: n - 1][::-1]), vals])
+    weights = 1.0 - np.abs(np.arange(1 - n, n)) / n
+    return _restore((weights * coeffs) @ rows, shape, scalar)
 
 
 def fejer_kernel(basis: TMBasis, t, z):
@@ -241,11 +205,9 @@ def fejer_kernel(basis: TMBasis, t, z):
 def fejer_kernel_angular(basis: TMBasis, x, y):
     """Kernel in angular form: sin^2(phase(x,y)) / (2 gamma_n(x) sin^2((y-x)/2)).
 
-    Here phase(x, y) is the integral of gamma_n over [x, y].  Equals
-    fejer_kernel at t = e^{iy}, z = e^{ix}.
+    Here gamma_n = |B_n'|/2 on the circle and phase(x, y) is the integral
+    of gamma_n over [x, y].  Equals fejer_kernel at t = e^{iy}, z = e^{ix}.
     """
-    from tmfejer.blaschke import boundary_phase, gamma_density
-
     n = basis.order
     if n == 0:
         raise ValueError("the kernel needs order >= 1")
@@ -256,7 +218,7 @@ def fejer_kernel_angular(basis: TMBasis, x, y):
     scalar = xb.ndim == 0
     xf = xb.reshape(-1)
     yf = yb.reshape(-1)
-    g = np.asarray(gamma_density(basis.sequence, n, xf)).reshape(-1)
+    g = 0.5 * np.asarray(boundary_derivative_modulus(basis.sequence, n, xf)).reshape(-1)
     ph = np.asarray(boundary_phase(basis.sequence, n, xf, yf)).reshape(-1)
     s2 = np.sin(0.5 * (yf - xf)) ** 2
     tiny = s2 < (0.5 * ZERO_SWITCH) ** 2
@@ -270,7 +232,7 @@ def sigma_positive(
     f: AnalyticTestFunction,
     basis: TMBasis,
     z,
-    coeffs: CoefficientVector | None = None,
+    coeffs: np.ndarray | None = None,
     resolution: int | None = None,
 ):
     """S_n(f)(z) - (B_n(z)/B_n'(z)) S_n'(f)(z); the identity for order zero.
@@ -279,7 +241,8 @@ def sigma_positive(
     functions, never from finite differences.  At a multiple interpolation
     node both B_n and B_n' vanish and the ratio tends to zero, so the value
     degenerates to S_n(z) there; at a genuine critical point of B_n the
-    operator has a pole and CriticalPoint is raised.
+    operator has a pole and CriticalPoint is raised.  Precomputed `coeffs`
+    are the 2n - 1 values of coefficients_of; S_n uses coeffs[n - 1:].
     """
     n = basis.order
     zf, shape, scalar = _flatten(z)
@@ -288,7 +251,8 @@ def sigma_positive(
         return _restore(vals, shape, scalar)
     if coeffs is None:
         coeffs = coefficients_of(f, basis, resolution)
-    c = coeffs.positive()
+    _require_length(coeffs, n, "sigma_positive")
+    c = coeffs[n - 1 :]
     vals, ders, bz, bpz = phi_jet(basis, zf)
     s = (c[:, None] * vals).sum(axis=0)
     sp = (c[:, None] * ders).sum(axis=0)
@@ -349,7 +313,7 @@ def delta(
     f: AnalyticTestFunction,
     basis: TMBasis,
     z,
-    coeffs: CoefficientVector | None = None,
+    coeffs: np.ndarray | None = None,
     resolution: int | None = None,
 ):
     """Weighted error (B_n'/B_n)(f - sigma_positive(f)) inside the disc.
@@ -404,29 +368,23 @@ def delta(
 def extremal_voronovskaya(basis: TMBasis, z, theta: float = 0.0) -> AnalyticTestFunction:
     """Unit density attaining the first-order error bound at the point z.
 
-    Returns f*(w) = e^{i theta} B_n(w) (w - z)/(1 - w conj(z)) as a
-    Cauchy-transform member: the attached density is the boundary trace of
-    f*, while value and derivative use the explicit product formula.  For
-    this member |delta(f*)(z) - f*'(z)| equals |B_n(z)|/(1 - |z|^2).
+    Returns f*(w) = e^{i theta} B_n(w) (w - z)/(1 - w conj(z)), the
+    Blaschke product over (a_0, ..., a_{n-1}, z) times a unimodular
+    constant, as a Cauchy-transform member: the attached density is the
+    boundary trace of f*, while value and derivative come from
+    eval_blaschke at order n + 1.  For this member |delta(f*)(z) - f*'(z)|
+    equals |B_n(z)|/(1 - |z|^2).
     """
     z0 = complex(z)
-    if abs(z0) >= 1.0:
-        raise ValueError("the extremal construction needs |z| < 1")
-    seq = basis.sequence
     n = basis.order
+    ext = PointSequence(basis.sequence.points[:n] + (z0,))
     phase = complex(np.exp(1j * theta))
 
     def value(w):
-        b = eval_blaschke(seq, n, w).value
-        wa = np.asarray(w, dtype=np.complex128)
-        return phase * b * (wa - z0) / (1.0 - wa * np.conj(z0))
+        return phase * eval_blaschke(ext, n + 1, w).value
 
     def derivative(w):
-        be = eval_blaschke(seq, n, w)
-        wa = np.asarray(w, dtype=np.complex128)
-        mob = (wa - z0) / (1.0 - wa * np.conj(z0))
-        mobp = (1.0 - abs(z0) ** 2) / (1.0 - wa * np.conj(z0)) ** 2
-        return phase * (be.derivative * mob + be.value * mobp)
+        return phase * eval_blaschke(ext, n + 1, w).derivative
 
     dens = BoundaryGridFunction.from_callable(value, default_resolution(n))
     return AnalyticTestFunction(

@@ -18,23 +18,19 @@ import numpy as np
 
 __all__ = [
     "MIN_RESOLUTION",
-    "ADAPTIVE_START",
     "ADAPTIVE_CAP",
     "NoConvergence",
     "BoundaryGridFunction",
     "NormReport",
     "next_power_of_two",
     "default_resolution",
-    "integrate",
     "norms",
-    "adaptive_integrate",
     "golden_section_minimize",
     "refined_minimum",
     "refined_maximum",
 ]
 
 MIN_RESOLUTION = 16
-ADAPTIVE_START = 256
 ADAPTIVE_CAP = 2**20
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -103,43 +99,12 @@ class NormReport:
     l2_norm: float
 
 
-def integrate(f: BoundaryGridFunction) -> complex:
-    """Mean of the samples: the uniform rule for (1/2pi) * integral f(e^{ix}) dx."""
-    return complex(f.samples.mean())
-
-
 def norms(f: BoundaryGridFunction) -> NormReport:
     a = np.abs(f.samples)
     return NormReport(
         sup_norm=float(a.max()),
         l1_norm=float(a.mean()),
         l2_norm=float(np.sqrt((a**2).mean())),
-    )
-
-
-def adaptive_integrate(evaluator: Callable, tol: float) -> complex:
-    """Uniform-rule integral with doubling resolution.
-
-    `evaluator` maps an array of angles in [0, 2*pi) to sample values.  The
-    grid doubles from ADAPTIVE_START until two successive results differ by
-    less than `tol`; past ADAPTIVE_CAP the routine raises NoConvergence.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    prev = None
-    n = ADAPTIVE_START
-    while n <= ADAPTIVE_CAP:
-        ang = 2.0 * np.pi * np.arange(n) / n
-        vals = np.asarray(evaluator(ang), dtype=np.complex128)
-        if vals.ndim == 0:
-            vals = np.full(ang.shape, complex(vals))
-        cur = complex(vals.mean())
-        if prev is not None and abs(cur - prev) < tol:
-            return cur
-        prev = cur
-        n *= 2
-    raise NoConvergence(
-        f"integral did not stabilize to {tol} within {ADAPTIVE_CAP} points"
     )
 
 

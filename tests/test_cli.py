@@ -339,6 +339,13 @@ class TestGridOverride:
         assert run(parse_config(self.BODY + f"grid_n = 2048\nout = {b}\n")) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_json_records_env_grid(self, tmp_path, monkeypatch):
+        for grid in (256, 8192):
+            out = tmp_path / f"{grid}.json"
+            monkeypatch.setenv("TMFEJER_GRID_N", str(grid))
+            assert run(parse_config(self.BODY + f"format = json\nout = {out}\n")) == 0
+            assert json.loads(out.read_text())["metadata"]["grid_n"] == grid
+
     def test_bad_env_value_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv("TMFEJER_GRID_N", "1000")
         assert run(parse_config(self.BODY)) == 2
@@ -384,6 +391,24 @@ class TestMainEntry:
         monkeypatch.setattr("tmfejer.cli.diagnose_sequence", boom)
         cfg = write_cfg(tmp_path, MINIMAL)
         assert main(["frostman", "--config", str(cfg)]) == 3
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command,body",
+        [
+            ("converge", "sequence = constant:nan\n"),
+            ("frostman", "sequence = list:[0.5, nanj]\n"),
+            ("converge", "sequence = constant:0.5\nfunction = pole:nan\n"),
+            ("frostman", "sequence = harmonic:nan\n"),
+            ("converge", "sequence = constant:0.5\nfunction = mobius:nan\n"),
+        ],
+        ids=["constant", "list", "pole", "harmonic", "mobius"],
+    )
+    def test_non_finite_input_rejected(self, tmp_path, capsys, command, body):
+        # NaN passes every range check, so the parser refuses it outright.
+        cfg = write_cfg(tmp_path, f"command = {command}\norders = [1, 2]\n" + body)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        assert not (tmp_path / "r.csv").exists()
         capsys.readouterr()
 
     def test_out_not_writable(self, tmp_path, capsys):

@@ -58,6 +58,11 @@ class TestClassMembership:
             simple_pole(0.5)
         with pytest.raises(ValueError):
             schur_product((0.5, 1.2))
+        for bad in (complex("nan"), complex(0.5, float("nan"))):
+            with pytest.raises(ValueError):
+                mobius(bad)
+            with pytest.raises(ValueError):
+                simple_pole(bad)
 
 
 class TestCauchyTransform:

@@ -30,7 +30,6 @@ from tmfejer.operators import (
     extremal_voronovskaya,
     fejer_kernel,
     fejer_kernel_angular,
-    partial_sum,
     sigma_positive,
     sigma_rusak,
 )
@@ -49,25 +48,38 @@ class TestCoefficients:
         basis = TMBasis(seq_mixed, 8)
         c = coefficients_of(constant_one(), basis)
         expected = np.conj(phi_values(basis, 0.0 + 0j))
-        got = np.asarray([c[k] for k in range(8)])
-        assert np.abs(got - expected).max() < 1e-12
+        assert np.abs(c[7:] - expected).max() < 1e-12
 
     def test_refined_grid_agreement(self, seq_mixed):
         basis = TMBasis(seq_mixed, 8)
         f = simple_pole(1.6)
-        coarse = coefficients_of(f, basis, resolution=4096).positive()
-        fine = coefficients_of(f, basis, resolution=16384).positive()
+        coarse = coefficients_of(f, basis, resolution=4096)
+        fine = coefficients_of(f, basis, resolution=16384)
         assert np.abs(coarse - fine).max() < 1e-12
 
-    def test_negative_coefficient_of_conjugate(self, seq_short):
-        # f(t) = conj(t): c_{-1} = mean(phi_0), the value phi_0(0); all
-        # nonnegative-index coefficients vanish.
-        basis = TMBasis(seq_short, 3)
+    def test_negative_coefficient_of_conjugate(self, seq_mixed):
+        # Pins the layout, <f, phi_k> at index n - 1 + k.  For f(t) = conj(t)
+        # the k = -m entry is the mean of phi_{m-1}, that is phi_{m-1}(0),
+        # and every entry with k >= 0 vanishes.
+        n = 5
+        basis = TMBasis(seq_mixed, n)
         f = BoundaryGridFunction.from_callable(np.conj, 4096)
-        c = coefficients(f, basis, include_negative=True)
-        phi0_at_zero = complex(phi_values(basis, 0.0 + 0j)[0])
-        assert c[-1] == pytest.approx(phi0_at_zero, abs=1e-12)
-        assert abs(c[0]) < 1e-12 and abs(c[2]) < 1e-12
+        c = coefficients(f, basis)
+        at_zero = phi_values(basis, 0.0 + 0j)
+        assert c.shape == (2 * n - 1,)
+        assert np.abs(c[: n - 1] - at_zero[n - 2 :: -1]).max() < 1e-12
+        assert np.abs(c[n - 1 :]).max() < 1e-12
+        assert coefficients(f, TMBasis(seq_mixed, 0)).shape == (0,)
+
+    def test_cauchy_member_has_no_negative_part(self, seq_mixed):
+        # mu(t) = 1 + conj(t) has Riesz projection 1, so K(mu) is the
+        # constant and shares all 2n - 1 coefficients with it, although
+        # mu itself has nonzero negative-index coefficients.
+        basis = TMBasis(seq_mixed, 5)
+        mu = BoundaryGridFunction.from_callable(lambda t: 1.0 + np.conj(t), 4096)
+        got = coefficients_of(cauchy_transform(mu), basis)
+        want = coefficients_of(constant_one(), basis)
+        assert np.abs(got - want).max() < 1e-12
 
     def test_resolution_floor(self, seq_mixed):
         basis = TMBasis(seq_mixed, 8)
@@ -79,60 +91,57 @@ class TestCoefficients:
         f = BoundaryGridFunction.from_callable(
             lambda t: np.exp(t) / (2.0 - t), 4096
         )
-        c = coefficients(f, basis).positive()
+        c = coefficients(f, basis)[7:]
         assert (np.abs(c) ** 2).sum() <= (np.abs(f.samples) ** 2).mean() + 1e-8
 
+    def test_matches_per_index_means(self, seq_mixed):
+        # Reference: the mean of f(t) conj(phi_k(t)) taken index by index.
+        n = 6
+        basis = TMBasis(seq_mixed, n)
+        f = BoundaryGridFunction.from_callable(lambda t: np.exp(np.conj(t)) / (2.0 - t), 4096)
+        t = f.points
+        vals = phi_values(basis, t)
+        rows = [np.conj(t * vals[m - 1]) for m in range(n - 1, 0, -1)] + list(vals)
+        want = np.asarray([(f.samples * np.conj(r)).mean() for r in rows])
+        assert np.abs(coefficients(f, basis) - want).max() < 1e-14
+
     def test_membership(self, seq_short):
-        c = coefficients_of(constant_one(), TMBasis(seq_short, 3))
-        assert 2 in c and -1 not in c
-
-
-class TestPartialSum:
-    def test_reproduces_basis_function(self, seq_mixed):
-        basis = TMBasis(seq_mixed, 5)
-        f = BoundaryGridFunction(phi_values(basis, circle_grid(4096))[2])
-        c = coefficients(f, basis)
-        z = np.array([0.2 + 0.1j, -0.4j, 0.6])
-        s3 = np.asarray(partial_sum(c, basis, 3, z))
-        assert np.abs(s3 - phi_values(basis, z)[2]).max() < 1e-10
-        assert np.abs(np.asarray(partial_sum(c, basis, 2, z))).max() < 1e-10
-
-    def test_symmetric_needs_circle(self, seq_short):
-        basis = TMBasis(seq_short, 3)
-        c = coefficients_of(constant_one(), basis, include_negative=True)
-        with pytest.raises(ExtendedOffCircle):
-            partial_sum(c, basis, 2, 0.5, symmetric=True)
-
-    def test_length_validation(self, seq_short):
+        # Order n holds exactly the indices |k| < n: c_2 is the last entry
+        # for n = 3, and the constant, an H^2 member, has c_{-1} = c_{-2} = 0.
         basis = TMBasis(seq_short, 3)
         c = coefficients_of(constant_one(), basis)
-        with pytest.raises(ValueError):
-            partial_sum(c, basis, 4, 0.1)
+        assert c.shape == (5,)
+        assert c[2 + 2] == pytest.approx(np.conj(phi_values(basis, 0.0 + 0j)[2]), abs=1e-12)
+        assert np.abs(c[:2]).max() < 1e-12
 
 
 class TestCesaroMean:
-    def test_needs_negative_coefficients(self, seq_short):
+    def test_wrong_length_rejected(self, seq_short):
+        # The mean needs all 2n - 1 coefficients of its own order.
         basis = TMBasis(seq_short, 3)
         c = coefficients_of(constant_one(), basis)
+        for bad in (c[2:], c[:-1], coefficients_of(constant_one(), TMBasis(seq_short, 2))):
+            with pytest.raises(ValueError):
+                cesaro_mean(bad, basis, 1.0 + 0j)
         with pytest.raises(ValueError):
-            cesaro_mean(c, basis, 2, 1.0 + 0j)
+            cesaro_mean(c[:0], TMBasis(seq_short, 0), 1.0 + 0j)
 
     def test_circle_only(self, seq_short):
         basis = TMBasis(seq_short, 3)
-        c = coefficients_of(constant_one(), basis, include_negative=True)
+        c = coefficients_of(constant_one(), basis)
         with pytest.raises(ExtendedOffCircle):
-            cesaro_mean(c, basis, 2, 0.3 + 0j)
+            cesaro_mean(c, basis, 0.3 + 0j)
 
     def test_excess_statistic_frozen(self):
         # For a == 1/2 and n = 2 the uniform distance from the constant is
         # (1/2)(1/2 + 1/4) = 0.375, attained at angle pi.
         seq = PointSequence((0.5, 0.5))
         basis = TMBasis(seq, 2)
-        c = coefficients_of(constant_one(), basis, include_negative=True)
+        c = coefficients_of(constant_one(), basis)
 
         def ev(theta):
             t = np.exp(1j * np.asarray(theta, dtype=np.float64))
-            return np.abs(1.0 - np.asarray(cesaro_mean(c, basis, 2, t)))
+            return np.abs(1.0 - np.asarray(cesaro_mean(c, basis, t)))
 
         x, sup = refined_maximum(ev)
         assert sup == pytest.approx(0.375, abs=1e-10)
@@ -234,7 +243,8 @@ class TestSigmaPositive:
         f = simple_pole(1.6)
         c = coefficients_of(f, basis)
         got = complex(sigma_positive(f, basis, 0.3 + 0j, coeffs=c))
-        assert got == pytest.approx(complex(partial_sum(c, basis, 2, 0.3 + 0j)), abs=1e-12)
+        partial_sum = complex(c[1:] @ phi_values(basis, 0.3 + 0j))
+        assert got == pytest.approx(partial_sum, abs=1e-12)
 
     def test_order_zero_is_identity(self, seq_short):
         basis = TMBasis(seq_short, 0)
@@ -251,6 +261,8 @@ class TestSigmaPositive:
         assert complex(sigma_positive(f, basis, z, coeffs=c)) == pytest.approx(
             complex(sigma_positive(f, basis, z)), abs=1e-14
         )
+        with pytest.raises(ValueError):
+            sigma_positive(f, basis, z, coeffs=c[2:])
 
 
 class TestSigmaRusak:

@@ -1,19 +1,14 @@
-"""Grid quadrature, adaptive doubling, golden-section refinement."""
+"""Boundary grids, grid norms, golden-section refinement."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import circle_grid
-from tmfejer.blaschke import PointSequence, eval_blaschke
 from tmfejer.quadrature import (
     BoundaryGridFunction,
-    NoConvergence,
-    adaptive_integrate,
     default_resolution,
     golden_section_minimize,
-    integrate,
     next_power_of_two,
     norms,
     refined_maximum,
@@ -49,20 +44,6 @@ class TestGridFunction:
 
 
 class TestIntegrate:
-    def test_trig_polynomial_exactness(self):
-        # The uniform rule annihilates t^k for 0 < |k| < resolution.
-        f = BoundaryGridFunction.from_callable(
-            lambda t: t**3 + 2.0 * np.conj(t) ** 2 + 0.5, 64
-        )
-        assert abs(integrate(f) - 0.5) < 1e-14
-
-    def test_blaschke_derivative_mean_is_order(self):
-        # (1/2pi) integral |B_n'| = n, the winding number on the circle.
-        seq = PointSequence((0.5, -0.3 + 0.2j))
-        t = circle_grid(4096)
-        f = BoundaryGridFunction(np.abs(eval_blaschke(seq, 2, t).derivative))
-        assert abs(integrate(f) - 2.0) < 1e-12
-
     def test_norm_report_hand_value(self):
         f = BoundaryGridFunction.from_callable(lambda z: z + 1.0, 4096)
         rep = norms(f)
@@ -99,36 +80,6 @@ class TestIntegrate:
         assert small.sup_norm <= big.sup_norm + 1e-12
         assert small.l1_norm <= big.l1_norm + 1e-12
         assert small.l2_norm <= big.l2_norm + 1e-12
-
-
-class TestAdaptiveIntegrate:
-    def test_constant_stops_at_first_comparison(self):
-        calls = []
-
-        def ev(theta):
-            calls.append(theta.size)
-            return np.full(theta.shape, 3.0 + 1.0j)
-
-        assert adaptive_integrate(ev, tol=1e-12) == pytest.approx(3.0 + 1.0j)
-        assert calls == [256, 512]
-
-    def test_poisson_kernel_high_concentration(self):
-        # Mean of the Poisson kernel at r = 0.99 is 1; needs several doublings.
-        r = 0.99
-
-        def ev(theta):
-            return (1.0 - r**2) / np.abs(1.0 - r * np.exp(-1j * theta)) ** 2
-
-        assert adaptive_integrate(ev, tol=1e-8) == pytest.approx(1.0, abs=1e-7)
-
-    def test_non_periodic_integrand_fails(self):
-        # The sawtooth never stabilizes under the periodic rule.
-        with pytest.raises(NoConvergence):
-            adaptive_integrate(lambda theta: theta, tol=1e-10)
-
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            adaptive_integrate(lambda theta: theta, tol=0.0)
 
 
 class TestRefinement:
