@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from tmfejer.blaschke import PointSequence, boundary_derivative_modulus, eval_blaschke
-from tmfejer.corpus import cauchy_transform, constant_one, random_unit_density, standard_corpus
+from tmfejer.corpus import constant_one, random_unit_density, standard_corpus
 from tmfejer.operators import (
     AnalyticTestFunction,
+    _cauchy_weighted_integral,
     cesaro_mean,
     coefficients_of,
     delta,
@@ -243,25 +244,30 @@ def voronovskaya_experiment(
 ) -> list[VoronovskayaSample]:
     """First-order error |delta(f)(z) - f'(z)| against |B_n(z)|/(1 - |z|^2).
 
-    Random trials draw Cauchy transforms of unit densities; `random_max`
-    records the worst case per probe.  `extremal_value` evaluates the
-    member built to attain the bound at that probe.
+    Random trials draw Cauchy transforms f = K(mu) of unit densities, all
+    sampled on one grid; `random_max` records the worst case per probe.
+    For a Cauchy transform delta takes its integral form
+    delta(f)(z) = f'(z) - B_n(z) I_mu(z), so the gap delta(f) - f' is
+    -B_n(z) I_mu(z) and f' never needs evaluating: the trials are stacked
+    as columns and |B_n(z) I_mu(z)| comes from one weighted integral over
+    all of them.  `extremal_value` evaluates, through delta, the member
+    built to attain the bound at that probe, with its density on the same
+    grid as the random ones.
     """
     basis = TMBasis(sequence, order)
     zs = interior_probes(probes)
     res = grid_n or default_resolution(order)
     rng = np.random.default_rng(seed)
-    bounds = np.abs(eval_blaschke(sequence, order, zs).value) / (1.0 - np.abs(zs) ** 2)
-    random_max = np.zeros(probes)
+    bz = eval_blaschke(sequence, order, zs).value
+    bounds = np.abs(bz) / (1.0 - np.abs(zs) ** 2)
+    densities = np.empty((res, trials), dtype=np.complex128)
     for trial in range(trials):
-        f = cauchy_transform(random_unit_density(rng, res), label=f"density{trial}")
-        gap = np.abs(
-            np.asarray(delta(f, basis, zs)) - np.asarray(f.derivative(zs))
-        )
-        random_max = np.maximum(random_max, gap)
+        densities[:, trial] = random_unit_density(rng, res).samples
+    integrals = _cauchy_weighted_integral(sequence, order, densities, zs)
+    random_max = np.abs(bz[:, None] * integrals).max(axis=1, initial=0.0)
     rows = []
     for i, z in enumerate(zs):
-        fstar = extremal_voronovskaya(basis, z)
+        fstar = extremal_voronovskaya(basis, z, resolution=res)
         ext = abs(complex(delta(fstar, basis, z)) - complex(fstar.derivative(z)))
         rows.append(
             VoronovskayaSample(

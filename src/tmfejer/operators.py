@@ -84,8 +84,6 @@ ZERO_SWITCH = 1e-8
 
 _KINDS = ("rational", "cauchy_transform", "schur", "blaschke_multiple")
 
-_CHUNK = 256
-
 
 class CriticalPoint(ArithmeticError):
     """sigma_positive evaluated at a zero of B_n' that is not a zero of B_n."""
@@ -254,8 +252,8 @@ def sigma_positive(
     _require_length(coeffs, n, "sigma_positive")
     c = coeffs[n - 1 :]
     vals, ders, bz, bpz = phi_jet(basis, zf)
-    s = (c[:, None] * vals).sum(axis=0)
-    sp = (c[:, None] * ders).sum(axis=0)
+    s = c @ vals
+    sp = c @ ders
     absb = np.abs(bz)
     absbp = np.abs(bpz)
     critical = (absbp < CRITICAL_TOL) & (absb >= CRITICAL_TOL)
@@ -293,20 +291,25 @@ def sigma_rusak(f: BoundaryGridFunction, basis: TMBasis, z):
 
 
 def _cauchy_weighted_integral(
-    sequence: PointSequence, n: int, dens: BoundaryGridFunction, zf: np.ndarray
+    sequence: PointSequence, n: int, samples: np.ndarray, zf: np.ndarray
 ) -> np.ndarray:
-    """(1/2pi) integral conj((t - z)/(1 - conj(t) z)) conj(B_n(t)) mu(t) / |1 - conj(t) z|^2 |dt|."""
-    tpts = dens.points
-    bt = eval_blaschke(sequence, n, tpts).value
-    ker = np.conj(bt) * dens.samples
-    out = np.empty(zf.shape, dtype=np.complex128)
-    ct = np.conj(tpts)[None, :]
-    for lo in range(0, zf.size, _CHUNK):
-        zc = zf[lo : lo + _CHUNK][:, None]
-        g = 1.0 - ct * zc
-        w = (ct - np.conj(zc)) / g
-        out[lo : lo + _CHUNK] = (w * ker[None, :] / np.abs(g) ** 2).mean(axis=1)
-    return out
+    """(1/2pi) integral conj((t - z)/(1 - conj(z) t)) conj(B_n(t)) mu(t) / |1 - conj(t) z|^2 |dt|.
+
+    `samples` holds mu on the uniform grid of N points, shape (N,) or
+    (N, T) with one density per column; the result has shape (M,) or
+    (M, T) for the M points zf.  The quadrature is one product
+    W @ (conj(B_n(t)) mu) with the M x N weights
+    W(z, t) = conj((t - z)/(1 - conj(z) t)) / |1 - conj(t) z|^2 / N.
+    """
+    npts = samples.shape[0]
+    tpts = np.exp(2j * np.pi * np.arange(npts) / npts)
+    cbt = np.conj(eval_blaschke(sequence, n, tpts).value)
+    ker = (samples.T * cbt).T
+    ct = np.conj(tpts)
+    g = 1.0 - ct * zf[:, None]
+    w = (ct - np.conj(zf)[:, None]) / g
+    w /= np.abs(g) ** 2
+    return w @ ker / npts
 
 
 def delta(
@@ -322,7 +325,7 @@ def delta(
     vanishes at the zeros of B_n.  Cauchy-transform members are evaluated
     through the equivalent integral form
 
-        delta(f)(z) = f'(z) - B_n(z) * (1/2pi) integral conj((t-z)/(1-conj(t)z))
+        delta(f)(z) = f'(z) - B_n(z) * (1/2pi) integral conj((t-z)/(1-conj(z)t))
                       * conj(B_n(t)) mu(t) / |1 - conj(t) z|^2 |dt|,
 
     which is also used as the removable-singularity fallback for other
@@ -359,21 +362,24 @@ def delta(
                 f.value, resolution or default_resolution(n)
             )
         zi = zf[rest]
-        integral = _cauchy_weighted_integral(basis.sequence, n, dens, zi)
+        integral = _cauchy_weighted_integral(basis.sequence, n, dens.samples, zi)
         fp = np.asarray(f.derivative(zi), dtype=np.complex128).reshape(-1)
         out[rest] = fp - bz[rest] * integral
     return _restore(out, shape, scalar)
 
 
-def extremal_voronovskaya(basis: TMBasis, z, theta: float = 0.0) -> AnalyticTestFunction:
+def extremal_voronovskaya(
+    basis: TMBasis, z, theta: float = 0.0, resolution: int | None = None
+) -> AnalyticTestFunction:
     """Unit density attaining the first-order error bound at the point z.
 
     Returns f*(w) = e^{i theta} B_n(w) (w - z)/(1 - w conj(z)), the
     Blaschke product over (a_0, ..., a_{n-1}, z) times a unimodular
     constant, as a Cauchy-transform member: the attached density is the
-    boundary trace of f*, while value and derivative come from
-    eval_blaschke at order n + 1.  For this member |delta(f*)(z) - f*'(z)|
-    equals |B_n(z)|/(1 - |z|^2).
+    boundary trace of f* on `resolution` points (default_resolution(n)
+    when None), while value and derivative come from eval_blaschke at
+    order n + 1.  For this member |delta(f*)(z) - f*'(z)| equals
+    |B_n(z)|/(1 - |z|^2).
     """
     z0 = complex(z)
     n = basis.order
@@ -386,7 +392,7 @@ def extremal_voronovskaya(basis: TMBasis, z, theta: float = 0.0) -> AnalyticTest
     def derivative(w):
         return phase * eval_blaschke(ext, n + 1, w).derivative
 
-    dens = BoundaryGridFunction.from_callable(value, default_resolution(n))
+    dens = BoundaryGridFunction.from_callable(value, resolution or default_resolution(n))
     return AnalyticTestFunction(
         value=value,
         derivative=derivative,

@@ -13,8 +13,10 @@ from tmfejer.analysis import (
     voronovskaya_experiment,
 )
 from tmfejer.blaschke import PointSequence, boundary_derivative_modulus, eval_blaschke
-from tmfejer.corpus import constant_one, identity_map, mobius
-from tmfejer.quadrature import refined_maximum
+from tmfejer.corpus import cauchy_transform, constant_one, identity_map, mobius, random_unit_density
+from tmfejer.operators import delta
+from tmfejer.quadrature import BoundaryGridFunction, default_resolution, refined_maximum
+from tmfejer.tm_basis import TMBasis
 
 
 class TestInteriorProbes:
@@ -108,6 +110,34 @@ class TestVoronovskaya:
         for r in rows:
             assert r.random_max <= r.bound + 1e-7
             assert r.extremal_value == pytest.approx(r.bound, abs=1e-7)
+
+    def test_random_max_matches_public_path(self, seq_mixed):
+        # The batched gaps |B_n(z) I_mu(z)| against |delta(f) - f'| per trial,
+        # with the densities redrawn from the same seed in the same order.
+        rows = voronovskaya_experiment(seq_mixed, 6, probes=6, trials=8, seed=4)
+        basis = TMBasis(seq_mixed, 6)
+        zs = interior_probes(6)
+        rng = np.random.default_rng(4)
+        want = np.zeros(6)
+        for _ in range(8):
+            f = cauchy_transform(random_unit_density(rng, default_resolution(6)))
+            gap = np.abs(np.asarray(delta(f, basis, zs)) - np.asarray(f.derivative(zs)))
+            want = np.maximum(want, gap)
+        got = np.array([r.random_max for r in rows])
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_densities_follow_grid_n(self, seq_mixed, monkeypatch):
+        sizes = []
+        post_init = BoundaryGridFunction.__post_init__
+
+        def recording(self):
+            post_init(self)
+            sizes.append(self.resolution)
+
+        monkeypatch.setattr(BoundaryGridFunction, "__post_init__", recording)
+        voronovskaya_experiment(seq_mixed, 6, probes=4, trials=3, seed=1, grid_n=1024)
+        # Three random densities and one extremal density per probe.
+        assert sizes == [1024] * 7
 
     def test_bound_decays_with_order(self, seq_mixed):
         # |B_n(z)| is non-increasing in n, so the theoretical bound decays.

@@ -20,7 +20,7 @@ from tmfejer.corpus import (
     standard_corpus,
 )
 from tmfejer.operators import AnalyticTestFunction
-from tmfejer.quadrature import BoundaryGridFunction
+from tmfejer.quadrature import BoundaryGridFunction, refined_maximum
 
 
 class TestDerivativeClosures:
@@ -94,6 +94,30 @@ class TestRandomDensities:
         peak = np.abs(mu.samples).max()
         assert peak <= 1.0 + 1e-9
         assert peak > 0.95
+
+    def test_matches_direct_sum(self):
+        # The density against sum_m g_m e^{im theta} / peak, summed term by
+        # term here with the peak refined on that sum.
+        ms = np.arange(-6, 7)
+
+        def direct(g, theta):
+            return np.exp(1j * np.outer(np.asarray(theta).reshape(-1), ms)) @ g
+
+        fine = 2.0 * np.pi * np.arange(2**16) / 2**16
+        for seed in (0, 21, 2026):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal(ms.size) + 1j * rng.standard_normal(ms.size)
+            _, peak = refined_maximum(lambda th: np.abs(direct(g, th)))
+            mu = random_unit_density(np.random.default_rng(seed), 2048)
+            assert np.abs(mu.samples - direct(g, mu.angles) / peak).max() < 1e-13
+            # The samples fix the trigonometric polynomial; its sup on a fine grid.
+            h = np.fft.fft(mu.samples)[ms] / mu.resolution
+            assert np.abs(direct(h, fine)).max() <= 1.0 + 1e-9
+
+    def test_aliasing_degree_rejected(self):
+        assert random_unit_density(np.random.default_rng(1), 16, degree=7).resolution == 16
+        with pytest.raises(ValueError):
+            random_unit_density(np.random.default_rng(1), 16, degree=8)
 
     def test_seed_reproducibility(self):
         a = random_unit_density(np.random.default_rng(9), 1024)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import circle_grid, zeros_sequence
+from tmfejer.analysis import interior_probes
 from tmfejer.blaschke import PointSequence, eval_blaschke
 from tmfejer.corpus import (
     cauchy_transform,
@@ -16,6 +17,7 @@ from tmfejer.corpus import (
     identity_map,
     mobius,
     polynomial,
+    random_unit_density,
     rational_corpus,
     schur_corpus,
     simple_pole,
@@ -23,6 +25,7 @@ from tmfejer.corpus import (
 from tmfejer.operators import (
     CriticalPoint,
     NearBoundary,
+    _cauchy_weighted_integral,
     cesaro_mean,
     coefficients,
     coefficients_of,
@@ -385,6 +388,17 @@ class TestDelta:
         # B' vanishes at 0, so delta must fall back to the integral form.
         assert complex(delta(f, basis, 0.0 + 0j)) == pytest.approx(oracle, abs=1e-12)
 
+    def test_stacked_integral_matches_columns(self, seq_mixed):
+        rng = np.random.default_rng(5)
+        stacked = np.stack([random_unit_density(rng, 1024).samples for _ in range(4)], axis=1)
+        z = interior_probes(7)
+        both = _cauchy_weighted_integral(seq_mixed, 6, stacked, z)
+        assert both.shape == (7, 4)
+        for j in range(4):
+            one = _cauchy_weighted_integral(seq_mixed, 6, stacked[:, j], z)
+            assert one.shape == (7,)
+            np.testing.assert_allclose(both[:, j], one, rtol=1e-13, atol=1e-15)
+
     def test_near_boundary_rejected(self, seq_short):
         basis = TMBasis(seq_short, 3)
         with pytest.raises(NearBoundary):
@@ -401,8 +415,6 @@ class TestDelta:
         bound = np.abs(eval_blaschke(seq_mixed, 8, z).value) / (
             1.0 - np.abs(z) ** 2
         )
-        from tmfejer.corpus import random_unit_density
-
         for _ in range(10):
             f = cauchy_transform(random_unit_density(rng, 4096))
             gap = np.abs(
