@@ -24,7 +24,6 @@ from tmfejer.operators import (
     coefficients,
     coefficients_of,
     delta,
-    extremal_voronovskaya,
     fejer_kernel,
     fejer_kernel_angular,
     sigma_positive,
@@ -80,5 +79,4 @@ __all__ = [
     "sigma_positive",
     "sigma_rusak",
     "delta",
-    "extremal_voronovskaya",
 ]

@@ -18,15 +18,12 @@ from tmfejer.operators import (
     _cauchy_weighted_integral,
     cesaro_mean,
     coefficients_of,
-    delta,
-    extremal_voronovskaya,
     sigma_positive,
     sigma_rusak,
 )
 from tmfejer.quadrature import (
     BoundaryGridFunction,
     default_resolution,
-    golden_section_minimize,
     refined_maximum,
     refined_minimum,
 )
@@ -58,28 +55,6 @@ def interior_probes(count: int, radii=(0.3, 0.55, 0.75, 0.88)) -> np.ndarray:
     angles = 2.0 * np.pi * ((ks * golden) % 1.0)
     r = np.asarray(radii, dtype=np.float64)[ks % len(radii)]
     return r * np.exp(1j * angles)
-
-
-def _sup_with_candidates(ev, extras=()) -> tuple[float, float]:
-    """Refined boundary maximum of `ev`, also probing candidate angles.
-
-    The scan grid can miss a spike narrower than its spacing; callers pass
-    angles where the target is known to peak (the Frostman minimizer, for
-    error functions weighted by 1/|B_n'|).
-    """
-    best_x, best = refined_maximum(ev, resolution=_SCAN)
-    step = 2.0 * np.pi / _SCAN
-    for a in extras:
-        a = float(a)
-
-        def scalar(th: float) -> float:
-            return -float(np.asarray(ev(np.asarray([th])))[0])
-
-        x, neg = golden_section_minimize(scalar, a - step, a + step)
-        for cand_x, cand_v in ((x, -neg), (a, -scalar(a))):
-            if cand_v > best:
-                best_x, best = cand_x, cand_v
-    return best_x, best
 
 
 def _boundary_error(f: AnalyticTestFunction, basis: TMBasis, coeffs):
@@ -193,7 +168,7 @@ def convergence_experiment(
         coeffs = coefficients_of(f, basis, resolution=grid_n)
         diag = diagnose_sequence(sequence, n)
         ev = _boundary_error(f, basis, coeffs)
-        _, err_sup = _sup_with_candidates(ev, extras=(diag.argmin_angle,))
+        _, err_sup = refined_maximum(ev, _SCAN, candidates=(diag.argmin_angle,))
         res = grid_n or default_resolution(n)
         grid = 2.0 * np.pi * np.arange(res) / res
         err = ev(grid)
@@ -244,17 +219,16 @@ def voronovskaya_experiment(
 ) -> list[VoronovskayaSample]:
     """First-order error |delta(f)(z) - f'(z)| against |B_n(z)|/(1 - |z|^2).
 
-    Random trials draw Cauchy transforms f = K(mu) of unit densities, all
-    sampled on one grid; `random_max` records the worst case per probe.
-    For a Cauchy transform delta takes its integral form
-    delta(f)(z) = f'(z) - B_n(z) I_mu(z), so the gap delta(f) - f' is
-    -B_n(z) I_mu(z) and f' never needs evaluating: the trials are stacked
-    as columns and |B_n(z) I_mu(z)| comes from one weighted integral over
-    all of them.  `extremal_value` evaluates, through delta, the member
-    built to attain the bound at that probe, with its density on the same
-    grid as the random ones.
+    For a Cauchy transform f = K(mu) delta takes its integral form
+    delta(f)(z) = f'(z) - B_n(z) I_mu(z), so the gap is |B_n(z) I_mu(z)| and
+    f' never needs evaluating.  Random trials draw unit densities, stacked
+    as columns of one weighted integral; `random_max` records the worst
+    case per probe.  `extremal_value` is the gap of the member attaining
+    the bound at probe z, B_n(w) (w - z)/(1 - w conj(z)): its boundary
+    traces, one column per probe on the grid of the random densities, go
+    through a second call rather than onto the first stack, which keeps the
+    peak memory of the product lower.
     """
-    basis = TMBasis(sequence, order)
     zs = interior_probes(probes)
     res = grid_n or default_resolution(order)
     rng = np.random.default_rng(seed)
@@ -265,20 +239,21 @@ def voronovskaya_experiment(
         densities[:, trial] = random_unit_density(rng, res).samples
     integrals = _cauchy_weighted_integral(sequence, order, densities, zs)
     random_max = np.abs(bz[:, None] * integrals).max(axis=1, initial=0.0)
-    rows = []
-    for i, z in enumerate(zs):
-        fstar = extremal_voronovskaya(basis, z, resolution=res)
-        ext = abs(complex(delta(fstar, basis, z)) - complex(fstar.derivative(z)))
-        rows.append(
-            VoronovskayaSample(
-                order=order,
-                z=complex(z),
-                bound=float(bounds[i]),
-                random_max=float(random_max[i]),
-                extremal_value=float(ext),
-            )
+    t = np.exp(2j * np.pi * np.arange(res) / res)[:, None]
+    bt = eval_blaschke(sequence, order, t).value
+    traces = bt * (t - zs) / (1.0 - t * np.conj(zs))
+    at_own_probe = np.diagonal(_cauchy_weighted_integral(sequence, order, traces, zs))
+    extremal = np.abs(bz * at_own_probe)
+    return [
+        VoronovskayaSample(
+            order=order,
+            z=complex(z),
+            bound=float(bounds[i]),
+            random_max=float(random_max[i]),
+            extremal_value=float(extremal[i]),
         )
-    return rows
+        for i, z in enumerate(zs)
+    ]
 
 
 @dataclass(frozen=True)
@@ -323,7 +298,7 @@ def saturation_check(
             continue
         coeffs = coefficients_of(f, basis, resolution=grid_n)
         ev = _boundary_error(f, basis, coeffs)
-        _, err_sup = _sup_with_candidates(ev, extras=(diag.argmin_angle,))
+        _, err_sup = refined_maximum(ev, _SCAN, candidates=(diag.argmin_angle,))
         fp = np.abs(np.asarray(f.derivative(pts), dtype=np.complex128))
         lower = float(((1.0 - np.abs(pts) ** 2) * fp).max() / order)
         ratio = float(err_sup) / lower if lower > 1e-300 else float("nan")
@@ -387,7 +362,7 @@ def cesaro_counterexample(
             t = np.exp(1j * np.asarray(theta, dtype=np.float64))
             return np.abs(1.0 - np.asarray(cesaro_mean(coeffs, basis, t)))
 
-        _, sup = _sup_with_candidates(ev, extras=(np.pi,))
+        _, sup = refined_maximum(ev, _SCAN, candidates=(np.pi,))
         closed = 1.0 + float(np.cumprod(arr.real[:n]).sum()) / n
         grid = BoundaryGridFunction.from_callable(
             e0.value, grid_n or default_resolution(n)

@@ -31,9 +31,6 @@ __all__ = [
     "schur_corpus",
 ]
 
-_CHUNK = 256
-
-
 def _as_complex(z) -> np.ndarray:
     return np.asarray(z, dtype=np.complex128)
 
@@ -135,8 +132,9 @@ def cauchy_transform(density: BoundaryGridFunction, label: str = "") -> Analytic
     """f(z) = (1/2pi) integral mu(t) / (1 - conj(t) z) |dt| for |z| < 1.
 
     Value and derivative are grid quadratures over the density's own
-    nodes, chunked to bound memory.  Not evaluable on the circle; the
-    operator layer reads boundary data from the attached density instead.
+    nodes, one array expression for all points.  Not evaluable on the
+    circle; the operator layer reads boundary data from the attached
+    density instead.
     """
     pts = density.points
     ct = np.conj(pts)[None, :]
@@ -144,10 +142,7 @@ def cauchy_transform(density: BoundaryGridFunction, label: str = "") -> Analytic
 
     def _transform(z, power: int, weight) -> np.ndarray:
         zf, shape, scalar = _flatten(z)
-        out = np.empty(zf.shape, dtype=np.complex128)
-        for lo in range(0, zf.size, _CHUNK):
-            zc = zf[lo : lo + _CHUNK][:, None]
-            out[lo : lo + _CHUNK] = (weight * mu / (1.0 - ct * zc) ** power).mean(axis=1)
+        out = (weight * mu / (1.0 - ct * zf[:, None]) ** power).mean(axis=1)
         return _restore(out, shape, scalar)
 
     return AnalyticTestFunction(

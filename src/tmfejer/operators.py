@@ -70,7 +70,6 @@ __all__ = [
     "sigma_positive",
     "sigma_rusak",
     "delta",
-    "extremal_voronovskaya",
 ]
 
 # sigma_positive refuses points where B_n' vanishes but B_n does not.
@@ -367,36 +366,3 @@ def delta(
         out[rest] = fp - bz[rest] * integral
     return _restore(out, shape, scalar)
 
-
-def extremal_voronovskaya(
-    basis: TMBasis, z, theta: float = 0.0, resolution: int | None = None
-) -> AnalyticTestFunction:
-    """Unit density attaining the first-order error bound at the point z.
-
-    Returns f*(w) = e^{i theta} B_n(w) (w - z)/(1 - w conj(z)), the
-    Blaschke product over (a_0, ..., a_{n-1}, z) times a unimodular
-    constant, as a Cauchy-transform member: the attached density is the
-    boundary trace of f* on `resolution` points (default_resolution(n)
-    when None), while value and derivative come from eval_blaschke at
-    order n + 1.  For this member |delta(f*)(z) - f*'(z)| equals
-    |B_n(z)|/(1 - |z|^2).
-    """
-    z0 = complex(z)
-    n = basis.order
-    ext = PointSequence(basis.sequence.points[:n] + (z0,))
-    phase = complex(np.exp(1j * theta))
-
-    def value(w):
-        return phase * eval_blaschke(ext, n + 1, w).value
-
-    def derivative(w):
-        return phase * eval_blaschke(ext, n + 1, w).derivative
-
-    dens = BoundaryGridFunction.from_callable(value, resolution or default_resolution(n))
-    return AnalyticTestFunction(
-        value=value,
-        derivative=derivative,
-        kind="cauchy_transform",
-        density=dens,
-        label=f"extremal@{z0:.3g}",
-    )

@@ -134,13 +134,18 @@ def golden_section_minimize(
 
 
 def refined_minimum(
-    fn: Callable[[np.ndarray], np.ndarray], resolution: int = 8192, tol: float = 1e-10
+    fn: Callable[[np.ndarray], np.ndarray],
+    resolution: int = 8192,
+    tol: float = 1e-10,
+    candidates=(),
 ) -> tuple[float, float]:
     """Certified minimum of a smooth periodic function of the angle.
 
     Scans a uniform grid of `resolution` angles, then runs golden-section
-    refinement on the one-step window around the grid argmin.  `fn` must
-    accept an array of angles.
+    refinement on the one-step window around the grid argmin.  Each angle
+    in `candidates` gets the same one-step window: the scan can miss a dip
+    narrower than its spacing, so callers pass angles where the extremum
+    is known to sit.  `fn` must accept an array of angles.
     """
     ang = 2.0 * np.pi * np.arange(resolution) / resolution
     vals = np.asarray(fn(ang), dtype=np.float64)
@@ -153,12 +158,21 @@ def refined_minimum(
     x, v = golden_section_minimize(scalar, ang[i] - step, ang[i] + step, tol)
     if vals[i] < v:
         x, v = float(ang[i]), float(vals[i])
+    for a in candidates:
+        a = float(a)
+        golden = golden_section_minimize(scalar, a - step, a + step, tol)
+        for cand_x, cand_v in (golden, (a, scalar(a))):
+            if cand_v < v:
+                x, v = cand_x, cand_v
     return float(x), float(v)
 
 
 def refined_maximum(
-    fn: Callable[[np.ndarray], np.ndarray], resolution: int = 8192, tol: float = 1e-10
+    fn: Callable[[np.ndarray], np.ndarray],
+    resolution: int = 8192,
+    tol: float = 1e-10,
+    candidates=(),
 ) -> tuple[float, float]:
     """Counterpart of refined_minimum for maxima."""
-    x, v = refined_minimum(lambda a: -np.asarray(fn(a)), resolution, tol)
+    x, v = refined_minimum(lambda a: -np.asarray(fn(a)), resolution, tol, candidates)
     return x, -v

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import zeros_sequence
+from tmfejer import analysis
 from tmfejer.analysis import (
     cesaro_counterexample,
     convergence_experiment,
@@ -13,7 +14,14 @@ from tmfejer.analysis import (
     voronovskaya_experiment,
 )
 from tmfejer.blaschke import PointSequence, boundary_derivative_modulus, eval_blaschke
-from tmfejer.corpus import cauchy_transform, constant_one, identity_map, mobius, random_unit_density
+from tmfejer.corpus import (
+    blaschke_multiple,
+    cauchy_transform,
+    constant_one,
+    identity_map,
+    mobius,
+    random_unit_density,
+)
 from tmfejer.operators import delta
 from tmfejer.quadrature import BoundaryGridFunction, default_resolution, refined_maximum
 from tmfejer.tm_basis import TMBasis
@@ -126,18 +134,31 @@ class TestVoronovskaya:
         got = np.array([r.random_max for r in rows])
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    def test_extremal_matches_public_path(self, seq_mixed):
+        # The traced gap |B_n(z) I(z)| against |delta(K) - K'| for K the
+        # Cauchy transform of the Blaschke product over (a_0, ..., a_5, z).
+        rows = voronovskaya_experiment(seq_mixed, 6, probes=6, trials=1, seed=4)
+        basis = TMBasis(seq_mixed, 6)
+        for r in rows:
+            member = blaschke_multiple(seq_mixed.points[:6] + (r.z,))
+            k = cauchy_transform(
+                BoundaryGridFunction.from_callable(member.value, default_resolution(6))
+            )
+            want = abs(complex(delta(k, basis, r.z)) - complex(k.derivative(r.z)))
+            assert r.extremal_value == pytest.approx(want, rel=1e-12)
+
     def test_densities_follow_grid_n(self, seq_mixed, monkeypatch):
-        sizes = []
-        post_init = BoundaryGridFunction.__post_init__
+        shapes = []
+        weighted = analysis._cauchy_weighted_integral
 
-        def recording(self):
-            post_init(self)
-            sizes.append(self.resolution)
+        def recording(sequence, n, samples, zf):
+            shapes.append(samples.shape)
+            return weighted(sequence, n, samples, zf)
 
-        monkeypatch.setattr(BoundaryGridFunction, "__post_init__", recording)
+        monkeypatch.setattr(analysis, "_cauchy_weighted_integral", recording)
         voronovskaya_experiment(seq_mixed, 6, probes=4, trials=3, seed=1, grid_n=1024)
-        # Three random densities and one extremal density per probe.
-        assert sizes == [1024] * 7
+        # Three random densities, then one extremal trace per probe.
+        assert shapes == [(1024, 3), (1024, 4)]
 
     def test_bound_decays_with_order(self, seq_mixed):
         # |B_n(z)| is non-increasing in n, so the theoretical bound decays.

@@ -12,6 +12,7 @@ from conftest import circle_grid, zeros_sequence
 from tmfejer.analysis import interior_probes
 from tmfejer.blaschke import PointSequence, eval_blaschke
 from tmfejer.corpus import (
+    blaschke_multiple,
     cauchy_transform,
     constant_one,
     identity_map,
@@ -30,7 +31,6 @@ from tmfejer.operators import (
     coefficients,
     coefficients_of,
     delta,
-    extremal_voronovskaya,
     fejer_kernel,
     fejer_kernel_angular,
     sigma_positive,
@@ -423,10 +423,13 @@ class TestDelta:
             assert (gap <= bound + 1e-7).all()
 
     def test_extremal_equality(self, seq_mixed):
+        # The Blaschke product over (a_0, ..., a_7, z), as the Cauchy
+        # transform of its boundary trace, attains the bound at z.
         basis = TMBasis(seq_mixed, 8)
         for z in (0.3 + 0.4j, -0.55, 0.7j):
-            fstar = extremal_voronovskaya(basis, z)
-            gap = abs(complex(delta(fstar, basis, z)) - complex(fstar.derivative(z)))
+            member = blaschke_multiple(seq_mixed.points[:8] + (z,))
+            k = cauchy_transform(grid_of(member))
+            gap = abs(complex(delta(k, basis, z)) - complex(k.derivative(z)))
             bound = abs(eval_blaschke(seq_mixed, 8, z).value) / (1.0 - abs(z) ** 2)
             assert gap == pytest.approx(bound, abs=1e-7)
 
@@ -466,29 +469,15 @@ class TestSchurPointwiseBound:
 
 
 class TestExtremalMember:
-    def test_unimodular_trace_and_zeros(self, seq_mixed):
-        basis = TMBasis(seq_mixed, 8)
-        z0 = 0.3 + 0.4j
-        fstar = extremal_voronovskaya(basis, z0, theta=0.7)
-        t = circle_grid(64)
-        assert np.abs(np.abs(np.asarray(fstar.value(t))) - 1.0).max() < 1e-12
-        assert abs(complex(fstar.value(z0))) < 1e-14
-        assert np.abs(np.asarray(fstar.value(seq_mixed.as_array()))).max() < 1e-14
-
     def test_cauchy_self_consistency(self, seq_mixed):
-        # Quadrature of the attached density through the Cauchy kernel must
-        # reproduce the explicit product formula inside the disc.
-        basis = TMBasis(seq_mixed, 8)
-        fstar = extremal_voronovskaya(basis, 0.3 + 0.4j)
-        k = cauchy_transform(fstar.density)
+        # Quadrature of the extremal member's boundary trace through the
+        # Cauchy kernel must reproduce the explicit product inside the disc.
+        member = blaschke_multiple(seq_mixed.points[:8] + (0.3 + 0.4j,))
+        k = cauchy_transform(grid_of(member))
         z = np.array([0.1 - 0.2j, 0.5j, -0.3])
         assert np.abs(
-            np.asarray(k.value(z)) - np.asarray(fstar.value(z))
+            np.asarray(k.value(z)) - np.asarray(member.value(z))
         ).max() < 1e-9
         assert np.abs(
-            np.asarray(k.derivative(z)) - np.asarray(fstar.derivative(z))
+            np.asarray(k.derivative(z)) - np.asarray(member.derivative(z))
         ).max() < 1e-9
-
-    def test_rejects_exterior_point(self, seq_short):
-        with pytest.raises(ValueError):
-            extremal_voronovskaya(TMBasis(seq_short, 3), 1.2)

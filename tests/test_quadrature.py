@@ -106,6 +106,23 @@ class TestRefinement:
         _, v = refined_minimum(ev)
         assert v <= ev(grid).min() + 1e-15
 
+    def test_candidate_window_finds_narrow_bump(self):
+        # A bump of width 1e-4 midway between two of the 8192 scan angles
+        # (step 7.7e-4) adds under 1e-5 at either; the scan keeps the
+        # cosine's peak at 0.  The candidate sits off the bump's centre, so
+        # only golden section in its window reaches the top.
+        step = 2.0 * np.pi / 8192
+        c = 0.5 * np.pi + 0.5 * step
+
+        def ev(th):
+            return 5.0 * np.exp(-(((th - c) / 1e-4) ** 2)) + np.cos(th)
+
+        _, v = refined_maximum(ev)
+        assert v == pytest.approx(1.0, abs=1e-12)
+        x, v = refined_maximum(ev, candidates=(c + 5e-5,))
+        assert x == pytest.approx(c, abs=1e-8)
+        assert v == pytest.approx(5.0 + np.cos(c), abs=1e-8)
+
 
 class TestResolutions:
     def test_next_power_of_two(self):
