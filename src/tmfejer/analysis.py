@@ -23,6 +23,7 @@ from tmfejer.operators import (
 )
 from tmfejer.quadrature import (
     BoundaryGridFunction,
+    NoConvergence,
     default_resolution,
     refined_maximum,
     refined_minimum,
@@ -44,6 +45,9 @@ __all__ = [
 ]
 
 _SCAN = 8192
+# Largest |extremal_value - bound| that voronovskaya_experiment accepts: the
+# extremal member attains the bound exactly, so the gap is quadrature error.
+_EXTREMAL_TOL = 1e-7
 
 
 def interior_probes(count: int, radii=(0.3, 0.55, 0.75, 0.88)) -> np.ndarray:
@@ -90,15 +94,13 @@ class SequenceDiagnostics:
         }
 
 
-def diagnose_sequence(
-    sequence: PointSequence, order: int, resolution: int = _SCAN
-) -> SequenceDiagnostics:
+def diagnose_sequence(sequence: PointSequence, order: int) -> SequenceDiagnostics:
     """Boundary statistics of |B_n'|: certified minimum, its angle, norms.
 
-    The minimum is a grid scan refined by golden section to 1e-10; the
-    uniform norm of 1/B_n' is its reciprocal.  The mean of |B_n'| over the
-    circle reproduces the order (winding of B_n), a consistency check the
-    tests pin down.
+    The minimum is a grid scan zoomed in to 1e-10 (`refined_minimum`); the
+    uniform norm of 1/B_n' is its reciprocal.  The mean of |B_n'| over a
+    uniform grid of 8192 angles reproduces the order (winding of B_n), a
+    consistency check the tests pin down.
     """
     if order < 1:
         raise ValueError("diagnostics need order >= 1")
@@ -106,8 +108,8 @@ def diagnose_sequence(
     def ev(theta):
         return np.asarray(boundary_derivative_modulus(sequence, order, theta))
 
-    x, fmin = refined_minimum(ev, resolution=resolution)
-    grid = 2.0 * np.pi * np.arange(resolution) / resolution
+    x, fmin = refined_minimum(ev)
+    grid = 2.0 * np.pi * np.arange(_SCAN) / _SCAN
     l1 = float(ev(grid).mean())
     moduli = np.abs(sequence.as_array()[:order])
     return SequenceDiagnostics(
@@ -168,7 +170,7 @@ def convergence_experiment(
         coeffs = coefficients_of(f, basis, resolution=grid_n)
         diag = diagnose_sequence(sequence, n)
         ev = _boundary_error(f, basis, coeffs)
-        _, err_sup = refined_maximum(ev, _SCAN, candidates=(diag.argmin_angle,))
+        _, err_sup = refined_maximum(ev, candidates=(diag.argmin_angle,))
         res = grid_n or default_resolution(n)
         grid = 2.0 * np.pi * np.arange(res) / res
         err = ev(grid)
@@ -227,7 +229,9 @@ def voronovskaya_experiment(
     the bound at probe z, B_n(w) (w - z)/(1 - w conj(z)): its boundary
     traces, one column per probe on the grid of the random densities, go
     through a second call rather than onto the first stack, which keeps the
-    peak memory of the product lower.
+    peak memory of the product lower.  Since that member attains the bound
+    exactly, its gap is the quadrature error of the shared grid; past 1e-7
+    the grid is too coarse and NoConvergence is raised.
     """
     zs = interior_probes(probes)
     res = grid_n or default_resolution(order)
@@ -244,6 +248,12 @@ def voronovskaya_experiment(
     traces = bt * (t - zs) / (1.0 - t * np.conj(zs))
     at_own_probe = np.diagonal(_cauchy_weighted_integral(sequence, order, traces, zs))
     extremal = np.abs(bz * at_own_probe)
+    gap = float(np.abs(extremal - bounds).max())
+    if gap > _EXTREMAL_TOL:
+        raise NoConvergence(
+            f"extremal value misses the bound by {gap:.2e} on a {res}-point grid "
+            f"at order {order}; a finer grid_n is needed"
+        )
     return [
         VoronovskayaSample(
             order=order,
@@ -298,7 +308,7 @@ def saturation_check(
             continue
         coeffs = coefficients_of(f, basis, resolution=grid_n)
         ev = _boundary_error(f, basis, coeffs)
-        _, err_sup = refined_maximum(ev, _SCAN, candidates=(diag.argmin_angle,))
+        _, err_sup = refined_maximum(ev, candidates=(diag.argmin_angle,))
         fp = np.abs(np.asarray(f.derivative(pts), dtype=np.complex128))
         lower = float(((1.0 - np.abs(pts) ** 2) * fp).max() / order)
         ratio = float(err_sup) / lower if lower > 1e-300 else float("nan")
@@ -362,7 +372,7 @@ def cesaro_counterexample(
             t = np.exp(1j * np.asarray(theta, dtype=np.float64))
             return np.abs(1.0 - np.asarray(cesaro_mean(coeffs, basis, t)))
 
-        _, sup = refined_maximum(ev, _SCAN, candidates=(np.pi,))
+        _, sup = refined_maximum(ev, candidates=(np.pi,))
         closed = 1.0 + float(np.cumprod(arr.real[:n]).sum()) / n
         grid = BoundaryGridFunction.from_callable(
             e0.value, grid_n or default_resolution(n)

@@ -175,10 +175,7 @@ def random_unit_density(
     g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
     def poly(theta):
-        w = np.exp(1j * np.asarray(theta, dtype=np.float64))
-        # Golden-section steps pass one angle: Horner on a numpy scalar is
-        # about three times faster than on a one-element array.
-        return np.reshape(P.polyval(w.item() if w.size == 1 else w, g), w.shape)
+        return P.polyval(np.exp(1j * np.asarray(theta, dtype=np.float64)), g)
 
     _, peak = refined_maximum(lambda theta: np.abs(poly(theta)))
     spectrum = np.zeros(resolution, dtype=np.complex128)

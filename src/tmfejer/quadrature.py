@@ -10,7 +10,6 @@ workers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,26 +17,28 @@ import numpy as np
 
 __all__ = [
     "MIN_RESOLUTION",
-    "ADAPTIVE_CAP",
     "NoConvergence",
     "BoundaryGridFunction",
     "NormReport",
     "next_power_of_two",
     "default_resolution",
     "norms",
-    "golden_section_minimize",
     "refined_minimum",
     "refined_maximum",
 ]
 
 MIN_RESOLUTION = 16
-ADAPTIVE_CAP = 2**20
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# refined_minimum: scan size, zoom samples per window (offset 0 among them),
+# narrowing per round and the half-width at which the zoom stops.
+_SCAN = 8192
+_OFFSETS = np.arange(-16, 17) / 16.0
+_ZOOM = 16.0
+_TOL = 1e-10
 
 
 class NoConvergence(RuntimeError):
-    """Adaptive refinement hit the resolution cap without stabilizing."""
+    """A grid-based quantity missed its tolerance on the grid in use."""
 
 
 def next_power_of_two(n: int) -> int:
@@ -108,71 +109,45 @@ def norms(f: BoundaryGridFunction) -> NormReport:
     )
 
 
-def golden_section_minimize(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Golden-section minimum of a scalar function on [lo, hi].
-
-    Shrinks the bracket to width `tol` and returns (argmin, value).  On a
-    flat window it simply converges to the midpoint.
-    """
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
 def refined_minimum(
-    fn: Callable[[np.ndarray], np.ndarray],
-    resolution: int = 8192,
-    tol: float = 1e-10,
-    candidates=(),
+    fn: Callable[[np.ndarray], np.ndarray], candidates=()
 ) -> tuple[float, float]:
     """Certified minimum of a smooth periodic function of the angle.
 
-    Scans a uniform grid of `resolution` angles, then runs golden-section
-    refinement on the one-step window around the grid argmin.  Each angle
-    in `candidates` gets the same one-step window: the scan can miss a dip
-    narrower than its spacing, so callers pass angles where the extremum
-    is known to sit.  `fn` must accept an array of angles.
+    Scans a uniform grid of 8192 angles, then zooms in on the one-step
+    window around the grid argmin and on the same window around each angle
+    in `candidates`: the scan can miss a dip narrower than its spacing, so
+    callers pass angles where the extremum is known to sit.  Each round
+    samples 33 equispaced angles across every window in one call of `fn`,
+    recentres each window on its best point and narrows it 16-fold, until
+    the half-width is below 1e-10 (six rounds).  The window centre is one
+    of the samples and a point replaces the best only when strictly lower,
+    so the result is never worse than the grid minimum or any candidate's
+    own value.  `fn` must accept an array of angles.
     """
-    ang = 2.0 * np.pi * np.arange(resolution) / resolution
+    ang = 2.0 * np.pi * np.arange(_SCAN) / _SCAN
     vals = np.asarray(fn(ang), dtype=np.float64)
     i = int(vals.argmin())
-    step = 2.0 * np.pi / resolution
-
-    def scalar(x: float) -> float:
-        return float(np.asarray(fn(np.asarray([x], dtype=np.float64)))[0])
-
-    x, v = golden_section_minimize(scalar, ang[i] - step, ang[i] + step, tol)
-    if vals[i] < v:
-        x, v = float(ang[i]), float(vals[i])
-    for a in candidates:
-        a = float(a)
-        golden = golden_section_minimize(scalar, a - step, a + step, tol)
-        for cand_x, cand_v in (golden, (a, scalar(a))):
-            if cand_v < v:
-                x, v = cand_x, cand_v
-    return float(x), float(v)
+    x = np.array([ang[i], *candidates], dtype=np.float64)
+    v = np.full(x.size, np.inf)
+    v[0] = vals[i]
+    rows = np.arange(x.size)
+    half = 2.0 * np.pi / _SCAN
+    while half >= _TOL:
+        pts = x[:, None] + half * _OFFSETS
+        f = np.asarray(fn(pts.ravel()), dtype=np.float64).reshape(pts.shape)
+        j = f.argmin(axis=1)
+        better = f[rows, j] < v
+        x = np.where(better, pts[rows, j], x)
+        v = np.where(better, f[rows, j], v)
+        half /= _ZOOM
+    k = int(v.argmin())
+    return float(x[k]), float(v[k])
 
 
 def refined_maximum(
-    fn: Callable[[np.ndarray], np.ndarray],
-    resolution: int = 8192,
-    tol: float = 1e-10,
-    candidates=(),
+    fn: Callable[[np.ndarray], np.ndarray], candidates=()
 ) -> tuple[float, float]:
     """Counterpart of refined_minimum for maxima."""
-    x, v = refined_minimum(lambda a: -np.asarray(fn(a)), resolution, tol, candidates)
+    x, v = refined_minimum(lambda a: -np.asarray(fn(a)), candidates)
     return x, -v

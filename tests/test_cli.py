@@ -393,6 +393,15 @@ class TestMainEntry:
         assert main(["frostman", "--config", str(cfg)]) == 3
         capsys.readouterr()
 
+    def test_voronovskaya_grid_too_coarse(self, tmp_path, capsys):
+        # On 64 points the extremal member misses its bound by 1.4e-3.
+        text = (ROOT / "scripts" / "configs" / "voronovskaya.cfg").read_text(encoding="utf-8")
+        cfg = write_cfg(tmp_path, text + "grid_n = 64\n")
+        out = tmp_path / "r.csv"
+        assert main(["voronovskaya", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "extremal value misses the bound" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command,body",
         [

@@ -2,14 +2,17 @@
 
 The oracle multiplies the factors (z - a_j)/(1 - z conj(a_j)) directly and
 differentiates the product by the product rule, in mpmath at 50 digits;
-it shares no code with the first-order recursion under test.
+it shares no code with the first-order recursion under test.  The refined
+Frostman minimum is checked against a root of the derivative of the
+Frostman sum, found at 40 digits.
 """
 
 import mpmath
 import numpy as np
 import pytest
 
-from conftest import MIXED
+from conftest import BRACKET, MIXED
+from tmfejer.analysis import diagnose_sequence
 from tmfejer.blaschke import PointSequence, eval_blaschke
 from tmfejer.tm_basis import TMBasis, phi_jet, phi_values
 
@@ -101,3 +104,42 @@ def test_basis_rows_match_product_formula(name):
     _assert_close(got_b, b, tol)
     _assert_close(got_db, db, tol)
     assert np.array_equal(phi_values(basis, z), got_vals)
+
+
+def _frostman_minimum(poles):
+    """(argmin, min) of sum_j (1 - |a_j|^2) / |e^{ix} - a_j|^2 at 40 digits.
+
+    A 256-angle scan brackets the minimum; the bracketing solver then finds
+    the root of the derivative between the scan argmin's neighbours.
+    """
+    with mpmath.workdps(40):
+        a = [mpmath.mpc(p) for p in poles]
+
+        def dist(x, p):
+            return 1 + abs(p) ** 2 - 2 * (p.real * mpmath.cos(x) + p.imag * mpmath.sin(x))
+
+        def frostman(x):
+            return mpmath.fsum((1 - abs(p) ** 2) / dist(x, p) for p in a)
+
+        def slope(x):
+            return mpmath.fsum(
+                -(1 - abs(p) ** 2) * 2 * (p.real * mpmath.sin(x) - p.imag * mpmath.cos(x))
+                / dist(x, p) ** 2
+                for p in a
+            )
+
+        step = 2 * mpmath.pi / 256
+        i = min(range(256), key=lambda k: frostman(k * step))
+        x = mpmath.findroot(slope, ((i - 1) * step, (i + 1) * step), solver="anderson")
+        return float(x), float(frostman(x))
+
+
+@pytest.mark.parametrize("order", [3, 8])
+@pytest.mark.parametrize("poles", [MIXED, BRACKET], ids=["mixed", "bracket"])
+def test_refined_frostman_minimum(poles, order):
+    # The minimum value is fixed to rounding; its angle only to about
+    # sqrt(eps), since the minimum is quadratic.
+    x, fmin = _frostman_minimum(poles[:order])
+    diag = diagnose_sequence(PointSequence(poles), order)
+    assert abs(diag.frostman_min - fmin) <= 1e-14 * fmin
+    assert abs((diag.argmin_angle - x + np.pi) % (2.0 * np.pi) - np.pi) <= 1e-7

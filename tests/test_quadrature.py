@@ -1,4 +1,4 @@
-"""Boundary grids, grid norms, golden-section refinement."""
+"""Boundary grids, grid norms, refined extrema by grid scan and zoom."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tmfejer.quadrature import (
     BoundaryGridFunction,
     default_resolution,
-    golden_section_minimize,
     next_power_of_two,
     norms,
     refined_maximum,
@@ -83,11 +82,6 @@ class TestIntegrate:
 
 
 class TestRefinement:
-    def test_golden_section_quadratic(self):
-        x, v = golden_section_minimize(lambda x: (x - 1.3) ** 2, 0.0, 2.0)
-        assert x == pytest.approx(1.3, abs=1e-9)
-        assert v < 1e-18
-
     def test_refined_minimum_cosine(self):
         x, v = refined_minimum(lambda th: 2.0 + np.cos(th - 0.7))
         assert v == pytest.approx(1.0, abs=1e-12)
@@ -110,7 +104,7 @@ class TestRefinement:
         # A bump of width 1e-4 midway between two of the 8192 scan angles
         # (step 7.7e-4) adds under 1e-5 at either; the scan keeps the
         # cosine's peak at 0.  The candidate sits off the bump's centre, so
-        # only golden section in its window reaches the top.
+        # only the zoom on its window reaches the top.
         step = 2.0 * np.pi / 8192
         c = 0.5 * np.pi + 0.5 * step
 
@@ -122,6 +116,27 @@ class TestRefinement:
         x, v = refined_maximum(ev, candidates=(c + 5e-5,))
         assert x == pytest.approx(c, abs=1e-8)
         assert v == pytest.approx(5.0 + np.cos(c), abs=1e-8)
+
+    def test_zoom_reaches_tolerance(self):
+        # A corner pins the argmin where a smooth minimum leaves it flat to
+        # sqrt(eps); the zoom stops below a half-width of 1e-10.
+        c = 1.234567
+        x, v = refined_minimum(lambda th: np.abs(np.sin(0.5 * (th - c))))
+        assert x == pytest.approx(c, abs=1e-10)
+        assert v < 1e-10
+
+    def test_zoom_is_a_few_array_calls(self):
+        # The scan plus six zoom rounds; every window is sampled in the same
+        # call, so no call evaluates a lone angle.
+        sizes = []
+
+        def ev(th):
+            sizes.append(np.asarray(th).size)
+            return np.cos(th - 0.7) + 0.1 * np.cos(5 * th)
+
+        refined_minimum(ev, candidates=(1.0, 4.0))
+        assert len(sizes) <= 7
+        assert min(sizes) >= 33
 
 
 class TestResolutions:
