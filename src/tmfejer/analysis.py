@@ -159,7 +159,10 @@ def convergence_experiment(
     minimizer, where the weight 1/|B_n'| peaks.  Bracket columns hold
     2 * ||1/B_n'|| above and prod |a_k|^2 * ||1/B_n'|| below in the matching
     norm; the two-sided enclosure is the identity-map statement and needs
-    prod |a_k|^2 <= 1 - prod |a_k| for the lower half.
+    prod |a_k|^2 <= 1 - prod |a_k| for the lower half.  The L^1 and L^2
+    columns are means over `grid_n` angles (default_resolution(n) when
+    None); the coefficients come from coefficients_of's contour and do not
+    depend on it.
     """
     rows = []
     for n in orders:
@@ -167,7 +170,7 @@ def convergence_experiment(
         if n < 1:
             raise ValueError("convergence orders start at 1")
         basis = TMBasis(sequence, n)
-        coeffs = coefficients_of(f, basis, resolution=grid_n)
+        coeffs = coefficients_of(f, basis)
         diag = diagnose_sequence(sequence, n)
         ev = _boundary_error(f, basis, coeffs)
         _, err_sup = refined_maximum(ev, candidates=(diag.argmin_angle,))
@@ -284,12 +287,7 @@ class SaturationRow:
         }
 
 
-def saturation_check(
-    sequence: PointSequence,
-    order: int,
-    members=None,
-    grid_n: int | None = None,
-) -> list[SaturationRow]:
+def saturation_check(sequence: PointSequence, order: int, members=None) -> list[SaturationRow]:
     """Uniform error of sigma_positive against the interpolation-node floor.
 
     The floor is (1/n) max_j (1 - |a_j|^2) |f'(a_j)| over the poles in
@@ -306,7 +304,7 @@ def saturation_check(
     for f in members:
         if f.kind == "cauchy_transform":
             continue
-        coeffs = coefficients_of(f, basis, resolution=grid_n)
+        coeffs = coefficients_of(f, basis)
         ev = _boundary_error(f, basis, coeffs)
         _, err_sup = refined_maximum(ev, candidates=(diag.argmin_angle,))
         fp = np.abs(np.asarray(f.derivative(pts), dtype=np.complex128))
@@ -353,7 +351,8 @@ def cesaro_counterexample(
     constant one and its Cesaro mean is (1/n) sum_{k<=n} (a_1 ... a_k),
     attained at the angle pi; `excess` reports one plus the refined sup so
     it reads as an operator-norm lower bound, always above one.  The
-    kernel method stays at sup one on the same data (`rusak_sup`).
+    kernel method stays at sup one on the same data (`rusak_sup`), sampled
+    on `grid_n` points (default_resolution(n) when None).
     """
     arr = np.asarray(values, dtype=np.complex128)
     if arr.size and (np.abs(arr.imag).max() > 0 or arr.real.min() < 0 or arr.real.max() >= 1):
@@ -366,7 +365,7 @@ def cesaro_counterexample(
         if not 1 <= n <= len(sequence):
             raise ValueError(f"order {n} outside [1, {len(sequence)}]")
         basis = TMBasis(sequence, n)
-        coeffs = coefficients_of(e0, basis, resolution=grid_n)
+        coeffs = coefficients_of(e0, basis)
 
         def ev(theta):
             t = np.exp(1j * np.asarray(theta, dtype=np.float64))

@@ -120,7 +120,8 @@ def _recurse(
         u = 1.0 - zf * a.conjugate()
         if zf.size and np.abs(u).min() < POLE_TOL:
             raise PoleProximity(f"point within {POLE_TOL} of the pole of phi_{k}")
-        w = 1.0 - abs(a) ** 2
+        # (1 - |a|)(1 + |a|) keeps full relative accuracy as |a| -> 1.
+        w = (1.0 - abs(a)) * (1.0 + abs(a))
         inv = 1.0 / u
         q = inv * b
         m = (zf - a) * inv
@@ -159,7 +160,7 @@ def boundary_derivative_modulus(sequence: PointSequence, n: int, angle):
     if n == 0:
         return _restore(np.zeros_like(ang), shape, scalar)
     a = sequence.as_array()[:n, None]
-    w = 1.0 - np.abs(a) ** 2
+    w = (1.0 - np.abs(a)) * (1.0 + np.abs(a))
     t = np.exp(1j * ang)[None, :]
     out = (w / np.abs(1.0 - np.conj(t) * a) ** 2).sum(axis=0)
     return _restore(out, shape, scalar)

@@ -12,7 +12,7 @@ comment, list values sit in brackets:
     sequence = constant:0.5        # constant:c | geometric:r | harmonic:c | list:[...]
     orders = [1, 2, 4, 8]          # strictly increasing, all >= 1
     function = identity            # one | identity | mobius:c | pole:c | poly:[c0, c1, ...]
-    grid_n = 4096                  # power of two >= 16; default chosen per order
+    grid_n = 4096                  # power of two >= 16, for grid-backed data; default per order
     seed = 0
     format = csv                   # csv | json
     out = results/converge.csv     # default stdout
@@ -27,7 +27,13 @@ no timestamps, fixed float formatting, sorted JSON keys.  The
 environment variable TMFEJER_GRID_N overrides the automatic grid
 resolution, and an explicit grid_n in the config wins over both; the
 report metadata records the grid so resolved (null for the per-order
-default).
+default).  The grid governs only grid-backed data: the Cauchy densities
+and extremal traces of voronovskaya, the boundary data of sigma_rusak in
+counterexample, and the norm grid of converge.  Coefficients of the
+holomorphic functions (one, identity, mobius, pole, poly) come from a
+contour |t| = R > 1 that is sized per function and order; a function
+that needs more than CONTOUR_CAP contour points, such as a pole closer
+than about 5e-3 to the circle, exits 3.
 """
 
 from __future__ import annotations
@@ -357,7 +363,7 @@ def _execute(config: ExperimentConfig) -> list[dict]:
     if config.command == "saturation":
         rows = []
         for n in config.orders:
-            rows.extend(r.to_row() for r in saturation_check(sequence, int(n), grid_n=grid_n))
+            rows.extend(r.to_row() for r in saturation_check(sequence, int(n)))
         return rows
     if config.command == "frostman":
         return [diagnose_sequence(sequence, int(n)).to_row() for n in config.orders]

@@ -2,12 +2,15 @@
 
 Members are `AnalyticTestFunction` instances with exact derivative
 closures, so finite differences never enter the operator pipeline.  All
-members except the Cauchy transforms are holomorphic across the closed
-disc and may be sampled on the circle; grid-backed Cauchy transforms are
-interior objects whose boundary information lives in their density.
+members except the Cauchy transforms are holomorphic beyond the closed
+disc, up to the radius of analyticity each constructor records; grid-backed
+Cauchy transforms are interior objects whose boundary information lives
+in their density.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -35,12 +38,19 @@ def _as_complex(z) -> np.ndarray:
     return np.asarray(z, dtype=np.complex128)
 
 
+def _radius_of(zeros) -> float:
+    """1 / max|alpha| over the zeros of a Blaschke factor, the nearest pole's modulus."""
+    top = max((abs(complex(a)) for a in zeros), default=0.0)
+    return 1.0 / top if top else math.inf
+
+
 def constant_one() -> AnalyticTestFunction:
     return AnalyticTestFunction(
         value=lambda z: np.ones_like(_as_complex(z)),
         derivative=lambda z: np.zeros_like(_as_complex(z)),
         kind="rational",
         label="one",
+        radius=math.inf,
     )
 
 
@@ -51,6 +61,7 @@ def identity_map() -> AnalyticTestFunction:
         derivative=lambda z: np.ones_like(_as_complex(z)),
         kind="schur",
         label="identity",
+        radius=math.inf,
     )
 
 
@@ -69,7 +80,11 @@ def mobius(alpha: complex) -> AnalyticTestFunction:
         return (1.0 - abs(a) ** 2) / (1.0 - zf * np.conj(a)) ** 2
 
     return AnalyticTestFunction(
-        value=value, derivative=derivative, kind="schur", label=f"mobius@{a:.3g}"
+        value=value,
+        derivative=derivative,
+        kind="schur",
+        label=f"mobius@{a:.3g}",
+        radius=_radius_of((a,)),
     )
 
 
@@ -83,6 +98,7 @@ def polynomial(coeffs, label: str = "") -> AnalyticTestFunction:
         derivative=lambda z: P.polyval(_as_complex(z), dc),
         kind="rational",
         label=label or f"poly(deg {len(c) - 1})",
+        radius=math.inf,
     )
 
 
@@ -98,6 +114,7 @@ def simple_pole(pole: complex, residue: complex = 1.0) -> AnalyticTestFunction:
         derivative=lambda z: r / (p - _as_complex(z)) ** 2,
         kind="rational",
         label=f"pole@{p:.3g}",
+        radius=abs(p),
     )
 
 
@@ -112,6 +129,7 @@ def blaschke_multiple(points, scale: complex = 1.0) -> AnalyticTestFunction:
         derivative=lambda z: s * eval_blaschke(seq, m, z).derivative,
         kind="blaschke_multiple",
         label=f"blaschke(deg {m})",
+        radius=_radius_of(seq.points),
     )
 
 
@@ -125,6 +143,7 @@ def schur_product(alphas) -> AnalyticTestFunction:
         derivative=lambda z: eval_blaschke(seq, m, z).derivative,
         kind="schur",
         label=f"schur(deg {m})",
+        radius=_radius_of(seq.points),
     )
 
 

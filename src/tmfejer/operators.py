@@ -28,10 +28,18 @@ whenever f extends holomorphically.  The weighted approximation error
 is holomorphic in the disc, interpolates f' at the basis poles, and obeys
 the first-order bound |delta(f)(z) - f'(z)| <= |B_n(z)| / (1 - |z|^2) for
 Cauchy transforms of unit densities.
+
+Members holomorphic beyond the circle take their coefficients and the
+integral form of delta from the trapezoid rule on a circle |t| = R > 1,
+sized from the member's radius of analyticity.  Only grid-backed data,
+the Cauchy densities and the boundary data of sigma_rusak, is sampled on
+the unit circle, so a grid size (the CLI's grid_n or TMFEJER_GRID_N)
+reaches only that data.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,7 +53,7 @@ from tmfejer.blaschke import (
     boundary_phase,
     eval_blaschke,
 )
-from tmfejer.quadrature import BoundaryGridFunction, default_resolution
+from tmfejer.quadrature import BoundaryGridFunction, NoConvergence, next_power_of_two
 from tmfejer.tm_basis import (
     CIRCLE_TOL,
     ExtendedOffCircle,
@@ -55,6 +63,7 @@ from tmfejer.tm_basis import (
 )
 
 __all__ = [
+    "CONTOUR_CAP",
     "CRITICAL_TOL",
     "NEAR_BOUNDARY_MARGIN",
     "SAFE_RATIO_FLOOR",
@@ -80,6 +89,15 @@ NEAR_BOUNDARY_MARGIN = 1e-9
 SAFE_RATIO_FLOOR = 1e-6
 # fejer_kernel_angular takes its diagonal limit within ZERO_SWITCH of y = x.
 ZERO_SWITCH = 1e-8
+# Most points the contour rule takes before it raises NoConvergence.
+CONTOUR_CAP = 1 << 15
+# The contour rule sizes N so that rho^(N/2) <= _CONTOUR_DECAY and accepts
+# its sum when the sum over every other point agrees to _CONTOUR_TOL times
+# the largest term.
+_CONTOUR_DECAY = 1e-17
+_CONTOUR_TOL = 1e-14
+# Cap on max|f| over the contour relative to max|f| over the unit circle.
+_CONTOUR_GROWTH = 16.0
 
 _KINDS = ("rational", "cauchy_transform", "schur", "blaschke_multiple")
 
@@ -98,7 +116,9 @@ class AnalyticTestFunction:
 
     `kind` tags how the member was built: 'rational', 'cauchy_transform'
     (with the generating boundary density attached), 'schur' (sup norm at
-    most one on the disc) or 'blaschke_multiple'.
+    most one on the disc) or 'blaschke_multiple'.  Every other kind is
+    holomorphic on |z| < `radius`, its radius of analyticity (> 1, may be
+    inf), which fixes the contour its coefficients are taken on.
     """
 
     value: Callable
@@ -106,12 +126,18 @@ class AnalyticTestFunction:
     kind: str
     density: BoundaryGridFunction | None = None
     label: str = ""
+    radius: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {_KINDS}")
-        if self.kind == "cauchy_transform" and self.density is None:
-            raise ValueError("cauchy_transform members carry their boundary density")
+        if self.kind == "cauchy_transform":
+            if self.density is None:
+                raise ValueError("cauchy_transform members carry their boundary density")
+        elif self.radius is None or not self.radius > 1.0:
+            raise ValueError(
+                f"{self.kind} members need a radius of analyticity > 1, got {self.radius!r}"
+            )
 
 
 def coefficients(f: BoundaryGridFunction, basis: TMBasis) -> np.ndarray:
@@ -136,24 +162,85 @@ def coefficients(f: BoundaryGridFunction, basis: TMBasis) -> np.ndarray:
     return np.concatenate([negative[::-1], positive])
 
 
-def coefficients_of(
-    f: AnalyticTestFunction, basis: TMBasis, resolution: int | None = None
-) -> np.ndarray:
-    """Coefficients of an analytic member sampled on the default boundary grid.
+def _contour(f: AnalyticTestFunction, inner: float) -> tuple[float, float]:
+    """Contour radius R for f and the decay rate rho = max(inner / R, R / radius).
 
-    Same layout as `coefficients`.  Cauchy-transform members are never
-    sampled on the circle: the Riesz projection is self-adjoint against the
-    basis, so <K(mu), phi_k> equals <mu, phi_k> for k >= 0 and the stored
-    density serves as the boundary data; the boundary values of K(mu) lie
-    in H^2, so their negative-index coefficients vanish.
+    R = min(sqrt(radius), 2), lowered when f grows fast: the rounding
+    error of a contour sum grows with max|f| on the contour, which for an
+    entire f such as z^15 is far above its size on the circle.  When max|f|
+    on |t| = R exceeds _CONTOUR_GROWTH times max|f| on the unit circle, R
+    drops to R^s with s = log(_CONTOUR_GROWTH) / log(ratio), which by
+    Hadamard's three-circle theorem brings the ratio within the cap.  The
+    integrand is analytic for inner < |t| < radius.
     """
+    r = min(math.sqrt(f.radius), 2.0)
+    e = np.exp(2j * np.pi * np.arange(64) / 64)
+    outer = np.abs(np.asarray(f.value(r * e))).max()
+    on_circle = np.abs(np.asarray(f.value(e))).max()
+    if outer > _CONTOUR_GROWTH * on_circle:
+        r **= math.log(_CONTOUR_GROWTH) / math.log(outer / on_circle)
+    return r, max(inner / r, r / f.radius)
+
+
+def _contour_mean(sample: Callable, rho: float, what: str) -> np.ndarray:
+    """Trapezoid mean W @ v / N over the N points e^{i theta_j}, theta_j = 2 pi j / N.
+
+    `sample(e)` returns the M x N weights W and the N values v at the unit
+    points e.  The integrand is analytic in an annulus, so its Fourier
+    coefficients decay like rho^m; N is the smallest power of two >= 16
+    with rho^(N/2) <= 1e-17.  The sum over the even-indexed points is the
+    N/2-point rule, and N doubles while the two differ by more than 1e-14
+    times max|W| max|v|.  Past CONTOUR_CAP points NoConvergence is raised.
+    """
+    npts = 16
+    if rho > 0.0:
+        terms = math.ceil(math.log(_CONTOUR_DECAY) / math.log(rho))
+        npts = max(npts, next_power_of_two(2 * terms))
+    while npts <= CONTOUR_CAP:
+        # Even-indexed points first, so the N/2-point rule is a leading block.
+        m = npts // 2
+        j = np.concatenate([np.arange(0, npts, 2), np.arange(1, npts, 2)])
+        w, v = sample(np.exp(2j * np.pi * j / npts))
+        part = w[:, :m] @ v[:m]
+        full = (part + w[:, m:] @ v[m:]) / npts
+        half = part / m
+        scale = np.abs(w).max(initial=0.0) * np.abs(v).max()
+        if np.abs(full - half).max(initial=0.0) <= _CONTOUR_TOL * scale:
+            return full
+        npts *= 2
+    raise NoConvergence(f"{what} needs more than {CONTOUR_CAP} contour points (rho = {rho:.9f})")
+
+
+def coefficients_of(f: AnalyticTestFunction, basis: TMBasis) -> np.ndarray:
+    """Coefficients <f, phi_k>, |k| < n, of an analytic member, in the layout of `coefficients`.
+
+    Cauchy-transform members are never sampled on the circle: the Riesz
+    projection is self-adjoint against the basis, so <K(mu), phi_k> equals
+    <mu, phi_k> for k >= 0 and the stored density serves as the boundary
+    data; the boundary values of K(mu) lie in H^2, so their negative-index
+    coefficients vanish.  Every other member is holomorphic beyond the
+    circle, and its coefficients come from the circle |t| = R of
+    `_contour`:
+
+        c_k = mean over theta of f(R e^{i theta}) conj(phi_k(e^{i theta} / R)),
+
+    which is bounded there and converges geometrically, however close the
+    poles a_k come to the circle.  Its negative half is exactly zero.
+    Raises NoConvergence when the rule needs more than CONTOUR_CAP points.
+    """
+    n = basis.order
     if f.kind == "cauchy_transform":
         c = coefficients(f.density, basis)
-        c[: basis.order - 1] = 0.0
+        c[: n - 1] = 0.0
         return c
-    res = resolution or default_resolution(basis.order)
-    grid = BoundaryGridFunction.from_callable(f.value, res)
-    return coefficients(grid, basis)
+    r, rho = _contour(f, np.abs(basis.sequence.as_array()[:n]).max(initial=0.0))
+
+    def sample(e):
+        rows = phi_values(basis, e / r)
+        return np.conj(rows, out=rows), np.asarray(f.value(r * e), dtype=np.complex128)
+
+    positive = _contour_mean(sample, rho, f"coefficients of {f.label} at order {n}")
+    return np.concatenate([np.zeros(max(n - 1, 0), dtype=np.complex128), positive])
 
 
 def _require_length(coeffs: np.ndarray, n: int, what: str) -> None:
@@ -230,7 +317,6 @@ def sigma_positive(
     basis: TMBasis,
     z,
     coeffs: np.ndarray | None = None,
-    resolution: int | None = None,
 ):
     """S_n(f)(z) - (B_n(z)/B_n'(z)) S_n'(f)(z); the identity for order zero.
 
@@ -247,7 +333,7 @@ def sigma_positive(
         vals = np.asarray(f.value(zf), dtype=np.complex128).reshape(zf.shape)
         return _restore(vals, shape, scalar)
     if coeffs is None:
-        coeffs = coefficients_of(f, basis, resolution)
+        coeffs = coefficients_of(f, basis)
     _require_length(coeffs, n, "sigma_positive")
     c = coeffs[n - 1 :]
     vals, ders, bz, bpz = phi_jet(basis, zf)
@@ -311,13 +397,33 @@ def _cauchy_weighted_integral(
     return w @ ker / npts
 
 
-def delta(
-    f: AnalyticTestFunction,
-    basis: TMBasis,
-    z,
-    coeffs: np.ndarray | None = None,
-    resolution: int | None = None,
-):
+def _holomorphic_weighted_integral(
+    f: AnalyticTestFunction, sequence: PointSequence, n: int, zf: np.ndarray
+) -> np.ndarray:
+    """The integral of _cauchy_weighted_integral with mu = f, taken on |t| = R.
+
+    On the unit circle the weight times |dt|/2pi equals
+    dt / (2 pi i (t - z)^2 B_n(t)), and 1/B_n(t) = conj(B_n(1/conj(t))), so
+    for f holomorphic beyond the circle the integral moves to the circle
+    |t| = R of `_contour`:
+
+        I(z) = mean over theta of t f(t) conj(B_n(e^{i theta} / R)) / (t - z)^2,
+
+    with t = R e^{i theta}.  The integrand is analytic for
+    max(max|a_k|, max|z|) < |t| < radius.
+    """
+    inner = max(np.abs(sequence.as_array()[:n]).max(initial=0.0), np.abs(zf).max())
+    r, rho = _contour(f, inner)
+
+    def sample(e):
+        t = r * e
+        cb = np.conj(eval_blaschke(sequence, n, e / r).value)
+        return t / (t - zf[:, None]) ** 2, np.asarray(f.value(t), dtype=np.complex128) * cb
+
+    return _contour_mean(sample, rho, f"delta of {f.label} at order {n}")
+
+
+def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None = None):
     """Weighted error (B_n'/B_n)(f - sigma_positive(f)) inside the disc.
 
     The function is holomorphic despite the apparent poles: f - sigma_positive(f)
@@ -327,9 +433,11 @@ def delta(
         delta(f)(z) = f'(z) - B_n(z) * (1/2pi) integral conj((t-z)/(1-conj(z)t))
                       * conj(B_n(t)) mu(t) / |1 - conj(t) z|^2 |dt|,
 
-    which is also used as the removable-singularity fallback for other
-    kinds whenever |B_n| or |B_n'| drops below SAFE_RATIO_FLOOR.  Order
-    zero gives identically zero.  Interpolates f' at every basis pole.
+    which is also used, with mu = f taken on the contour |t| = R of
+    coefficients_of, as the removable-singularity fallback for other kinds
+    whenever |B_n| or |B_n'| drops below SAFE_RATIO_FLOOR.  At a zero of
+    B_n the integral term vanishes and is not computed.  Order zero gives
+    identically zero.  Interpolates f' at every basis pole.
     """
     zf, shape, scalar = _flatten(z)
     if zf.size and np.abs(zf).max() > 1.0 - NEAR_BOUNDARY_MARGIN:
@@ -347,22 +455,18 @@ def delta(
         algebraic = (np.abs(bz) >= SAFE_RATIO_FLOOR) & (np.abs(bpz) >= SAFE_RATIO_FLOOR)
     if algebraic.any():
         za = zf[algebraic]
-        sp = np.asarray(
-            sigma_positive(f, basis, za, coeffs=coeffs, resolution=resolution)
-        ).reshape(-1)
+        sp = np.asarray(sigma_positive(f, basis, za, coeffs=coeffs)).reshape(-1)
         fv = np.asarray(f.value(za), dtype=np.complex128).reshape(-1)
         out[algebraic] = bpz[algebraic] / bz[algebraic] * (fv - sp)
     rest = ~algebraic
     if rest.any():
+        out[rest] = np.asarray(f.derivative(zf[rest]), dtype=np.complex128).reshape(-1)
+    weighted = rest & (bz != 0.0)
+    if weighted.any():
+        zw = zf[weighted]
         if f.kind == "cauchy_transform":
-            dens = f.density
+            integral = _cauchy_weighted_integral(basis.sequence, n, f.density.samples, zw)
         else:
-            dens = BoundaryGridFunction.from_callable(
-                f.value, resolution or default_resolution(n)
-            )
-        zi = zf[rest]
-        integral = _cauchy_weighted_integral(basis.sequence, n, dens.samples, zi)
-        fp = np.asarray(f.derivative(zi), dtype=np.complex128).reshape(-1)
-        out[rest] = fp - bz[rest] * integral
+            integral = _holomorphic_weighted_integral(f, basis.sequence, n, zw)
+        out[weighted] -= bz[weighted] * integral
     return _restore(out, shape, scalar)
-

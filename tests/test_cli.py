@@ -402,6 +402,18 @@ class TestMainEntry:
         assert not out.exists()
         assert "extremal value misses the bound" in capsys.readouterr().err
 
+    def test_pole_too_close_to_the_circle(self, tmp_path, capsys):
+        # A pole 1e-7 outside the circle needs a contour of about 1e9 points.
+        cfg = write_cfg(
+            tmp_path,
+            "command = converge\nsequence = list:[0.5, 0.3]\norders = [2]\n"
+            "function = pole:1.0000001\n",
+        )
+        out = tmp_path / "r.csv"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "contour points" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command,body",
         [

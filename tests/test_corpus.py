@@ -51,6 +51,22 @@ class TestClassMembership:
         with pytest.raises(ValueError):
             AnalyticTestFunction(lambda z: z, lambda z: 1.0, kind="cauchy_transform")
 
+    def test_holomorphic_members_need_a_radius(self):
+        # Every member but a Cauchy transform is integrated on a contour
+        # sized from its radius of analyticity; there is no default.
+        for radius in (None, 1.0, 0.5, float("nan")):
+            with pytest.raises(ValueError):
+                AnalyticTestFunction(lambda z: z, lambda z: 1.0, kind="rational", radius=radius)
+
+    def test_constructors_record_their_radius(self):
+        assert constant_one().radius == identity_map().radius == np.inf
+        assert polynomial((1.0, 2.0)).radius == np.inf
+        assert mobius(0.0).radius == np.inf
+        assert mobius(-0.4 + 0.3j).radius == pytest.approx(2.0)
+        assert simple_pole(-1.25j).radius == pytest.approx(1.25)
+        assert schur_product((0.2, -0.5j)).radius == pytest.approx(2.0)
+        assert blaschke_multiple((0.4, -0.25j)).radius == pytest.approx(2.5)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             mobius(1.0)

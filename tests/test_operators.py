@@ -27,6 +27,7 @@ from tmfejer.operators import (
     CriticalPoint,
     NearBoundary,
     _cauchy_weighted_integral,
+    _holomorphic_weighted_integral,
     cesaro_mean,
     coefficients,
     coefficients_of,
@@ -54,11 +55,19 @@ class TestCoefficients:
         assert np.abs(c[7:] - expected).max() < 1e-12
 
     def test_refined_grid_agreement(self, seq_mixed):
+        # The contour rule against the unit-circle rule on 2^16 points,
+        # which for |a| <= 0.55 and a pole at 1.6 is exact to rounding.
         basis = TMBasis(seq_mixed, 8)
         f = simple_pole(1.6)
-        coarse = coefficients_of(f, basis, resolution=4096)
-        fine = coefficients_of(f, basis, resolution=16384)
-        assert np.abs(coarse - fine).max() < 1e-12
+        fine = coefficients(grid_of(f, 1 << 16), basis)
+        assert np.abs(coefficients_of(f, basis) - fine).max() < 1e-13
+
+    def test_contour_doubles_past_aliasing(self):
+        # With every a_k = 0 the first contour has 16 points, on which
+        # phi_16 aliases onto the mean; only the check against the 8-point
+        # sum sends the rule on to a grid that resolves all 40 rows.
+        c = coefficients_of(constant_one(), TMBasis(zeros_sequence(40), 40))
+        assert np.abs(c[39:] - np.eye(40)[0]).max() < 1e-15
 
     def test_negative_coefficient_of_conjugate(self, seq_mixed):
         # Pins the layout, <f, phi_k> at index n - 1 + k.  For f(t) = conj(t)
@@ -268,6 +277,45 @@ class TestSigmaPositive:
             sigma_positive(f, basis, z, coeffs=c[2:])
 
 
+class TestNearCircle:
+    # Poles approaching the circle, at C4's tolerances: sigma(1) = 1 within
+    # 1e-9 and the identity's closed form within 1e-8, on the circle and
+    # inside, where like C4 the closed form is taken only at |B_n'| > 1e-6.
+    # The unit-circle rule on the default grid missed by up to 0.52
+    # (harmonic:1, n = 128).
+    FAMILIES = {
+        "harmonic:1": lambda k: 1.0 - 1.0 / (k + 1.0),
+        "geometric:0.5": lambda k: 1.0 - 0.5**k,
+        "geometric:0.9": lambda k: 1.0 - 0.9**k,
+    }
+
+    @pytest.mark.parametrize(
+        "family,order",
+        [
+            ("harmonic:1", 16),
+            ("harmonic:1", 64),
+            ("harmonic:1", 128),
+            ("geometric:0.5", 12),
+            ("geometric:0.5", 16),
+            ("geometric:0.5", 30),
+            ("geometric:0.9", 32),
+            ("geometric:0.9", 128),
+        ],
+    )
+    def test_constant_and_identity(self, family, order):
+        seq = PointSequence(tuple(self.FAMILIES[family](np.arange(1, order + 1))))
+        basis = TMBasis(seq, order)
+        z = np.concatenate([circle_grid(default_resolution(order)), interior_probes(64)])
+        one = np.asarray(sigma_positive(constant_one(), basis, z))
+        assert np.abs(one - 1.0).max() < 1e-9
+        z = z[np.abs(eval_blaschke(seq, order, z).derivative) > 1e-6]
+        be = eval_blaschke(seq, order, z)
+        b0 = complex(eval_blaschke(seq, order, 0.0 + 0j).value)
+        closed = z - be.value / be.derivative * (1.0 - np.conj(b0) * be.value)
+        got = np.asarray(sigma_positive(identity_map(), basis, z))
+        assert np.abs(got - closed).max() < 1e-8
+
+
 class TestSigmaRusak:
     def test_unit_response(self, seq_mixed):
         basis = TMBasis(seq_mixed, 8)
@@ -387,6 +435,33 @@ class TestDelta:
         oracle = complex(f.derivative(0.0)) - b0 * integral
         # B' vanishes at 0, so delta must fall back to the integral form.
         assert complex(delta(f, basis, 0.0 + 0j)) == pytest.approx(oracle, abs=1e-12)
+
+    def test_contour_form_matches_algebraic_route(self, seq_mixed):
+        # Where |B_n| and |B_n'| stay above 1e-3 both routes are well
+        # conditioned, so f' - B_n I on the contour must reproduce
+        # (B_n'/B_n)(f - sigma_positive(f)).  The constant, whose delta
+        # vanishes, is test_constant_gives_zero.
+        basis = TMBasis(seq_mixed, 8)
+        z = interior_probes(48)
+        be = eval_blaschke(seq_mixed, 8, z)
+        keep = (np.abs(be.value) >= 1e-3) & (np.abs(be.derivative) >= 1e-3)
+        z, bz = z[keep], be.value[keep]
+        assert z.size >= 40
+        for f in rational_corpus(12)[1:]:
+            contour = f.derivative(z) - bz * _holomorphic_weighted_integral(f, seq_mixed, 8, z)
+            np.testing.assert_allclose(contour, delta(f, basis, z), rtol=1e-10, err_msg=f.label)
+
+    def test_contour_integral_matches_fine_unit_grid(self):
+        # The fallback integral on |t| = R against the unit-circle rule of
+        # the Cauchy route on 2^16 points, for poles with |a| <= 0.7.
+        rng = np.random.default_rng(3)
+        poles = 0.7 * np.sqrt(rng.random(8)) * np.exp(2j * np.pi * rng.random(8))
+        seq = PointSequence(tuple(poles))
+        z = interior_probes(8)
+        for f in rational_corpus(12):
+            fine = _cauchy_weighted_integral(seq, 8, grid_of(f, 1 << 16).samples, z)
+            contour = _holomorphic_weighted_integral(f, seq, 8, z)
+            np.testing.assert_allclose(contour, fine, rtol=1e-10, atol=1e-13, err_msg=f.label)
 
     def test_stacked_integral_matches_columns(self, seq_mixed):
         rng = np.random.default_rng(5)

@@ -4,7 +4,8 @@ The oracle multiplies the factors (z - a_j)/(1 - z conj(a_j)) directly and
 differentiates the product by the product rule, in mpmath at 50 digits;
 it shares no code with the first-order recursion under test.  The refined
 Frostman minimum is checked against a root of the derivative of the
-Frostman sum, found at 40 digits.
+Frostman sum, found at 40 digits.  The coefficients of a simple pole are
+checked against the reproducing property of the Szego kernel.
 """
 
 import mpmath
@@ -14,6 +15,8 @@ import pytest
 from conftest import BRACKET, MIXED
 from tmfejer.analysis import diagnose_sequence
 from tmfejer.blaschke import PointSequence, eval_blaschke
+from tmfejer.corpus import simple_pole
+from tmfejer.operators import coefficients_of
 from tmfejer.tm_basis import TMBasis, phi_jet, phi_values
 
 INTERIOR = (0.0, 0.31 - 0.42j, -0.66 + 0.05j, 0.12j, 0.85 * np.exp(2.2j))
@@ -143,3 +146,18 @@ def test_refined_frostman_minimum(poles, order):
     diag = diagnose_sequence(PointSequence(poles), order)
     assert abs(diag.frostman_min - fmin) <= 1e-14 * fmin
     assert abs((diag.argmin_angle - x + np.pi) % (2.0 * np.pi) - np.pi) <= 1e-7
+
+
+def test_simple_pole_coefficients_near_the_circle():
+    # 1/(p - z) is k_w / p for the Szego kernel k_w(z) = 1/(1 - conj(w) z)
+    # at w = 1/conj(p), so <1/(p - z), phi_k> = conj(phi_k(w)) / p.  With
+    # a_k = 1 - 2^-k the unit-circle rule needs far more than 2^18 points.
+    poles = CASES["geometric:0.5"][0]
+    p = 1.6
+    got = coefficients_of(simple_pole(p), TMBasis(PointSequence(poles), len(poles)))
+    with mpmath.workdps(50):
+        _, _, vals, _ = oracle(poles, 1 / mpmath.mpf(p))
+        want = np.asarray([complex(mpmath.conj(v) / p) for v in vals])
+    n = len(poles)
+    assert np.array_equal(got[: n - 1], np.zeros(n - 1))
+    _assert_close(got[n - 1 :], want, 1e-13)
