@@ -3,8 +3,10 @@
 
 Usage: python3 scripts/run_all_experiments.py [--results DIR]
 
-Each run is deterministic; rerunning overwrites the reports with
-byte-identical content.
+Each run is deterministic: on the same machine, rerunning overwrites the
+reports with byte-identical content.  On another machine the last bits of
+many floats can differ; tests/test_cli.py compares against results/ to a
+tolerance.
 """
 
 import argparse

@@ -22,18 +22,21 @@ comment, list values sit in brackets:
 
 Unknown keys, duplicates and malformed lines are ParseError (exit 2);
 value-level problems are ValidationError (exit 2); numerical failures
-exit 3.  Reruns with an identical config produce byte-identical files:
-no timestamps, fixed float formatting, sorted JSON keys.  The
-environment variable TMFEJER_GRID_N overrides the automatic grid
-resolution, and an explicit grid_n in the config wins over both; the
-report metadata records the grid so resolved (null for the per-order
-default).  The grid governs only grid-backed data: the Cauchy densities
-and extremal traces of voronovskaya, the boundary data of sigma_rusak in
-counterexample, and the norm grid of converge.  Coefficients of the
-holomorphic functions (one, identity, mobius, pole, poly) come from a
-contour |t| = R > 1 that is sized per function and order; a function
-that needs more than CONTOUR_CAP contour points, such as a pole closer
-than about 5e-3 to the circle, exits 3.
+exit 3.  A report goes from the drivers to the file as columns.  Reruns
+of an identical config on the same machine produce byte-identical files:
+no timestamps, `%.17g` floats in CSV and float repr in JSON, sorted JSON
+keys.  An undefined value is nan in CSV and null in JSON; any other
+non-finite float exits 2 in either format.  The environment variable
+TMFEJER_GRID_N overrides the automatic grid resolution, and an explicit
+grid_n in the config wins over both; the report metadata records the
+grid so resolved (null for the per-order default).  The grid governs
+only grid-backed data: the Cauchy densities and extremal traces of
+voronovskaya, the boundary data of sigma_rusak in counterexample, and
+the norm grid of converge.  Coefficients of the holomorphic functions
+(one, identity, mobius, pole, poly) come from a contour |t| = R > 1 that
+is sized per function and order; a function that needs more than
+CONTOUR_CAP contour points, such as a pole closer than about 5e-3 to the
+circle, exits 3.
 """
 
 from __future__ import annotations
@@ -42,9 +45,11 @@ import argparse
 import cmath
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import filterfalse
 from pathlib import Path
 
 import numpy as np
@@ -325,68 +330,88 @@ def _resolved_grid_n(config: ExperimentConfig) -> int | None:
     return _parse_grid_n(env, "TMFEJER_GRID_N")
 
 
-def _execute(config: ExperimentConfig) -> list[dict]:
+def _execute(config: ExperimentConfig) -> dict[str, list]:
+    """The report as columns in CSV order: name -> one value per row."""
     grid_n = _resolved_grid_n(config)
     sequence = config.sequence.materialize(max(config.orders))
     if config.command == "kernel":
-        rows = []
         m = config.kernel_samples
         angles = 2.0 * np.pi * np.arange(m) / m
+        xg, yg = np.meshgrid(angles, angles, indexing="ij")
+        x, y = xg.ravel().tolist(), yg.ravel().tolist()
+        columns = {"order": [], "x": [], "y": [], "value": []}
         for n in config.orders:
-            basis = TMBasis(sequence, int(n))
-            xg, yg = np.meshgrid(angles, angles, indexing="ij")
-            vals = np.asarray(fejer_kernel_angular(basis, xg, yg))
-            for i in range(m):
-                for j in range(m):
-                    rows.append(
-                        {
-                            "order": int(n),
-                            "x": float(xg[i, j]),
-                            "y": float(yg[i, j]),
-                            "value": float(vals[i, j]),
-                        }
-                    )
-        return rows
+            vals = np.asarray(fejer_kernel_angular(TMBasis(sequence, int(n)), xg, yg))
+            columns["order"] += [int(n)] * len(x)
+            columns["x"] += x
+            columns["y"] += y
+            columns["value"] += vals.ravel().tolist()
+        return columns
     if config.command == "converge":
         f = _resolve_function(config.function)
-        return [r.to_row() for r in convergence_experiment(f, sequence, config.orders, grid_n)]
-    if config.command == "voronovskaya":
-        rows = []
-        for n in config.orders:
-            rows.extend(
-                r.to_row()
-                for r in voronovskaya_experiment(
-                    sequence, int(n), config.probes, config.trials, config.seed, grid_n
-                )
-            )
-        return rows
-    if config.command == "saturation":
-        rows = []
-        for n in config.orders:
-            rows.extend(r.to_row() for r in saturation_check(sequence, int(n)))
-        return rows
-    if config.command == "frostman":
-        return [diagnose_sequence(sequence, int(n)).to_row() for n in config.orders]
-    if config.command == "counterexample":
-        values = sequence.as_array()
-        return [
-            r.to_row()
-            for r in cesaro_counterexample(values, config.orders, grid_n, config.probes)
-        ]
-    raise ValidationError("command", f"unknown command {config.command!r}")
+        rows = convergence_experiment(f, sequence, config.orders, grid_n)
+    elif config.command == "voronovskaya":
+        args = (config.probes, config.trials, config.seed, grid_n)
+        rows = [r for n in config.orders for r in voronovskaya_experiment(sequence, int(n), *args)]
+    elif config.command == "saturation":
+        rows = [r for n in config.orders for r in saturation_check(sequence, int(n))]
+    elif config.command == "frostman":
+        rows = [diagnose_sequence(sequence, int(n)) for n in config.orders]
+    elif config.command == "counterexample":
+        rows = cesaro_counterexample(sequence.as_array(), config.orders, grid_n, config.probes)
+    else:
+        raise ValidationError("command", f"unknown command {config.command!r}")
+    dicts = [r.to_row() for r in rows]
+    return {key: [d[key] for d in dicts] for key in dicts[0]}
 
 
-def _format_cell(value) -> str:
-    if value is None:  # an undefined value; CSV has no null
-        return "nan"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % float(value)
-    return str(value)
+# Per format: the text of None (undefined), the float encoder, the encoder of the rest.
+_ENCODERS = {"csv": ("nan", "%.17g".__mod__, str), "json": ("null", float.__repr__, json.dumps)}
 
 
-def _render(config: ExperimentConfig, rows: list[dict]) -> str:
+def _texts(column: list, fmt: str) -> list[str]:
+    """Each cell's text in `fmt`, formatting every distinct value once.
+
+    A column holds values of one type, or floats and None; a non-finite
+    float raises ValueError.
+    """
+    null, encode_float, encode = _ENCODERS[fmt]
+    memo = dict.fromkeys(column)
+    memo.pop(None, None)
+    values = list(memo)
+    if values and isinstance(values[0], float):
+        encode = encode_float
+        bad = next(filterfalse(math.isfinite, values), None)
+        if bad is not None:
+            raise ValueError(f"Out of range float values are not {fmt.upper()} compliant: {bad!r}")
+    memo = dict(zip(values, map(encode, values)))
+    memo[None] = null
+    texts = list(map(memo.__getitem__, column))
+    if 0.0 in memo:  # 0.0 and -0.0 share a key but not a text
+        for i, value in enumerate(column):
+            if value == 0.0:
+                texts[i] = encode(value)
+    return texts
+
+
+def _table(columns: list[list], fmt: str, pieces: list[str]) -> str:
+    """The rows in order, each pieces[0] cell_0 pieces[1] ... cell_last pieces[-1]."""
+    width = 2 * len(columns) + 1
+    row = [None] * width
+    row[0::2] = pieces
+    flat = row * len(columns[0])
+    for j, column in enumerate(columns):
+        flat[2 * j + 1 :: width] = _texts(column, fmt)
+    return "".join(flat)
+
+
+def _render(config: ExperimentConfig, columns: dict[str, list]) -> str:
+    """The report text, written column by column.
+
+    CSV floats are `%.17g`; JSON is laid out as json.dumps(doc,
+    sort_keys=True, indent=2) would, floats as their repr.  None is nan in
+    CSV and null in JSON; any other non-finite float raises ValueError.
+    """
     meta = {
         "tool": "tmfejer",
         "tool_version": __version__,
@@ -399,26 +424,23 @@ def _render(config: ExperimentConfig, rows: list[dict]) -> str:
         "function": config.function,
     }
     if config.format == "json":
-        doc = {
-            "schema_version": "2",
-            "metadata": meta,
-            "rows": rows,
-        }
-        # Undefined values are None and come out as null; a non-finite
-        # number makes json.dumps raise instead of writing bare NaN.
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        names = sorted(columns)
+        keys = [f"      {json.dumps(k)}: " for k in names]
+        pieces = ["    {\n" + keys[0]] + [",\n" + k for k in keys[1:]] + ["\n    },\n"]
+        rows = _table([columns[k] for k in names], "json", pieces)
+        doc = {"schema_version": "2", "metadata": meta, "rows": []}
+        text = json.dumps(doc, sort_keys=True, indent=2)
+        # rows[:-2] drops the separator after the last row.
+        return text.replace('"rows": []', f'"rows": [\n{rows[:-2]}\n  ]', 1) + "\n"
     lines = [
         f"# tool: tmfejer {__version__}",
         f"# command: {config.command}",
         f"# sequence: {config.sequence.raw} (generator v{GENERATOR_VERSION})",
         f"# seed: {config.seed}",
+        ",".join(columns),
     ]
-    if rows:
-        header = list(rows[0].keys())
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_format_cell(row[k]) for k in header))
-    return "\n".join(lines) + "\n"
+    pieces = [""] + [","] * (len(columns) - 1) + ["\n"]
+    return "\n".join(lines) + "\n" + _table(list(columns.values()), "csv", pieces)
 
 
 def run(config: ExperimentConfig) -> int:
@@ -426,8 +448,7 @@ def run(config: ExperimentConfig) -> int:
     try:
         if config.command not in COMMANDS:
             raise ValidationError("command", f"missing or unknown command {config.command!r}")
-        rows = _execute(config)
-        text = _render(config, rows)
+        text = _render(config, _execute(config))
         if config.out is None or config.out == "-":
             sys.stdout.write(text)
         else:

@@ -83,7 +83,7 @@ def mobius(alpha: complex) -> AnalyticTestFunction:
         value=value,
         derivative=derivative,
         kind="schur",
-        label=f"mobius@{a:.3g}",
+        label=f"mobius@{str(a).strip('()')}",
         radius=_radius_of((a,)),
     )
 
@@ -113,7 +113,7 @@ def simple_pole(pole: complex, residue: complex = 1.0) -> AnalyticTestFunction:
         value=lambda z: r / (p - _as_complex(z)),
         derivative=lambda z: r / (p - _as_complex(z)) ** 2,
         kind="rational",
-        label=f"pole@{p:.3g}",
+        label=f"pole@{str(p).strip('()')}",
         radius=abs(p),
     )
 

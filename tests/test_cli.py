@@ -1,5 +1,6 @@
 """Config parsing, sequence generators, command execution, output formats."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tmfejer.analysis import diagnose_sequence
 from tmfejer.cli import (
     ExperimentConfig,
     ParseError,
@@ -26,6 +28,20 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
 
 
 MINIMAL = "command = frostman\nsequence = constant:0.5\n"
+
+
+def assert_pinned_format(text, fmt):
+    """JSON is json.dumps' layout; CSV numbers are integer text or `%.17g`."""
+    if fmt == "json":
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        return
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    for cell in ",".join(lines[1:]).split(","):
+        try:
+            value = float(cell)
+        except ValueError:
+            continue  # a text cell, such as a saturation label
+        assert cell.lstrip("-").isdigit() or cell == "%.17g" % value, cell
 
 
 class TestParsing:
@@ -155,6 +171,7 @@ class TestCommands:
         cfg = parse_config(body + f"format = {fmt}\nout = {out}\ngrid_n = 1024\n")
         assert run(cfg) == 0
         text = out.read_text()
+        assert_pinned_format(text, fmt)
         if fmt == "json":
             doc = json.loads(text)
             assert doc["schema_version"] == "2"
@@ -166,6 +183,47 @@ class TestCommands:
             assert any(ln.startswith("# seed:") for ln in lines[:4])
             header = next(ln for ln in lines if not ln.startswith("#"))
             assert "," in header
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bundled_kernel_format(self, tmp_path, fmt):
+        out = tmp_path / f"kernel.{fmt}"
+        cfg = ROOT / "scripts" / "configs" / "kernel.cfg"
+        assert main(["kernel", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+        assert_pinned_format(out.read_text(encoding="utf-8"), fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_output_refused(self, tmp_path, monkeypatch, capsys, fmt, bad):
+        def spoiled(sequence, order):
+            return dataclasses.replace(diagnose_sequence(sequence, order), derivative_l1=bad)
+
+        monkeypatch.setattr("tmfejer.cli.diagnose_sequence", spoiled)
+        cfg = write_cfg(tmp_path, MINIMAL + "orders = [1, 2]\n")
+        out = tmp_path / f"r.{fmt}"
+        assert main(["frostman", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 2
+        assert not out.exists()
+        assert f"not {fmt.upper()} compliant: {bad!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_signed_zeros_keep_their_sign(self, tmp_path, monkeypatch, fmt):
+        # 0.0 == -0.0, yet each is written with its own sign.
+        def signed(sequence, order):
+            zero = -0.0 if order % 2 else 0.0
+            return dataclasses.replace(diagnose_sequence(sequence, order), argmin_angle=zero)
+
+        monkeypatch.setattr("tmfejer.cli.diagnose_sequence", signed)
+        cfg = write_cfg(tmp_path, MINIMAL + "orders = [1, 2, 3, 4]\n")
+        out = tmp_path / f"r.{fmt}"
+        assert main(["frostman", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+        text = out.read_text()
+        assert_pinned_format(text, fmt)
+        if fmt == "json":
+            angles = [r["argmin_angle"] for r in json.loads(text)["rows"]]
+            assert [math.copysign(1.0, a) for a in angles] == [-1.0, 1.0, -1.0, 1.0]
+        else:
+            rows = [ln.split(",") for ln in text.splitlines() if not ln.startswith("#")]
+            column = rows[0].index("argmin_angle")
+            assert [r[column] for r in rows[1:]] == ["-0", "0", "-0", "0"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         body = (

@@ -149,6 +149,15 @@ class TestCorpusShape:
         assert kinds == {"rational", "schur", "blaschke_multiple", "cauchy_transform"}
         assert len({m.label for m in members}) == len(members)
 
+    def test_labels_tell_close_parameters_apart(self):
+        # Labels are the shortest round-trip text of the parameter.
+        assert simple_pole(1.0000001).label == "pole@1.0000001+0j"
+        assert simple_pole(1.004).label == "pole@1.004+0j"
+        assert mobius(0.30000001).label != mobius(0.3).label
+        labels = [m.label for m in standard_corpus()]
+        for label in ("pole@1.6+0j", "pole@-0-1.25j", "mobius@0.3+0j", "mobius@-0.4+0.2j"):
+            assert label in labels
+
     def test_rational_corpus_is_circle_safe(self):
         t = circle_grid(32)
         for f in rational_corpus(10):
