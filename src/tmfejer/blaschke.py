@@ -96,7 +96,12 @@ def _check_order(sequence: PointSequence, n: int) -> None:
 
 
 def _recurse(
-    sequence: PointSequence, n: int, zf: np.ndarray, rows: bool = False, jet: bool = True
+    sequence: PointSequence,
+    n: int,
+    zf: np.ndarray,
+    rows: bool = False,
+    jet: bool = True,
+    c: np.ndarray | None = None,
 ):
     """Run the basis recursion over the first n poles at the flat points zf.
 
@@ -108,30 +113,61 @@ def _recurse(
         B_{k+1}' = B_k' (z - a_k) / u_k + B_k w_k / u_k^2.
 
     Nothing divides by z - a_k, so zeros of B_n, repeated ones included,
-    are ordinary points.  Returns (B_n, B_n', phi rows, phi' rows); the
-    rows are None unless `rows`, the derivatives None unless `jet`.
-    Raises PoleProximity when z comes within POLE_TOL of a pole.
+    are ordinary points.  Returns (B_n, B_n', phi rows, phi' rows) in one
+    of three modes: the rows are None unless `rows`, the derivatives None
+    unless `jet`; with n coefficients `c` (and `jet`) the last two entries
+    are instead the sums S_n = sum_k c_k phi_k and S_n' = sum_k c_k phi_k',
+    accumulated step by step so that no n x M row array is formed.  Each
+    step updates its length-M buffers in place.  Raises PoleProximity when
+    z comes within POLE_TOL of a pole; a pole with
+    1 - max|z| |a_k| >= 2 POLE_TOL cannot fire that test and skips it.
     """
     b = np.ones_like(zf)
     bp = np.zeros_like(zf) if jet else None
-    vals = np.empty((n, zf.size), dtype=np.complex128) if rows else None
-    ders = np.empty((n, zf.size), dtype=np.complex128) if rows and jet else None
+    if c is None:
+        vals = np.empty((n, zf.size), dtype=np.complex128) if rows else None
+        ders = np.empty((n, zf.size), dtype=np.complex128) if rows and jet else None
+    else:
+        vals = np.zeros_like(zf)
+        ders = np.zeros_like(zf) if jet else None
+    u, q, m, t = (np.empty_like(zf) for _ in range(4))
+    zmax = np.abs(zf).max(initial=0.0)
     for k, a in enumerate(sequence.points[:n]):
-        u = 1.0 - zf * a.conjugate()
-        if zf.size and np.abs(u).min() < POLE_TOL:
+        ac = a.conjugate()
+        np.multiply(zf, ac, out=u)
+        np.subtract(1.0, u, out=u)
+        # |u| >= 1 - max|z| |a|: a pole with that bound above 2 POLE_TOL
+        # (the factor 2 dwarfs any rounding) cannot fire, so skip its test.
+        if 1.0 - zmax * abs(a) < 2.0 * POLE_TOL and np.abs(u).min() < POLE_TOL:
             raise PoleProximity(f"point within {POLE_TOL} of the pole of phi_{k}")
         # (1 - |a|)(1 + |a|) keeps full relative accuracy as |a| -> 1.
         w = (1.0 - abs(a)) * (1.0 + abs(a))
-        inv = 1.0 / u
-        q = inv * b
-        m = (zf - a) * inv
-        if rows:
-            vals[k] = np.sqrt(w) * q
+        sw = np.sqrt(w)
+        inv = np.reciprocal(u, out=u)
+        np.multiply(inv, b, out=q)
+        np.subtract(zf, a, out=m)
+        m *= inv
+        if vals is not None:
+            if c is None:
+                np.multiply(q, sw, out=vals[k])
+            else:
+                np.multiply(q, c[k] * sw, out=t)
+                vals += t
+        if ders is not None:
+            np.multiply(q, ac, out=t)
+            t += bp
+            t *= inv
+            if c is None:
+                np.multiply(t, sw, out=ders[k])
+            else:
+                t *= c[k] * sw
+                ders += t
         if jet:
-            if rows:
-                ders[k] = np.sqrt(w) * inv * (a.conjugate() * q + bp)
-            bp = bp * m + w * inv * q
-        b = b * m
+            bp *= m
+            np.multiply(inv, q, out=t)
+            t *= w
+            bp += t
+        b *= m
     return b, bp, vals, ders
 
 
@@ -180,13 +216,13 @@ def boundary_phase(sequence: PointSequence, n: int, angle_from, angle_to):
         raise ValueError("boundary_phase needs n >= 1")
     x = np.asarray(angle_from, dtype=np.float64)
     y = np.asarray(angle_to, dtype=np.float64)
-    xb, yb = np.broadcast_arrays(x, y)
-    shape = xb.shape
-    scalar = xb.ndim == 0
-    xf = xb.reshape(-1)
-    yf = yb.reshape(-1)
     ac = np.conj(sequence.as_array()[:n, None])
-    gx = np.angle(1.0 - ac * np.exp(1j * xf)[None, :]).sum(axis=0)
-    gy = np.angle(1.0 - ac * np.exp(1j * yf)[None, :]).sum(axis=0)
-    out = 0.5 * n * (yf - xf) - (gy - gx)
-    return _restore(out, shape, scalar)
+
+    # Per-point sums on each endpoint array before the pairs are formed, so
+    # an (m, 1) x (1, m) grid costs 2m sums instead of 2m^2.
+    def arg_sum(v):
+        g = np.angle(1.0 - ac * np.exp(1j * v.reshape(-1))[None, :]).sum(axis=0)
+        return g.reshape(v.shape)
+
+    out = 0.5 * n * (y - x) - (arg_sum(y) - arg_sum(x))
+    return out[()]

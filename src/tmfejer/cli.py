@@ -341,7 +341,9 @@ def _execute(config: ExperimentConfig) -> dict[str, list]:
         x, y = xg.ravel().tolist(), yg.ravel().tolist()
         columns = {"order": [], "x": [], "y": [], "value": []}
         for n in config.orders:
-            vals = np.asarray(fejer_kernel_angular(TMBasis(sequence, int(n)), xg, yg))
+            vals = fejer_kernel_angular(
+                TMBasis(sequence, int(n)), angles[:, None], angles[None, :]
+            )
             columns["order"] += [int(n)] * len(x)
             columns["x"] += x
             columns["y"] += y

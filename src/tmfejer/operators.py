@@ -48,6 +48,7 @@ import numpy as np
 from tmfejer.blaschke import (
     PointSequence,
     _flatten,
+    _recurse,
     _restore,
     boundary_derivative_modulus,
     boundary_phase,
@@ -58,7 +59,6 @@ from tmfejer.tm_basis import (
     CIRCLE_TOL,
     ExtendedOffCircle,
     TMBasis,
-    phi_jet,
     phi_values,
 )
 
@@ -295,21 +295,17 @@ def fejer_kernel_angular(basis: TMBasis, x, y):
     n = basis.order
     if n == 0:
         raise ValueError("the kernel needs order >= 1")
-    xb, yb = np.broadcast_arrays(
-        np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    )
-    shape = xb.shape
-    scalar = xb.ndim == 0
-    xf = xb.reshape(-1)
-    yf = yb.reshape(-1)
-    g = 0.5 * np.asarray(boundary_derivative_modulus(basis.sequence, n, xf)).reshape(-1)
-    ph = np.asarray(boundary_phase(basis.sequence, n, xf, yf)).reshape(-1)
-    s2 = np.sin(0.5 * (yf - xf)) ** 2
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    # |B_n'| depends on x alone: evaluate it before broadcasting against y.
+    g = 0.5 * np.asarray(boundary_derivative_modulus(basis.sequence, n, x))
+    ph = np.asarray(boundary_phase(basis.sequence, n, x, y))
+    s2 = np.sin(0.5 * (y - x)) ** 2
     tiny = s2 < (0.5 * ZERO_SWITCH) ** 2
     s2_safe = np.where(tiny, 1.0, s2)
     out = np.sin(ph) ** 2 / s2_safe / (2.0 * g)
     out = np.where(tiny, 2.0 * g, out)
-    return _restore(out, shape, scalar)
+    return out[()]
 
 
 def sigma_positive(
@@ -320,11 +316,13 @@ def sigma_positive(
 ):
     """S_n(f)(z) - (B_n(z)/B_n'(z)) S_n'(f)(z); the identity for order zero.
 
-    S_n' is assembled from the exact rational derivatives of the basis
-    functions, never from finite differences.  At a multiple interpolation
-    node both B_n and B_n' vanish and the ratio tends to zero, so the value
-    degenerates to S_n(z) there; at a genuine critical point of B_n the
-    operator has a pole and CriticalPoint is raised.  Precomputed `coeffs`
+    S_n and S_n' are accumulated term by term during the basis recursion,
+    so no n x M array of basis values is formed.  S_n' is assembled from
+    the exact rational derivatives of the basis functions, never from
+    finite differences.  At a multiple interpolation node both B_n and B_n'
+    vanish and the ratio tends to zero, so the value degenerates to S_n(z)
+    there; at a genuine critical point of B_n the operator has a pole and
+    CriticalPoint is raised.  Precomputed `coeffs`
     are the 2n - 1 values of coefficients_of; S_n uses coeffs[n - 1:].
     """
     n = basis.order
@@ -335,10 +333,7 @@ def sigma_positive(
     if coeffs is None:
         coeffs = coefficients_of(f, basis)
     _require_length(coeffs, n, "sigma_positive")
-    c = coeffs[n - 1 :]
-    vals, ders, bz, bpz = phi_jet(basis, zf)
-    s = c @ vals
-    sp = c @ ders
+    bz, bpz, s, sp = _recurse(basis.sequence, n, zf, c=coeffs[n - 1 :])
     absb = np.abs(bz)
     absbp = np.abs(bpz)
     critical = (absbp < CRITICAL_TOL) & (absb >= CRITICAL_TOL)

@@ -12,6 +12,8 @@ trigonometric system.
 
 phi_values and phi_jet run the first-order recursion of blaschke over the
 poles, which carries B_k and B_k' along with the rows phi_k and phi_k'.
+operators.sigma_positive no longer goes through phi_jet: it has the same
+recursion sum c_k phi_k and c_k phi_k' as it goes, without the rows.
 The Christoffel-Darboux kernel of the first `order` functions,
 
     K_n(z, t) = sum_{k<n} phi_k(z) conj(phi_k(t)) = (1 - B_n(z) conj(B_n(t))) / (1 - z conj(t)),
@@ -87,6 +89,8 @@ def phi_jet(basis: TMBasis, z):
     Returns (phi rows, phi' rows, B_n, B_n'); the rows have shape
     (order,) + shape(z), the Blaschke data shape(z).  One pass of the
     recursion gives all four, so interpolation nodes are handled exactly.
+    operators.sigma_positive does not call this: it needs only the sums
+    of the rows against its coefficients, which the recursion accumulates.
     """
     zf, shape, _ = _flatten(z)
     n = basis.order

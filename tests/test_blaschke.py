@@ -175,3 +175,14 @@ class TestBoundaryPhase:
         ys = np.array([1.0, 2.0])
         vals = boundary_phase(seq_short, 3, xs, ys)
         assert np.asarray(vals).shape == (2,)
+
+    def test_grid_equals_broadcast_pairs_exactly(self, seq_mixed):
+        # The per-point sums run on each endpoint array before the pairs
+        # form, in the same order as on the broadcast arrays.
+        m = 64
+        ang = 2.0 * np.pi * np.arange(m) / m
+        x, y = ang[:, None], ang[None, :] + 0.25
+        xb, yb = np.broadcast_arrays(x, y)
+        grid = boundary_phase(seq_mixed, 8, x, y)
+        assert grid.shape == (m, m)
+        assert np.array_equal(grid, boundary_phase(seq_mixed, 8, xb, yb))

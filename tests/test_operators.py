@@ -5,12 +5,14 @@ closed forms, explicit alternative quadratures for the integral form of
 delta, and hand-derived Moebius/Blaschke identities.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import circle_grid, zeros_sequence
+from conftest import BRACKET, MIXED, circle_grid, zeros_sequence
 from tmfejer.analysis import interior_probes
-from tmfejer.blaschke import PointSequence, eval_blaschke
+from tmfejer.blaschke import PointSequence, PoleProximity, _recurse, eval_blaschke
 from tmfejer.corpus import (
     blaschke_multiple,
     cauchy_transform,
@@ -38,7 +40,7 @@ from tmfejer.operators import (
     sigma_rusak,
 )
 from tmfejer.quadrature import BoundaryGridFunction, default_resolution, refined_maximum
-from tmfejer.tm_basis import ExtendedOffCircle, TMBasis, phi_values
+from tmfejer.tm_basis import ExtendedOffCircle, TMBasis, phi_jet, phi_values
 
 
 def grid_of(f, resolution=4096):
@@ -199,6 +201,15 @@ class TestFejerKernel:
             angular = float(np.asarray(fejer_kernel_angular(basis, x, x + du)))
             assert rational == pytest.approx(angular, rel=1e-6)
 
+    def test_angular_grid_equals_broadcast_pairs_exactly(self, seq_mixed):
+        # |B_n'| and the phase sums are taken per distinct angle before the
+        # pairs form; the kernel report's m x m grid must not change by a bit.
+        ang = 2.0 * np.pi * np.arange(32) / 32
+        basis = TMBasis(seq_mixed, 8)
+        xb, yb = np.broadcast_arrays(ang[:, None], ang[None, :])
+        grid = fejer_kernel_angular(basis, ang[:, None], ang[None, :])
+        assert np.array_equal(grid, fejer_kernel_angular(basis, xb, yb))
+
     def test_order_zero_rejected(self, seq_short):
         basis = TMBasis(seq_short, 0)
         with pytest.raises(ValueError):
@@ -275,6 +286,69 @@ class TestSigmaPositive:
         )
         with pytest.raises(ValueError):
             sigma_positive(f, basis, z, coeffs=c[2:])
+
+
+def _random_sequence(n, max_modulus, seed):
+    rng = np.random.default_rng(seed)
+    r = max_modulus * np.sqrt(rng.uniform(size=n))
+    return PointSequence(tuple(r * np.exp(2j * np.pi * rng.uniform(size=n))))
+
+
+STREAMED = {
+    "mixed": PointSequence(MIXED),
+    "bracket": PointSequence(BRACKET),
+    "random128": _random_sequence(128, 0.7, 11),
+    "repeated": PointSequence((0.5, 0.5, 0.3j, -0.2, 0.3j, 0.3j)),
+}
+
+
+class TestStreamedSums:
+    """S_n and S_n' summed inside the recursion, and its pole test."""
+
+    @pytest.mark.parametrize("name", STREAMED)
+    def test_sums_match_phi_jet_rows(self, name):
+        seq = STREAMED[name]
+        n = len(seq)
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z = np.concatenate(
+            [circle_grid(256), 0.6 * circle_grid(64) + 0.1j, seq.as_array()]
+        )
+        vals, ders, b, bp = phi_jet(TMBasis(seq, n), z)
+        got_b, got_bp, s, sp = _recurse(seq, n, z, c=c)
+        assert np.array_equal(got_b, b) and np.array_equal(got_bp, bp)
+        # Relative to sum_k |c_k phi_k|, the scale of the summation's rounding.
+        assert (np.abs(s - c @ vals) <= 1e-13 * (np.abs(c) @ np.abs(vals))).all()
+        assert (np.abs(sp - c @ ders) <= 1e-13 * (np.abs(c) @ np.abs(ders))).all()
+
+    def test_no_rows_allocated(self):
+        # The n x M rows of values and derivatives alone would take 33 MB.
+        basis = TMBasis(STREAMED["random128"], 128)
+        coeffs = np.random.default_rng(3).standard_normal(255) + 0j
+        z = 0.95 * circle_grid(8192)
+        sigma_positive(constant_one(), basis, z, coeffs=coeffs)
+        tracemalloc.start()
+        try:
+            sigma_positive(constant_one(), basis, z, coeffs=coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("modulus", [0.5, 1.0 - 2e-12])
+    def test_pole_proximity_raised_within_array(self, modulus):
+        # A point within 1e-13 of 1/conj(a) among far points; for |a| -> 1
+        # it lies just outside the circle.
+        a = modulus * np.exp(0.7j)
+        pole = 1.0 / np.conj(a)
+        z = np.concatenate([0.4 * circle_grid(64), [pole - 5e-14 * pole / abs(pole)]])
+        basis = TMBasis(PointSequence((0.3, a)), 2)
+        with pytest.raises(PoleProximity):
+            eval_blaschke(basis.sequence, 2, z)
+        with pytest.raises(PoleProximity):
+            phi_values(basis, z)
+        with pytest.raises(PoleProximity):
+            sigma_positive(constant_one(), basis, z, coeffs=np.ones(3, dtype=complex))
 
 
 class TestNearCircle:
