@@ -15,7 +15,9 @@ The module also evaluates the boundary modulus
 
 (a partial Frostman sum) and the continuous boundary phase of B_n, the
 integral of the density gamma_n = |B_n'|/2.  Every evaluator accepts
-scalars or numpy arrays of points and returns matching shapes.
+scalars or numpy arrays of points and returns matching shapes.  B_0 = 1
+only starts the recursion: orders run over 1 <= n <= len(a), the rule
+that `_check_order` states for this module, tm_basis and the operators.
 """
 
 from __future__ import annotations
@@ -63,9 +65,6 @@ class PointSequence:
     def __len__(self) -> int:
         return len(self.points)
 
-    def __getitem__(self, k: int) -> complex:
-        return self.points[k]
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=np.complex128)
 
@@ -76,7 +75,6 @@ class BlaschkeEval:
 
     value: complex | np.ndarray
     derivative: complex | np.ndarray
-    degree: int
 
 
 def _flatten(z):
@@ -91,8 +89,10 @@ def _restore(flat: np.ndarray, shape: tuple, scalar: bool):
 
 
 def _check_order(sequence: PointSequence, n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 0 or n > len(sequence):
-        raise ValueError(f"order {n!r} outside [0, {len(sequence)}]")
+    """Reject orders outside 1 <= n <= len(sequence); K_0(z, z) = 0 leaves
+    the kernel and the operators undefined at order zero."""
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= len(sequence):
+        raise ValueError(f"order {n!r} outside [1, {len(sequence)}]")
 
 
 def _recurse(
@@ -181,7 +181,7 @@ def eval_blaschke(sequence: PointSequence, n: int, z) -> BlaschkeEval:
     _check_order(sequence, n)
     zf, shape, scalar = _flatten(z)
     value, derivative, _, _ = _recurse(sequence, n, zf)
-    return BlaschkeEval(_restore(value, shape, scalar), _restore(derivative, shape, scalar), n)
+    return BlaschkeEval(_restore(value, shape, scalar), _restore(derivative, shape, scalar))
 
 
 def _flatten_real(x):
@@ -193,8 +193,6 @@ def boundary_derivative_modulus(sequence: PointSequence, n: int, angle):
     """Partial Frostman sum at t = e^{i*angle}; equals |B_n'(t)| on the circle."""
     _check_order(sequence, n)
     ang, shape, scalar = _flatten_real(angle)
-    if n == 0:
-        return _restore(np.zeros_like(ang), shape, scalar)
     a = sequence.as_array()[:n, None]
     w = (1.0 - np.abs(a)) * (1.0 + np.abs(a))
     t = np.exp(1j * ang)[None, :]
@@ -212,8 +210,6 @@ def boundary_phase(sequence: PointSequence, n: int, angle_from, angle_to):
     for arbitrary real endpoints including multi-revolution spans.
     """
     _check_order(sequence, n)
-    if n < 1:
-        raise ValueError("boundary_phase needs n >= 1")
     x = np.asarray(angle_from, dtype=np.float64)
     y = np.asarray(angle_to, dtype=np.float64)
     ac = np.conj(sequence.as_array()[:n, None])

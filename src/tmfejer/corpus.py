@@ -31,7 +31,6 @@ __all__ = [
     "random_unit_density",
     "standard_corpus",
     "rational_corpus",
-    "schur_corpus",
 ]
 
 def _as_complex(z) -> np.ndarray:
@@ -173,38 +172,36 @@ def cauchy_transform(density: BoundaryGridFunction, label: str = "") -> Analytic
     )
 
 
-def random_unit_density(
-    rng: np.random.Generator, resolution: int = 4096, degree: int = 6
-) -> BoundaryGridFunction:
-    """Random trigonometric polynomial with true sup norm one on the circle.
+def random_unit_density(rng: np.random.Generator, resolution: int = 4096) -> BoundaryGridFunction:
+    """Random trigonometric polynomial of degree 6 with true sup norm one on the circle.
 
-    Coefficients g_m, |m| <= degree, are complex Gaussian.  The sum
-    sum_m g_m e^{im theta} equals e^{-i degree theta} p(e^{i theta}) for the
-    polynomial p(w) = sum_m g_m w^{m + degree} of degree 2 * degree, so its
-    modulus is |p(e^{i theta})|: one exp per angle and a Horner pass.  The
-    scale divides out the refined maximum of |mu| rather than a grid
-    maximum, so the bound sup|mu| <= 1 holds up to the refinement tolerance
-    and not merely at the nodes.  The samples are the inverse FFT of the
-    coefficients zero-padded to `resolution`, which would alias if
-    2 * degree + 1 > resolution; that raises ValueError.
+    Coefficients g_m, |m| <= 6, are complex Gaussian.  The sum
+    sum_m g_m e^{im theta} equals e^{-6i theta} p(e^{i theta}) for the
+    polynomial p(w) = sum_m g_m w^{m + 6} of degree 12, so its modulus is
+    |p(e^{i theta})|: one exp per angle and a Horner pass.  The scale
+    divides out the refined maximum of |mu| rather than a grid maximum, so
+    the bound sup|mu| <= 1 holds up to the refinement tolerance and not
+    merely at the nodes.  The samples are the inverse FFT of the 13
+    coefficients zero-padded to `resolution`; a grid holds at least 16
+    points, so they never alias.
     """
-    size = 2 * degree + 1
-    if size > resolution:
-        raise ValueError(f"degree {degree} needs at least {size} samples, got {resolution}")
-    g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    g = rng.standard_normal(13) + 1j * rng.standard_normal(13)
 
     def poly(theta):
         return P.polyval(np.exp(1j * np.asarray(theta, dtype=np.float64)), g)
 
     _, peak = refined_maximum(lambda theta: np.abs(poly(theta)))
     spectrum = np.zeros(resolution, dtype=np.complex128)
-    spectrum[np.arange(-degree, degree + 1)] = g
+    spectrum[np.arange(-6, 7)] = g
     return BoundaryGridFunction(np.fft.ifft(spectrum) * (resolution / peak))
 
 
-def standard_corpus(seed: int = 7, resolution: int = 4096) -> tuple:
-    """A fixed mixed bag: rational, Schur, Blaschke and Cauchy members."""
-    rng = np.random.default_rng(seed)
+def standard_corpus() -> tuple:
+    """A fixed mixed bag: rational, Schur, Blaschke and Cauchy members.
+
+    The two Cauchy densities are drawn from seed 7 on 4096 points.
+    """
+    rng = np.random.default_rng(7)
     return (
         constant_one(),
         identity_map(),
@@ -216,8 +213,8 @@ def standard_corpus(seed: int = 7, resolution: int = 4096) -> tuple:
         simple_pole(-1.25j, residue=0.5),
         blaschke_multiple((0.4, -0.3j), scale=0.9),
         schur_product((0.3, -0.5j)),
-        cauchy_transform(random_unit_density(rng, resolution), label="cauchy-a"),
-        cauchy_transform(random_unit_density(rng, resolution), label="cauchy-b"),
+        cauchy_transform(random_unit_density(rng), label="cauchy-a"),
+        cauchy_transform(random_unit_density(rng), label="cauchy-b"),
     )
 
 
@@ -240,15 +237,3 @@ def rational_corpus(count: int = 10) -> tuple:
     if not 1 <= count <= len(members):
         raise ValueError(f"count must be in [1, {len(members)}]")
     return members[:count]
-
-
-def schur_corpus() -> tuple:
-    """Members with sup norm at most one on the closed disc."""
-    return (
-        identity_map(),
-        mobius(0.3),
-        mobius(-0.4 + 0.2j),
-        mobius(0.55j),
-        schur_product((0.3, -0.5j)),
-        schur_product((0.2, 0.4j, -0.3)),
-    )

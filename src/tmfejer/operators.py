@@ -144,17 +144,14 @@ def coefficients(f: BoundaryGridFunction, basis: TMBasis) -> np.ndarray:
     """Grid quadrature of <f, phi_k> = (1/2pi) integral f(t) conj(phi_k(t)) |dt| for |k| < n.
 
     Returns the 2n - 1 values as one array with <f, phi_k> at index
-    n - 1 + k; order zero gives an empty array.  Negative indices use
-    conj(phi_{-m}(t)) = t * phi_{m-1}(t), so both halves are products of
-    the same n rows phi_k(t) with the samples.  The grid must resolve the
-    basis; stated tolerances elsewhere assume at least
-    default_resolution(order) samples.
+    n - 1 + k.  Negative indices use conj(phi_{-m}(t)) = t * phi_{m-1}(t),
+    so both halves are products of the same n rows phi_k(t) with the
+    samples.  The grid must resolve the basis; stated tolerances elsewhere
+    assume at least default_resolution(order) samples.
     """
     n = basis.order
-    if f.resolution < 16 * max(n, 1):
-        raise ValueError(
-            f"resolution {f.resolution} too coarse for order {n}; need >= {16 * max(n, 1)}"
-        )
+    if f.resolution < 16 * n:
+        raise ValueError(f"resolution {f.resolution} too coarse for order {n}; need >= {16 * n}")
     pts = f.points
     vals = phi_values(basis, pts)
     positive = np.conj(vals @ np.conj(f.samples)) / f.resolution
@@ -240,7 +237,7 @@ def coefficients_of(f: AnalyticTestFunction, basis: TMBasis) -> np.ndarray:
         return np.conj(rows, out=rows), np.asarray(f.value(r * e), dtype=np.complex128)
 
     positive = _contour_mean(sample, rho, f"coefficients of {f.label} at order {n}")
-    return np.concatenate([np.zeros(max(n - 1, 0), dtype=np.complex128), positive])
+    return np.concatenate([np.zeros(n - 1, dtype=np.complex128), positive])
 
 
 def _require_length(coeffs: np.ndarray, n: int, what: str) -> None:
@@ -276,9 +273,6 @@ def fejer_kernel(basis: TMBasis, t, z):
     circle.  The basis sum is smooth across the diagonal, where it takes
     the value K_n(z, z) = |B_n'(z)|.
     """
-    n = basis.order
-    if n == 0:
-        raise ValueError("the kernel needs order >= 1")
     # Basis index last, so the point shapes of t and z broadcast as given.
     vt = np.moveaxis(phi_values(basis, t), 0, -1)
     vz = np.moveaxis(phi_values(basis, z), 0, -1)
@@ -293,8 +287,6 @@ def fejer_kernel_angular(basis: TMBasis, x, y):
     of gamma_n over [x, y].  Equals fejer_kernel at t = e^{iy}, z = e^{ix}.
     """
     n = basis.order
-    if n == 0:
-        raise ValueError("the kernel needs order >= 1")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     # |B_n'| depends on x alone: evaluate it before broadcasting against y.
@@ -314,7 +306,7 @@ def sigma_positive(
     z,
     coeffs: np.ndarray | None = None,
 ):
-    """S_n(f)(z) - (B_n(z)/B_n'(z)) S_n'(f)(z); the identity for order zero.
+    """S_n(f)(z) - (B_n(z)/B_n'(z)) S_n'(f)(z).
 
     S_n and S_n' are accumulated term by term during the basis recursion,
     so no n x M array of basis values is formed.  S_n' is assembled from
@@ -327,9 +319,6 @@ def sigma_positive(
     """
     n = basis.order
     zf, shape, scalar = _flatten(z)
-    if n == 0:
-        vals = np.asarray(f.value(zf), dtype=np.complex128).reshape(zf.shape)
-        return _restore(vals, shape, scalar)
     if coeffs is None:
         coeffs = coefficients_of(f, basis)
     _require_length(coeffs, n, "sigma_positive")
@@ -352,22 +341,31 @@ def sigma_rusak(f: BoundaryGridFunction, basis: TMBasis, z):
     phi(z)^T G conj(phi(z)) / |phi(z)|^2 with the n x n matrix
     G_jk = mean_t f(t) conj(phi_j(t)) phi_k(t) on the grid, which is the
     same sum at O((N + M) n^2) cost.  Defined for boundary data and
-    boundary evaluation points; order zero returns the sample nearest to z.
-    Positive and norm-one: nonnegative data gives nonnegative values and
-    the sup never exceeds the data sup beyond quadrature error.
+    boundary evaluation points.  Positive and norm-one: nonnegative data
+    gives nonnegative values and the sup never exceeds the data sup beyond
+    quadrature error.
     """
     zf, shape, scalar = _flatten(z)
     _require_circle(zf, "sigma_rusak")
-    n = basis.order
     npts = f.resolution
-    if n == 0:
-        idx = np.rint(np.angle(zf) / (2.0 * np.pi / npts)).astype(int) % npts
-        return _restore(f.samples[idx], shape, scalar)
     vt = phi_values(basis, f.points)
     gram = (np.conj(vt) * f.samples) @ vt.T / npts
     vz = phi_values(basis, zf)
     out = (vz * (gram @ np.conj(vz))).sum(axis=0) / (np.abs(vz) ** 2).sum(axis=0)
     return _restore(out, shape, scalar)
+
+
+def _cauchy_weights(
+    sequence: PointSequence, n: int, npts: int, zf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The M x N weights W(z, t) = conj((t - z)/(1 - conj(z) t)) / |1 - conj(t) z|^2
+    for the M points zf and the N-point uniform grid t, with conj(B_n(t)) there."""
+    tpts = np.exp(2j * np.pi * np.arange(npts) / npts)
+    ct = np.conj(tpts)
+    g = 1.0 - ct * zf[:, None]
+    w = (ct - np.conj(zf)[:, None]) / g
+    w /= np.abs(g) ** 2
+    return w, np.conj(eval_blaschke(sequence, n, tpts).value)
 
 
 def _cauchy_weighted_integral(
@@ -378,18 +376,11 @@ def _cauchy_weighted_integral(
     `samples` holds mu on the uniform grid of N points, shape (N,) or
     (N, T) with one density per column; the result has shape (M,) or
     (M, T) for the M points zf.  The quadrature is one product
-    W @ (conj(B_n(t)) mu) with the M x N weights
-    W(z, t) = conj((t - z)/(1 - conj(z) t)) / |1 - conj(t) z|^2 / N.
+    W @ (conj(B_n(t)) mu) / N with the weights of `_cauchy_weights`.
     """
     npts = samples.shape[0]
-    tpts = np.exp(2j * np.pi * np.arange(npts) / npts)
-    cbt = np.conj(eval_blaschke(sequence, n, tpts).value)
-    ker = (samples.T * cbt).T
-    ct = np.conj(tpts)
-    g = 1.0 - ct * zf[:, None]
-    w = (ct - np.conj(zf)[:, None]) / g
-    w /= np.abs(g) ** 2
-    return w @ ker / npts
+    w, cbt = _cauchy_weights(sequence, n, npts, zf)
+    return w @ (samples.T * cbt).T / npts
 
 
 def _holomorphic_weighted_integral(
@@ -431,15 +422,13 @@ def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None 
     which is also used, with mu = f taken on the contour |t| = R of
     coefficients_of, as the removable-singularity fallback for other kinds
     whenever |B_n| or |B_n'| drops below SAFE_RATIO_FLOOR.  At a zero of
-    B_n the integral term vanishes and is not computed.  Order zero gives
-    identically zero.  Interpolates f' at every basis pole.
+    B_n the integral term vanishes and is not computed.  Interpolates f'
+    at every basis pole.
     """
     zf, shape, scalar = _flatten(z)
     if zf.size and np.abs(zf).max() > 1.0 - NEAR_BOUNDARY_MARGIN:
         raise NearBoundary(f"delta requires |z| <= 1 - {NEAR_BOUNDARY_MARGIN}")
     n = basis.order
-    if n == 0:
-        return _restore(np.zeros_like(zf), shape, scalar)
     be = eval_blaschke(basis.sequence, n, zf)
     bz = np.asarray(be.value).reshape(-1)
     bpz = np.asarray(be.derivative).reshape(-1)

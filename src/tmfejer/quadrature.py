@@ -47,7 +47,7 @@ def next_power_of_two(n: int) -> int:
 
 def default_resolution(order: int) -> int:
     """Default grid size for a basis of the given order: max(4096, 64*order)."""
-    return next_power_of_two(max(4096, 64 * max(int(order), 1)))
+    return next_power_of_two(max(4096, 64 * int(order)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,11 +84,7 @@ class BoundaryGridFunction:
 
     @classmethod
     def from_callable(cls, fn: Callable, resolution: int) -> "BoundaryGridFunction":
-        pts = np.exp(2j * np.pi * np.arange(resolution) / resolution)
-        vals = np.asarray(fn(pts), dtype=np.complex128)
-        if vals.ndim == 0:
-            vals = np.full(pts.shape, complex(vals))
-        return cls(vals)
+        return cls(fn(np.exp(2j * np.pi * np.arange(resolution) / resolution)))
 
 
 @dataclass(frozen=True)

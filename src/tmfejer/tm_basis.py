@@ -31,6 +31,7 @@ import numpy as np
 
 from tmfejer.blaschke import (
     PointSequence,
+    _check_order,
     _flatten,
     _recurse,
     _restore,
@@ -70,10 +71,7 @@ class TMBasis:
     order: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.order <= len(self.sequence):
-            raise ValueError(
-                f"order {self.order} outside [0, {len(self.sequence)}]"
-            )
+        _check_order(self.sequence, self.order)
 
 
 def phi_values(basis: TMBasis, z) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from tmfejer.blaschke import PointSequence
+from tmfejer.corpus import identity_map, mobius, schur_product
 
 # Mixed-sign, mixed-phase sequence used across operator tests.
 MIXED = (0.5, 0.3 + 0.2j, -0.4, 0.2j, -0.15 - 0.35j, 0.45j, 0.25, -0.3 + 0.1j)
@@ -30,6 +31,18 @@ def seq_short() -> PointSequence:
 
 def zeros_sequence(n: int) -> PointSequence:
     return PointSequence((0.0,) * n)
+
+
+def schur_corpus() -> tuple:
+    """Members with sup norm at most one on the closed disc."""
+    return (
+        identity_map(),
+        mobius(0.3),
+        mobius(-0.4 + 0.2j),
+        mobius(0.55j),
+        schur_product((0.3, -0.5j)),
+        schur_product((0.2, 0.4j, -0.3)),
+    )
 
 
 def central_difference(fn, z: complex, h: float = 1e-6) -> complex:

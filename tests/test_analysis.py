@@ -23,7 +23,12 @@ from tmfejer.corpus import (
     random_unit_density,
 )
 from tmfejer.operators import delta
-from tmfejer.quadrature import BoundaryGridFunction, default_resolution, refined_maximum
+from tmfejer.quadrature import (
+    BoundaryGridFunction,
+    NoConvergence,
+    default_resolution,
+    refined_maximum,
+)
 from tmfejer.tm_basis import TMBasis
 
 
@@ -79,6 +84,18 @@ class TestDiagnostics:
     def test_order_validation(self, seq_short):
         with pytest.raises(ValueError):
             diagnose_sequence(seq_short, 0)
+
+    def test_l1_drift_closed_form(self):
+        # a_k = 1 - 2^-k: from n = 9 on the 8192-angle mean of |B_n'| drifts
+        # off n by the closed form, and the diagnostics refuse it.
+        seq = PointSequence(tuple(1.0 - 0.5**k for k in range(1, 13)))
+        grid = 2.0 * np.pi * np.arange(8192) / 8192
+        for n in (10, 11, 12):
+            drift = boundary_derivative_modulus(seq, n, grid).mean() - n
+            assert analysis._l1_drift(seq, n) == pytest.approx(drift, rel=1e-10, abs=1e-12)
+            with pytest.raises(NoConvergence, match="misses order"):
+                diagnose_sequence(seq, n)
+        assert abs(diagnose_sequence(seq, 8).derivative_l1 - 8) < 1e-10
 
 
 class TestConvergence:
@@ -148,17 +165,17 @@ class TestVoronovskaya:
             assert r.extremal_value == pytest.approx(want, rel=1e-12)
 
     def test_densities_follow_grid_n(self, seq_mixed, monkeypatch):
-        shapes = []
-        weighted = analysis._cauchy_weighted_integral
+        calls = []
+        weights = analysis._cauchy_weights
 
-        def recording(sequence, n, samples, zf):
-            shapes.append(samples.shape)
-            return weighted(sequence, n, samples, zf)
+        def recording(sequence, n, npts, zf):
+            calls.append((n, npts, zf.size))
+            return weights(sequence, n, npts, zf)
 
-        monkeypatch.setattr(analysis, "_cauchy_weighted_integral", recording)
+        monkeypatch.setattr(analysis, "_cauchy_weights", recording)
         voronovskaya_experiment(seq_mixed, 6, probes=4, trials=3, seed=1, grid_n=1024)
-        # Three random densities, then one extremal trace per probe.
-        assert shapes == [(1024, 3), (1024, 4)]
+        # One set of weights, and one B_n on the densities' grid, per order.
+        assert calls == [(6, 1024, 4)]
 
     def test_bound_decays_with_order(self, seq_mixed):
         # |B_n(z)| is non-increasing in n, so the theoretical bound decays.

@@ -34,13 +34,13 @@ class TestPointSequence:
 
     def test_coerces_real_entries(self):
         seq = PointSequence((0.5, 0, -0.25))
-        assert seq[1] == 0j
+        assert seq.points[1] == 0j
         assert seq.as_array().dtype == np.complex128
 
     def test_length_and_indexing(self):
         seq = PointSequence((0.1, 0.2j))
         assert len(seq) == 2
-        assert seq[1] == 0.2j
+        assert seq.points[1] == 0.2j
 
 
 class TestEvalBlaschke:
@@ -50,13 +50,6 @@ class TestEvalBlaschke:
         be = eval_blaschke(seq, 3, 0.5)
         assert be.value == pytest.approx(0.125)
         assert be.derivative == pytest.approx(0.75)
-        assert be.degree == 3
-
-    def test_empty_product_is_one(self):
-        seq = PointSequence((0.5,))
-        be = eval_blaschke(seq, 0, 0.3 + 0.1j)
-        assert be.value == 1.0 + 0j
-        assert be.derivative == 0j
 
     def test_derivative_against_central_difference(self, seq_mixed):
         for z in (0.3 + 0.25j, -0.6, 0.1 - 0.7j, 0.0):
@@ -68,7 +61,7 @@ class TestEvalBlaschke:
         # B vanishes at each a_j; the recursion never divides by z - a_j,
         # so the derivative there must still match the difference oracle.
         for j in (0, 3, 5):
-            z = complex(seq_mixed[j])
+            z = seq_mixed.points[j]
             be = eval_blaschke(seq_mixed, 8, z)
             assert abs(be.value) < 1e-15
             fd = central_difference(lambda w: eval_blaschke(seq_mixed, 8, w).value, z)
@@ -80,10 +73,14 @@ class TestEvalBlaschke:
             eval_blaschke(seq, 1, 2.0)
 
     def test_order_validation(self, seq_short):
-        with pytest.raises(ValueError):
-            eval_blaschke(seq_short, 4, 0.1)
-        with pytest.raises(ValueError):
-            eval_blaschke(seq_short, -1, 0.1)
+        # Orders run over 1..len(sequence); B_0 = 1 is only the recursion's start.
+        for n in (0, -1, 4):
+            with pytest.raises(ValueError):
+                eval_blaschke(seq_short, n, 0.1)
+            with pytest.raises(ValueError):
+                boundary_phase(seq_short, n, 0.0, 1.0)
+            with pytest.raises(ValueError):
+                boundary_derivative_modulus(seq_short, n, 0.0)
 
     def test_broadcasting(self, seq_short):
         z = np.array([[0.1, 0.2j], [0.3, -0.4]])

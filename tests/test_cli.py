@@ -460,6 +460,15 @@ class TestMainEntry:
         assert not out.exists()
         assert "extremal value misses the bound" in capsys.readouterr().err
 
+    def test_frostman_mean_off_the_order(self, tmp_path, capsys):
+        # geometric:0.5 puts a_9 within 2^-9 of the circle; the 8192-angle
+        # mean of |B_n'| then misses n by more than 1e-10.
+        cfg = write_cfg(tmp_path, "command = frostman\nsequence = geometric:0.5\norders = [8, 9]\n")
+        out = tmp_path / "r.csv"
+        assert main(["frostman", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "misses order 9" in capsys.readouterr().err
+
     def test_pole_too_close_to_the_circle(self, tmp_path, capsys):
         # A pole 1e-7 outside the circle needs a contour of about 1e9 points.
         cfg = write_cfg(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import central_difference, circle_grid
+from conftest import central_difference, circle_grid, schur_corpus
 from tmfejer.analysis import interior_probes
 from tmfejer.corpus import (
     blaschke_multiple,
@@ -14,7 +14,6 @@ from tmfejer.corpus import (
     polynomial,
     random_unit_density,
     rational_corpus,
-    schur_corpus,
     schur_product,
     simple_pole,
     standard_corpus,
@@ -25,7 +24,7 @@ from tmfejer.quadrature import BoundaryGridFunction, refined_maximum
 
 class TestDerivativeClosures:
     def test_every_member_matches_central_difference(self):
-        probes = interior_probes(8, radii=(0.2, 0.45, 0.7))
+        probes = interior_probes(8)
         for f in standard_corpus():
             for z in probes:
                 fd = central_difference(f.value, complex(z))
@@ -129,11 +128,6 @@ class TestRandomDensities:
             # The samples fix the trigonometric polynomial; its sup on a fine grid.
             h = np.fft.fft(mu.samples)[ms] / mu.resolution
             assert np.abs(direct(h, fine)).max() <= 1.0 + 1e-9
-
-    def test_aliasing_degree_rejected(self):
-        assert random_unit_density(np.random.default_rng(1), 16, degree=7).resolution == 16
-        with pytest.raises(ValueError):
-            random_unit_density(np.random.default_rng(1), 16, degree=8)
 
     def test_seed_reproducibility(self):
         a = random_unit_density(np.random.default_rng(9), 1024)

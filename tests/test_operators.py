@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import BRACKET, MIXED, circle_grid, zeros_sequence
+from conftest import BRACKET, MIXED, circle_grid, schur_corpus, zeros_sequence
 from tmfejer.analysis import interior_probes
 from tmfejer.blaschke import PointSequence, PoleProximity, _recurse, eval_blaschke
 from tmfejer.corpus import (
@@ -22,7 +22,6 @@ from tmfejer.corpus import (
     polynomial,
     random_unit_density,
     rational_corpus,
-    schur_corpus,
     simple_pole,
 )
 from tmfejer.operators import (
@@ -83,7 +82,6 @@ class TestCoefficients:
         assert c.shape == (2 * n - 1,)
         assert np.abs(c[: n - 1] - at_zero[n - 2 :: -1]).max() < 1e-12
         assert np.abs(c[n - 1 :]).max() < 1e-12
-        assert coefficients(f, TMBasis(seq_mixed, 0)).shape == (0,)
 
     def test_cauchy_member_has_no_negative_part(self, seq_mixed):
         # mu(t) = 1 + conj(t) has Riesz projection 1, so K(mu) is the
@@ -137,8 +135,6 @@ class TestCesaroMean:
         for bad in (c[2:], c[:-1], coefficients_of(constant_one(), TMBasis(seq_short, 2))):
             with pytest.raises(ValueError):
                 cesaro_mean(bad, basis, 1.0 + 0j)
-        with pytest.raises(ValueError):
-            cesaro_mean(c[:0], TMBasis(seq_short, 0), 1.0 + 0j)
 
     def test_circle_only(self, seq_short):
         basis = TMBasis(seq_short, 3)
@@ -210,13 +206,6 @@ class TestFejerKernel:
         grid = fejer_kernel_angular(basis, ang[:, None], ang[None, :])
         assert np.array_equal(grid, fejer_kernel_angular(basis, xb, yb))
 
-    def test_order_zero_rejected(self, seq_short):
-        basis = TMBasis(seq_short, 0)
-        with pytest.raises(ValueError):
-            fejer_kernel(basis, 1.0 + 0j, 1.0j)
-        with pytest.raises(ValueError):
-            fejer_kernel_angular(basis, 0.0, 1.0)
-
 
 class TestSigmaPositive:
     def test_preserves_constants(self, seq_mixed):
@@ -268,13 +257,6 @@ class TestSigmaPositive:
         got = complex(sigma_positive(f, basis, 0.3 + 0j, coeffs=c))
         partial_sum = complex(c[1:] @ phi_values(basis, 0.3 + 0j))
         assert got == pytest.approx(partial_sum, abs=1e-12)
-
-    def test_order_zero_is_identity(self, seq_short):
-        basis = TMBasis(seq_short, 0)
-        f = simple_pole(1.6)
-        assert complex(sigma_positive(f, basis, 0.2j)) == pytest.approx(
-            complex(f.value(0.2j))
-        )
 
     def test_precomputed_coefficients_match(self, seq_short):
         basis = TMBasis(seq_short, 3)
@@ -454,12 +436,6 @@ class TestSigmaRusak:
             assert out.mean() <= a.mean() + 1e-9
             assert np.sqrt((out**2).mean()) <= np.sqrt((a**2).mean()) + 1e-9
 
-    def test_order_zero_nearest_sample(self, seq_short):
-        basis = TMBasis(seq_short, 0)
-        data = BoundaryGridFunction.from_callable(lambda z: z, 16)
-        t = complex(np.exp(2j * np.pi * 5 / 16))
-        assert complex(sigma_rusak(data, basis, t)) == pytest.approx(t)
-
     def test_requires_circle(self, seq_short):
         basis = TMBasis(seq_short, 2)
         with pytest.raises(ExtendedOffCircle):
@@ -552,10 +528,6 @@ class TestDelta:
         basis = TMBasis(seq_short, 3)
         with pytest.raises(NearBoundary):
             delta(constant_one(), basis, 0.9999999996)
-
-    def test_order_zero_is_zero(self, seq_short):
-        basis = TMBasis(seq_short, 0)
-        assert complex(delta(simple_pole(1.6), basis, 0.3j)) == 0j
 
     def test_voronovskaya_bound_small_sample(self, seq_mixed):
         basis = TMBasis(seq_mixed, 8)

@@ -26,11 +26,6 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             BoundaryGridFunction(np.ones((4, 8)))
 
-    def test_from_callable_scalar_broadcast(self):
-        f = BoundaryGridFunction.from_callable(lambda z: 2.5, 16)
-        assert f.resolution == 16
-        assert np.all(f.samples == 2.5)
-
     def test_points_lie_on_circle(self):
         f = BoundaryGridFunction.from_callable(lambda z: z, 32)
         assert np.abs(np.abs(f.points) - 1.0).max() < 1e-15

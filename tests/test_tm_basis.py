@@ -12,12 +12,11 @@ from tmfejer.tm_basis import DiagonalSingularity, TMBasis, cd_kernel, phi_jet, p
 
 class TestBasisConstruction:
     def test_order_bounds(self, seq_short):
-        TMBasis(seq_short, 0)
+        TMBasis(seq_short, 1)
         TMBasis(seq_short, 3)
-        with pytest.raises(ValueError):
-            TMBasis(seq_short, 4)
-        with pytest.raises(ValueError):
-            TMBasis(seq_short, -1)
+        for n in (0, -1, 4):
+            with pytest.raises(ValueError):
+                TMBasis(seq_short, n)
 
 
 class TestPhiValues:
