@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tmfejer.blaschke import PointSequence, boundary_derivative_modulus, eval_blaschke
-from tmfejer.corpus import constant_one, random_unit_density, standard_corpus
+from tmfejer.corpus import _unit_densities, constant_one, standard_corpus
 from tmfejer.operators import (
     AnalyticTestFunction,
     _cauchy_weights,
@@ -24,9 +24,9 @@ from tmfejer.operators import (
 from tmfejer.quadrature import (
     BoundaryGridFunction,
     NoConvergence,
+    _zoom,
     default_resolution,
     refined_maximum,
-    refined_minimum,
 )
 from tmfejer.tm_basis import TMBasis
 
@@ -110,34 +110,37 @@ def _l1_drift(sequence: PointSequence, order: int) -> float:
 def diagnose_sequence(sequence: PointSequence, order: int) -> SequenceDiagnostics:
     """Boundary statistics of |B_n'|: certified minimum, its angle, norms.
 
-    The minimum is a grid scan zoomed in to 1e-10 (`refined_minimum`); the
-    uniform norm of 1/B_n' is its reciprocal.  The mean of |B_n'| over a
-    uniform grid of 8192 angles reproduces the order (winding of B_n) up to
-    the closed-form error of `_l1_drift`; past 1e-10, as for poles near
-    the circle, NoConvergence is raised.
+    The minimum is a scan of 8192 uniform angles zoomed in to 1e-10, as in
+    `refined_minimum`; the uniform norm of 1/B_n' is its reciprocal.  The
+    mean of |B_n'| over the same scan reproduces the order (winding of B_n)
+    up to the closed-form error of `_l1_drift`; past 1e-10, as for poles
+    near the circle, NoConvergence is raised.
     """
 
     def ev(theta):
         return np.asarray(boundary_derivative_modulus(sequence, order, theta))
 
-    x, fmin = refined_minimum(ev)
-    # After the scan, whose first call has rejected an order outside the sequence.
+    grid = 2.0 * np.pi * np.arange(_SCAN) / _SCAN
+    vals = ev(grid)
+    i = int(vals.argmin())
+    x, fmin = _zoom(
+        lambda a: ev(a[0])[None], np.array([[grid[i]]]), np.array([[vals[i]]]), 2.0 * np.pi / _SCAN
+    )
+    # After the scan, whose call has rejected an order outside the sequence.
     drift = _l1_drift(sequence, order)
     if abs(drift) > _L1_TOL:
         raise NoConvergence(
             f"the {_SCAN}-angle mean of |B_n'| misses order {order} by {drift:.2e}; "
             f"poles too close to the circle"
         )
-    grid = 2.0 * np.pi * np.arange(_SCAN) / _SCAN
-    l1 = float(ev(grid).mean())
     moduli = np.abs(sequence.as_array()[:order])
     return SequenceDiagnostics(
         order=order,
         blaschke_sum=float((1.0 - moduli).sum()),
-        frostman_min=float(fmin),
-        argmin_angle=float(x),
-        sup_inverse=1.0 / float(fmin),
-        derivative_l1=l1,
+        frostman_min=float(fmin[0, 0]),
+        argmin_angle=float(x[0, 0]),
+        sup_inverse=1.0 / float(fmin[0, 0]),
+        derivative_l1=float(vals.mean()),
         product_modulus=float(np.prod(moduli)),
     )
 
@@ -258,9 +261,7 @@ def voronovskaya_experiment(
     rng = np.random.default_rng(seed)
     bz = eval_blaschke(sequence, order, zs).value
     bounds = np.abs(bz) / (1.0 - np.abs(zs) ** 2)
-    densities = np.empty((res, trials), dtype=np.complex128)
-    for trial in range(trials):
-        densities[:, trial] = random_unit_density(rng, res).samples
+    densities = _unit_densities(rng, res, trials)
     w, cbt = _cauchy_weights(sequence, order, res, zs)
     integrals = w @ (densities * cbt[:, None]) / res
     random_max = np.abs(bz[:, None] * integrals).max(axis=1, initial=0.0)

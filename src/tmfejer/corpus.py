@@ -17,7 +17,7 @@ from numpy.polynomial import polynomial as P
 
 from tmfejer.blaschke import PointSequence, _flatten, _restore, eval_blaschke
 from tmfejer.operators import AnalyticTestFunction
-from tmfejer.quadrature import BoundaryGridFunction, refined_maximum
+from tmfejer.quadrature import BoundaryGridFunction, _zoom
 
 __all__ = [
     "constant_one",
@@ -172,28 +172,86 @@ def cauchy_transform(density: BoundaryGridFunction, label: str = "") -> Analytic
     )
 
 
+# Random unit densities: trigonometric degree, size of the peak scan and the
+# share of a row's scan maximum above which every scan local maximum is zoomed.
+_DEGREE = 6
+_PEAK_SCAN = 512
+_PEAK_WINDOW = 1.0 - _DEGREE * np.pi / _PEAK_SCAN
+_ORDERS = np.arange(-_DEGREE, _DEGREE + 1)
+
+
+def _peak_windows(g: np.ndarray) -> np.ndarray:
+    """Window centres, one row per coefficient row of g, for the peak search of |p|.
+
+    A row's windows sit on its scan local maxima that reach `_PEAK_WINDOW`
+    of the row's scan maximum, padded with the scan argmax to a common
+    width.
+    """
+    spectrum = np.zeros((g.shape[0], _PEAK_SCAN), dtype=np.complex128)
+    spectrum[:, _ORDERS] = g
+    scan = np.abs(np.fft.ifft(spectrum, axis=1))
+    del spectrum  # Few live temporaries: the heap's high-water mark stays resident.
+    ring = np.concatenate((scan[:, -1:], scan, scan[:, :1]), axis=1)
+    top = (scan >= ring[:, :-2]) & (scan >= ring[:, 2:])
+    top &= scan >= _PEAK_WINDOW * scan.max(axis=1, keepdims=True)
+    rows, cols = np.nonzero(top)
+    tops = np.bincount(rows, minlength=g.shape[0])
+    idx = np.repeat(scan.argmax(axis=1)[:, None], tops.max(initial=1), axis=1)
+    idx[rows, np.arange(rows.size) - np.repeat(np.cumsum(tops) - tops, tops)] = cols
+    return (2.0 * np.pi / _PEAK_SCAN) * idx
+
+
+def _unit_densities(rng: np.random.Generator, resolution: int, count: int) -> np.ndarray:
+    """Samples of `count` random unit densities as the columns of a (resolution, count) array.
+
+    Column k is what the k-th of `count` successive `random_unit_density`
+    calls on the same generator returns.
+    """
+    draws = rng.standard_normal((count, 2, 2 * _DEGREE + 1))
+    g = draws[:, 0] + 1j * draws[:, 1]
+
+    def negative_modulus(theta):
+        w = np.exp(1j * theta)
+        acc = np.broadcast_to(g[:, -1:], w.shape)
+        for k in range(2 * _DEGREE - 1, -1, -1):
+            acc = g[:, k : k + 1] + acc * w
+        return -np.abs(acc)
+
+    x = _peak_windows(g)
+    _, v = _zoom(negative_modulus, x, np.full(x.shape, np.inf), 2.0 * np.pi / _PEAK_SCAN)
+    # Column by column into one array: a zero-padded (resolution, count)
+    # spectrum would double the live size of the result.
+    samples = np.empty((resolution, count), dtype=np.complex128)
+    spectrum = np.zeros(resolution, dtype=np.complex128)
+    for k in range(count):
+        spectrum[_ORDERS] = g[k]
+        samples[:, k] = np.fft.ifft(spectrum)
+    samples *= resolution / -v.min(axis=1)
+    return samples
+
+
 def random_unit_density(rng: np.random.Generator, resolution: int = 4096) -> BoundaryGridFunction:
     """Random trigonometric polynomial of degree 6 with true sup norm one on the circle.
 
-    Coefficients g_m, |m| <= 6, are complex Gaussian.  The sum
-    sum_m g_m e^{im theta} equals e^{-6i theta} p(e^{i theta}) for the
-    polynomial p(w) = sum_m g_m w^{m + 6} of degree 12, so its modulus is
-    |p(e^{i theta})|: one exp per angle and a Horner pass.  The scale
-    divides out the refined maximum of |mu| rather than a grid maximum, so
-    the bound sup|mu| <= 1 holds up to the refinement tolerance and not
-    merely at the nodes.  The samples are the inverse FFT of the 13
-    coefficients zero-padded to `resolution`; a grid holds at least 16
-    points, so they never alias.
+    Coefficients g_m, |m| <= 6, are complex Gaussian: 13 real parts, then
+    13 imaginary parts.  The sum sum_m g_m e^{im theta} equals
+    e^{-6i theta} p(e^{i theta}) for the polynomial p(w) = sum_m g_m w^{m + 6}
+    of degree 12, so its modulus is |p(e^{i theta})|.  The scale divides out
+    the refined maximum of |mu| rather than a grid maximum, so the bound
+    sup|mu| <= 1 holds up to the refinement tolerance and not merely at the
+    nodes.  The peak search scans |mu| on 512 angles with one FFT, then
+    zooms (Horner passes of p) on every scan local maximum that reaches
+    1 - 6 pi / 512 of the scan maximum.  That window rule is Bernstein's
+    inequality: |mu'| <= 6 sup|mu| for degree 6, so the scan angle nearest
+    the true peak, half a step away at most, reaches that share of it, and
+    the one-step window of the scan local maximum beside it holds the peak.
+    A fixed number of windows would miss a higher peak that falls between
+    scan angles when a lower one sits on the grid.  The samples are the
+    inverse FFT of the 13 coefficients zero-padded to `resolution`; a grid
+    holds at least 16 points, so they never alias.  Densities drawn
+    together share one scan FFT and one zoom.
     """
-    g = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-
-    def poly(theta):
-        return P.polyval(np.exp(1j * np.asarray(theta, dtype=np.float64)), g)
-
-    _, peak = refined_maximum(lambda theta: np.abs(poly(theta)))
-    spectrum = np.zeros(resolution, dtype=np.complex128)
-    spectrum[np.arange(-6, 7)] = g
-    return BoundaryGridFunction(np.fft.ifft(spectrum) * (resolution / peak))
+    return BoundaryGridFunction(_unit_densities(rng, resolution, 1)[:, 0])
 
 
 def standard_corpus() -> tuple:

@@ -105,6 +105,33 @@ def norms(f: BoundaryGridFunction) -> NormReport:
     )
 
 
+def _zoom(
+    fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, v: np.ndarray, half: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zoom F functions in on W windows each; return the refined (F, W) x and v.
+
+    x holds the window centres and v their values (inf when unknown).  `fn`
+    maps an (F, K) array of angles to the (F, K) values, row f of the angles
+    through function f.  Each round samples 33 equispaced angles across
+    every window of half-width `half` in one call, recentres each window on
+    its best point and narrows it 16-fold, until the half-width is below
+    1e-10.  A point replaces the centre only when strictly lower.
+    """
+    shape = x.shape
+    x, v = x.ravel(), v.ravel()
+    rows = np.arange(x.size)
+    while half >= _TOL:
+        pts = x[:, None] + half * _OFFSETS
+        f = np.asarray(fn(pts.reshape(shape[0], shape[1] * _OFFSETS.size)), dtype=np.float64)
+        f = f.reshape(pts.shape)
+        j = f.argmin(axis=1)
+        better = f[rows, j] < v
+        x = np.where(better, pts[rows, j], x)
+        v = np.where(better, f[rows, j], v)
+        half /= _ZOOM
+    return x.reshape(shape), v.reshape(shape)
+
+
 def refined_minimum(
     fn: Callable[[np.ndarray], np.ndarray], candidates=()
 ) -> tuple[float, float]:
@@ -124,21 +151,12 @@ def refined_minimum(
     ang = 2.0 * np.pi * np.arange(_SCAN) / _SCAN
     vals = np.asarray(fn(ang), dtype=np.float64)
     i = int(vals.argmin())
-    x = np.array([ang[i], *candidates], dtype=np.float64)
-    v = np.full(x.size, np.inf)
-    v[0] = vals[i]
-    rows = np.arange(x.size)
-    half = 2.0 * np.pi / _SCAN
-    while half >= _TOL:
-        pts = x[:, None] + half * _OFFSETS
-        f = np.asarray(fn(pts.ravel()), dtype=np.float64).reshape(pts.shape)
-        j = f.argmin(axis=1)
-        better = f[rows, j] < v
-        x = np.where(better, pts[rows, j], x)
-        v = np.where(better, f[rows, j], v)
-        half /= _ZOOM
+    x = np.array([[ang[i], *candidates]], dtype=np.float64)
+    v = np.full(x.shape, np.inf)
+    v[0, 0] = vals[i]
+    x, v = _zoom(lambda a: np.asarray(fn(a[0]))[None], x, v, 2.0 * np.pi / _SCAN)
     k = int(v.argmin())
-    return float(x[k]), float(v[k])
+    return float(x[0, k]), float(v[0, k])
 
 
 def refined_maximum(

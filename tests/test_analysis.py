@@ -28,6 +28,7 @@ from tmfejer.quadrature import (
     NoConvergence,
     default_resolution,
     refined_maximum,
+    refined_minimum,
 )
 from tmfejer.tm_basis import TMBasis
 
@@ -80,6 +81,18 @@ class TestDiagnostics:
 
             _, sup = refined_maximum(inv)
             assert sup == pytest.approx(d.sup_inverse, abs=1e-9)
+
+    def test_scan_shared_by_minimum_and_mean(self, seq_mixed):
+        # The minimum is refined_minimum's and the mean is over its scan, exactly.
+        grid = 2.0 * np.pi * np.arange(8192) / 8192
+        for n in (3, 6):
+
+            def ev(theta, n=n):
+                return np.asarray(boundary_derivative_modulus(seq_mixed, n, theta))
+
+            d = diagnose_sequence(seq_mixed, n)
+            assert d.derivative_l1 == float(ev(grid).mean())
+            assert (d.argmin_angle, d.frostman_min) == refined_minimum(ev)
 
     def test_order_validation(self, seq_short):
         with pytest.raises(ValueError):
@@ -163,6 +176,11 @@ class TestVoronovskaya:
             )
             want = abs(complex(delta(k, basis, r.z)) - complex(k.derivative(r.z)))
             assert r.extremal_value == pytest.approx(want, rel=1e-12)
+
+    def test_no_trials_leaves_random_max_zero(self, seq_mixed):
+        rows = voronovskaya_experiment(seq_mixed, 6, probes=4, trials=0, seed=4)
+        assert [r.random_max for r in rows] == [0.0] * 4
+        assert all(r.extremal_value == pytest.approx(r.bound, abs=1e-7) for r in rows)
 
     def test_densities_follow_grid_n(self, seq_mixed, monkeypatch):
         calls = []

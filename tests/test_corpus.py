@@ -6,6 +6,7 @@ import pytest
 from conftest import central_difference, circle_grid, schur_corpus
 from tmfejer.analysis import interior_probes
 from tmfejer.corpus import (
+    _unit_densities,
     blaschke_multiple,
     cauchy_transform,
     constant_one,
@@ -133,6 +134,58 @@ class TestRandomDensities:
         a = random_unit_density(np.random.default_rng(9), 1024)
         b = random_unit_density(np.random.default_rng(9), 1024)
         assert np.array_equal(a.samples, b.samples)
+
+    def test_batch_equals_successive_draws(self):
+        rng = np.random.default_rng(17)
+        batch = _unit_densities(rng, 1024, 12)
+        after_batch = rng.standard_normal()
+        rng = np.random.default_rng(17)
+        one_by_one = np.stack([random_unit_density(rng, 1024).samples for _ in range(12)], axis=1)
+        assert batch.shape == (1024, 12)
+        assert np.abs(batch - one_by_one).max() < 1e-13
+        assert rng.standard_normal() == after_batch
+
+    def test_peaks_certified_on_a_fine_grid(self):
+        # 500 draws: no sample of a 2^16-angle grid exceeds one.  The grid can
+        # sit half a step (4.8e-5) off a peak and read up to 18 (4.8e-5)^2 =
+        # 4e-8 below it, so the lower check refines around each grid maximum
+        # with the coefficients read back from 16 of the samples.
+        rng = np.random.default_rng(11)
+        n, ms = 2**16, np.arange(-6, 7)
+        step = 2.0 * np.pi / n
+        for _ in range(50):
+            mu = _unit_densities(rng, n, 10)
+            mod = np.abs(mu)
+            assert mod.max() <= 1.0 + 1e-12
+            h = (np.fft.fft(mu[:: n // 16], axis=0) / 16)[ms]
+            around = step * (mod.argmax(axis=0) + np.linspace(-1.0, 1.0, 257)[:, None])
+            local = np.abs(np.einsum("kcm,mc->kc", np.exp(1j * around[..., None] * ms), h))
+            assert local.max(axis=0).min() >= 1.0 - 1e-9
+            assert local.max() <= 1.0 + 1e-12
+
+    def test_nearly_tied_peaks_take_the_higher(self):
+        # Two Fejer bumps of degree 6, the higher midway between the scan
+        # angles 100 and 101 of 512, the lower on scan angle 356 and 9.6e-5
+        # below it: the scan's best point is on the lower bump, so a density
+        # scaled by a one-window search would exceed one on the higher.
+        ms = np.arange(-6, 7)
+        h = 2.0 * np.pi / 512
+        g = (1.0 - np.abs(ms) / 7.0) * (
+            np.exp(-1j * ms * 100.5 * h) + 0.9999 * np.exp(-1j * ms * 356 * h)
+        )
+        scan = np.abs(np.exp(1j * np.outer(h * np.arange(512), ms)) @ g)
+        assert scan.argmax() == 356
+
+        class Drawn:
+            """Hands out g as the generator's normals."""
+
+            def standard_normal(self, size):
+                return np.stack([g.real, g.imag]).reshape(size)
+
+        mod = np.abs(_unit_densities(Drawn(), 2**16, 1)[:, 0])
+        assert mod.max() <= 1.0 + 1e-12
+        assert abs(mod.argmax() / 2**16 * 512 - 100.5) < 1.0
+        assert mod.max() >= 1.0 - 1e-7
 
 
 class TestCorpusShape:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tmfejer.quadrature import (
     BoundaryGridFunction,
+    _zoom,
     default_resolution,
     next_power_of_two,
     norms,
@@ -132,6 +133,25 @@ class TestRefinement:
         refined_minimum(ev, candidates=(1.0, 4.0))
         assert len(sizes) <= 7
         assert min(sizes) >= 33
+
+    def test_zoom_rows_are_independent(self):
+        # Three functions with two windows each zoom as three one-row calls.
+        shifts = np.array([[0.7], [2.0], [-1.1]])
+
+        def ev(th):
+            return np.cos(th - shifts[: th.shape[0]]) + 0.1 * np.cos(5 * th)
+
+        x0 = np.array([[3.5, 1.0], [5.0, 4.0], [2.0, 0.3]])
+        v0 = np.array([[np.inf, 0.2], [np.inf, np.inf], [-0.5, np.inf]])
+        x, v = _zoom(ev, x0, v0, 0.05)
+        for f in range(3):
+
+            def one(th, f=f):
+                return np.cos(th - shifts[f]) + 0.1 * np.cos(5 * th)
+
+            xf, vf = _zoom(one, x0[f : f + 1], v0[f : f + 1], 0.05)
+            assert np.array_equal(x[f : f + 1], xf)
+            assert np.array_equal(v[f : f + 1], vf)
 
 
 class TestResolutions:
