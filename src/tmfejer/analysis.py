@@ -3,6 +3,16 @@
 Each driver returns a list of frozen row objects with a `to_row` method
 producing flat dictionaries (complex values split into re/im), which is
 what the command line layer serializes.
+
+The TM system is nested, phi_k depending on a_0..a_k alone, so the
+drivers that sweep orders, `convergence_experiment`,
+`cesaro_counterexample` and `_diagnose_orders` (the `frostman` report),
+evaluate up to _ORDERS_PER_PASS orders in one pass over the poles: one
+recursion with a coefficient column per order, one set of basis rows at
+the largest order, or one running Frostman sum.  Every extremum of the
+pass is then refined in one multi-row zoom.  Each row equals the
+one-order call bit for bit.  `voronovskaya_experiment` and
+`saturation_check` take one order per call.
 """
 
 from __future__ import annotations
@@ -11,24 +21,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tmfejer.blaschke import PointSequence, boundary_derivative_modulus, eval_blaschke
+from tmfejer.blaschke import PointSequence, _frostman_prefixes, _recurse, eval_blaschke
 from tmfejer.corpus import _unit_densities, constant_one, standard_corpus
 from tmfejer.operators import (
     AnalyticTestFunction,
     _cauchy_weights,
-    cesaro_mean,
+    _cesaro_from_rows,
+    _rusak_from_rows,
+    _sigma_from_sums,
     coefficients_of,
     sigma_positive,
-    sigma_rusak,
 )
 from tmfejer.quadrature import (
+    _SCAN,
     BoundaryGridFunction,
     NoConvergence,
-    _zoom,
+    _refined_minima,
+    _scan_angles,
     default_resolution,
     refined_maximum,
 )
-from tmfejer.tm_basis import TMBasis
+from tmfejer.tm_basis import TMBasis, phi_values
 
 __all__ = [
     "SequenceDiagnostics",
@@ -44,7 +57,9 @@ __all__ = [
     "cesaro_counterexample",
 ]
 
-_SCAN = 8192
+# Most orders that one pass over the poles carries: each adds (F, M)
+# buffers to the recursion and the scans, so this caps their memory.
+_ORDERS_PER_PASS = 8
 # Largest |derivative_l1 - n| that diagnose_sequence accepts (C10's tolerance).
 _L1_TOL = 1e-10
 # Largest |extremal_value - bound| that voronovskaya_experiment accepts: the
@@ -61,6 +76,34 @@ def interior_probes(count: int) -> np.ndarray:
     angles = 2.0 * np.pi * ((ks * golden) % 1.0)
     r = np.array([0.3, 0.55, 0.75, 0.88])[ks % 4]
     return r * np.exp(1j * angles)
+
+
+def _by_pass(orders, run) -> list:
+    """One row per entry of `orders`, in the order given.
+
+    `run` maps a list of strictly increasing orders, at most
+    _ORDERS_PER_PASS of them, to their rows in one pass over the poles;
+    the distinct orders go through it in increasing runs.
+    """
+    distinct = sorted(set(orders))
+    rows = {}
+    for i in range(0, len(distinct), _ORDERS_PER_PASS):
+        part = distinct[i : i + _ORDERS_PER_PASS]
+        rows.update(zip(part, run(part)))
+    return [rows[n] for n in orders]
+
+
+def _own_rows(fn):
+    """`_zoom`'s fn from fn mapping M shared angles to (F, M) values: all
+    F x K angles go through fn at once and row f keeps its own K.  That is
+    F times the work of the own angles alone, which on zoom windows costs
+    less than F separate calls."""
+
+    def own(a):
+        f, k = a.shape
+        return fn(a.ravel()).reshape(f, f, k)[np.arange(f), np.arange(f)]
+
+    return own
 
 
 def _boundary_error(f: AnalyticTestFunction, basis: TMBasis, coeffs):
@@ -116,33 +159,46 @@ def diagnose_sequence(sequence: PointSequence, order: int) -> SequenceDiagnostic
     up to the closed-form error of `_l1_drift`; past 1e-10, as for poles
     near the circle, NoConvergence is raised.
     """
+    return _diagnose_orders(sequence, [order])[0]
 
-    def ev(theta):
-        return np.asarray(boundary_derivative_modulus(sequence, order, theta))
 
-    grid = 2.0 * np.pi * np.arange(_SCAN) / _SCAN
-    vals = ev(grid)
-    i = int(vals.argmin())
-    x, fmin = _zoom(
-        lambda a: ev(a[0])[None], np.array([[grid[i]]]), np.array([[vals[i]]]), 2.0 * np.pi / _SCAN
-    )
-    # After the scan, whose call has rejected an order outside the sequence.
-    drift = _l1_drift(sequence, order)
-    if abs(drift) > _L1_TOL:
-        raise NoConvergence(
-            f"the {_SCAN}-angle mean of |B_n'| misses order {order} by {drift:.2e}; "
-            f"poles too close to the circle"
+def _diagnose_orders(sequence: PointSequence, orders) -> list[SequenceDiagnostics]:
+    """diagnose_sequence at every order, each row equal to its one-order call.
+
+    Each pass takes the scans of all its orders from one running sum
+    over the per-pole Frostman terms and zooms in on all their minima at
+    once.  Raises for the first order, in increasing order, that
+    diagnose_sequence would refuse.
+    """
+    return _by_pass(orders, lambda part: _diagnose_pass(sequence, part))
+
+
+def _diagnose_pass(sequence: PointSequence, orders: list) -> list[SequenceDiagnostics]:
+    """The rows of at most _ORDERS_PER_PASS strictly increasing orders."""
+    vals = _frostman_prefixes(sequence, orders, _scan_angles())
+    fn = _own_rows(lambda a: _frostman_prefixes(sequence, orders, a))
+    x, fmin = _refined_minima(fn, vals, np.empty((len(orders), 0)))
+    rows = []
+    for j, n in enumerate(orders):
+        drift = _l1_drift(sequence, n)
+        if abs(drift) > _L1_TOL:
+            raise NoConvergence(
+                f"the {_SCAN}-angle mean of |B_n'| misses order {n} by {drift:.2e}; "
+                f"poles too close to the circle"
+            )
+        moduli = np.abs(sequence.as_array()[:n])
+        rows.append(
+            SequenceDiagnostics(
+                order=n,
+                blaschke_sum=float((1.0 - moduli).sum()),
+                frostman_min=float(fmin[j]),
+                argmin_angle=float(x[j]),
+                sup_inverse=1.0 / float(fmin[j]),
+                derivative_l1=float(vals[j].mean()),
+                product_modulus=float(np.prod(moduli)),
+            )
         )
-    moduli = np.abs(sequence.as_array()[:order])
-    return SequenceDiagnostics(
-        order=order,
-        blaschke_sum=float((1.0 - moduli).sum()),
-        frostman_min=float(fmin[0, 0]),
-        argmin_angle=float(x[0, 0]),
-        sup_inverse=1.0 / float(fmin[0, 0]),
-        derivative_l1=float(vals.mean()),
-        product_modulus=float(np.prod(moduli)),
-    )
+    return rows
 
 
 @dataclass(frozen=True)
@@ -184,31 +240,56 @@ def convergence_experiment(
     prod |a_k|^2 <= 1 - prod |a_k| for the lower half.  The L^1 and L^2
     columns are means over `grid_n` angles (default_resolution(n) when
     None); the coefficients come from coefficients_of's contour and do not
-    depend on it.
+    depend on it.  The orders share passes over the poles; each row equals
+    the one-order call.
     """
+    orders = [int(n) for n in orders]
+    return _by_pass(orders, lambda part: _convergence_pass(f, sequence, part, grid_n))
+
+
+def _convergence_pass(f, sequence, orders: list, grid_n) -> list[ConvergenceRow]:
+    """The rows of at most _ORDERS_PER_PASS strictly increasing orders: one
+    recursion per set of angles carries every order's S_n, S_n', B_n, B_n'."""
+    coeffs = np.zeros((orders[-1], len(orders)), dtype=np.complex128)
+    for j, n in enumerate(orders):
+        coeffs[:n, j] = coefficients_of(f, TMBasis(sequence, n))[n - 1 :]
+    diags = _diagnose_pass(sequence, orders)
+
+    def errors(theta, cols):
+        """|f - sigma_positive(f)| at the angles theta for the orders in cols."""
+        t = np.exp(1j * theta)
+        part = [orders[j] for j in cols]
+        sums = _recurse(sequence, part[-1], t, c=coeffs[: part[-1], cols], orders=part)
+        return np.abs(np.asarray(f.value(t)) - _sigma_from_sums(*sums))
+
+    every = list(range(len(orders)))
+    cand = np.array([[d.argmin_angle] for d in diags])
+    _, v = _refined_minima(
+        _own_rows(lambda a: -errors(a, every)), -errors(_scan_angles(), every), cand
+    )
+    res = [grid_n or default_resolution(n) for n in orders]
+    means = {}
+    for r in dict.fromkeys(res):
+        cols = [j for j in every if res[j] == r]
+        grid = 2.0 * np.pi * np.arange(r) / r
+        err = errors(grid, cols)
+        inv = 1.0 / _frostman_prefixes(sequence, [orders[j] for j in cols], grid)
+        for e, i, j in zip(err, inv, cols):
+            means[j] = (float(e.mean()), float(np.sqrt((e**2).mean())), float(i.mean()))
     rows = []
-    for n in orders:
-        n = int(n)
-        basis = TMBasis(sequence, n)
-        coeffs = coefficients_of(f, basis)
-        diag = diagnose_sequence(sequence, n)
-        ev = _boundary_error(f, basis, coeffs)
-        _, err_sup = refined_maximum(ev, candidates=(diag.argmin_angle,))
-        res = grid_n or default_resolution(n)
-        grid = 2.0 * np.pi * np.arange(res) / res
-        err = ev(grid)
-        inv = 1.0 / np.asarray(boundary_derivative_modulus(sequence, n, grid))
+    for j, (n, diag) in enumerate(zip(orders, diags)):
+        l1, l2, inv_mean = means[j]
         pm2 = diag.product_modulus**2
         rows.append(
             ConvergenceRow(
                 order=n,
-                error_sup=float(err_sup),
-                error_l1=float(err.mean()),
-                error_l2=float(np.sqrt((err**2).mean())),
+                error_sup=-float(v[j]),
+                error_l1=l1,
+                error_l2=l2,
                 upper_sup=2.0 * diag.sup_inverse,
                 lower_sup=pm2 * diag.sup_inverse,
-                upper_l1=2.0 * float(inv.mean()),
-                lower_l1=pm2 * float(inv.mean()),
+                upper_l1=2.0 * inv_mean,
+                lower_l1=pm2 * inv_mean,
             )
         )
     return rows
@@ -370,36 +451,58 @@ def cesaro_counterexample(
     attained at the angle pi; `excess` reports one plus the refined sup so
     it reads as an operator-norm lower bound, always above one.  The
     kernel method stays at sup one on the same data (`rusak_sup`), sampled
-    on `grid_n` points (default_resolution(n) when None).
+    on `grid_n` points (default_resolution(n) when None).  The orders
+    share basis rows, computed at the largest order of each pass; each
+    row equals the one-order call.
     """
     arr = np.asarray(values, dtype=np.complex128)
     if arr.size and (np.abs(arr.imag).max() > 0 or arr.real.min() < 0 or arr.real.max() >= 1):
         raise ValueError("counterexample sequences are real with 0 <= a < 1")
     sequence = PointSequence(tuple(float(v.real) for v in arr))
+    orders = [int(n) for n in orders]
+    return _by_pass(
+        orders, lambda part: _counterexample_pass(arr.real, sequence, part, grid_n, probes)
+    )
+
+
+def _counterexample_pass(a, sequence, orders: list, grid_n, probes) -> list[CounterexampleRow]:
+    """The rows of at most _ORDERS_PER_PASS strictly increasing orders, all
+    read from basis rows at the largest of them."""
     e0 = constant_one()
-    rows = []
-    for n in orders:
-        n = int(n)
-        basis = TMBasis(sequence, n)
-        coeffs = coefficients_of(e0, basis)
+    coeffs = [coefficients_of(e0, TMBasis(sequence, n)) for n in orders]
+    top = TMBasis(sequence, orders[-1])
 
-        def ev(theta):
-            t = np.exp(1j * np.asarray(theta, dtype=np.float64))
-            return np.abs(1.0 - np.asarray(cesaro_mean(coeffs, basis, t)))
+    def gaps(theta):
+        """|1 - Cesaro mean| at the angles theta, (F, K) with row f at order
+        f, or (K,) shared by every order."""
+        t = np.exp(1j * theta)
+        vals = phi_values(top, t.reshape(-1))
+        k = t.shape[-1]
+        t = t.reshape(-1, k)
+        rows = []
+        for j, (c, n) in enumerate(zip(coeffs, orders)):
+            i = j if len(t) > 1 else 0
+            rows.append(np.abs(1.0 - _cesaro_from_rows(c, vals[:, i * k : (i + 1) * k], t[i], n)))
+        return np.stack(rows)
 
-        _, sup = refined_maximum(ev, candidates=(np.pi,))
-        closed = 1.0 + float(np.cumprod(arr.real[:n]).sum()) / n
-        grid = BoundaryGridFunction.from_callable(
-            e0.value, grid_n or default_resolution(n)
+    cand = np.full((len(orders), 1), np.pi)
+    _, v = _refined_minima(lambda theta: -gaps(theta), -gaps(_scan_angles()), cand)
+    tp = np.exp(2j * np.pi * np.arange(probes) / probes)
+    res = [grid_n or default_resolution(n) for n in orders]
+    rsup = {}
+    for r in dict.fromkeys(res):
+        cols = [j for j in range(len(orders)) if res[j] == r]
+        grid = BoundaryGridFunction.from_callable(e0.value, r)
+        basis = TMBasis(sequence, orders[cols[-1]])
+        vt, vz = phi_values(basis, grid.points), phi_values(basis, tp)
+        for j in cols:
+            rsup[j] = float(np.abs(_rusak_from_rows(grid.samples, vt, vz, orders[j])).max())
+    return [
+        CounterexampleRow(
+            order=n,
+            excess=1.0 - float(v[j]),
+            closed_form=1.0 + float(np.cumprod(a[:n]).sum()) / n,
+            rusak_sup=rsup[j],
         )
-        tp = np.exp(2j * np.pi * np.arange(probes) / probes)
-        rsup = float(np.abs(np.asarray(sigma_rusak(grid, basis, tp))).max())
-        rows.append(
-            CounterexampleRow(
-                order=n,
-                excess=1.0 + float(sup),
-                closed_form=closed,
-                rusak_sup=rsup,
-            )
-        )
-    return rows
+        for j, n in enumerate(orders)
+    ]

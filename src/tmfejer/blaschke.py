@@ -102,6 +102,7 @@ def _recurse(
     rows: bool = False,
     jet: bool = True,
     c: np.ndarray | None = None,
+    orders=None,
 ):
     """Run the basis recursion over the first n poles at the flat points zf.
 
@@ -118,15 +119,30 @@ def _recurse(
     unless `jet`; with n coefficients `c` (and `jet`) the last two entries
     are instead the sums S_n = sum_k c_k phi_k and S_n' = sum_k c_k phi_k',
     accumulated step by step so that no n x M row array is formed.  Each
-    step updates its length-M buffers in place.  Raises PoleProximity when
-    z comes within POLE_TOL of a pole; a pole with
-    1 - max|z| |a_k| >= 2 POLE_TOL cannot fire that test and skips it.
+    step updates its length-M buffers in place.
+
+    The functions phi_k depend on a_0..a_k alone, so one pass serves many
+    orders: `c` of shape (n, F) holds one column per entry of `orders`,
+    F non-decreasing orders ending at n, and all four results come
+    back with shape (F, M), row f at order orders[f].  Column f stops
+    accumulating after orders[f] terms (its entries past that are never
+    read), and B, B' are copied out as the pass reaches each order, so
+    every row equals the one-order call bit for bit.
+
+    Raises PoleProximity when z comes within POLE_TOL of a pole; a pole
+    with 1 - max|z| |a_k| >= 2 POLE_TOL cannot fire that test and skips it.
     """
     b = np.ones_like(zf)
     bp = np.zeros_like(zf) if jet else None
+    cols = c is not None and c.ndim == 2
     if c is None:
         vals = np.empty((n, zf.size), dtype=np.complex128) if rows else None
         ders = np.empty((n, zf.size), dtype=np.complex128) if rows and jet else None
+    elif cols:
+        shape = (c.shape[1], zf.size)
+        vals, ders = (np.zeros(shape, dtype=np.complex128) for _ in range(2))
+        tc, bs, bps = (np.empty(shape, dtype=np.complex128) for _ in range(3))
+        lo = 0  # columns before lo have reached their order
     else:
         vals = np.zeros_like(zf)
         ders = np.zeros_like(zf) if jet else None
@@ -147,7 +163,11 @@ def _recurse(
         np.multiply(inv, b, out=q)
         np.subtract(zf, a, out=m)
         m *= inv
-        if vals is not None:
+        if cols:
+            ck = (c[k, lo:] * sw)[:, None]
+            np.multiply(q, ck, out=tc[lo:])
+            vals[lo:] += tc[lo:]
+        elif vals is not None:
             if c is None:
                 np.multiply(q, sw, out=vals[k])
             else:
@@ -159,6 +179,9 @@ def _recurse(
             t *= inv
             if c is None:
                 np.multiply(t, sw, out=ders[k])
+            elif cols:
+                np.multiply(t, ck, out=tc[lo:])
+                ders[lo:] += tc[lo:]
             else:
                 t *= c[k] * sw
                 ders += t
@@ -168,6 +191,13 @@ def _recurse(
             t *= w
             bp += t
         b *= m
+        if cols:
+            while lo < len(orders) and orders[lo] == k + 1:
+                bs[lo] = b
+                bps[lo] = bp
+                lo += 1
+    if cols:
+        return bs, bps, vals, ders
     return b, bp, vals, ders
 
 
@@ -189,15 +219,36 @@ def _flatten_real(x):
     return arr.reshape(-1), arr.shape, arr.ndim == 0
 
 
+def _frostman_terms(sequence: PointSequence, n: int, ang: np.ndarray) -> np.ndarray:
+    """The n x M Poisson terms (1 - |a_k|^2) / |1 - e^{-ix} a_k|^2 at the flat angles ang."""
+    a = sequence.as_array()[:n, None]
+    w = (1.0 - np.abs(a)) * (1.0 + np.abs(a))
+    t = np.exp(1j * ang)[None, :]
+    return w / np.abs(1.0 - np.conj(t) * a) ** 2
+
+
 def boundary_derivative_modulus(sequence: PointSequence, n: int, angle):
     """Partial Frostman sum at t = e^{i*angle}; equals |B_n'(t)| on the circle."""
     _check_order(sequence, n)
     ang, shape, scalar = _flatten_real(angle)
-    a = sequence.as_array()[:n, None]
-    w = (1.0 - np.abs(a)) * (1.0 + np.abs(a))
-    t = np.exp(1j * ang)[None, :]
-    out = (w / np.abs(1.0 - np.conj(t) * a) ** 2).sum(axis=0)
-    return _restore(out, shape, scalar)
+    return _restore(_frostman_terms(sequence, n, ang).sum(axis=0), shape, scalar)
+
+
+def _frostman_prefixes(sequence: PointSequence, orders, ang: np.ndarray) -> np.ndarray:
+    """Partial Frostman sums at the flat angles ang for each of the increasing
+    `orders`, shape (F, M): one running sum over the per-pole terms.
+
+    numpy sums axis 0 of an n x M array row by row, as the running sum
+    does, so each row equals boundary_derivative_modulus at its order bit
+    for bit when M > 1 (a single angle takes the pairwise sum instead).
+    Rows are added in place, which beats np.cumsum along axis 0 here.
+    """
+    for n in orders:
+        _check_order(sequence, n)
+    terms = _frostman_terms(sequence, orders[-1], ang)
+    for k in range(1, len(terms)):
+        terms[k] += terms[k - 1]
+    return terms[np.asarray(orders) - 1]
 
 
 def boundary_phase(sequence: PointSequence, n: int, angle_from, angle_to):

@@ -56,9 +56,9 @@ import numpy as np
 
 from tmfejer import __version__
 from tmfejer.analysis import (
+    _diagnose_orders,
     cesaro_counterexample,
     convergence_experiment,
-    diagnose_sequence,
     saturation_check,
     voronovskaya_experiment,
 )
@@ -358,7 +358,7 @@ def _execute(config: ExperimentConfig) -> dict[str, list]:
     elif config.command == "saturation":
         rows = [r for n in config.orders for r in saturation_check(sequence, int(n))]
     elif config.command == "frostman":
-        rows = [diagnose_sequence(sequence, int(n)) for n in config.orders]
+        rows = _diagnose_orders(sequence, config.orders)
     elif config.command == "counterexample":
         rows = cesaro_counterexample(sequence.as_array(), config.orders, grid_n, config.probes)
     else:

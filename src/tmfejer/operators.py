@@ -260,10 +260,16 @@ def cesaro_mean(coeffs: np.ndarray, basis: TMBasis, t):
     _require_length(coeffs, n, "cesaro_mean")
     tf, shape, scalar = _flatten(t)
     _require_circle(tf, "cesaro_mean")
-    vals = phi_values(basis, tf)
-    rows = np.concatenate([np.conj(tf * vals[: n - 1][::-1]), vals])
+    return _restore(_cesaro_from_rows(coeffs, phi_values(basis, tf), tf, n), shape, scalar)
+
+
+def _cesaro_from_rows(coeffs: np.ndarray, vals: np.ndarray, tf: np.ndarray, n: int) -> np.ndarray:
+    """The order-n Cesaro mean at the flat points tf from rows phi_0, phi_1, ...
+    there; rows past n - 1 are ignored, so one set of rows at the largest
+    order serves every smaller one."""
+    rows = np.concatenate([np.conj(tf * vals[: n - 1][::-1]), vals[:n]])
     weights = 1.0 - np.abs(np.arange(1 - n, n)) / n
-    return _restore((weights * coeffs) @ rows, shape, scalar)
+    return (weights * coeffs) @ rows
 
 
 def fejer_kernel(basis: TMBasis, t, z):
@@ -322,7 +328,12 @@ def sigma_positive(
     if coeffs is None:
         coeffs = coefficients_of(f, basis)
     _require_length(coeffs, n, "sigma_positive")
-    bz, bpz, s, sp = _recurse(basis.sequence, n, zf, c=coeffs[n - 1 :])
+    out = _sigma_from_sums(*_recurse(basis.sequence, n, zf, c=coeffs[n - 1 :]))
+    return _restore(out, shape, scalar)
+
+
+def _sigma_from_sums(bz, bpz, s, sp) -> np.ndarray:
+    """S_n - (B_n/B_n') S_n' from the four outputs of the recursion, any shape."""
     absb = np.abs(bz)
     absbp = np.abs(bpz)
     critical = (absbp < CRITICAL_TOL) & (absb >= CRITICAL_TOL)
@@ -330,8 +341,7 @@ def sigma_positive(
         raise CriticalPoint("B_n' vanishes at an evaluation point where B_n does not")
     node = (absbp < CRITICAL_TOL) & (absb < CRITICAL_TOL)
     ratio = np.where(node, 0.0, bz / np.where(node, 1.0, bpz))
-    out = s - ratio * sp
-    return _restore(out, shape, scalar)
+    return s - ratio * sp
 
 
 def sigma_rusak(f: BoundaryGridFunction, basis: TMBasis, z):
@@ -347,12 +357,18 @@ def sigma_rusak(f: BoundaryGridFunction, basis: TMBasis, z):
     """
     zf, shape, scalar = _flatten(z)
     _require_circle(zf, "sigma_rusak")
-    npts = f.resolution
     vt = phi_values(basis, f.points)
-    gram = (np.conj(vt) * f.samples) @ vt.T / npts
-    vz = phi_values(basis, zf)
-    out = (vz * (gram @ np.conj(vz))).sum(axis=0) / (np.abs(vz) ** 2).sum(axis=0)
+    out = _rusak_from_rows(f.samples, vt, phi_values(basis, zf), basis.order)
     return _restore(out, shape, scalar)
+
+
+def _rusak_from_rows(samples: np.ndarray, vt: np.ndarray, vz: np.ndarray, n: int) -> np.ndarray:
+    """sigma_rusak at order n from basis rows vt on the data's grid and vz at
+    the evaluation points; rows past n - 1 are ignored, so one set of rows
+    at the largest order serves every smaller one."""
+    vt, vz = vt[:n], vz[:n]
+    gram = (np.conj(vt) * samples) @ vt.T / samples.size
+    return (vz * (gram @ np.conj(vz))).sum(axis=0) / (np.abs(vz) ** 2).sum(axis=0)
 
 
 def _cauchy_weights(

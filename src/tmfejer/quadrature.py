@@ -132,6 +132,31 @@ def _zoom(
     return x.reshape(shape), v.reshape(shape)
 
 
+def _scan_angles() -> np.ndarray:
+    """The 8192 uniform scan angles of refined_minimum, fresh for fn to overwrite."""
+    return 2.0 * np.pi * np.arange(_SCAN) / _SCAN
+
+
+def _refined_minima(
+    fn: Callable[[np.ndarray], np.ndarray], vals: np.ndarray, candidates: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refine F minima at once from their scans; return the (F,) angles and values.
+
+    Row f of `vals` holds function f on the 8192 scan angles, and row f of
+    the (F, C) `candidates` its extra angles; `fn` is `_zoom`'s.  Each row
+    zooms in on its grid argmin and its candidates, as refined_minimum
+    does for one function, and keeps the lowest of its windows.
+    """
+    f = np.arange(vals.shape[0])
+    i = vals.argmin(axis=1)
+    x = np.concatenate([_scan_angles()[i][:, None], candidates], axis=1)
+    v = np.full(x.shape, np.inf)
+    v[:, 0] = vals[f, i]
+    x, v = _zoom(fn, x, v, 2.0 * np.pi / _SCAN)
+    k = v.argmin(axis=1)
+    return x[f, k], v[f, k]
+
+
 def refined_minimum(
     fn: Callable[[np.ndarray], np.ndarray], candidates=()
 ) -> tuple[float, float]:
@@ -148,15 +173,10 @@ def refined_minimum(
     so the result is never worse than the grid minimum or any candidate's
     own value.  `fn` must accept an array of angles.
     """
-    ang = 2.0 * np.pi * np.arange(_SCAN) / _SCAN
-    vals = np.asarray(fn(ang), dtype=np.float64)
-    i = int(vals.argmin())
-    x = np.array([[ang[i], *candidates]], dtype=np.float64)
-    v = np.full(x.shape, np.inf)
-    v[0, 0] = vals[i]
-    x, v = _zoom(lambda a: np.asarray(fn(a[0]))[None], x, v, 2.0 * np.pi / _SCAN)
-    k = int(v.argmin())
-    return float(x[0, k]), float(v[0, k])
+    vals = np.asarray(fn(_scan_angles()), dtype=np.float64)[None]
+    cand = np.array([candidates], dtype=np.float64)
+    x, v = _refined_minima(lambda a: np.asarray(fn(a[0]))[None], vals, cand)
+    return float(x[0]), float(v[0])
 
 
 def refined_maximum(

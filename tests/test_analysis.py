@@ -1,9 +1,11 @@
 """Experiment drivers: diagnostics, convergence rows, saturation, counterexample."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import zeros_sequence
+from conftest import BRACKET, MIXED, zeros_sequence
 from tmfejer import analysis
 from tmfejer.analysis import (
     cesaro_counterexample,
@@ -248,3 +250,58 @@ class TestCounterexample:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             cesaro_counterexample([0.5], (2,))
+
+
+# A multi-order call returns exactly the rows of one call per order: the
+# bundled sequences, a repeated pole, and orders on two default grid sizes.
+HARMONIC = PointSequence(tuple(1.0 - 1.0 / (k + 1.0) for k in range(1, 101)))
+REPEATED = (0.5, 0.3, 0.5, 0.5, 0.2)
+MULTI_ORDER_CASES = [
+    (PointSequence(BRACKET), [1, 2, 3, 4, 6, 8]),
+    (PointSequence(MIXED), [2, 4, 8]),
+    (HARMONIC, [1, 2, 4, 8, 12, 16]),
+    (HARMONIC, [8, 100]),
+    (PointSequence(REPEATED), [1, 2, 3, 4, 5]),
+]
+CASE_IDS = ["bracket", "mixed", "harmonic", "two-grids", "repeated"]
+
+
+class TestOrdersInOnePass:
+    @pytest.mark.parametrize("seq,orders", MULTI_ORDER_CASES, ids=CASE_IDS)
+    def test_diagnostics(self, seq, orders):
+        want = [diagnose_sequence(seq, n) for n in orders]
+        assert analysis._diagnose_orders(seq, orders) == want
+
+    def test_diagnostics_over_several_passes_in_any_order(self):
+        orders = [16, *range(1, 13), 3]
+        want = [diagnose_sequence(HARMONIC, n) for n in orders]
+        assert analysis._diagnose_orders(HARMONIC, orders) == want
+
+    @pytest.mark.parametrize("seq,orders", MULTI_ORDER_CASES, ids=CASE_IDS)
+    def test_convergence(self, seq, orders):
+        f = identity_map()
+        want = [convergence_experiment(f, seq, [n])[0] for n in orders]
+        assert convergence_experiment(f, seq, orders) == want
+
+    @pytest.mark.parametrize(
+        "values,orders",
+        [([0.5] * 8, [1, 2, 3, 4, 6, 8]), ([0.5] * 100, [8, 100]), (REPEATED, [1, 2, 3, 4, 5])],
+        ids=["bundled", "two-grids", "repeated"],
+    )
+    def test_counterexample(self, values, orders):
+        want = [cesaro_counterexample(values, [n])[0] for n in orders]
+        assert cesaro_counterexample(values, orders) == want
+
+    def test_memory_flat_in_the_number_of_orders(self):
+        rng = np.random.default_rng(1)
+        seq = PointSequence(tuple(0.5 * rng.random(64) * np.exp(2j * np.pi * rng.random(64))))
+
+        def peak(orders):
+            tracemalloc.start()
+            try:
+                convergence_experiment(identity_map(), seq, orders)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(range(1, 65)) <= 1.1 * peak(range(57, 65))

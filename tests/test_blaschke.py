@@ -13,6 +13,8 @@ from conftest import angles, central_difference, disc_points, small_sequences
 from tmfejer.blaschke import (
     PointSequence,
     PoleProximity,
+    _frostman_prefixes,
+    _recurse,
     boundary_derivative_modulus,
     boundary_phase,
     eval_blaschke,
@@ -183,3 +185,39 @@ class TestBoundaryPhase:
         grid = boundary_phase(seq_mixed, 8, x, y)
         assert grid.shape == (m, m)
         assert np.array_equal(grid, boundary_phase(seq_mixed, 8, xb, yb))
+
+
+class TestOrdersInOnePass:
+    # A repeated order: two coefficient columns of the same order.
+    ORDERS = [1, 3, 3, 8]
+
+    def test_columns_equal_one_order_calls(self, seq_mixed):
+        rng = np.random.default_rng(4)
+        c = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
+        # Circle and interior points, and a_2, a zero of B_n from n = 3 on.
+        zf = np.concatenate(
+            [np.exp(2j * np.pi * np.arange(16) / 16), 0.6 * np.exp(1j * np.arange(5.0))]
+        )
+        zf = np.append(zf, seq_mixed.points[2])
+        many = _recurse(seq_mixed, 8, zf, c=c, orders=self.ORDERS)
+        for j, n in enumerate(self.ORDERS):
+            one = _recurse(seq_mixed, n, zf, c=c[:n, j])
+            for got, want in zip(many, one):
+                assert got[j].tobytes() == want.tobytes()
+        assert np.all(many[0][1:, -1] == 0.0)
+
+    def test_pole_proximity_names_the_same_pole(self, seq_short):
+        z = np.array([0.2, 1.0 / np.conj(seq_short.points[1])])
+        c = np.ones((3, 3), dtype=np.complex128)
+        with pytest.raises(PoleProximity) as one:
+            _recurse(seq_short, 3, z, c=c[:, 2])
+        with pytest.raises(PoleProximity) as many:
+            _recurse(seq_short, 3, z, c=c, orders=[1, 2, 3])
+        assert "phi_1" in str(one.value)
+        assert str(many.value) == str(one.value)
+
+    def test_frostman_prefixes_equal_one_order_sums(self, seq_mixed):
+        ang = 2.0 * np.pi * np.arange(33) / 33
+        rows = _frostman_prefixes(seq_mixed, self.ORDERS, ang)
+        for row, n in zip(rows, self.ORDERS):
+            assert row.tobytes() == boundary_derivative_modulus(seq_mixed, n, ang).tobytes()

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tmfejer.analysis import diagnose_sequence
+from tmfejer.analysis import _diagnose_orders
 from tmfejer.cli import (
     ExperimentConfig,
     ParseError,
@@ -194,10 +194,11 @@ class TestCommands:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_non_finite_output_refused(self, tmp_path, monkeypatch, capsys, fmt, bad):
-        def spoiled(sequence, order):
-            return dataclasses.replace(diagnose_sequence(sequence, order), derivative_l1=bad)
+        def spoiled(sequence, orders):
+            rows = _diagnose_orders(sequence, orders)
+            return [dataclasses.replace(r, derivative_l1=bad) for r in rows]
 
-        monkeypatch.setattr("tmfejer.cli.diagnose_sequence", spoiled)
+        monkeypatch.setattr("tmfejer.cli._diagnose_orders", spoiled)
         cfg = write_cfg(tmp_path, MINIMAL + "orders = [1, 2]\n")
         out = tmp_path / f"r.{fmt}"
         assert main(["frostman", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 2
@@ -207,11 +208,12 @@ class TestCommands:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_signed_zeros_keep_their_sign(self, tmp_path, monkeypatch, fmt):
         # 0.0 == -0.0, yet each is written with its own sign.
-        def signed(sequence, order):
-            zero = -0.0 if order % 2 else 0.0
-            return dataclasses.replace(diagnose_sequence(sequence, order), argmin_angle=zero)
+        def signed(sequence, orders):
+            rows = _diagnose_orders(sequence, orders)
+            zeros = [-0.0 if r.order % 2 else 0.0 for r in rows]
+            return [dataclasses.replace(r, argmin_angle=z) for r, z in zip(rows, zeros)]
 
-        monkeypatch.setattr("tmfejer.cli.diagnose_sequence", signed)
+        monkeypatch.setattr("tmfejer.cli._diagnose_orders", signed)
         cfg = write_cfg(tmp_path, MINIMAL + "orders = [1, 2, 3, 4]\n")
         out = tmp_path / f"r.{fmt}"
         assert main(["frostman", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
@@ -446,7 +448,7 @@ class TestMainEntry:
         def boom(*args, **kwargs):
             raise NoConvergence("forced")
 
-        monkeypatch.setattr("tmfejer.cli.diagnose_sequence", boom)
+        monkeypatch.setattr("tmfejer.cli._diagnose_orders", boom)
         cfg = write_cfg(tmp_path, MINIMAL)
         assert main(["frostman", "--config", str(cfg)]) == 3
         capsys.readouterr()
@@ -468,6 +470,15 @@ class TestMainEntry:
         assert main(["frostman", "--config", str(cfg), "--out", str(out)]) == 3
         assert not out.exists()
         assert "misses order 9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["frostman", "converge"])
+    def test_first_failing_order_named(self, tmp_path, capsys, command):
+        # All three orders share one pass; the failure is still order 9's.
+        cfg = write_cfg(tmp_path, "sequence = geometric:0.5\norders = [8, 9, 12]\n")
+        out = tmp_path / "r.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "misses order 9 " in capsys.readouterr().err
 
     def test_pole_too_close_to_the_circle(self, tmp_path, capsys):
         # A pole 1e-7 outside the circle needs a contour of about 1e9 points.
