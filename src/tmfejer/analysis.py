@@ -4,20 +4,23 @@ Each driver returns a list of frozen row objects with a `to_row` method
 producing flat dictionaries (complex values split into re/im), which is
 what the command line layer serializes.
 
-The TM system is nested, phi_k depending on a_0..a_k alone, so the
-drivers that sweep orders, `convergence_experiment`,
-`cesaro_counterexample` and `_diagnose_orders` (the `frostman` report),
-evaluate up to _ORDERS_PER_PASS orders in one pass over the poles: one
-recursion with a coefficient column per order, one set of basis rows at
-the largest order, or one running Frostman sum.  Every extremum of the
-pass is then refined in one multi-row zoom.  Each row equals the
-one-order call bit for bit.  `voronovskaya_experiment` and
+The TM system is nested, phi_k depending on a_0..a_k alone, so neither
+phi_k nor the coefficient c_k = <f, phi_k> depends on the order.
+`convergence_experiment` and `cesaro_counterexample` compute one
+coefficient vector on the whole sequence and give order n its slice.
+They and `_diagnose_orders` (the `frostman` report) evaluate up to
+_ORDERS_PER_PASS orders of one default grid in one pass over the poles:
+one recursion that snapshots every order, one set of basis rows at the
+largest order, or one running Frostman sum.  Every extremum of the pass
+is then refined in one multi-row zoom.  Each row equals the one-order
+call on the same sequence bit for bit.  `voronovskaya_experiment` and
 `saturation_check` take one order per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -82,14 +85,16 @@ def _by_pass(orders, run) -> list:
     """One row per entry of `orders`, in the order given.
 
     `run` maps a list of strictly increasing orders, at most
-    _ORDERS_PER_PASS of them, to their rows in one pass over the poles;
-    the distinct orders go through it in increasing runs.
+    _ORDERS_PER_PASS of them and all with the same default_resolution,
+    to their rows in one pass over the poles; the distinct orders go
+    through it in increasing runs.
     """
-    distinct = sorted(set(orders))
     rows = {}
-    for i in range(0, len(distinct), _ORDERS_PER_PASS):
-        part = distinct[i : i + _ORDERS_PER_PASS]
-        rows.update(zip(part, run(part)))
+    for _, same in groupby(sorted(set(orders)), default_resolution):
+        same = list(same)
+        for i in range(0, len(same), _ORDERS_PER_PASS):
+            part = same[i : i + _ORDERS_PER_PASS]
+            rows.update(zip(part, run(part)))
     return [rows[n] for n in orders]
 
 
@@ -239,53 +244,44 @@ def convergence_experiment(
     norm; the two-sided enclosure is the identity-map statement and needs
     prod |a_k|^2 <= 1 - prod |a_k| for the lower half.  The L^1 and L^2
     columns are means over `grid_n` angles (default_resolution(n) when
-    None); the coefficients come from coefficients_of's contour and do not
-    depend on it.  The orders share passes over the poles; each row equals
-    the one-order call.
+    None).  The coefficients come from coefficients_of's contour on the
+    whole sequence, once per call, and order n takes c_0..c_{n-1}; the
+    grid does not reach them.  The orders share passes over the poles;
+    each row equals the one-order call on the same sequence.
     """
     orders = [int(n) for n in orders]
-    return _by_pass(orders, lambda part: _convergence_pass(f, sequence, part, grid_n))
+    size = len(sequence)
+    c = coefficients_of(f, TMBasis(sequence, size))[size - 1 :]
+    return _by_pass(orders, lambda part: _convergence_pass(f, sequence, c, part, grid_n))
 
 
-def _convergence_pass(f, sequence, orders: list, grid_n) -> list[ConvergenceRow]:
-    """The rows of at most _ORDERS_PER_PASS strictly increasing orders: one
-    recursion per set of angles carries every order's S_n, S_n', B_n, B_n'."""
-    coeffs = np.zeros((orders[-1], len(orders)), dtype=np.complex128)
-    for j, n in enumerate(orders):
-        coeffs[:n, j] = coefficients_of(f, TMBasis(sequence, n))[n - 1 :]
+def _convergence_pass(f, sequence, c, orders: list, grid_n) -> list[ConvergenceRow]:
+    """The rows of one pass: one recursion per set of angles carries every
+    order's S_n, S_n', B_n, B_n' from the coefficients c."""
     diags = _diagnose_pass(sequence, orders)
 
-    def errors(theta, cols):
-        """|f - sigma_positive(f)| at the angles theta for the orders in cols."""
+    def errors(theta):
+        """|f - sigma_positive(f)| at the angles theta, row j at orders[j]."""
         t = np.exp(1j * theta)
-        part = [orders[j] for j in cols]
-        sums = _recurse(sequence, part[-1], t, c=coeffs[: part[-1], cols], orders=part)
+        sums = _recurse(sequence, orders[-1], t, c=c[: orders[-1]], orders=orders)
         return np.abs(np.asarray(f.value(t)) - _sigma_from_sums(*sums))
 
-    every = list(range(len(orders)))
     cand = np.array([[d.argmin_angle] for d in diags])
-    _, v = _refined_minima(
-        _own_rows(lambda a: -errors(a, every)), -errors(_scan_angles(), every), cand
-    )
-    res = [grid_n or default_resolution(n) for n in orders]
-    means = {}
-    for r in dict.fromkeys(res):
-        cols = [j for j in every if res[j] == r]
-        grid = 2.0 * np.pi * np.arange(r) / r
-        err = errors(grid, cols)
-        inv = 1.0 / _frostman_prefixes(sequence, [orders[j] for j in cols], grid)
-        for e, i, j in zip(err, inv, cols):
-            means[j] = (float(e.mean()), float(np.sqrt((e**2).mean())), float(i.mean()))
+    _, v = _refined_minima(_own_rows(lambda a: -errors(a)), -errors(_scan_angles()), cand)
+    res = grid_n or default_resolution(orders[0])
+    grid = 2.0 * np.pi * np.arange(res) / res
+    err = errors(grid)
+    inv = 1.0 / _frostman_prefixes(sequence, orders, grid)
     rows = []
     for j, (n, diag) in enumerate(zip(orders, diags)):
-        l1, l2, inv_mean = means[j]
+        inv_mean = float(inv[j].mean())
         pm2 = diag.product_modulus**2
         rows.append(
             ConvergenceRow(
                 order=n,
                 error_sup=-float(v[j]),
-                error_l1=l1,
-                error_l2=l2,
+                error_l1=float(err[j].mean()),
+                error_l2=float(np.sqrt((err[j] ** 2).mean())),
                 upper_sup=2.0 * diag.sup_inverse,
                 lower_sup=pm2 * diag.sup_inverse,
                 upper_l1=2.0 * inv_mean,
@@ -451,25 +447,28 @@ def cesaro_counterexample(
     attained at the angle pi; `excess` reports one plus the refined sup so
     it reads as an operator-norm lower bound, always above one.  The
     kernel method stays at sup one on the same data (`rusak_sup`), sampled
-    on `grid_n` points (default_resolution(n) when None).  The orders
-    share basis rows, computed at the largest order of each pass; each
-    row equals the one-order call.
+    on `grid_n` points (default_resolution(n) when None).  The
+    coefficients of the constant are computed once on the whole sequence,
+    and order n takes the 2n - 1 of them with |k| < n.  The orders share
+    basis rows, computed at the largest order of each pass; each row
+    equals the one-order call.
     """
     arr = np.asarray(values, dtype=np.complex128)
     if arr.size and (np.abs(arr.imag).max() > 0 or arr.real.min() < 0 or arr.real.max() >= 1):
         raise ValueError("counterexample sequences are real with 0 <= a < 1")
     sequence = PointSequence(tuple(float(v.real) for v in arr))
     orders = [int(n) for n in orders]
+    c = coefficients_of(constant_one(), TMBasis(sequence, len(sequence)))
     return _by_pass(
-        orders, lambda part: _counterexample_pass(arr.real, sequence, part, grid_n, probes)
+        orders, lambda part: _counterexample_pass(arr.real, sequence, c, part, grid_n, probes)
     )
 
 
-def _counterexample_pass(a, sequence, orders: list, grid_n, probes) -> list[CounterexampleRow]:
-    """The rows of at most _ORDERS_PER_PASS strictly increasing orders, all
-    read from basis rows at the largest of them."""
-    e0 = constant_one()
-    coeffs = [coefficients_of(e0, TMBasis(sequence, n)) for n in orders]
+def _counterexample_pass(a, sequence, c, orders: list, grid_n, probes) -> list[CounterexampleRow]:
+    """The rows of one pass, all read from basis rows at its largest order;
+    c holds the coefficients of the constant on the whole sequence."""
+    size = len(sequence)
+    windows = [c[size - n : size - 1 + n] for n in orders]
     top = TMBasis(sequence, orders[-1])
 
     def gaps(theta):
@@ -480,29 +479,24 @@ def _counterexample_pass(a, sequence, orders: list, grid_n, probes) -> list[Coun
         k = t.shape[-1]
         t = t.reshape(-1, k)
         rows = []
-        for j, (c, n) in enumerate(zip(coeffs, orders)):
+        for j, (w, n) in enumerate(zip(windows, orders)):
             i = j if len(t) > 1 else 0
-            rows.append(np.abs(1.0 - _cesaro_from_rows(c, vals[:, i * k : (i + 1) * k], t[i], n)))
+            rows.append(np.abs(1.0 - _cesaro_from_rows(w, vals[:, i * k : (i + 1) * k], t[i], n)))
         return np.stack(rows)
 
     cand = np.full((len(orders), 1), np.pi)
     _, v = _refined_minima(lambda theta: -gaps(theta), -gaps(_scan_angles()), cand)
+    grid = BoundaryGridFunction.from_callable(
+        constant_one().value, grid_n or default_resolution(orders[0])
+    )
     tp = np.exp(2j * np.pi * np.arange(probes) / probes)
-    res = [grid_n or default_resolution(n) for n in orders]
-    rsup = {}
-    for r in dict.fromkeys(res):
-        cols = [j for j in range(len(orders)) if res[j] == r]
-        grid = BoundaryGridFunction.from_callable(e0.value, r)
-        basis = TMBasis(sequence, orders[cols[-1]])
-        vt, vz = phi_values(basis, grid.points), phi_values(basis, tp)
-        for j in cols:
-            rsup[j] = float(np.abs(_rusak_from_rows(grid.samples, vt, vz, orders[j])).max())
+    vt, vz = phi_values(top, grid.points), phi_values(top, tp)
     return [
         CounterexampleRow(
             order=n,
             excess=1.0 - float(v[j]),
             closed_form=1.0 + float(np.cumprod(a[:n]).sum()) / n,
-            rusak_sup=rsup[j],
+            rusak_sup=float(np.abs(_rusak_from_rows(grid.samples, vt, vz, n)).max()),
         )
         for j, n in enumerate(orders)
     ]

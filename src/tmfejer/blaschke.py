@@ -122,30 +122,26 @@ def _recurse(
     step updates its length-M buffers in place.
 
     The functions phi_k depend on a_0..a_k alone, so one pass serves many
-    orders: `c` of shape (n, F) holds one column per entry of `orders`,
-    F non-decreasing orders ending at n, and all four results come
-    back with shape (F, M), row f at order orders[f].  Column f stops
-    accumulating after orders[f] terms (its entries past that are never
-    read), and B, B' are copied out as the pass reaches each order, so
-    every row equals the one-order call bit for bit.
+    orders: given `orders` as well, F non-decreasing orders ending at n,
+    the four results are snapshots of B, B', S and S' taken as the pass
+    reaches each order and come back with shape (F, M), row f at order
+    orders[f].  A snapshot at order m equals the one-order call with
+    c[:m] bit for bit.
 
     Raises PoleProximity when z comes within POLE_TOL of a pole; a pole
     with 1 - max|z| |a_k| >= 2 POLE_TOL cannot fire that test and skips it.
     """
     b = np.ones_like(zf)
     bp = np.zeros_like(zf) if jet else None
-    cols = c is not None and c.ndim == 2
     if c is None:
         vals = np.empty((n, zf.size), dtype=np.complex128) if rows else None
         ders = np.empty((n, zf.size), dtype=np.complex128) if rows and jet else None
-    elif cols:
-        shape = (c.shape[1], zf.size)
-        vals, ders = (np.zeros(shape, dtype=np.complex128) for _ in range(2))
-        tc, bs, bps = (np.empty(shape, dtype=np.complex128) for _ in range(3))
-        lo = 0  # columns before lo have reached their order
     else:
         vals = np.zeros_like(zf)
         ders = np.zeros_like(zf) if jet else None
+    if orders is not None:
+        snaps = np.empty((4, len(orders), zf.size), dtype=np.complex128)
+        f = 0  # snapshots before f are taken
     u, q, m, t = (np.empty_like(zf) for _ in range(4))
     zmax = np.abs(zf).max(initial=0.0)
     for k, a in enumerate(sequence.points[:n]):
@@ -163,25 +159,18 @@ def _recurse(
         np.multiply(inv, b, out=q)
         np.subtract(zf, a, out=m)
         m *= inv
-        if cols:
-            ck = (c[k, lo:] * sw)[:, None]
-            np.multiply(q, ck, out=tc[lo:])
-            vals[lo:] += tc[lo:]
-        elif vals is not None:
-            if c is None:
+        if c is None:
+            if vals is not None:
                 np.multiply(q, sw, out=vals[k])
-            else:
-                np.multiply(q, c[k] * sw, out=t)
-                vals += t
+        else:
+            np.multiply(q, c[k] * sw, out=t)
+            vals += t
         if ders is not None:
             np.multiply(q, ac, out=t)
             t += bp
             t *= inv
             if c is None:
                 np.multiply(t, sw, out=ders[k])
-            elif cols:
-                np.multiply(t, ck, out=tc[lo:])
-                ders[lo:] += tc[lo:]
             else:
                 t *= c[k] * sw
                 ders += t
@@ -191,13 +180,12 @@ def _recurse(
             t *= w
             bp += t
         b *= m
-        if cols:
-            while lo < len(orders) and orders[lo] == k + 1:
-                bs[lo] = b
-                bps[lo] = bp
-                lo += 1
-    if cols:
-        return bs, bps, vals, ders
+        if orders is not None:
+            while f < len(orders) and orders[f] == k + 1:
+                snaps[:, f] = b, bp, vals, ders
+                f += 1
+    if orders is not None:
+        return tuple(snaps)
     return b, bp, vals, ders
 
 
@@ -219,33 +207,27 @@ def _flatten_real(x):
     return arr.reshape(-1), arr.shape, arr.ndim == 0
 
 
-def _frostman_terms(sequence: PointSequence, n: int, ang: np.ndarray) -> np.ndarray:
-    """The n x M Poisson terms (1 - |a_k|^2) / |1 - e^{-ix} a_k|^2 at the flat angles ang."""
-    a = sequence.as_array()[:n, None]
-    w = (1.0 - np.abs(a)) * (1.0 + np.abs(a))
-    t = np.exp(1j * ang)[None, :]
-    return w / np.abs(1.0 - np.conj(t) * a) ** 2
-
-
 def boundary_derivative_modulus(sequence: PointSequence, n: int, angle):
     """Partial Frostman sum at t = e^{i*angle}; equals |B_n'(t)| on the circle."""
-    _check_order(sequence, n)
     ang, shape, scalar = _flatten_real(angle)
-    return _restore(_frostman_terms(sequence, n, ang).sum(axis=0), shape, scalar)
+    return _restore(_frostman_prefixes(sequence, [n], ang)[0], shape, scalar)
 
 
 def _frostman_prefixes(sequence: PointSequence, orders, ang: np.ndarray) -> np.ndarray:
     """Partial Frostman sums at the flat angles ang for each of the increasing
-    `orders`, shape (F, M): one running sum over the per-pole terms.
+    `orders`, shape (F, M): one running sum over the per-pole Poisson terms
+    (1 - |a_k|^2) / |1 - e^{-ix} a_k|^2, added row by row in place.
 
-    numpy sums axis 0 of an n x M array row by row, as the running sum
-    does, so each row equals boundary_derivative_modulus at its order bit
-    for bit when M > 1 (a single angle takes the pairwise sum instead).
-    Rows are added in place, which beats np.cumsum along axis 0 here.
+    Every Frostman sum of the package is a prefix of this sum, so a row
+    does not depend on the other orders or angles it is computed with.
     """
     for n in orders:
         _check_order(sequence, n)
-    terms = _frostman_terms(sequence, orders[-1], ang)
+    a = sequence.as_array()[: orders[-1], None]
+    w = (1.0 - np.abs(a)) * (1.0 + np.abs(a))
+    t = np.exp(1j * ang)[None, :]
+    terms = w / np.abs(1.0 - np.conj(t) * a) ** 2
+    # Adding rows in place beats np.cumsum along axis 0 here.
     for k in range(1, len(terms)):
         terms[k] += terms[k - 1]
     return terms[np.asarray(orders) - 1]

@@ -12,8 +12,8 @@ trigonometric system.
 
 phi_values and phi_jet run the first-order recursion of blaschke over the
 poles, which carries B_k and B_k' along with the rows phi_k and phi_k'.
-operators.sigma_positive no longer goes through phi_jet: it has the same
-recursion sum c_k phi_k and c_k phi_k' as it goes, without the rows.
+operators.sigma_positive and the converge report use the same recursion
+without rows: it sums c_k phi_k and c_k phi_k' as it goes.
 The Christoffel-Darboux kernel of the first `order` functions,
 
     K_n(z, t) = sum_{k<n} phi_k(z) conj(phi_k(t)) = (1 - B_n(z) conj(B_n(t))) / (1 - z conj(t)),

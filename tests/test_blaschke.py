@@ -188,12 +188,12 @@ class TestBoundaryPhase:
 
 
 class TestOrdersInOnePass:
-    # A repeated order: two coefficient columns of the same order.
+    # A repeated order: two snapshots at the same order.
     ORDERS = [1, 3, 3, 8]
 
     def test_columns_equal_one_order_calls(self, seq_mixed):
         rng = np.random.default_rng(4)
-        c = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
+        c = rng.normal(size=8) + 1j * rng.normal(size=8)
         # Circle and interior points, and a_2, a zero of B_n from n = 3 on.
         zf = np.concatenate(
             [np.exp(2j * np.pi * np.arange(16) / 16), 0.6 * np.exp(1j * np.arange(5.0))]
@@ -201,16 +201,16 @@ class TestOrdersInOnePass:
         zf = np.append(zf, seq_mixed.points[2])
         many = _recurse(seq_mixed, 8, zf, c=c, orders=self.ORDERS)
         for j, n in enumerate(self.ORDERS):
-            one = _recurse(seq_mixed, n, zf, c=c[:n, j])
+            one = _recurse(seq_mixed, n, zf, c=c[:n])
             for got, want in zip(many, one):
                 assert got[j].tobytes() == want.tobytes()
         assert np.all(many[0][1:, -1] == 0.0)
 
     def test_pole_proximity_names_the_same_pole(self, seq_short):
         z = np.array([0.2, 1.0 / np.conj(seq_short.points[1])])
-        c = np.ones((3, 3), dtype=np.complex128)
+        c = np.ones(3, dtype=np.complex128)
         with pytest.raises(PoleProximity) as one:
-            _recurse(seq_short, 3, z, c=c[:, 2])
+            _recurse(seq_short, 3, z, c=c)
         with pytest.raises(PoleProximity) as many:
             _recurse(seq_short, 3, z, c=c, orders=[1, 2, 3])
         assert "phi_1" in str(one.value)
@@ -221,3 +221,14 @@ class TestOrdersInOnePass:
         rows = _frostman_prefixes(seq_mixed, self.ORDERS, ang)
         for row, n in zip(rows, self.ORDERS):
             assert row.tobytes() == boundary_derivative_modulus(seq_mixed, n, ang).tobytes()
+
+    def test_scalar_angle_equals_array_element(self):
+        # A single angle takes the same running sum as an array of angles.
+        rng = np.random.default_rng(11)
+        poles = 0.9 * np.sqrt(rng.random(16)) * np.exp(2j * np.pi * rng.random(16))
+        seq = PointSequence(tuple(poles))
+        ang = 2.0 * np.pi * rng.random(200)
+        for n in (8, 9, 16):
+            many = boundary_derivative_modulus(seq, n, ang)
+            one = np.array([boundary_derivative_modulus(seq, n, x) for x in ang])
+            assert one.tobytes() == many.tobytes()

@@ -14,6 +14,7 @@ from tmfejer.cli import (
     ParseError,
     SequenceSpec,
     ValidationError,
+    _execute,
     main,
     parse_config,
     run,
@@ -374,6 +375,34 @@ def test_bundled_reports_match_results(tmp_path, monkeypatch, command, report):
         else:
             assert _same(g.split(","), w.split(",")), (g, w)
 
+
+
+POLE_CONVERGE = (
+    "command = converge\nsequence = constant:0.4+0.3j\norders = [1, 3, 5, 7]\n"
+    "function = pole:1.3\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        (ROOT / "scripts" / "configs" / "converge.cfg").read_text(encoding="utf-8"),
+        (ROOT / "scripts" / "configs" / "counterexample.cfg").read_text(encoding="utf-8"),
+        POLE_CONVERGE,
+    ],
+    ids=["converge", "counterexample", "converge-pole"],
+)
+def test_rows_agree_with_single_order_configs(monkeypatch, text):
+    # A single-order config materializes only n poles, so its coefficients
+    # come from another contour sum and agree with the row to rounding.
+    monkeypatch.delenv("TMFEJER_GRID_N", raising=False)
+    config = parse_config(text)
+    many = _execute(config)
+    for i, n in enumerate(config.orders):
+        one = _execute(dataclasses.replace(config, orders=(n,)))
+        assert one["order"] == [n]
+        for key, column in one.items():
+            np.testing.assert_allclose(column[0], many[key][i], rtol=1e-14, atol=1e-15)
 
 class TestGridOverride:
     BODY = (
