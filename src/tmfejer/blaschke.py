@@ -106,20 +106,29 @@ def _recurse(
 ):
     """Run the basis recursion over the first n poles at the flat points zf.
 
-    With u_k = 1 - z*conj(a_k) and w_k = 1 - |a_k|^2 each step sets
+    With u_k = 1 - z*conj(a_k), w_k = 1 - |a_k|^2 and
 
-        phi_k  = sqrt(w_k) B_k / u_k,
-        phi_k' = sqrt(w_k) (conj(a_k) B_k / u_k + B_k') / u_k,
-        B_{k+1}  = B_k (z - a_k) / u_k,
-        B_{k+1}' = B_k' (z - a_k) / u_k + B_k w_k / u_k^2.
+        q_k = B_k / u_k,    r_k = (B_k' + conj(a_k) q_k) / u_k,
 
-    Nothing divides by z - a_k, so zeros of B_n, repeated ones included,
-    are ordinary points.  Returns (B_n, B_n', phi rows, phi' rows) in one
-    of three modes: the rows are None unless `rows`, the derivatives None
+    each step sets
+
+        phi_k  = sqrt(w_k) q_k,            phi_k' = sqrt(w_k) r_k,
+        B_{k+1}  = q_k (z - a_k),          B_{k+1}' = r_k (z - a_k) + q_k,
+
+    the last because conj(a_k) (z - a_k) / u_k + 1 = w_k / u_k.  Nothing
+    divides by z - a_k, so zeros of B_n, repeated ones included, are
+    ordinary points.  Returns (B_n, B_n', phi rows, phi' rows) in one of
+    three modes: the rows are None unless `rows`, the derivatives None
     unless `jet`; with n coefficients `c` (and `jet`) the last two entries
     are instead the sums S_n = sum_k c_k phi_k and S_n' = sum_k c_k phi_k',
-    accumulated step by step so that no n x M row array is formed.  Each
-    step updates its length-M buffers in place.
+    accumulated as S += g_k q_k and S' += g_k r_k with g_k = c_k sqrt(w_k),
+    so that no n x M row array is formed.  Each step updates its length-M
+    buffers in place, in array passes per pole: 15 with coefficients, 7
+    for the rows phi_k alone and 13 with their derivatives, 11 for B_n and
+    B_n' and 6 for B_n alone, plus the pole test where it cannot be
+    skipped.  Every mode forms q, r, B and B' by the same expressions in
+    the same operand order (numpy's complex product need not be bitwise
+    symmetric), so B_n and B_n' agree bit for bit across modes.
 
     The functions phi_k depend on a_0..a_k alone, so one pass serves many
     orders: given `orders` as well, F non-decreasing orders ending at n,
@@ -131,6 +140,17 @@ def _recurse(
     Raises PoleProximity when z comes within POLE_TOL of a pole; a pole
     with 1 - max|z| |a_k| >= 2 POLE_TOL cannot fire that test and skips it.
     """
+    poles = sequence.points[:n]
+    mod = np.abs(np.asarray(poles, dtype=np.complex128))
+    # (1 - |a|)(1 + |a|) keeps full relative accuracy as |a| -> 1.
+    w = (1.0 - mod) * (1.0 + mod)
+    sw = np.sqrt(w)
+    # The per-pole scalars as Python lists: indexing them costs less than
+    # indexing numpy arrays inside the loop.
+    acs = [a.conjugate() for a in poles]
+    near = (1.0 - np.abs(zf).max(initial=0.0) * mod < 2.0 * POLE_TOL).tolist()
+    # g_k = c_k sqrt(w_k) weighs the sums; the rows take g_k = sqrt(w_k).
+    gs = (c[:n] * sw).tolist() if c is not None else sw.tolist()
     b = np.ones_like(zf)
     bp = np.zeros_like(zf) if jet else None
     if c is None:
@@ -142,44 +162,37 @@ def _recurse(
     if orders is not None:
         snaps = np.empty((4, len(orders), zf.size), dtype=np.complex128)
         f = 0  # snapshots before f are taken
-    u, q, m, t = (np.empty_like(zf) for _ in range(4))
-    zmax = np.abs(zf).max(initial=0.0)
-    for k, a in enumerate(sequence.points[:n]):
-        ac = a.conjugate()
-        np.multiply(zf, ac, out=u)
+    u, q = np.empty_like(zf), np.empty_like(zf)
+    r = np.empty_like(zf) if jet else None
+    for k, a in enumerate(poles):
+        np.multiply(zf, acs[k], out=u)
         np.subtract(1.0, u, out=u)
         # |u| >= 1 - max|z| |a|: a pole with that bound above 2 POLE_TOL
         # (the factor 2 dwarfs any rounding) cannot fire, so skip its test.
-        if 1.0 - zmax * abs(a) < 2.0 * POLE_TOL and np.abs(u).min() < POLE_TOL:
+        if near[k] and np.abs(u).min() < POLE_TOL:
             raise PoleProximity(f"point within {POLE_TOL} of the pole of phi_{k}")
-        # (1 - |a|)(1 + |a|) keeps full relative accuracy as |a| -> 1.
-        w = (1.0 - abs(a)) * (1.0 + abs(a))
-        sw = np.sqrt(w)
         inv = np.reciprocal(u, out=u)
         np.multiply(inv, b, out=q)
-        np.subtract(zf, a, out=m)
-        m *= inv
-        if c is None:
-            if vals is not None:
-                np.multiply(q, sw, out=vals[k])
-        else:
-            np.multiply(q, c[k] * sw, out=t)
-            vals += t
-        if ders is not None:
-            np.multiply(q, ac, out=t)
-            t += bp
-            t *= inv
-            if c is None:
-                np.multiply(t, sw, out=ders[k])
-            else:
-                t *= c[k] * sw
-                ders += t
         if jet:
-            bp *= m
-            np.multiply(inv, q, out=t)
-            t *= w
-            bp += t
-        b *= m
+            np.multiply(q, acs[k], out=r)
+            r += bp
+            r *= inv
+        # inv is spent: u now holds the products g_k q_k and g_k r_k, then z - a_k.
+        if c is not None:
+            np.multiply(q, gs[k], out=u)
+            vals += u
+            if jet:
+                np.multiply(r, gs[k], out=u)
+                ders += u
+        elif vals is not None:
+            np.multiply(q, gs[k], out=vals[k])
+            if ders is not None:
+                np.multiply(r, gs[k], out=ders[k])
+        m = np.subtract(zf, a, out=u)
+        np.multiply(q, m, out=b)
+        if jet:
+            np.multiply(r, m, out=bp)
+            bp += q
         if orders is not None:
             while f < len(orders) and orders[f] == k + 1:
                 snaps[:, f] = b, bp, vals, ders

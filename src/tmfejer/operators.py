@@ -31,10 +31,15 @@ Cauchy transforms of unit densities.
 
 Members holomorphic beyond the circle take their coefficients and the
 integral form of delta from the trapezoid rule on a circle |t| = R > 1,
-sized from the member's radius of analyticity.  Only grid-backed data,
-the Cauchy densities and the boundary data of sigma_rusak, is sampled on
-the unit circle, so a grid size (the CLI's grid_n or TMFEJER_GRID_N)
-reaches only that data.
+sized from the member's radius of analyticity.  Both accept a contour
+size on one scale, max|W| max|f| over the contour, so the tiny factor
+conj(B_n) of delta's integrand does not drive the size up.  delta runs
+the basis recursion once over its points: the pass that gives B_n and
+B_n' also accumulates S_n and S_n', from which sigma_positive follows.
+
+Only grid-backed data, the Cauchy densities and the boundary data of
+sigma_rusak, is sampled on the unit circle, so a grid size (the CLI's
+grid_n or TMFEJER_GRID_N) reaches only that data.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from tmfejer.blaschke import (
     _restore,
     boundary_derivative_modulus,
     boundary_phase,
-    eval_blaschke,
 )
 from tmfejer.quadrature import BoundaryGridFunction, NoConvergence, next_power_of_two
 from tmfejer.tm_basis import (
@@ -179,15 +183,23 @@ def _contour(f: AnalyticTestFunction, inner: float) -> tuple[float, float]:
     return r, max(inner / r, r / f.radius)
 
 
-def _contour_mean(sample: Callable, rho: float, what: str) -> np.ndarray:
+def _contour_mean(
+    f: AnalyticTestFunction, r: float, rho: float, sample: Callable, what: str
+) -> np.ndarray:
     """Trapezoid mean W @ v / N over the N points e^{i theta_j}, theta_j = 2 pi j / N.
 
-    `sample(e)` returns the M x N weights W and the N values v at the unit
-    points e.  The integrand is analytic in an annulus, so its Fourier
-    coefficients decay like rho^m; N is the smallest power of two >= 16
-    with rho^(N/2) <= 1e-17.  The sum over the even-indexed points is the
-    N/2-point rule, and N doubles while the two differ by more than 1e-14
-    times max|W| max|v|.  Past CONTOUR_CAP points NoConvergence is raised.
+    The values are v = f(R e) h at the unit points e, with R = r;
+    `sample(e)` returns the M x N weights W and the factor h there, or
+    None for h = 1.  The integrand is analytic in an annulus, so its
+    Fourier coefficients decay like rho^m; N is the smallest power of two
+    >= 16 with rho^(N/2) <= 1e-17.  The sum over the even-indexed points
+    is the N/2-point rule, and N doubles while the two differ by more than
+    1e-14 max|W| max|f(R e)|.  The factor h is left out of that scale:
+    delta's h = conj(B_n(e / R)) obeys |h| <= 1, since |B_n| <= 1 in the
+    disc, so the Fourier coefficients of f h are bounded by those of f,
+    while max|h| can be as small as 1e-32 at n = 128 and would ask for an
+    accuracy that the result, multiplied by |B_n(z)| <= 1, never uses.
+    Past CONTOUR_CAP points NoConvergence is raised.
     """
     npts = 16
     if rho > 0.0:
@@ -197,11 +209,14 @@ def _contour_mean(sample: Callable, rho: float, what: str) -> np.ndarray:
         # Even-indexed points first, so the N/2-point rule is a leading block.
         m = npts // 2
         j = np.concatenate([np.arange(0, npts, 2), np.arange(1, npts, 2)])
-        w, v = sample(np.exp(2j * np.pi * j / npts))
+        e = np.exp(2j * np.pi * j / npts)
+        w, h = sample(e)
+        fv = np.asarray(f.value(r * e), dtype=np.complex128)
+        v = fv if h is None else fv * h
         part = w[:, :m] @ v[:m]
         full = (part + w[:, m:] @ v[m:]) / npts
         half = part / m
-        scale = np.abs(w).max(initial=0.0) * np.abs(v).max()
+        scale = np.abs(w).max(initial=0.0) * np.abs(fv).max()
         if np.abs(full - half).max(initial=0.0) <= _CONTOUR_TOL * scale:
             return full
         npts *= 2
@@ -234,9 +249,9 @@ def coefficients_of(f: AnalyticTestFunction, basis: TMBasis) -> np.ndarray:
 
     def sample(e):
         rows = phi_values(basis, e / r)
-        return np.conj(rows, out=rows), np.asarray(f.value(r * e), dtype=np.complex128)
+        return np.conj(rows, out=rows), None
 
-    positive = _contour_mean(sample, rho, f"coefficients of {f.label} at order {n}")
+    positive = _contour_mean(f, r, rho, sample, f"coefficients of {f.label} at order {n}")
     return np.concatenate([np.zeros(n - 1, dtype=np.complex128), positive])
 
 
@@ -381,7 +396,7 @@ def _cauchy_weights(
     g = 1.0 - ct * zf[:, None]
     w = (ct - np.conj(zf)[:, None]) / g
     w /= np.abs(g) ** 2
-    return w, np.conj(eval_blaschke(sequence, n, tpts).value)
+    return w, np.conj(_recurse(sequence, n, tpts, jet=False)[0])
 
 
 def _cauchy_weighted_integral(
@@ -419,10 +434,9 @@ def _holomorphic_weighted_integral(
 
     def sample(e):
         t = r * e
-        cb = np.conj(eval_blaschke(sequence, n, e / r).value)
-        return t / (t - zf[:, None]) ** 2, np.asarray(f.value(t), dtype=np.complex128) * cb
+        return t / (t - zf[:, None]) ** 2, np.conj(_recurse(sequence, n, e / r, jet=False)[0])
 
-    return _contour_mean(sample, rho, f"delta of {f.label} at order {n}")
+    return _contour_mean(f, r, rho, sample, f"delta of {f.label} at order {n}")
 
 
 def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None = None):
@@ -440,24 +454,33 @@ def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None 
     whenever |B_n| or |B_n'| drops below SAFE_RATIO_FLOOR.  At a zero of
     B_n the integral term vanishes and is not computed.  Interpolates f'
     at every basis pole.
+
+    One pass of the basis recursion over z gives B_n and B_n' and, for
+    every member but a Cauchy transform, the sums S_n and S_n' as well, so
+    sigma_positive at the points of the algebraic route costs no second
+    pass.  Without `coeffs` (the 2n - 1 values of coefficients_of) the
+    coefficients are computed first; Cauchy transforms need none.  The
+    fallback adds one pass over each contour size it samples.
     """
     zf, shape, scalar = _flatten(z)
     if zf.size and np.abs(zf).max() > 1.0 - NEAR_BOUNDARY_MARGIN:
         raise NearBoundary(f"delta requires |z| <= 1 - {NEAR_BOUNDARY_MARGIN}")
     n = basis.order
-    be = eval_blaschke(basis.sequence, n, zf)
-    bz = np.asarray(be.value).reshape(-1)
-    bpz = np.asarray(be.derivative).reshape(-1)
     out = np.empty_like(zf)
     if f.kind == "cauchy_transform":
+        bz, bpz, _, _ = _recurse(basis.sequence, n, zf)
         algebraic = np.zeros(zf.shape, dtype=bool)
     else:
+        if coeffs is None:
+            coeffs = coefficients_of(f, basis)
+        _require_length(coeffs, n, "delta")
+        bz, bpz, s, sp = _recurse(basis.sequence, n, zf, c=coeffs[n - 1 :])
         algebraic = (np.abs(bz) >= SAFE_RATIO_FLOOR) & (np.abs(bpz) >= SAFE_RATIO_FLOOR)
     if algebraic.any():
-        za = zf[algebraic]
-        sp = np.asarray(sigma_positive(f, basis, za, coeffs=coeffs)).reshape(-1)
-        fv = np.asarray(f.value(za), dtype=np.complex128).reshape(-1)
-        out[algebraic] = bpz[algebraic] / bz[algebraic] * (fv - sp)
+        ba, bpa = bz[algebraic], bpz[algebraic]
+        sig = _sigma_from_sums(ba, bpa, s[algebraic], sp[algebraic])
+        fv = np.asarray(f.value(zf[algebraic]), dtype=np.complex128).reshape(-1)
+        out[algebraic] = bpa / ba * (fv - sig)
     rest = ~algebraic
     if rest.any():
         out[rest] = np.asarray(f.derivative(zf[rest]), dtype=np.complex128).reshape(-1)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import BRACKET, MIXED, circle_grid, schur_corpus, zeros_sequence
+from tmfejer import blaschke, operators, tm_basis
 from tmfejer.analysis import interior_probes
 from tmfejer.blaschke import PointSequence, PoleProximity, _recurse, eval_blaschke
 from tmfejer.corpus import (
@@ -25,9 +26,11 @@ from tmfejer.corpus import (
     simple_pole,
 )
 from tmfejer.operators import (
+    SAFE_RATIO_FLOOR,
     CriticalPoint,
     NearBoundary,
     _cauchy_weighted_integral,
+    _contour,
     _holomorphic_weighted_integral,
     cesaro_mean,
     coefficients,
@@ -563,6 +566,96 @@ class TestDelta:
         be = eval_blaschke(seq_mixed, 8, t)
         lhs = np.abs(0.0 - be.derivative * np.conj(be.value) * 1.0)
         assert np.abs(lhs - np.abs(be.derivative)).max() < 1e-9
+
+    def _mixed_points(self, seq):
+        # Probes on the algebraic route, the nodes, where B_n = 0, and
+        # points 1e-8 off the nodes, where the fallback fires.
+        nodes = seq.as_array()
+        return np.concatenate([interior_probes(48), nodes, nodes[:3] + 1e-8])
+
+    def test_algebraic_points_equal_sigma_positive(self, seq_mixed):
+        # The recursion is pointwise, so the subset of algebraic points and
+        # the full set give the same bits.
+        basis = TMBasis(seq_mixed, 8)
+        z = self._mixed_points(seq_mixed)
+        be = eval_blaschke(seq_mixed, 8, z)
+        alg = (np.abs(be.value) >= SAFE_RATIO_FLOOR) & (np.abs(be.derivative) >= SAFE_RATIO_FLOOR)
+        assert 40 <= alg.sum() < z.size
+        za = z[alg]
+        for f in rational_corpus(12):
+            c = coefficients_of(f, basis)
+            sig = sigma_positive(f, basis, za, coeffs=c)
+            want = be.derivative[alg] / be.value[alg] * (f.value(za) - sig)
+            assert np.array_equal(delta(f, basis, z, coeffs=c)[alg], want), f.label
+
+    @staticmethod
+    def _count_passes(monkeypatch, seq):
+        """Sizes of the point sets of every recursion over the poles of seq;
+        members such as Schur products run their own sequences."""
+        sizes = []
+
+        def counting(sequence, n, zf, *args, **kwargs):
+            if sequence is seq:
+                sizes.append(zf.size)
+            return _recurse(sequence, n, zf, *args, **kwargs)
+
+        for module in (blaschke, tm_basis, operators):
+            monkeypatch.setattr(module, "_recurse", counting)
+        return sizes
+
+    def test_one_recursion_over_the_points(self, seq_mixed, monkeypatch):
+        # One pass over the M points; the fallback adds one per contour size.
+        basis = TMBasis(seq_mixed, 8)
+        z = self._mixed_points(seq_mixed)
+        coeffs = [coefficients_of(f, basis) for f in rational_corpus(12)]
+        sizes = self._count_passes(monkeypatch, seq_mixed)
+        for f, c in zip(rational_corpus(12), coeffs):
+            sizes.clear()
+            delta(f, basis, z, coeffs=c)
+            assert sizes.count(z.size) == 1, f.label
+            contour = [m for m in sizes if m != z.size]
+            assert len(contour) == len(set(contour)) >= 1, f.label
+            assert all(m >= 16 and m & (m - 1) == 0 for m in contour), f.label
+
+    def test_coefficients_computed_when_none_passed(self, seq_mixed):
+        basis = TMBasis(seq_mixed, 8)
+        z = self._mixed_points(seq_mixed)
+        for f in rational_corpus(12):
+            want = delta(f, basis, z, coeffs=coefficients_of(f, basis))
+            assert np.array_equal(delta(f, basis, z), want), f.label
+
+    def test_wrong_coefficient_length_names_delta(self, seq_short):
+        basis = TMBasis(seq_short, 3)
+        with pytest.raises(ValueError, match="^delta of order 3"):
+            delta(constant_one(), basis, 0.2 + 0j, coeffs=np.ones(4, dtype=complex))
+
+    @pytest.mark.parametrize("member", [constant_one, identity_map], ids=["one", "identity"])
+    def test_order_128_fallback_settles_on_first_contour_size(self, member, monkeypatch):
+        # |B_128| on |t| = 1/R falls to 1e-32 and below; the contour rule
+        # scales by max|f| there, not by max|f conj(B_n)|, so it keeps its
+        # first N instead of doubling for an accuracy delta never uses.
+        seq = _random_sequence(128, 0.7, 7)
+        basis = TMBasis(seq, 128)
+        rng = np.random.default_rng(7)
+        z = rng.uniform(0.85, 0.9, 16) * np.exp(2j * np.pi * rng.random(16))
+        f = member()
+        c = coefficients_of(f, basis)
+        bz = eval_blaschke(seq, 128, z).value
+        # Every probe takes the fallback.
+        assert (np.abs(bz) < SAFE_RATIO_FLOOR).all()
+        sizes = self._count_passes(monkeypatch, seq)
+        got = delta(f, basis, z, coeffs=c)
+        contour = [m for m in sizes if m != z.size]
+        assert len(contour) == 1 and contour[0] > z.size
+        # The same contour integral on 4N points.
+        r, _ = _contour(f, max(np.abs(seq.as_array()).max(), np.abs(z).max()))
+        e = np.exp(2j * np.pi * np.arange(4 * contour[0]) / (4 * contour[0]))
+        t = r * e
+        cb = np.conj(eval_blaschke(seq, 128, e / r).value)
+        integral = (t * f.value(t) * cb / (t - z[:, None]) ** 2).mean(axis=1)
+        assert np.abs(got - (f.derivative(z) - bz * integral)).max() <= 1e-14
+        # The C8 bound; delta(1) = 0 and delta(z) = 1 - conj(B_n(0)) B_n(z).
+        assert (np.abs(got - f.derivative(z)) <= np.abs(bz) / (1.0 - np.abs(z) ** 2)).all()
 
 
 class TestSchurPointwiseBound:

@@ -2,7 +2,10 @@
 
 The oracle multiplies the factors (z - a_j)/(1 - z conj(a_j)) directly and
 differentiates the product by the product rule, in mpmath at 50 digits;
-it shares no code with the first-order recursion under test.  The refined
+it shares no code with the first-order recursion under test.  The sums
+S_n = sum_k c_k phi_k and S_n' that the recursion accumulates, and
+sigma_positive built from them, are checked against the same oracle
+summed at 50 digits.  The refined
 Frostman minimum is checked against a root of the derivative of the
 Frostman sum, found at 40 digits.  The coefficients of a simple pole are
 checked against the reproducing property of the Szego kernel.
@@ -14,9 +17,9 @@ import pytest
 
 from conftest import BRACKET, MIXED
 from tmfejer.analysis import diagnose_sequence
-from tmfejer.blaschke import PointSequence, eval_blaschke
-from tmfejer.corpus import simple_pole
-from tmfejer.operators import coefficients_of
+from tmfejer.blaschke import PointSequence, _recurse, eval_blaschke
+from tmfejer.corpus import constant_one, simple_pole
+from tmfejer.operators import coefficients_of, sigma_positive
 from tmfejer.tm_basis import TMBasis, phi_jet, phi_values
 
 INTERIOR = (0.0, 0.31 - 0.42j, -0.66 + 0.05j, 0.12j, 0.85 * np.exp(2.2j))
@@ -107,6 +110,46 @@ def test_basis_rows_match_product_formula(name):
     _assert_close(got_b, b, tol)
     _assert_close(got_db, db, tol)
     assert np.array_equal(phi_values(basis, z), got_vals)
+
+
+def _sums_reference(poles, z, c):
+    """S_n, S_n' and S_n - (B_n/B_n') S_n' at each point z, at 50 digits.
+
+    The ratio B_n/B_n' is taken as 0 where B_n vanishes, a simple or a
+    repeated node alike, the limit sigma_positive takes there.
+    """
+    with mpmath.workdps(50):
+        ck = [mpmath.mpc(x) for x in c]
+        out = []
+        for w in z:
+            b, db, vals, ders = oracle(poles, w)
+            s = mpmath.fsum(x * v for x, v in zip(ck, vals))
+            sp = mpmath.fsum(x * d for x, d in zip(ck, ders))
+            ratio = 0 if b == 0 else b / db
+            out.append((s, sp, s - ratio * sp, ratio))
+    return [np.asarray([complex(o[i]) for o in out]) for i in range(4)]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_streamed_sums_match_product_formula(name):
+    # Relative to sum_k |c_k phi_k| and sum_k |c_k phi_k'|, the scales of
+    # the summation's rounding; sigma_positive adds |B_n/B_n'| times the
+    # second.
+    poles, tol = CASES[name]
+    n = len(poles)
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    z = _points(poles)
+    s, sp, sigma, ratio = _sums_reference(poles, z, c)
+    _, _, vals, ders = _reference(poles, z)
+    scale = np.abs(c) @ np.abs(vals)
+    dscale = np.abs(c) @ np.abs(ders)
+    _, _, got_s, got_sp = _recurse(PointSequence(poles), n, z, c=c)
+    assert (np.abs(got_s - s) <= tol * scale).all()
+    assert (np.abs(got_sp - sp) <= tol * dscale).all()
+    coeffs = np.concatenate([np.zeros(n - 1), c])
+    got = sigma_positive(constant_one(), TMBasis(PointSequence(poles), n), z, coeffs=coeffs)
+    assert (np.abs(got - sigma) <= tol * (scale + np.abs(ratio) * dscale)).all()
 
 
 def _frostman_minimum(poles):
