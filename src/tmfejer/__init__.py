@@ -20,7 +20,6 @@ from tmfejer.operators import (
     AnalyticTestFunction,
     CriticalPoint,
     NearBoundary,
-    cesaro_mean,
     coefficients,
     coefficients_of,
     delta,
@@ -73,7 +72,6 @@ __all__ = [
     "NearBoundary",
     "coefficients",
     "coefficients_of",
-    "cesaro_mean",
     "fejer_kernel",
     "fejer_kernel_angular",
     "sigma_positive",

@@ -15,11 +15,18 @@ largest order, or one running Frostman sum.  Every extremum of the pass
 is then refined in one multi-row zoom.  Each row equals the one-order
 call on the same sequence bit for bit.  `voronovskaya_experiment` and
 `saturation_check` take one order per call.
+
+The uniform error ||f - sigma_positive(f)||_C has one route: the error
+map of `_boundary_errors` and its refined sup, seeded by the Frostman
+minimizer.  `saturation_check` runs it at one order, so its error_sup
+equals convergence_experiment's.  It needs only the minimizer, not the
+rest of the diagnostics, so the drift check on the mean of |B_n'|, a
+column it does not report, does not stop it on poles near the circle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import groupby
 
 import numpy as np
@@ -33,16 +40,13 @@ from tmfejer.operators import (
     _rusak_from_rows,
     _sigma_from_sums,
     coefficients_of,
-    sigma_positive,
 )
 from tmfejer.quadrature import (
     _SCAN,
     BoundaryGridFunction,
     NoConvergence,
     _refined_minima,
-    _scan_angles,
     default_resolution,
-    refined_maximum,
 )
 from tmfejer.tm_basis import TMBasis, phi_values
 
@@ -98,30 +102,6 @@ def _by_pass(orders, run) -> list:
     return [rows[n] for n in orders]
 
 
-def _own_rows(fn):
-    """`_zoom`'s fn from fn mapping M shared angles to (F, M) values: all
-    F x K angles go through fn at once and row f keeps its own K.  That is
-    F times the work of the own angles alone, which on zoom windows costs
-    less than F separate calls."""
-
-    def own(a):
-        f, k = a.shape
-        return fn(a.ravel()).reshape(f, f, k)[np.arange(f), np.arange(f)]
-
-    return own
-
-
-def _boundary_error(f: AnalyticTestFunction, basis: TMBasis, coeffs):
-    """The map theta -> |f - sigma_positive(f)| at e^{i theta}."""
-
-    def ev(theta):
-        t = np.exp(1j * np.asarray(theta, dtype=np.float64))
-        s = sigma_positive(f, basis, t, coeffs=coeffs)
-        return np.abs(np.asarray(f.value(t)) - np.asarray(s))
-
-    return ev
-
-
 @dataclass(frozen=True)
 class SequenceDiagnostics:
     order: int
@@ -133,15 +113,7 @@ class SequenceDiagnostics:
     product_modulus: float
 
     def to_row(self) -> dict:
-        return {
-            "order": self.order,
-            "blaschke_sum": self.blaschke_sum,
-            "frostman_min": self.frostman_min,
-            "argmin_angle": self.argmin_angle,
-            "sup_inverse": self.sup_inverse,
-            "derivative_l1": self.derivative_l1,
-            "product_modulus": self.product_modulus,
-        }
+        return asdict(self)
 
 
 def _l1_drift(sequence: PointSequence, order: int) -> float:
@@ -180,9 +152,9 @@ def _diagnose_orders(sequence: PointSequence, orders) -> list[SequenceDiagnostic
 
 def _diagnose_pass(sequence: PointSequence, orders: list) -> list[SequenceDiagnostics]:
     """The rows of at most _ORDERS_PER_PASS strictly increasing orders."""
-    vals = _frostman_prefixes(sequence, orders, _scan_angles())
-    fn = _own_rows(lambda a: _frostman_prefixes(sequence, orders, a))
-    x, fmin = _refined_minima(fn, vals, np.empty((len(orders), 0)))
+    x, fmin, vals = _refined_minima(
+        lambda a: _frostman_prefixes(sequence, orders, a), np.empty((len(orders), 0))
+    )
     rows = []
     for j, n in enumerate(orders):
         drift = _l1_drift(sequence, n)
@@ -218,16 +190,7 @@ class ConvergenceRow:
     lower_l1: float
 
     def to_row(self) -> dict:
-        return {
-            "order": self.order,
-            "error_sup": self.error_sup,
-            "error_l1": self.error_l1,
-            "error_l2": self.error_l2,
-            "upper_sup": self.upper_sup,
-            "lower_sup": self.lower_sup,
-            "upper_l1": self.upper_l1,
-            "lower_l1": self.lower_l1,
-        }
+        return asdict(self)
 
 
 def convergence_experiment(
@@ -255,19 +218,29 @@ def convergence_experiment(
     return _by_pass(orders, lambda part: _convergence_pass(f, sequence, c, part, grid_n))
 
 
-def _convergence_pass(f, sequence, c, orders: list, grid_n) -> list[ConvergenceRow]:
-    """The rows of one pass: one recursion per set of angles carries every
-    order's S_n, S_n', B_n, B_n' from the coefficients c."""
-    diags = _diagnose_pass(sequence, orders)
+def _boundary_errors(f, sequence, c, orders: list, argmins):
+    """|f - sigma_positive(f)| on the circle at the orders of one pass.
+
+    Returns the map from flat angles to the (F, M) errors, row j at
+    orders[j], and the (F,) refined sups of its rows, row j's search
+    seeded by argmins[j], the Frostman minimizer where 1/|B_n'| peaks.
+    One recursion per set of angles carries every order's S_n, S_n', B_n
+    and B_n' from the coefficients c_0, c_1, ... in c.
+    """
 
     def errors(theta):
-        """|f - sigma_positive(f)| at the angles theta, row j at orders[j]."""
         t = np.exp(1j * theta)
         sums = _recurse(sequence, orders[-1], t, c=c[: orders[-1]], orders=orders)
         return np.abs(np.asarray(f.value(t)) - _sigma_from_sums(*sums))
 
-    cand = np.array([[d.argmin_angle] for d in diags])
-    _, v = _refined_minima(_own_rows(lambda a: -errors(a)), -errors(_scan_angles()), cand)
+    _, v, _ = _refined_minima(lambda a: -errors(a), np.asarray(argmins)[:, None])
+    return errors, -v
+
+
+def _convergence_pass(f, sequence, c, orders: list, grid_n) -> list[ConvergenceRow]:
+    """The rows of one pass, from the coefficients c."""
+    diags = _diagnose_pass(sequence, orders)
+    errors, sups = _boundary_errors(f, sequence, c, orders, [d.argmin_angle for d in diags])
     res = grid_n or default_resolution(orders[0])
     grid = 2.0 * np.pi * np.arange(res) / res
     err = errors(grid)
@@ -279,7 +252,7 @@ def _convergence_pass(f, sequence, c, orders: list, grid_n) -> list[ConvergenceR
         rows.append(
             ConvergenceRow(
                 order=n,
-                error_sup=-float(v[j]),
+                error_sup=float(sups[j]),
                 error_l1=float(err[j].mean()),
                 error_l2=float(np.sqrt((err[j] ** 2).mean())),
                 upper_sup=2.0 * diag.sup_inverse,
@@ -386,22 +359,25 @@ def saturation_check(sequence: PointSequence, order: int, members=None) -> list[
     """Uniform error of sigma_positive against the interpolation-node floor.
 
     The floor is (1/n) max_j (1 - |a_j|^2) |f'(a_j)| over the poles in
-    play.  Grid-backed Cauchy members are skipped: their boundary trace is
-    not available for the sup.  Ratio is error over floor (nan when the
+    play.  The sup is convergence_experiment's, one order at a time: the
+    same error map, refined from the same scan and the Frostman minimizer.
+    Grid-backed Cauchy members are skipped: their boundary trace is not
+    available for the sup.  Ratio is error over floor (nan when the
     floor vanishes, e.g. for constants; None in the report row).
     """
     if members is None:
         members = standard_corpus()
     basis = TMBasis(sequence, order)
     pts = sequence.as_array()[:order]
-    diag = diagnose_sequence(sequence, order)
+    argmin, _, _ = _refined_minima(
+        lambda a: _frostman_prefixes(sequence, [order], a), np.empty((1, 0))
+    )
     rows = []
     for f in members:
         if f.kind == "cauchy_transform":
             continue
-        coeffs = coefficients_of(f, basis)
-        ev = _boundary_error(f, basis, coeffs)
-        _, err_sup = refined_maximum(ev, candidates=(diag.argmin_angle,))
+        c = coefficients_of(f, basis)[order - 1 :]
+        _, (err_sup,) = _boundary_errors(f, sequence, c, [order], argmin)
         fp = np.abs(np.asarray(f.derivative(pts), dtype=np.complex128))
         lower = float(((1.0 - np.abs(pts) ** 2) * fp).max() / order)
         ratio = float(err_sup) / lower if lower > 1e-300 else float("nan")
@@ -472,20 +448,15 @@ def _counterexample_pass(a, sequence, c, orders: list, grid_n, probes) -> list[C
     top = TMBasis(sequence, orders[-1])
 
     def gaps(theta):
-        """|1 - Cesaro mean| at the angles theta, (F, K) with row f at order
-        f, or (K,) shared by every order."""
+        """|1 - Cesaro mean| at the flat angles theta, (F, M) with row j at orders[j]."""
         t = np.exp(1j * theta)
-        vals = phi_values(top, t.reshape(-1))
-        k = t.shape[-1]
-        t = t.reshape(-1, k)
-        rows = []
-        for j, (w, n) in enumerate(zip(windows, orders)):
-            i = j if len(t) > 1 else 0
-            rows.append(np.abs(1.0 - _cesaro_from_rows(w, vals[:, i * k : (i + 1) * k], t[i], n)))
-        return np.stack(rows)
+        vals = phi_values(top, t)
+        return np.stack(
+            [np.abs(1.0 - _cesaro_from_rows(w, vals, t, n)) for w, n in zip(windows, orders)]
+        )
 
     cand = np.full((len(orders), 1), np.pi)
-    _, v = _refined_minima(lambda theta: -gaps(theta), -gaps(_scan_angles()), cand)
+    _, v, _ = _refined_minima(lambda theta: -gaps(theta), cand)
     grid = BoundaryGridFunction.from_callable(
         constant_one().value, grid_n or default_resolution(orders[0])
     )

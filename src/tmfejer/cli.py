@@ -81,20 +81,6 @@ __all__ = [
 COMMANDS = ("kernel", "converge", "voronovskaya", "saturation", "frostman", "counterexample")
 GENERATOR_VERSION = "1"
 
-_KEYS = (
-    "command",
-    "sequence",
-    "orders",
-    "grid_n",
-    "seed",
-    "out",
-    "format",
-    "function",
-    "probes",
-    "trials",
-    "kernel_samples",
-)
-
 
 class ParseError(Exception):
     """Structural problem in a config document (line-level)."""
@@ -216,6 +202,9 @@ class ExperimentConfig:
     probes: int = 16
     trials: int = 50
     kernel_samples: int = 64
+
+
+_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def _parse_int(text: str, field: str, minimum: int) -> int:

@@ -77,7 +77,6 @@ __all__ = [
     "AnalyticTestFunction",
     "coefficients",
     "coefficients_of",
-    "cesaro_mean",
     "fejer_kernel",
     "fejer_kernel_angular",
     "sigma_positive",
@@ -263,19 +262,6 @@ def _require_length(coeffs: np.ndarray, n: int, what: str) -> None:
 def _require_circle(zf: np.ndarray, what: str) -> None:
     if zf.size and np.abs(np.abs(zf) - 1.0).max() > CIRCLE_TOL:
         raise ExtendedOffCircle(f"{what} requires points on the unit circle")
-
-
-def cesaro_mean(coeffs: np.ndarray, basis: TMBasis, t):
-    """Cesaro mean sum_{|k|<n} (1 - |k|/n) c_k phi_k(t) on the circle, n = basis.order.
-
-    `coeffs` holds the 2n - 1 values c_k = <f, phi_k> in the layout of
-    `coefficients`, c_k at index n - 1 + k.
-    """
-    n = basis.order
-    _require_length(coeffs, n, "cesaro_mean")
-    tf, shape, scalar = _flatten(t)
-    _require_circle(tf, "cesaro_mean")
-    return _restore(_cesaro_from_rows(coeffs, phi_values(basis, tf), tf, n), shape, scalar)
 
 
 def _cesaro_from_rows(coeffs: np.ndarray, vals: np.ndarray, tf: np.ndarray, n: int) -> np.ndarray:

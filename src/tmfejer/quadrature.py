@@ -138,23 +138,32 @@ def _scan_angles() -> np.ndarray:
 
 
 def _refined_minima(
-    fn: Callable[[np.ndarray], np.ndarray], vals: np.ndarray, candidates: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refine F minima at once from their scans; return the (F,) angles and values.
+    fn: Callable[[np.ndarray], np.ndarray], candidates: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Refine the minima of F functions of the angle at once.
 
-    Row f of `vals` holds function f on the 8192 scan angles, and row f of
-    the (F, C) `candidates` its extra angles; `fn` is `_zoom`'s.  Each row
-    zooms in on its grid argmin and its candidates, as refined_minimum
-    does for one function, and keeps the lowest of its windows.
+    `fn` maps flat angles to the (F, M) values of the F functions there,
+    and row f of the (F, C) `candidates` holds function f's extra angles.
+    Each row zooms in on its argmin over the 8192 scan angles and on its
+    candidates, as refined_minimum does for one function, and keeps the
+    lowest of its windows.  A zoom round sends the windows of all F rows
+    through fn at once and row f keeps its own: F times the work of its
+    own angles alone, which on zoom windows costs less than F calls.
+    Returns the (F,) angles and values and the (F, 8192) scan.
     """
+    vals = np.asarray(fn(_scan_angles()), dtype=np.float64)
     f = np.arange(vals.shape[0])
     i = vals.argmin(axis=1)
     x = np.concatenate([_scan_angles()[i][:, None], candidates], axis=1)
     v = np.full(x.shape, np.inf)
     v[:, 0] = vals[f, i]
-    x, v = _zoom(fn, x, v, 2.0 * np.pi / _SCAN)
+
+    def own(a):
+        return fn(a.ravel()).reshape(f.size, *a.shape)[f, f]
+
+    x, v = _zoom(own, x, v, 2.0 * np.pi / _SCAN)
     k = v.argmin(axis=1)
-    return x[f, k], v[f, k]
+    return x[f, k], v[f, k], vals
 
 
 def refined_minimum(
@@ -173,9 +182,8 @@ def refined_minimum(
     so the result is never worse than the grid minimum or any candidate's
     own value.  `fn` must accept an array of angles.
     """
-    vals = np.asarray(fn(_scan_angles()), dtype=np.float64)[None]
     cand = np.array([candidates], dtype=np.float64)
-    x, v = _refined_minima(lambda a: np.asarray(fn(a[0]))[None], vals, cand)
+    x, v, _ = _refined_minima(lambda a: np.asarray(fn(a))[None], cand)
     return float(x[0]), float(v[0])
 
 

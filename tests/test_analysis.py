@@ -23,6 +23,7 @@ from tmfejer.corpus import (
     identity_map,
     mobius,
     random_unit_density,
+    standard_corpus,
 )
 from tmfejer.operators import delta
 from tmfejer.quadrature import (
@@ -229,6 +230,14 @@ class TestSaturation:
         assert r.lower_bound == 0.0
         assert r.error_sup < 1e-9
         assert np.isnan(r.ratio)
+
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    def test_error_sup_is_convergence_error_sup(self, seq_mixed, order):
+        # Both take the sup from the same error map and the same refined search.
+        members = [f for f in standard_corpus() if f.kind != "cauchy_transform"]
+        rows = saturation_check(seq_mixed, order, members=members)
+        for r, f in zip(rows, members, strict=True):
+            assert r.error_sup == convergence_experiment(f, seq_mixed, [order])[0].error_sup, f.label
 
 
 class TestCounterexample:

@@ -19,7 +19,10 @@ from tmfejer.cli import (
     parse_config,
     run,
 )
+from tmfejer.corpus import standard_corpus
+from tmfejer.operators import sigma_positive
 from tmfejer.quadrature import NoConvergence
+from tmfejer.tm_basis import TMBasis
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -508,6 +511,31 @@ class TestMainEntry:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
         assert not out.exists()
         assert "misses order 9 " in capsys.readouterr().err
+
+    def test_saturation_near_the_circle(self, tmp_path, capsys):
+        # saturation reports no L1 column, so the drift of the mean of |B_n'|
+        # that fails converge here is no reason for it to fail.
+        text = "sequence = geometric:0.5\norders = [8, 9, 12]\nformat = json\n"
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "r.json"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 3
+        assert main(["saturation", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
+        members = [f for f in standard_corpus() if f.kind != "cauchy_transform"]
+        sequence = SequenceSpec.parse("geometric:0.5").materialize(12)
+        # An error sup independent of the zoom: a dense uniform scan.
+        t = np.exp(2j * np.pi * np.arange(1 << 17) / (1 << 17))
+        for n in (8, 9, 12):
+            basis = TMBasis(sequence, n)
+            got = [r for r in rows if r["order"] == n]
+            assert [r["label"] for r in got] == [f.label for f in members]
+            for r, f in zip(got, members):
+                scan = float(np.abs(f.value(t) - sigma_positive(f, basis, t)).max())
+                assert scan - 1e-12 <= r["error_sup"] <= scan + 1e-6, (n, f.label)
+        assert [r["error_sup"] for r in rows if r["label"] == "identity"][1] == pytest.approx(
+            1.1732304660387234, abs=1e-12
+        )
 
     def test_pole_too_close_to_the_circle(self, tmp_path, capsys):
         # A pole 1e-7 outside the circle needs a contour of about 1e9 points.

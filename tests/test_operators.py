@@ -32,7 +32,6 @@ from tmfejer.operators import (
     _cauchy_weighted_integral,
     _contour,
     _holomorphic_weighted_integral,
-    cesaro_mean,
     coefficients,
     coefficients_of,
     delta,
@@ -41,7 +40,7 @@ from tmfejer.operators import (
     sigma_positive,
     sigma_rusak,
 )
-from tmfejer.quadrature import BoundaryGridFunction, default_resolution, refined_maximum
+from tmfejer.quadrature import BoundaryGridFunction, default_resolution
 from tmfejer.tm_basis import ExtendedOffCircle, TMBasis, phi_jet, phi_values
 
 
@@ -128,37 +127,6 @@ class TestCoefficients:
         assert c.shape == (5,)
         assert c[2 + 2] == pytest.approx(np.conj(phi_values(basis, 0.0 + 0j)[2]), abs=1e-12)
         assert np.abs(c[:2]).max() < 1e-12
-
-
-class TestCesaroMean:
-    def test_wrong_length_rejected(self, seq_short):
-        # The mean needs all 2n - 1 coefficients of its own order.
-        basis = TMBasis(seq_short, 3)
-        c = coefficients_of(constant_one(), basis)
-        for bad in (c[2:], c[:-1], coefficients_of(constant_one(), TMBasis(seq_short, 2))):
-            with pytest.raises(ValueError):
-                cesaro_mean(bad, basis, 1.0 + 0j)
-
-    def test_circle_only(self, seq_short):
-        basis = TMBasis(seq_short, 3)
-        c = coefficients_of(constant_one(), basis)
-        with pytest.raises(ExtendedOffCircle):
-            cesaro_mean(c, basis, 0.3 + 0j)
-
-    def test_excess_statistic_frozen(self):
-        # For a == 1/2 and n = 2 the uniform distance from the constant is
-        # (1/2)(1/2 + 1/4) = 0.375, attained at angle pi.
-        seq = PointSequence((0.5, 0.5))
-        basis = TMBasis(seq, 2)
-        c = coefficients_of(constant_one(), basis)
-
-        def ev(theta):
-            t = np.exp(1j * np.asarray(theta, dtype=np.float64))
-            return np.abs(1.0 - np.asarray(cesaro_mean(c, basis, t)))
-
-        x, sup = refined_maximum(ev)
-        assert sup == pytest.approx(0.375, abs=1e-10)
-        assert x == pytest.approx(np.pi, abs=1e-5)
 
 
 class TestFejerKernel:
