@@ -9,7 +9,7 @@ phi_k nor the coefficient c_k = <f, phi_k> depends on the order.
 `convergence_experiment` and `cesaro_counterexample` compute one
 coefficient vector on the whole sequence and give order n its slice.
 They and `_diagnose_orders` (the `frostman` report) evaluate up to
-_ORDERS_PER_PASS orders of one default grid in one pass over the poles:
+_ORDERS_PER_PASS orders in one pass over the poles:
 one recursion that snapshots every order, one set of basis rows at the
 largest order, or one running Frostman sum.  Every extremum of the pass
 is then refined in one multi-row zoom.  Each row equals the one-order
@@ -31,7 +31,7 @@ from itertools import groupby
 
 import numpy as np
 
-from tmfejer.blaschke import PointSequence, _frostman_prefixes, _recurse, eval_blaschke
+from tmfejer.blaschke import PointSequence, _check_order, _frostman_prefixes, _recurse
 from tmfejer.corpus import _unit_densities, constant_one, standard_corpus
 from tmfejer.operators import (
     AnalyticTestFunction,
@@ -72,6 +72,8 @@ _L1_TOL = 1e-10
 # Largest |extremal_value - bound| that voronovskaya_experiment accepts: the
 # extremal member attains the bound exactly, so the gap is quadrature error.
 _EXTREMAL_TOL = 1e-7
+# Largest |rusak_sup - 1| that cesaro_counterexample accepts: the sup is exactly one.
+_RUSAK_TOL = 1e-9
 
 
 def interior_probes(count: int) -> np.ndarray:
@@ -91,7 +93,8 @@ def _by_pass(orders, run) -> list:
     `run` maps a list of strictly increasing orders, at most
     _ORDERS_PER_PASS of them and all with the same default_resolution,
     to their rows in one pass over the poles; the distinct orders go
-    through it in increasing runs.
+    through it in increasing runs.  Only `cesaro_counterexample` samples
+    on that grid, so only its passes need the grouping.
     """
     rows = {}
     for _, same in groupby(sorted(set(orders)), default_resolution):
@@ -147,14 +150,19 @@ def _diagnose_orders(sequence: PointSequence, orders) -> list[SequenceDiagnostic
     once.  Raises for the first order, in increasing order, that
     diagnose_sequence would refuse.
     """
-    return _by_pass(orders, lambda part: _diagnose_pass(sequence, part))
+    return _by_pass(orders, lambda p: _diagnose_pass(sequence, p, _frostman_minima(sequence, p)))
 
 
-def _diagnose_pass(sequence: PointSequence, orders: list) -> list[SequenceDiagnostics]:
-    """The rows of at most _ORDERS_PER_PASS strictly increasing orders."""
-    x, fmin, vals = _refined_minima(
+def _frostman_minima(sequence: PointSequence, orders: list):
+    """Refined minima of |B_n'| at the orders of one pass: (F,) angles, values, (F, 8192) scan."""
+    return _refined_minima(
         lambda a: _frostman_prefixes(sequence, orders, a), np.empty((len(orders), 0))
     )
+
+
+def _diagnose_pass(sequence: PointSequence, orders: list, minima) -> list[SequenceDiagnostics]:
+    """The rows of at most _ORDERS_PER_PASS increasing orders, from their _frostman_minima."""
+    x, fmin, vals = minima
     rows = []
     for j, n in enumerate(orders):
         drift = _l1_drift(sequence, n)
@@ -194,10 +202,7 @@ class ConvergenceRow:
 
 
 def convergence_experiment(
-    f: AnalyticTestFunction,
-    sequence: PointSequence,
-    orders,
-    grid_n: int | None = None,
+    f: AnalyticTestFunction, sequence: PointSequence, orders
 ) -> list[ConvergenceRow]:
     """Norms of f - sigma_positive(f) on the circle against the 1/B_n' brackets.
 
@@ -206,45 +211,45 @@ def convergence_experiment(
     2 * ||1/B_n'|| above and prod |a_k|^2 * ||1/B_n'|| below in the matching
     norm; the two-sided enclosure is the identity-map statement and needs
     prod |a_k|^2 <= 1 - prod |a_k| for the lower half.  The L^1 and L^2
-    columns are means over `grid_n` angles (default_resolution(n) when
-    None).  The coefficients come from coefficients_of's contour on the
-    whole sequence, once per call, and order n takes c_0..c_{n-1}; the
-    grid does not reach them.  The orders share passes over the poles;
-    each row equals the one-order call on the same sequence.
+    columns are means over the 8192-angle scans of the error's and the
+    Frostman minimum's refined searches, a trapezoid rule that converges
+    geometrically on these rational integrands; no grid setting reaches
+    them.  The coefficients come from coefficients_of's contour on the
+    whole sequence, once per call, and order n takes c_0..c_{n-1}.  The
+    orders share passes over the poles; each row equals the one-order
+    call on the same sequence.
     """
     orders = [int(n) for n in orders]
     size = len(sequence)
     c = coefficients_of(f, TMBasis(sequence, size))[size - 1 :]
-    return _by_pass(orders, lambda part: _convergence_pass(f, sequence, c, part, grid_n))
+    return _by_pass(orders, lambda part: _convergence_pass(f, sequence, c, part))
 
 
 def _boundary_errors(f, sequence, c, orders: list, argmins):
     """|f - sigma_positive(f)| on the circle at the orders of one pass.
 
-    Returns the map from flat angles to the (F, M) errors, row j at
-    orders[j], and the (F,) refined sups of its rows, row j's search
-    seeded by argmins[j], the Frostman minimizer where 1/|B_n'| peaks.
-    One recursion per set of angles carries every order's S_n, S_n', B_n
-    and B_n' from the coefficients c_0, c_1, ... in c.
+    Returns the (F, 8192) errors on the scan angles, row j at orders[j],
+    and the (F,) refined sups of its rows, row j's search seeded by
+    argmins[j], the Frostman minimizer where 1/|B_n'| peaks.  One
+    recursion per set of angles carries every order's S_n, S_n', B_n and
+    B_n' from the coefficients c_0, c_1, ... in c.
     """
 
-    def errors(theta):
+    def negated_errors(theta):
         t = np.exp(1j * theta)
         sums = _recurse(sequence, orders[-1], t, c=c[: orders[-1]], orders=orders)
-        return np.abs(np.asarray(f.value(t)) - _sigma_from_sums(*sums))
+        return -np.abs(np.asarray(f.value(t)) - _sigma_from_sums(*sums))
 
-    _, v, _ = _refined_minima(lambda a: -errors(a), np.asarray(argmins)[:, None])
-    return errors, -v
+    _, v, scan = _refined_minima(negated_errors, np.asarray(argmins)[:, None])
+    return -scan, -v
 
 
-def _convergence_pass(f, sequence, c, orders: list, grid_n) -> list[ConvergenceRow]:
+def _convergence_pass(f, sequence, c, orders: list) -> list[ConvergenceRow]:
     """The rows of one pass, from the coefficients c."""
-    diags = _diagnose_pass(sequence, orders)
-    errors, sups = _boundary_errors(f, sequence, c, orders, [d.argmin_angle for d in diags])
-    res = grid_n or default_resolution(orders[0])
-    grid = 2.0 * np.pi * np.arange(res) / res
-    err = errors(grid)
-    inv = 1.0 / _frostman_prefixes(sequence, orders, grid)
+    argmins, _, frostman_scan = minima = _frostman_minima(sequence, orders)
+    diags = _diagnose_pass(sequence, orders, minima)
+    err, sups = _boundary_errors(f, sequence, c, orders, argmins)
+    inv = 1.0 / frostman_scan
     rows = []
     for j, (n, diag) in enumerate(zip(orders, diags)):
         inv_mean = float(inv[j].mean())
@@ -306,10 +311,11 @@ def voronovskaya_experiment(
     exactly, its gap is the quadrature error of the shared grid; past 1e-7
     the grid is too coarse and NoConvergence is raised.
     """
+    _check_order(sequence, order)
     zs = interior_probes(probes)
     res = grid_n or default_resolution(order)
     rng = np.random.default_rng(seed)
-    bz = eval_blaschke(sequence, order, zs).value
+    bz = _recurse(sequence, order, zs, jet=False)[0]
     bounds = np.abs(bz) / (1.0 - np.abs(zs) ** 2)
     densities = _unit_densities(rng, res, trials)
     w, cbt = _cauchy_weights(sequence, order, res, zs)
@@ -369,9 +375,7 @@ def saturation_check(sequence: PointSequence, order: int, members=None) -> list[
         members = standard_corpus()
     basis = TMBasis(sequence, order)
     pts = sequence.as_array()[:order]
-    argmin, _, _ = _refined_minima(
-        lambda a: _frostman_prefixes(sequence, [order], a), np.empty((1, 0))
-    )
+    argmin, _, _ = _frostman_minima(sequence, [order])
     rows = []
     for f in members:
         if f.kind == "cauchy_transform":
@@ -423,11 +427,12 @@ def cesaro_counterexample(
     attained at the angle pi; `excess` reports one plus the refined sup so
     it reads as an operator-norm lower bound, always above one.  The
     kernel method stays at sup one on the same data (`rusak_sup`), sampled
-    on `grid_n` points (default_resolution(n) when None).  The
-    coefficients of the constant are computed once on the whole sequence,
-    and order n takes the 2n - 1 of them with |k| < n.  The orders share
-    basis rows, computed at the largest order of each pass; each row
-    equals the one-order call.
+    on `grid_n` points (default_resolution(n) when None); a sup that misses
+    one by more than 1e-9 means the grid is too coarse, and NoConvergence
+    is raised for the first such order.  The coefficients of the constant
+    are computed once on the whole sequence, and order n takes the 2n - 1
+    of them with |k| < n.  The orders share basis rows, computed at the
+    largest order of each pass; each row equals the one-order call.
     """
     arr = np.asarray(values, dtype=np.complex128)
     if arr.size and (np.abs(arr.imag).max() > 0 or arr.real.min() < 0 or arr.real.max() >= 1):
@@ -462,7 +467,7 @@ def _counterexample_pass(a, sequence, c, orders: list, grid_n, probes) -> list[C
     )
     tp = np.exp(2j * np.pi * np.arange(probes) / probes)
     vt, vz = phi_values(top, grid.points), phi_values(top, tp)
-    return [
+    rows = [
         CounterexampleRow(
             order=n,
             excess=1.0 - float(v[j]),
@@ -471,3 +476,10 @@ def _counterexample_pass(a, sequence, c, orders: list, grid_n, probes) -> list[C
         )
         for j, n in enumerate(orders)
     ]
+    for r in rows:
+        if abs(r.rusak_sup - 1.0) > _RUSAK_TOL:
+            raise NoConvergence(
+                f"kernel method's sup on the constant misses 1 by {abs(r.rusak_sup - 1.0):.2e} "
+                f"on a {grid.resolution}-point grid at order {r.order}; a finer grid_n is needed"
+            )
+    return rows

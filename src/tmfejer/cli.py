@@ -12,7 +12,7 @@ comment, list values sit in brackets:
     sequence = constant:0.5        # constant:c | geometric:r | harmonic:c | list:[...]
     orders = [1, 2, 4, 8]          # strictly increasing, all >= 1
     function = identity            # one | identity | mobius:c | pole:c | poly:[c0, c1, ...]
-    grid_n = 4096                  # power of two >= 16, for grid-backed data; default per order
+    grid_n = 4096                  # power of two >= 16; voronovskaya, counterexample only
     seed = 0
     format = csv                   # csv | json
     out = results/converge.csv     # default stdout
@@ -26,13 +26,12 @@ exit 3.  A report goes from the drivers to the file as columns.  Reruns
 of an identical config on the same machine produce byte-identical files:
 no timestamps, `%.17g` floats in CSV and float repr in JSON, sorted JSON
 keys.  An undefined value is nan in CSV and null in JSON; any other
-non-finite float exits 2 in either format.  The environment variable
-TMFEJER_GRID_N overrides the automatic grid resolution, and an explicit
-grid_n in the config wins over both; the report metadata records the
-grid so resolved (null for the per-order default).  The grid governs
-only grid-backed data: the Cauchy densities and extremal traces of
-voronovskaya, the boundary data of sigma_rusak in counterexample, and
-the norm grid of converge.  Coefficients of the holomorphic functions
+non-finite float exits 2 in either format.  The config's grid_n is the
+only grid setting, and the report metadata records it (null for the
+per-order default).  It reaches only voronovskaya, for its Cauchy
+densities and extremal traces, and counterexample, for the boundary data
+of sigma_rusak; converge reads its norms off the 8192-angle scans of its
+refined extrema.  Coefficients of the holomorphic functions
 (one, identity, mobius, pole, poly) come from a contour |t| = R > 1 that
 is sized per function and order; a function that needs more than
 CONTOUR_CAP contour points, such as a pole closer than about 5e-3 to the
@@ -46,7 +45,6 @@ import cmath
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from itertools import filterfalse
@@ -227,10 +225,10 @@ def _parse_orders(text: str) -> tuple:
     return orders
 
 
-def _parse_grid_n(text: str, field: str = "grid_n") -> int:
-    value = _parse_int(text, field, 16)
+def _parse_grid_n(text: str) -> int:
+    value = _parse_int(text, "grid_n", 16)
     if value & (value - 1):
-        raise ValidationError(field, f"must be a power of two, got {value}")
+        raise ValidationError("grid_n", f"must be a power of two, got {value}")
     return value
 
 
@@ -310,18 +308,8 @@ def _resolve_function(name: str):
     raise ValidationError("function", f"unknown function {name!r}")
 
 
-def _resolved_grid_n(config: ExperimentConfig) -> int | None:
-    if config.grid_n is not None:
-        return config.grid_n
-    env = os.environ.get("TMFEJER_GRID_N")
-    if env is None:
-        return None
-    return _parse_grid_n(env, "TMFEJER_GRID_N")
-
-
 def _execute(config: ExperimentConfig) -> dict[str, list]:
     """The report as columns in CSV order: name -> one value per row."""
-    grid_n = _resolved_grid_n(config)
     sequence = config.sequence.materialize(max(config.orders))
     if config.command == "kernel":
         m = config.kernel_samples
@@ -340,16 +328,16 @@ def _execute(config: ExperimentConfig) -> dict[str, list]:
         return columns
     if config.command == "converge":
         f = _resolve_function(config.function)
-        rows = convergence_experiment(f, sequence, config.orders, grid_n)
+        rows = convergence_experiment(f, sequence, config.orders)
     elif config.command == "voronovskaya":
-        args = (config.probes, config.trials, config.seed, grid_n)
+        args = (config.probes, config.trials, config.seed, config.grid_n)
         rows = [r for n in config.orders for r in voronovskaya_experiment(sequence, int(n), *args)]
     elif config.command == "saturation":
         rows = [r for n in config.orders for r in saturation_check(sequence, int(n))]
     elif config.command == "frostman":
         rows = _diagnose_orders(sequence, config.orders)
     elif config.command == "counterexample":
-        rows = cesaro_counterexample(sequence.as_array(), config.orders, grid_n, config.probes)
+        rows = cesaro_counterexample(sequence.points, config.orders, config.grid_n, config.probes)
     else:
         raise ValidationError("command", f"unknown command {config.command!r}")
     dicts = [r.to_row() for r in rows]
@@ -411,7 +399,7 @@ def _render(config: ExperimentConfig, columns: dict[str, list]) -> str:
         "generator_version": GENERATOR_VERSION,
         "orders": list(config.orders),
         "seed": config.seed,
-        "grid_n": _resolved_grid_n(config),
+        "grid_n": config.grid_n,
         "function": config.function,
     }
     if config.format == "json":

@@ -37,9 +37,9 @@ conj(B_n) of delta's integrand does not drive the size up.  delta runs
 the basis recursion once over its points: the pass that gives B_n and
 B_n' also accumulates S_n and S_n', from which sigma_positive follows.
 
-Only grid-backed data, the Cauchy densities and the boundary data of
-sigma_rusak, is sampled on the unit circle, so a grid size (the CLI's
-grid_n or TMFEJER_GRID_N) reaches only that data.
+Only grid-backed data is sampled on the unit circle, so the CLI's grid_n
+reaches only the Cauchy densities of voronovskaya and the boundary data
+of sigma_rusak in counterexample.
 """
 
 from __future__ import annotations

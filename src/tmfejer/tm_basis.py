@@ -35,7 +35,6 @@ from tmfejer.blaschke import (
     _flatten,
     _recurse,
     _restore,
-    eval_blaschke,
 )
 
 __all__ = [
@@ -115,8 +114,7 @@ def cd_kernel(basis: TMBasis, z, t):
         raise DiagonalSingularity(
             "1 - z*conj(t) vanishes; use the basis sum of phi_values there"
         )
-    n = basis.order
-    bz = eval_blaschke(basis.sequence, n, zf).value
-    bt = eval_blaschke(basis.sequence, n, tf).value
+    bz = _recurse(basis.sequence, basis.order, zf, jet=False)[0]
+    bt = _recurse(basis.sequence, basis.order, tf, jet=False)[0]
     out = (1.0 - bz * np.conj(bt)) / den
     return _restore(out, shape, scalar)

@@ -25,7 +25,7 @@ from tmfejer.corpus import (
     random_unit_density,
     standard_corpus,
 )
-from tmfejer.operators import delta
+from tmfejer.operators import delta, sigma_positive
 from tmfejer.quadrature import (
     BoundaryGridFunction,
     NoConvergence,
@@ -143,6 +143,42 @@ class TestConvergence:
         with pytest.raises(ValueError):
             convergence_experiment(constant_one(), seq_short, (0,))
 
+    @pytest.mark.parametrize("order", [32, 256])
+    def test_norm_columns_match_a_fine_grid(self, order):
+        # The scan's means against a 2^17-point trapezoid rule.
+        rng = np.random.default_rng(order)
+        a = 0.7 * np.sqrt(rng.random(order)) * np.exp(2j * np.pi * rng.random(order))
+        seq = PointSequence(tuple(a))
+        f = identity_map()
+        (row,) = convergence_experiment(f, seq, [order])
+        theta = 2.0 * np.pi * np.arange(1 << 17) / (1 << 17)
+        t = np.exp(1j * theta)
+        err = np.abs(f.value(t) - sigma_positive(f, TMBasis(seq, order), t))
+        inv_l1 = float((1.0 / boundary_derivative_modulus(seq, order, theta)).mean())
+        pm2 = float(np.prod(np.abs(a))) ** 2
+        want = {
+            "error_l1": float(err.mean()),
+            "error_l2": float(np.sqrt((err**2).mean())),
+            "upper_l1": 2.0 * inv_l1,
+            "lower_l1": pm2 * inv_l1,
+        }
+        for key, value in want.items():
+            assert getattr(row, key) == pytest.approx(value, rel=1e-13, abs=0.0), key
+
+    def test_one_pass_reads_norms_off_its_scans(self, seq_bracket, monkeypatch):
+        # Each refined search is one scan and six zoom rounds; no other grid.
+        calls = {"_recurse": 0, "_frostman_prefixes": 0}
+        for name in calls:
+            inner = getattr(analysis, name)
+
+            def counting(*args, name=name, inner=inner, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(analysis, name, counting)
+        convergence_experiment(identity_map(), seq_bracket, (1, 2, 4, 8))
+        assert calls == {"_recurse": 7, "_frostman_prefixes": 7}
+
 
 class TestVoronovskaya:
     def test_rows_within_bound_and_extremal(self, seq_mixed):
@@ -197,6 +233,11 @@ class TestVoronovskaya:
         voronovskaya_experiment(seq_mixed, 6, probes=4, trials=3, seed=1, grid_n=1024)
         # One set of weights, and one B_n on the densities' grid, per order.
         assert calls == [(6, 1024, 4)]
+
+    def test_order_validation(self, seq_mixed):
+        for n in (0, len(seq_mixed) + 1):
+            with pytest.raises(ValueError):
+                voronovskaya_experiment(seq_mixed, n, probes=2, trials=1)
 
     def test_bound_decays_with_order(self, seq_mixed):
         # |B_n(z)| is non-increasing in n, so the theoretical bound decays.
@@ -259,6 +300,21 @@ class TestCounterexample:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             cesaro_counterexample([0.5], (2,))
+
+    @pytest.mark.parametrize(
+        "values,order",
+        [
+            ([1.0 - 0.5**k for k in range(1, 9)], 8),
+            ([1.0 - 0.5**k for k in range(1, 11)], 10),
+            ([1.0 - 1.0 / (k + 1.0) for k in range(1, 65)], 64),
+        ],
+        ids=["geometric-8", "geometric-10", "harmonic-64"],
+    )
+    def test_kernel_sup_off_one_raises(self, values, order):
+        # The default grid puts the kernel method's sup on the constant at
+        # 1.0000009, 1.148 and 1.052; it is exactly one.
+        with pytest.raises(NoConvergence, match=f"at order {order}"):
+            cesaro_counterexample(values, [order])
 
 
 # A multi-order call returns exactly the rows of one call per order: the

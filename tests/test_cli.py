@@ -359,9 +359,8 @@ def _same(got, want) -> bool:
 
 
 @pytest.mark.parametrize("command,report", BUNDLED, ids=[c for c, _ in BUNDLED])
-def test_bundled_reports_match_results(tmp_path, monkeypatch, command, report):
+def test_bundled_reports_match_results(tmp_path, command, report):
     # results/ is the golden copy of scripts/run_all_experiments.py's output.
-    monkeypatch.delenv("TMFEJER_GRID_N", raising=False)
     out = tmp_path / report
     cfg = ROOT / "scripts" / "configs" / f"{command}.cfg"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
@@ -395,10 +394,9 @@ POLE_CONVERGE = (
     ],
     ids=["converge", "counterexample", "converge-pole"],
 )
-def test_rows_agree_with_single_order_configs(monkeypatch, text):
+def test_rows_agree_with_single_order_configs(text):
     # A single-order config materializes only n poles, so its coefficients
     # come from another contour sum and agree with the row to rounding.
-    monkeypatch.delenv("TMFEJER_GRID_N", raising=False)
     config = parse_config(text)
     many = _execute(config)
     for i, n in enumerate(config.orders):
@@ -409,39 +407,33 @@ def test_rows_agree_with_single_order_configs(monkeypatch, text):
 
 class TestGridOverride:
     BODY = (
-        "command = converge\nsequence = list:[0.5,0.3]\norders = [2]\n"
-        "function = pole:1.02\n"
+        "command = voronovskaya\nsequence = list:[0.5,0.3]\norders = [2]\n"
+        "probes = 2\ntrials = 2\n"
     )
 
-    def test_env_grid_changes_output(self, tmp_path, monkeypatch):
+    def test_config_grid_changes_output(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        monkeypatch.delenv("TMFEJER_GRID_N", raising=False)
         assert run(parse_config(self.BODY + f"out = {a}\n")) == 0
-        monkeypatch.setenv("TMFEJER_GRID_N", "1024")
-        assert run(parse_config(self.BODY + f"out = {b}\n")) == 0
+        assert run(parse_config(self.BODY + f"grid_n = 1024\nout = {b}\n")) == 0
         assert a.read_bytes() != b.read_bytes()
 
-    def test_config_grid_wins_over_env(self, tmp_path, monkeypatch):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        monkeypatch.delenv("TMFEJER_GRID_N", raising=False)
-        assert run(parse_config(self.BODY + f"grid_n = 2048\nout = {a}\n")) == 0
-        monkeypatch.setenv("TMFEJER_GRID_N", "1024")
-        assert run(parse_config(self.BODY + f"grid_n = 2048\nout = {b}\n")) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_json_records_env_grid(self, tmp_path, monkeypatch):
-        for grid in (256, 8192):
+    def test_json_records_config_grid(self, tmp_path):
+        for grid in (None, 256, 8192):
             out = tmp_path / f"{grid}.json"
-            monkeypatch.setenv("TMFEJER_GRID_N", str(grid))
-            assert run(parse_config(self.BODY + f"format = json\nout = {out}\n")) == 0
+            line = "" if grid is None else f"grid_n = {grid}\n"
+            assert run(parse_config(self.BODY + line + f"format = json\nout = {out}\n")) == 0
             assert json.loads(out.read_text())["metadata"]["grid_n"] == grid
 
-    def test_bad_env_value_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv("TMFEJER_GRID_N", "1000")
-        assert run(parse_config(self.BODY)) == 2
-        capsys.readouterr()
+    def test_converge_ignores_the_grid(self, tmp_path):
+        # converge takes every norm from its 8192-angle scans.
+        text = (ROOT / "scripts" / "configs" / "converge.cfg").read_text(encoding="utf-8")
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        assert main(["converge", "--config", str(write_cfg(tmp_path, text)), "--out", str(a)]) == 0
+        cfg = write_cfg(tmp_path, text + "grid_n = 16\n", name="coarse.cfg")
+        assert main(["converge", "--config", str(cfg), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestMainEntry:
@@ -493,6 +485,16 @@ class TestMainEntry:
         assert main(["voronovskaya", "--config", str(cfg), "--out", str(out)]) == 3
         assert not out.exists()
         assert "extremal value misses the bound" in capsys.readouterr().err
+
+    def test_counterexample_grid_too_coarse(self, tmp_path, capsys):
+        # a_8 = 1 - 2^-8: on the default grid the kernel method's sup on the
+        # constant misses 1 by 8.7e-7 at n = 8 and by 0.15 at n = 10.
+        text = "command = counterexample\nsequence = geometric:0.5\norders = [8, 10]\n"
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "r.json"
+        assert main(["counterexample", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "misses 1 by 8.7" in capsys.readouterr().err
 
     def test_frostman_mean_off_the_order(self, tmp_path, capsys):
         # geometric:0.5 puts a_9 within 2^-9 of the circle; the 8192-angle
