@@ -87,17 +87,17 @@ def interior_probes(count: int) -> np.ndarray:
     return r * np.exp(1j * angles)
 
 
-def _by_pass(orders, run) -> list:
+def _by_pass(orders, run, grid=None) -> list:
     """One row per entry of `orders`, in the order given.
 
     `run` maps a list of strictly increasing orders, at most
-    _ORDERS_PER_PASS of them and all with the same default_resolution,
-    to their rows in one pass over the poles; the distinct orders go
-    through it in increasing runs.  Only `cesaro_counterexample` samples
-    on that grid, so only its passes need the grouping.
+    _ORDERS_PER_PASS of them, to their rows in one pass over the poles;
+    the distinct orders go through it in increasing runs.  With `grid`, a
+    map from order to grid size, a pass also holds one grid size alone:
+    `cesaro_counterexample` samples on default_resolution's grid.
     """
     rows = {}
-    for _, same in groupby(sorted(set(orders)), default_resolution):
+    for _, same in groupby(sorted(set(orders)), grid or (lambda n: None)):
         same = list(same)
         for i in range(0, len(same), _ORDERS_PER_PASS):
             part = same[i : i + _ORDERS_PER_PASS]
@@ -441,7 +441,9 @@ def cesaro_counterexample(
     orders = [int(n) for n in orders]
     c = coefficients_of(constant_one(), TMBasis(sequence, len(sequence)))
     return _by_pass(
-        orders, lambda part: _counterexample_pass(arr.real, sequence, c, part, grid_n, probes)
+        orders,
+        lambda part: _counterexample_pass(arr.real, sequence, c, part, grid_n, probes),
+        default_resolution,
     )
 
 

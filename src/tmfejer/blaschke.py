@@ -14,7 +14,9 @@ The module also evaluates the boundary modulus
     |B_n'(e^{ix})| = sum_{k<n} (1 - |a_k|^2) / |1 - e^{-ix} a_k|^2
 
 (a partial Frostman sum) and the continuous boundary phase of B_n, the
-integral of the density gamma_n = |B_n'|/2.  Every evaluator accepts
+integral of the density gamma_n = |B_n'|/2.  On a full uniform grid of
+the circle, B_n and |B_n'| also follow from the power sums of the poles by
+one inverse FFT, which sigma_positive's grid route uses.  Every evaluator accepts
 scalars or numpy arrays of points and returns matching shapes.  B_0 = 1
 only starts the recursion: orders run over 1 <= n <= len(a), the rule
 that `_check_order` states for this module, tm_basis and the operators.
@@ -200,6 +202,34 @@ def _recurse(
     if orders is not None:
         return tuple(snaps)
     return b, bp, vals, ders
+
+
+def _grid_blaschke(
+    sequence: PointSequence, n: int, z0: complex, roots: np.ndarray, terms: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """B_n and |B_n'| on the uniform grid t_m = z0 roots[m], roots[m] = e^{2 pi i m / M}.
+
+    On the circle log B_n(t) = n log t + 2i Im sum_j p_j t^j / j and
+    |B_n'(t)| = n + 2 Re sum_j p_j t^j, with the power sums
+    p_j = sum_k conj(a_k)^j; `terms` = J truncates both at the j where
+    max|a_k|^J falls below the wanted accuracy, and J < M / 2 keeps the
+    positive and negative frequencies apart.  Taking p_j with the poles
+    rotated by z0, one inverse FFT of length M gives
+    X = 2 Re sum_j p_j t^j + 2i Im sum_j p_j t^j / j on the whole grid
+    (P. Henrici, SIAM Review 21 (1979) 481-527).  t^n is read off the roots
+    by index, (n m) mod M, since a power loses n roundings.
+    """
+    npts = roots.size
+    spec = np.zeros(npts, dtype=np.complex128)
+    if terms:
+        ac = np.conj(sequence.as_array()[:n]) * z0
+        p = np.cumprod(np.broadcast_to(ac[:, None], (n, terms)), axis=1).sum(axis=0)
+        inv = 1.0 / np.arange(1, terms + 1)
+        spec[1 : terms + 1] = p * (1.0 + inv)
+        spec[-1 : -terms - 1 : -1] = np.conj(p) * (1.0 - inv)
+    x = np.fft.ifft(spec) * npts
+    tn = roots[(n * np.arange(npts)) % npts] * z0**n
+    return tn * np.exp(1j * x.imag), n + x.real
 
 
 def eval_blaschke(sequence: PointSequence, n: int, z) -> BlaschkeEval:

@@ -37,6 +37,15 @@ conj(B_n) of delta's integrand does not drive the size up.  delta runs
 the basis recursion once over its points: the pass that gives B_n and
 B_n' also accumulates S_n and S_n', from which sigma_positive follows.
 
+sigma_positive has a second route for full uniform grids on the circle,
+where S_n f = B_n P_-(f conj(B_n)): B_n and |B_n'| come from the power
+sums of the poles by one FFT (blaschke._grid_blaschke), and the
+projection from two more, with no coefficients and no recursion.  A
+guard on the grid, the order, the number of power sums and the growth of
+f beyond the circle decides the route, and the route falls back to the
+recursion when its own spectrum shows the grid too coarse; see
+sigma_positive.
+
 Only grid-backed data is sampled on the unit circle, so the CLI's grid_n
 reaches only the Cauchy densities of voronovskaya and the boundary data
 of sigma_rusak in counterexample.
@@ -53,6 +62,7 @@ import numpy as np
 from tmfejer.blaschke import (
     PointSequence,
     _flatten,
+    _grid_blaschke,
     _recurse,
     _restore,
     boundary_derivative_modulus,
@@ -101,6 +111,13 @@ _CONTOUR_DECAY = 1e-17
 _CONTOUR_TOL = 1e-14
 # Cap on max|f| over the contour relative to max|f| over the unit circle.
 _CONTOUR_GROWTH = 16.0
+# sigma_positive's FFT route runs from order _GRID_ORDER on, with at most
+# _GRID_TERMS power sums.  Its k-weighted sum leaves out Fourier
+# coefficients below _GRID_NOISE times the largest one in the band that
+# holds rounding alone.
+_GRID_ORDER = 16
+_GRID_TERMS = 1024
+_GRID_NOISE = 4.0
 
 _KINDS = ("rational", "cauchy_transform", "schur", "blaschke_multiple")
 
@@ -313,24 +330,136 @@ def sigma_positive(
     z,
     coeffs: np.ndarray | None = None,
 ):
-    """S_n(f)(z) - (B_n(z)/B_n'(z)) S_n'(f)(z).
+    """S_n(f)(z) - (B_n(z)/B_n'(z)) S_n'(f)(z), by one of two routes.
 
-    S_n and S_n' are accumulated term by term during the basis recursion,
-    so no n x M array of basis values is formed.  S_n' is assembled from
-    the exact rational derivatives of the basis functions, never from
-    finite differences.  At a multiple interpolation node both B_n and B_n'
-    vanish and the ratio tends to zero, so the value degenerates to S_n(z)
-    there; at a genuine critical point of B_n the operator has a pole and
-    CriticalPoint is raised.  Precomputed `coeffs`
+    When z is a full uniform grid z0 e^{2 pi i m / M} (to 1e-14, any
+    rotation z0, M a power of two >= 64), n >= 16, the power sums of B_n
+    need at most min(M / 4, 1024) terms, and f is holomorphic beyond the
+    circle |t| = rho, rho^(-M/4) = 1e-17, and at most 16 times as large
+    there as on the unit circle, `_sigma_on_grid` takes the value from
+    samples of f and f' with three FFTs, in O(n J + M log M); `coeffs`
+    are then only length-checked, and none are computed when it is None.
+    That route hands over to the recursion when the spectrum it computes
+    shows the grid too coarse.  It stays within 4e-14 of the recursion
+    (poles |a| <= 0.962, n = 16 to 1024, M up to 2^17), which is itself
+    within about 1e-15 of closed forms; below n = 16 the recursion is
+    also the faster route.
+
+    Every other point set takes the basis recursion, which accumulates S_n
+    and S_n' term by term, so no n x M array of basis values is formed.
+    S_n' is assembled from the exact rational derivatives of the basis
+    functions, never from finite differences.  At a multiple interpolation
+    node both B_n and B_n' vanish and the ratio tends to zero, so the value
+    degenerates to S_n(z) there; at a genuine critical point of B_n the
+    operator has a pole and CriticalPoint is raised.  Precomputed `coeffs`
     are the 2n - 1 values of coefficients_of; S_n uses coeffs[n - 1:].
     """
     n = basis.order
     zf, shape, scalar = _flatten(z)
-    if coeffs is None:
-        coeffs = coefficients_of(f, basis)
-    _require_length(coeffs, n, "sigma_positive")
-    out = _sigma_from_sums(*_recurse(basis.sequence, n, zf, c=coeffs[n - 1 :]))
+    if coeffs is not None:
+        _require_length(coeffs, n, "sigma_positive")
+    grid = _uniform_grid(f, basis.sequence, n, zf)
+    out = None if grid is None else _sigma_on_grid(f, basis.sequence, n, zf, *grid)
+    if out is None:
+        if coeffs is None:
+            coeffs = coefficients_of(f, basis)
+        out = _sigma_from_sums(*_recurse(basis.sequence, n, zf, c=coeffs[n - 1 :]))
     return _restore(out, shape, scalar)
+
+
+def _uniform_grid(f: AnalyticTestFunction, sequence: PointSequence, n: int, zf: np.ndarray):
+    """(z0, roots, J) when the flat points zf are z0 roots[m], roots[m] = e^{2 pi i m / M},
+    to _CONTOUR_TOL and `_sigma_on_grid` may run there; None otherwise.
+
+    M must be a power of two >= 64 and n at least _GRID_ORDER, below which
+    the recursion is the faster route.  The route needs the spectrum of
+    f conj(B_n) at rounding level from frequency M / 4 on.  For f,
+    Cauchy's estimate on |t| = rho with rho^(-M/4) = _CONTOUR_DECAY bounds
+    its k-th coefficient by max|f| there times rho^(-k), so f must be
+    holomorphic beyond rho (Cauchy transforms, with no radius, keep the
+    recursion) and, sampled at 64 points as in `_contour`, at most
+    _CONTOUR_GROWTH times as large there as on the circle; a radius alone
+    says nothing of size, and an entire f of high degree fails this test.
+    The power sums of B_n decay like max|a_k|^j, which falls to
+    _CONTOUR_DECAY at j = J, so J <= M / 4.  Past J = _GRID_TERMS the
+    rounding of the long power sums grows: at J = 10^4 (poles 1 - 2^-k,
+    n = 8) the route was 3e-13 to 8e-13 off the recursion.
+    """
+    npts = zf.size
+    if npts < 64 or npts & (npts - 1) or n < _GRID_ORDER or f.radius is None:
+        return None
+    rho = _CONTOUR_DECAY ** (-4.0 / npts)
+    if not f.radius > rho:
+        return None
+    mod = float(np.abs(sequence.as_array()[:n]).max())
+    terms = math.ceil(math.log(_CONTOUR_DECAY) / math.log(mod)) if mod > 0.0 else 0
+    if terms > min(npts // 4, _GRID_TERMS):
+        return None
+    r0 = abs(zf[0])
+    if not abs(r0 - 1.0) <= _CONTOUR_TOL:
+        return None
+    z0 = complex(zf[0]) / r0
+    roots = np.exp(2j * np.pi * np.arange(npts) / npts)
+    # Written so that a NaN point fails the test.
+    if not np.abs(zf - z0 * roots).max() <= _CONTOUR_TOL:
+        return None
+    e = roots[:: npts // 64]
+    if np.abs(f.value(rho * e)).max() > _CONTOUR_GROWTH * np.abs(f.value(e)).max():
+        return None
+    return z0, roots, terms
+
+
+def _sigma_on_grid(
+    f: AnalyticTestFunction,
+    sequence: PointSequence,
+    n: int,
+    zf: np.ndarray,
+    z0: complex,
+    roots: np.ndarray,
+    terms: int,
+) -> np.ndarray | None:
+    """sigma_positive(f) on the uniform grid zf = z0 roots from samples of f
+    and f', or None when the grid does not resolve them.
+
+    On the circle S_n f = B_n P_-(h) with h = f conj(B_n), and
+    t B_n'/B_n = |B_n'|, so with D = t d/dt, which maps t^k to k t^k,
+
+        sigma_positive(f) = -(B_n / |B_n'|) D P_-(h)
+                          = f - (t f' - B_n D P_+(h)) / |B_n'|,
+
+    the second form because D conj(B_n) = -|B_n'| conj(B_n) there.  So
+    sigma_positive(f)(t) = f - (t f' - B_n sum_{k>=1} k g_k t^k) / |B_n'|,
+    with g_k the Fourier coefficients of h: one forward FFT of its
+    samples, the k-weighted positive half, one inverse FFT.  The rotation
+    z0 cancels between the two.  The positive half decays with f's
+    coefficients, while the negative half decays only like max|a_k|^k;
+    for the constant and the identity it holds at most g_1, so both come
+    out exact to rounding.
+
+    The band k = M/4 .. M/2 - 1 must hold rounding alone, at most
+    _CONTOUR_TOL max|g|, or the recursion takes over.  `_uniform_grid`
+    bounds f's part of it; the test also catches the spectrum of
+    conj(B_n), which reaches down to about -max|B_n'| and folds into the
+    band when the grid does not resolve it (64 poles of modulus 0.96
+    within 0.07 rad of each other on 4096 points put 1e-2 max|g| there).
+    The weighted sum stops at the last k with |g_k| above _GRID_NOISE
+    times the largest |g_k| in the band: weighting rounding noise by k
+    would cost digits.
+    """
+    npts = zf.size
+    b, db = _grid_blaschke(sequence, n, z0, roots, terms)
+    fv = np.broadcast_to(np.asarray(f.value(zf), dtype=np.complex128), zf.shape)
+    dv = np.broadcast_to(np.asarray(f.derivative(zf), dtype=np.complex128), zf.shape)
+    g = np.fft.fft(fv * np.conj(b)) / npts
+    mag = np.abs(g)
+    noise = mag[npts // 4 : npts // 2].max()
+    if not noise <= _CONTOUR_TOL * mag.max():
+        return None
+    live = np.flatnonzero(mag[1 : npts // 2] > _GRID_NOISE * noise)
+    top = live[-1] + 1 if live.size else 0
+    weighted = np.zeros(npts, dtype=np.complex128)
+    weighted[1 : top + 1] = np.arange(1, top + 1) * g[1 : top + 1]
+    return fv - (zf * dv - b * np.fft.ifft(weighted) * npts) / db
 
 
 def _sigma_from_sums(bz, bpz, s, sp) -> np.ndarray:

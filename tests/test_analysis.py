@@ -179,6 +179,20 @@ class TestConvergence:
         convergence_experiment(identity_map(), seq_bracket, (1, 2, 4, 8))
         assert calls == {"_recurse": 7, "_frostman_prefixes": 7}
 
+    @pytest.mark.parametrize("orders", [[64, 65], [62, 64]], ids=["grid-step", "one-grid"])
+    def test_orders_across_a_grid_step_share_a_pass(self, orders, monkeypatch):
+        # default_resolution steps between n = 64 and 65; converge samples
+        # on no such grid, so either pair of orders takes one pass.
+        rng = np.random.default_rng(3)
+        a = 0.6 * np.sqrt(rng.random(70)) * np.exp(2j * np.pi * rng.random(70))
+        calls = []
+        inner = analysis._recurse
+        monkeypatch.setattr(
+            analysis, "_recurse", lambda *args, **kw: calls.append(1) or inner(*args, **kw)
+        )
+        convergence_experiment(identity_map(), PointSequence(tuple(a)), orders)
+        assert len(calls) == 7
+
 
 class TestVoronovskaya:
     def test_rows_within_bound_and_extremal(self, seq_mixed):

@@ -32,6 +32,7 @@ from tmfejer.operators import (
     _cauchy_weighted_integral,
     _contour,
     _holomorphic_weighted_integral,
+    _sigma_from_sums,
     coefficients,
     coefficients_of,
     delta,
@@ -239,6 +240,115 @@ class TestSigmaPositive:
         )
         with pytest.raises(ValueError):
             sigma_positive(f, basis, z, coeffs=c[2:])
+
+    # A full uniform grid takes the FFT route; every other point set, and
+    # every grid outside the guard, the basis recursion.
+
+    @staticmethod
+    def _by_recursion(f, basis, z, c=None):
+        n = basis.order
+        if c is None:
+            c = coefficients_of(f, basis)
+        return _sigma_from_sums(*_recurse(basis.sequence, n, z, c=c[n - 1 :]))
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {"_recurse": 0, "coefficients_of": 0}
+        for name in calls:
+            inner = getattr(operators, name)
+
+            def counting(*args, name=name, inner=inner, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(operators, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("offset", [0.0, 0.37], ids=["unrotated", "rotated"])
+    @pytest.mark.parametrize("npts", [4096, 8192])
+    @pytest.mark.parametrize("order", [16, 32, 128])
+    def test_grid_route_accuracy(self, order, npts, offset, monkeypatch):
+        seq = _random_sequence(order, 0.9, order)
+        basis = TMBasis(seq, order)
+        t = np.exp(2j * np.pi * (np.arange(npts) + offset) / npts)
+        coeffs = [coefficients_of(f, basis) for f in rational_corpus(12)]
+        want = [self._by_recursion(f, basis, t, c) for f, c in zip(rational_corpus(12), coeffs)]
+        calls = self._count_calls(monkeypatch)
+        got = [sigma_positive(f, basis, t, coeffs=c) for f, c in zip(rational_corpus(12), coeffs)]
+        assert calls["_recurse"] == 0
+        for f, g, w in zip(rational_corpus(12), got, want):
+            assert np.abs(g - w).max() <= 1e-13, f.label
+        # got[0] is the constant, got[1] the identity.
+        assert np.abs(got[0] - 1.0).max() <= 1e-13
+        be = eval_blaschke(seq, order, t)
+        b0 = complex(np.prod(-seq.as_array()))
+        closed = t - be.value / be.derivative * (1.0 - np.conj(b0) * be.value)
+        assert np.abs(got[1] - closed).max() <= 1e-13
+
+    def test_grid_route_does_no_hidden_work(self, monkeypatch):
+        basis = TMBasis(_random_sequence(32, 0.7, 5), 32)
+        t = circle_grid(4096)
+        calls = self._count_calls(monkeypatch)
+        for f in rational_corpus(12):
+            sigma_positive(f, basis, t)
+        assert calls == {"_recurse": 0, "coefficients_of": 0}
+        with pytest.raises(ValueError, match="^sigma_positive of order 32"):
+            sigma_positive(identity_map(), basis, t, coeffs=np.ones(62, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "low-order",
+            "many-terms",
+            "cauchy",
+            "moved-point",
+            "m48",
+            "m3000",
+            "scalar",
+            "high-degree",
+            "gapped",
+            "clustered",
+        ],
+    )
+    def test_off_the_guard_bit_for_bit(self, case, monkeypatch):
+        seq, order, f = _random_sequence(16, 0.7, 1), 16, mobius(0.3)
+        z = circle_grid(4096)
+        if case == "low-order":
+            seq, order = PointSequence(MIXED), 8
+        elif case == "many-terms":
+            # geometric:0.5 needs about 10^6 power sums at n = 16.
+            seq = PointSequence(tuple(1.0 - 0.5 ** np.arange(1, 17)))
+            z = circle_grid(1 << 17)
+        elif case == "cauchy":
+            f = cauchy_transform(random_unit_density(np.random.default_rng(2)))
+        elif case == "moved-point":
+            z = z.copy()
+            z[1000] *= np.exp(1e-12j)
+        elif case == "m48":
+            z = circle_grid(48)
+        elif case == "m3000":
+            z = circle_grid(3000)
+        elif case == "scalar":
+            z = complex(np.exp(0.4j))
+        elif case == "high-degree":
+            # Entire, but z^200 fills the band 128 .. 255 of a 512-point grid.
+            f, z = polynomial([0.0] * 200 + [1.0]), circle_grid(512)
+        elif case == "gapped":
+            # 1 + z^600 leaves that band empty and folds onto low
+            # frequencies; only the growth test on |t| = rho sees it.
+            seq = PointSequence(tuple(0.5 * np.exp(2j * np.pi * (np.arange(16) + 0.1) / 16)))
+            f, z = polynomial([1.0] + [0.0] * 599 + [1.0]), circle_grid(512)
+        else:
+            # The guard passes, but 4096 points do not resolve B_n.
+            a = 0.96 * np.exp(1j * (0.3 + 1e-3 * np.arange(64)))
+            seq, order, f = PointSequence(tuple(a)), 64, identity_map()
+            assert operators._uniform_grid(f, seq, order, z) is not None
+        basis = TMBasis(seq, order)
+        want = self._by_recursion(f, basis, np.atleast_1d(z))
+        calls = self._count_calls(monkeypatch)
+        got = np.atleast_1d(sigma_positive(f, basis, z))
+        assert calls["_recurse"] == 1
+        assert np.array_equal(got, want)
 
 
 def _random_sequence(n, max_modulus, seed):

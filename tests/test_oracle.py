@@ -5,7 +5,9 @@ differentiates the product by the product rule, in mpmath at 50 digits;
 it shares no code with the first-order recursion under test.  The sums
 S_n = sum_k c_k phi_k and S_n' that the recursion accumulates, and
 sigma_positive built from them, are checked against the same oracle
-summed at 50 digits.  The refined
+summed at 50 digits, and so is sigma_positive's FFT route on a uniform
+grid, for a simple pole whose coefficients the Szego kernel gives
+exactly.  The refined
 Frostman minimum is checked against a root of the derivative of the
 Frostman sum, found at 40 digits.  The coefficients of a simple pole are
 checked against the reproducing property of the Szego kernel.
@@ -19,7 +21,7 @@ from conftest import BRACKET, MIXED
 from tmfejer.analysis import diagnose_sequence
 from tmfejer.blaschke import PointSequence, _recurse, eval_blaschke
 from tmfejer.corpus import constant_one, simple_pole
-from tmfejer.operators import coefficients_of, sigma_positive
+from tmfejer.operators import _uniform_grid, coefficients_of, sigma_positive
 from tmfejer.tm_basis import TMBasis, phi_jet, phi_values
 
 INTERIOR = (0.0, 0.31 - 0.42j, -0.66 + 0.05j, 0.12j, 0.85 * np.exp(2.2j))
@@ -204,3 +206,20 @@ def test_simple_pole_coefficients_near_the_circle():
     n = len(poles)
     assert np.array_equal(got[: n - 1], np.zeros(n - 1))
     _assert_close(got[n - 1 :], want, 1e-13)
+
+
+def test_sigma_on_a_uniform_grid_matches_product_formula():
+    # The FFT route of sigma_positive, which reads f and f' on the grid and
+    # never the coefficients, against S_n - (B_n/B_n') S_n' summed at 50
+    # digits from the exact coefficients of 1/(p - z), as in the test above.
+    # Sixteen poles, |a| <= 0.5: the route starts at order 16.
+    poles = MIXED + tuple(np.exp(0.5j) * np.asarray(MIXED))
+    n, p = len(poles), 2.5 + 0.5j
+    basis = TMBasis(PointSequence(poles), n)
+    z = np.exp(2j * np.pi * (np.arange(256) + 0.3) / 256)
+    assert _uniform_grid(simple_pole(p), basis.sequence, n, z) is not None
+    with mpmath.workdps(50):
+        _, _, vals, _ = oracle(poles, 1 / mpmath.conj(mpmath.mpc(p)))
+        c = [complex(mpmath.conj(v) / p) for v in vals]
+    _, _, sigma, _ = _sums_reference(poles, z, c)
+    _assert_close(sigma_positive(simple_pole(p), basis, z), sigma, 1e-14)
