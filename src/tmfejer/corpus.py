@@ -15,7 +15,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from tmfejer.blaschke import PointSequence, _flatten, _restore, eval_blaschke
+from tmfejer.blaschke import PointSequence, _eval_value, _flatten, _restore, eval_blaschke
 from tmfejer.operators import AnalyticTestFunction
 from tmfejer.quadrature import BoundaryGridFunction, _zoom
 
@@ -124,7 +124,7 @@ def blaschke_multiple(points, scale: complex = 1.0) -> AnalyticTestFunction:
     s = complex(scale)
 
     return AnalyticTestFunction(
-        value=lambda z: s * eval_blaschke(seq, m, z).value,
+        value=lambda z: s * _eval_value(seq, m, z),
         derivative=lambda z: s * eval_blaschke(seq, m, z).derivative,
         kind="blaschke_multiple",
         label=f"blaschke(deg {m})",
@@ -138,7 +138,7 @@ def schur_product(alphas) -> AnalyticTestFunction:
     m = len(seq)
 
     return AnalyticTestFunction(
-        value=lambda z: eval_blaschke(seq, m, z).value,
+        value=lambda z: _eval_value(seq, m, z),
         derivative=lambda z: eval_blaschke(seq, m, z).derivative,
         kind="schur",
         label=f"schur(deg {m})",

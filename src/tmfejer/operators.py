@@ -31,20 +31,24 @@ Cauchy transforms of unit densities.
 
 Members holomorphic beyond the circle take their coefficients and the
 integral form of delta from the trapezoid rule on a circle |t| = R > 1,
-sized from the member's radius of analyticity.  Both accept a contour
-size on one scale, max|W| max|f| over the contour, so the tiny factor
-conj(B_n) of delta's integrand does not drive the size up.  delta runs
-the basis recursion once over its points: the pass that gives B_n and
-B_n' also accumulates S_n and S_n', from which sigma_positive follows.
+sized from the member's radius of analyticity and its growth.  Both
+accept a contour size on one scale, max|W| max|f| over the contour, so
+the tiny factor conj(B_n) of delta's integrand does not drive the size
+up.  delta's algebraic route runs the basis recursion once over its
+points: the pass that gives B_n and B_n' also accumulates S_n and S_n',
+from which sigma_positive follows.
 
-sigma_positive has a second route for full uniform grids on the circle,
-where S_n f = B_n P_-(f conj(B_n)): B_n and |B_n'| come from the power
-sums of the poles by one FFT (blaschke._grid_blaschke), and the
-projection from two more, with no coefficients and no recursion.  A
-guard on the grid, the order, the number of power sums and the growth of
-f beyond the circle decides the route, and the route falls back to the
-recursion when its own spectrum shows the grid too coarse; see
-sigma_positive.
+On the circle S_n f = B_n P_-(f conj(B_n)), and f = S_n f + B_n g with
+g = P_+(f conj(B_n)).  Both sigma_positive and delta have a route
+through that projection: B_n and |B_n'| on a uniform grid come from the
+power sums of the poles by one FFT (blaschke._grid_blaschke), and the
+Fourier coefficients of f conj(B_n) from one more, with no coefficients
+c_k and no contour.  sigma_positive takes it on full uniform grids;
+delta = f' - B_n g' takes it at any points, on a grid it sizes itself.
+A guard on the order, the number of power sums and the growth of f
+beyond the circle decides the route.  When the spectrum shows the grid
+too coarse, sigma_positive falls back to the recursion, and delta first
+doubles its grid up to CONTOUR_CAP; see sigma_positive and delta.
 
 Only grid-backed data is sampled on the unit circle, so the CLI's grid_n
 reaches only the Cauchy densities of voronovskaya and the boundary data
@@ -179,6 +183,25 @@ def coefficients(f: BoundaryGridFunction, basis: TMBasis) -> np.ndarray:
     return np.concatenate([negative[::-1], positive])
 
 
+# The 64 points on which the growth of f is sampled.
+_RING = np.exp(2j * np.pi * np.arange(64) / 64)
+
+
+def _tame(f: AnalyticTestFunction, r: float, outer: float) -> bool:
+    """Whether f is holomorphic beyond |t| = outer and, sampled on _RING, at
+    most _CONTOUR_GROWTH times as large there as on |t| = r.
+
+    Cauchy's estimate then bounds the m-th Fourier coefficient of f(r e) by
+    _CONTOUR_GROWTH max|f(r e)| (r / outer)^m.  A radius alone is not
+    enough: an entire f of high degree has radius inf and slowly decaying
+    coefficients.  Written so that a NaN fails the test.
+    """
+    if not f.radius > outer:
+        return False
+    top = np.abs(f.value(outer * _RING)).max()
+    return bool(top <= _CONTOUR_GROWTH * np.abs(f.value(r * _RING)).max())
+
+
 def _contour(f: AnalyticTestFunction, inner: float) -> tuple[float, float]:
     """Contour radius R for f and the decay rate rho = max(inner / R, R / radius).
 
@@ -191,9 +214,8 @@ def _contour(f: AnalyticTestFunction, inner: float) -> tuple[float, float]:
     integrand is analytic for inner < |t| < radius.
     """
     r = min(math.sqrt(f.radius), 2.0)
-    e = np.exp(2j * np.pi * np.arange(64) / 64)
-    outer = np.abs(np.asarray(f.value(r * e))).max()
-    on_circle = np.abs(np.asarray(f.value(e))).max()
+    outer = np.abs(np.asarray(f.value(r * _RING))).max()
+    on_circle = np.abs(np.asarray(f.value(_RING))).max()
     if outer > _CONTOUR_GROWTH * on_circle:
         r **= math.log(_CONTOUR_GROWTH) / math.log(outer / on_circle)
     return r, max(inner / r, r / f.radius)
@@ -208,7 +230,12 @@ def _contour_mean(
     `sample(e)` returns the M x N weights W and the factor h there, or
     None for h = 1.  The integrand is analytic in an annulus, so its
     Fourier coefficients decay like rho^m; N is the smallest power of two
-    >= 16 with rho^(N/2) <= 1e-17.  The sum over the even-indexed points
+    >= 16 with rho^(N/2) <= 1e-17 at which f passes `_tame` out to
+    |t| = R s, s^(-N) = 1e-17, so that f's part of the N-point rule's
+    aliasing is rounding.  rho comes from the poles and f's radius alone,
+    and an entire f of high degree aliases without the second test: with
+    zero poles, N = 16 and z^16, the 8- and 16-point rules both return
+    R^16 for the constant term.  The sum over the even-indexed points
     is the N/2-point rule, and N doubles while the two differ by more than
     1e-14 max|W| max|f(R e)|.  The factor h is left out of that scale:
     delta's h = conj(B_n(e / R)) obeys |h| <= 1, since |B_n| <= 1 in the
@@ -221,6 +248,8 @@ def _contour_mean(
     if rho > 0.0:
         terms = math.ceil(math.log(_CONTOUR_DECAY) / math.log(rho))
         npts = max(npts, next_power_of_two(2 * terms))
+    while npts <= CONTOUR_CAP and not _tame(f, r, r * _CONTOUR_DECAY ** (-1.0 / npts)):
+        npts *= 2
     while npts <= CONTOUR_CAP:
         # Even-indexed points first, so the N/2-point rule is a leading block.
         m = npts // 2
@@ -333,8 +362,8 @@ def sigma_positive(
     """S_n(f)(z) - (B_n(z)/B_n'(z)) S_n'(f)(z), by one of two routes.
 
     When z is a full uniform grid z0 e^{2 pi i m / M} (to 1e-14, any
-    rotation z0, M a power of two >= 64), n >= 16, the power sums of B_n
-    need at most min(M / 4, 1024) terms, and f is holomorphic beyond the
+    rotation z0, M a power of two >= 64), 16 <= n <= M / 4, the power sums
+    of B_n need at most min(M / 4, 1024) terms, and f is holomorphic beyond the
     circle |t| = rho, rho^(-M/4) = 1e-17, and at most 16 times as large
     there as on the unit circle, `_sigma_on_grid` takes the value from
     samples of f and f' with three FFTs, in O(n J + M log M); `coeffs`
@@ -367,33 +396,54 @@ def sigma_positive(
     return _restore(out, shape, scalar)
 
 
+def _power_terms(sequence: PointSequence, n: int) -> int:
+    """The least J with max|a_k|^J <= _CONTOUR_DECAY over the first n poles, 0 when all vanish."""
+    mod = float(np.abs(np.asarray(sequence.points[:n], dtype=np.complex128)).max())
+    return math.ceil(math.log(_CONTOUR_DECAY) / math.log(mod)) if mod > 0.0 else 0
+
+
+def _grid_start(f: AnalyticTestFunction, sequence: PointSequence, n: int) -> tuple[int, int] | None:
+    """(M0, J): the least grid size M0 the FFT routes may run on and J, the
+    number of power sums of B_n; None when no grid size can serve.
+
+    n must be at least _GRID_ORDER, below which the recursion is the faster
+    route, and f needs a radius (Cauchy transforms keep the recursion).
+    The routes need the spectrum of f conj(B_n) at rounding level from
+    frequency M / 4 up to M / 2, where the negative half begins.  The power
+    sums of B_n decay like max|a_k|^j, which falls to _CONTOUR_DECAY at
+    j = J, and conj(B_n) has its spectrum from 0 down to about -(n + J):
+    its mean frequency is -n, and t^n is all of it when the poles vanish.
+    So M0 is the least power of two >= max(64, 4n, 4J), which puts
+    -(n + J) in the negative half; on 64 points with 64 zero poles
+    conj(B_n) = 1 and delta(z) would lose its z^64 term.  Past
+    J = _GRID_TERMS the rounding of the long power sums grows: at J = 10^4
+    (poles 1 - 2^-k, n = 8) the route was 3e-13 to 8e-13 off the recursion.
+    """
+    if n < _GRID_ORDER or f.radius is None:
+        return None
+    terms = _power_terms(sequence, n)
+    if terms > _GRID_TERMS:
+        return None
+    return max(64, next_power_of_two(4 * max(n, terms))), terms
+
+
+def _grid_tame(f: AnalyticTestFunction, npts: int) -> bool:
+    """Whether f's spectrum on npts points is at rounding level from M / 4 on.
+
+    Cauchy's estimate on |t| = rho with rho^(-M/4) = _CONTOUR_DECAY bounds
+    f's k-th coefficient by max|f| there times rho^(-k), so f must pass
+    `_tame` out to rho; a radius alone says nothing of size, and an entire
+    f of high degree fails this test.
+    """
+    return _tame(f, 1.0, _CONTOUR_DECAY ** (-4.0 / npts))
+
+
 def _uniform_grid(f: AnalyticTestFunction, sequence: PointSequence, n: int, zf: np.ndarray):
     """(z0, roots, J) when the flat points zf are z0 roots[m], roots[m] = e^{2 pi i m / M},
-    to _CONTOUR_TOL and `_sigma_on_grid` may run there; None otherwise.
-
-    M must be a power of two >= 64 and n at least _GRID_ORDER, below which
-    the recursion is the faster route.  The route needs the spectrum of
-    f conj(B_n) at rounding level from frequency M / 4 on.  For f,
-    Cauchy's estimate on |t| = rho with rho^(-M/4) = _CONTOUR_DECAY bounds
-    its k-th coefficient by max|f| there times rho^(-k), so f must be
-    holomorphic beyond rho (Cauchy transforms, with no radius, keep the
-    recursion) and, sampled at 64 points as in `_contour`, at most
-    _CONTOUR_GROWTH times as large there as on the circle; a radius alone
-    says nothing of size, and an entire f of high degree fails this test.
-    The power sums of B_n decay like max|a_k|^j, which falls to
-    _CONTOUR_DECAY at j = J, so J <= M / 4.  Past J = _GRID_TERMS the
-    rounding of the long power sums grows: at J = 10^4 (poles 1 - 2^-k,
-    n = 8) the route was 3e-13 to 8e-13 off the recursion.
-    """
+    to _CONTOUR_TOL, M is a power of two >= `_grid_start`'s M0 and f
+    passes `_grid_tame` on M points; None otherwise."""
     npts = zf.size
-    if npts < 64 or npts & (npts - 1) or n < _GRID_ORDER or f.radius is None:
-        return None
-    rho = _CONTOUR_DECAY ** (-4.0 / npts)
-    if not f.radius > rho:
-        return None
-    mod = float(np.abs(sequence.as_array()[:n]).max())
-    terms = math.ceil(math.log(_CONTOUR_DECAY) / math.log(mod)) if mod > 0.0 else 0
-    if terms > min(npts // 4, _GRID_TERMS):
+    if npts < 64 or npts & (npts - 1):
         return None
     r0 = abs(zf[0])
     if not abs(r0 - 1.0) <= _CONTOUR_TOL:
@@ -403,10 +453,35 @@ def _uniform_grid(f: AnalyticTestFunction, sequence: PointSequence, n: int, zf: 
     # Written so that a NaN point fails the test.
     if not np.abs(zf - z0 * roots).max() <= _CONTOUR_TOL:
         return None
-    e = roots[:: npts // 64]
-    if np.abs(f.value(rho * e)).max() > _CONTOUR_GROWTH * np.abs(f.value(e)).max():
+    start = _grid_start(f, sequence, n)
+    if start is None or npts < start[0] or not _grid_tame(f, npts):
         return None
-    return z0, roots, terms
+    return z0, roots, start[1]
+
+
+def _positive_spectrum(fv: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """k g_k for k = 1 .. K, with g_k the Fourier coefficients of h = f conj(B_n)
+    from its samples fv conj(b) on a uniform grid of M points, or None
+    when the grid does not resolve h.
+
+    The band k = M/4 .. M/2 - 1 must hold rounding alone, at most
+    _CONTOUR_TOL max|g|.  `_grid_tame` bounds f's part of it; the test
+    also catches the spectrum of conj(B_n), which reaches down to about
+    -max|B_n'| and folds into the band when the grid does not resolve it
+    (64 poles of modulus 0.96 within 0.07 rad of each other on 4096 points
+    put 1e-2 max|g| there).  K is the last k with |g_k| above _GRID_NOISE
+    times the largest |g_k| in the band: weighting rounding noise by k
+    would cost digits.
+    """
+    npts = fv.size
+    g = np.fft.fft(fv * np.conj(b)) / npts
+    mag = np.abs(g)
+    noise = mag[npts // 4 : npts // 2].max()
+    if not noise <= _CONTOUR_TOL * mag.max():
+        return None
+    live = np.flatnonzero(mag[1 : npts // 2] > _GRID_NOISE * noise)
+    top = live[-1] + 1 if live.size else 0
+    return np.arange(1, top + 1) * g[1 : top + 1]
 
 
 def _sigma_on_grid(
@@ -430,35 +505,21 @@ def _sigma_on_grid(
     the second form because D conj(B_n) = -|B_n'| conj(B_n) there.  So
     sigma_positive(f)(t) = f - (t f' - B_n sum_{k>=1} k g_k t^k) / |B_n'|,
     with g_k the Fourier coefficients of h: one forward FFT of its
-    samples, the k-weighted positive half, one inverse FFT.  The rotation
-    z0 cancels between the two.  The positive half decays with f's
-    coefficients, while the negative half decays only like max|a_k|^k;
-    for the constant and the identity it holds at most g_1, so both come
-    out exact to rounding.
-
-    The band k = M/4 .. M/2 - 1 must hold rounding alone, at most
-    _CONTOUR_TOL max|g|, or the recursion takes over.  `_uniform_grid`
-    bounds f's part of it; the test also catches the spectrum of
-    conj(B_n), which reaches down to about -max|B_n'| and folds into the
-    band when the grid does not resolve it (64 poles of modulus 0.96
-    within 0.07 rad of each other on 4096 points put 1e-2 max|g| there).
-    The weighted sum stops at the last k with |g_k| above _GRID_NOISE
-    times the largest |g_k| in the band: weighting rounding noise by k
-    would cost digits.
+    samples, the k-weighted positive half of `_positive_spectrum`, one
+    inverse FFT.  The rotation z0 cancels between the two.  The positive
+    half decays with f's coefficients, while the negative half decays only
+    like max|a_k|^k; for the constant and the identity it holds at most
+    g_1, so both come out exact to rounding.
     """
     npts = zf.size
     b, db = _grid_blaschke(sequence, n, z0, roots, terms)
     fv = np.broadcast_to(np.asarray(f.value(zf), dtype=np.complex128), zf.shape)
     dv = np.broadcast_to(np.asarray(f.derivative(zf), dtype=np.complex128), zf.shape)
-    g = np.fft.fft(fv * np.conj(b)) / npts
-    mag = np.abs(g)
-    noise = mag[npts // 4 : npts // 2].max()
-    if not noise <= _CONTOUR_TOL * mag.max():
+    kg = _positive_spectrum(fv, b)
+    if kg is None:
         return None
-    live = np.flatnonzero(mag[1 : npts // 2] > _GRID_NOISE * noise)
-    top = live[-1] + 1 if live.size else 0
     weighted = np.zeros(npts, dtype=np.complex128)
-    weighted[1 : top + 1] = np.arange(1, top + 1) * g[1 : top + 1]
+    weighted[1 : kg.size + 1] = kg
     return fv - (zf * dv - b * np.fft.ifft(weighted) * npts) / db
 
 
@@ -554,12 +615,78 @@ def _holomorphic_weighted_integral(
     return _contour_mean(f, r, rho, sample, f"delta of {f.label} at order {n}")
 
 
+def _delta_on_grid(
+    f: AnalyticTestFunction, sequence: PointSequence, n: int, zf: np.ndarray
+) -> np.ndarray | None:
+    """delta(f) at the flat points zf as f' - B_n g', g = P_+(conj(B_n) f),
+    or None when the FFT route declines.
+
+    On the circle H^2 = K_B + B_n H^2, so f = S_n f + B_n g with g the
+    nonnegative-frequency part of f conj(B_n), and then
+    f - sigma_positive(f) = (B_n / B_n')(f' - B_n g') makes
+    delta(f) = f' - B_n g' exactly.  B_n at zf comes from the recursion
+    without derivatives; where it vanishes the value is f' itself.
+    Elsewhere g'(z) = sum_{k>=1} k g_k z^(k-1) is summed by Horner's rule
+    from the Taylor coefficients g_k of g, which are the Fourier
+    coefficients of f conj(B_n) on the circle: one FFT of its samples on
+    M points, with B_n there from `_grid_blaschke`.  M starts at the
+    smallest power of two >= `_grid_start`'s M0 on which f passes
+    `_grid_tame`, and doubles while `_positive_spectrum` finds it too
+    coarse: conj(B_n)'s spectrum has a tail past -(n + J) (64 random
+    poles |a| <= 0.5 reach -130 at 1e-14, J = 56), and poles near one
+    another put it near -max|B_n'|.  f passes `_grid_tame` on every
+    doubled grid, since by the maximum modulus principle its growth test
+    only gets easier.  None when M would pass CONTOUR_CAP.
+    """
+    start = _grid_start(f, sequence, n)
+    if start is None:
+        return None
+    npts, terms = start
+    while npts <= CONTOUR_CAP and not _grid_tame(f, npts):
+        npts *= 2
+    if npts > CONTOUR_CAP:
+        return None
+    bz = _recurse(sequence, n, zf, jet=False)[0]
+    out = np.array(np.broadcast_to(np.asarray(f.derivative(zf), dtype=np.complex128), zf.shape))
+    live = np.flatnonzero(bz)
+    if not live.size:
+        return out
+    while True:
+        roots = np.exp(2j * np.pi * np.arange(npts) / npts)
+        b, _ = _grid_blaschke(sequence, n, 1.0, roots, terms)
+        fv = np.broadcast_to(np.asarray(f.value(roots), dtype=np.complex128), roots.shape)
+        kg = _positive_spectrum(fv, b)
+        if kg is not None:
+            break
+        npts *= 2
+        if npts > CONTOUR_CAP:
+            return None
+    if kg.size:
+        zl = zf[live]
+        acc = np.full(zl.shape, kg[-1])
+        for coef in kg[-2::-1]:
+            acc *= zl
+            acc += coef
+        out[live] -= bz[live] * acc
+    return out
+
+
 def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None = None):
-    """Weighted error (B_n'/B_n)(f - sigma_positive(f)) inside the disc.
+    """Weighted error (B_n'/B_n)(f - sigma_positive(f)) inside the disc, by one of two routes.
 
     The function is holomorphic despite the apparent poles: f - sigma_positive(f)
-    vanishes at the zeros of B_n.  Cauchy-transform members are evaluated
-    through the equivalent integral form
+    vanishes at the zeros of B_n.  With g = P_+(conj(B_n) f) on the circle,
+    delta(f) = f' - B_n g' exactly, and from order 16 on members with a
+    radius take that form through one FFT (`_delta_on_grid`); `coeffs` are
+    then only length-checked, and none are computed when it is None.
+    Against a 50-digit oracle (simple poles, n = 16 and 32, |a| <= 0.9)
+    that route was within 9e-16 relative, the algebraic route 1e-14 to
+    6e-14.  It declines below order 16, where the recursion is faster,
+    past 1024 power sums, and when no grid of at most CONTOUR_CAP points
+    both bounds f's growth and resolves f conj(B_n).
+
+    Every other case takes the algebraic route.  Cauchy-transform members
+    are evaluated through the equivalent integral form
 
         delta(f)(z) = f'(z) - B_n(z) * (1/2pi) integral conj((t-z)/(1-conj(z)t))
                       * conj(B_n(t)) mu(t) / |1 - conj(t) z|^2 |dt|,
@@ -581,6 +708,19 @@ def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None 
     if zf.size and np.abs(zf).max() > 1.0 - NEAR_BOUNDARY_MARGIN:
         raise NearBoundary(f"delta requires |z| <= 1 - {NEAR_BOUNDARY_MARGIN}")
     n = basis.order
+    if f.kind != "cauchy_transform" and coeffs is not None:
+        _require_length(coeffs, n, "delta")
+    out = _delta_on_grid(f, basis.sequence, n, zf)
+    if out is None:
+        out = _delta_by_recursion(f, basis, zf, coeffs)
+    return _restore(out, shape, scalar)
+
+
+def _delta_by_recursion(
+    f: AnalyticTestFunction, basis: TMBasis, zf: np.ndarray, coeffs: np.ndarray | None
+) -> np.ndarray:
+    """delta(f) at the flat points zf by the algebraic route and its integral fallback."""
+    n = basis.order
     out = np.empty_like(zf)
     if f.kind == "cauchy_transform":
         bz, bpz, _, _ = _recurse(basis.sequence, n, zf)
@@ -588,7 +728,6 @@ def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None 
     else:
         if coeffs is None:
             coeffs = coefficients_of(f, basis)
-        _require_length(coeffs, n, "delta")
         bz, bpz, s, sp = _recurse(basis.sequence, n, zf, c=coeffs[n - 1 :])
         algebraic = (np.abs(bz) >= SAFE_RATIO_FLOOR) & (np.abs(bpz) >= SAFE_RATIO_FLOOR)
     if algebraic.any():
@@ -607,4 +746,4 @@ def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None 
         else:
             integral = _holomorphic_weighted_integral(f, basis.sequence, n, zw)
         out[weighted] -= bz[weighted] * integral
-    return _restore(out, shape, scalar)
+    return out

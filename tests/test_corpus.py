@@ -5,6 +5,7 @@ import pytest
 
 from conftest import central_difference, circle_grid, schur_corpus
 from tmfejer.analysis import interior_probes
+from tmfejer.blaschke import PointSequence, eval_blaschke
 from tmfejer.corpus import (
     _unit_densities,
     blaschke_multiple,
@@ -44,6 +45,22 @@ class TestClassMembership:
         f = blaschke_multiple((0.4, -0.3j), scale=0.9)
         t = circle_grid(64)
         assert np.abs(np.abs(np.asarray(f.value(t))) - 0.9).max() < 1e-12
+
+    def test_blaschke_values_equal_eval_blaschke(self):
+        # The members take B without its derivative; B agrees bit for bit
+        # across the recursion's modes, for arrays of any shape and scalars.
+        points = (0.4, -0.3j, 0.2 + 0.5j)
+        seq = PointSequence(points)
+        z = np.concatenate([interior_probes(16), circle_grid(64)])
+        members = ((schur_product(points), 1.0), (blaschke_multiple(points, scale=0.9), 0.9))
+        for f, scale in members:
+            want = scale * eval_blaschke(seq, 3, z).value
+            assert np.array_equal(f.value(z), want), f.label
+            assert np.array_equal(f.value(z.reshape(8, 10)), want.reshape(8, 10)), f.label
+            got = f.value(complex(z[3]))
+            assert np.ndim(got) == 0 and got == want[3], f.label
+        with pytest.raises(ValueError):
+            blaschke_multiple(()).value(0.1)
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):

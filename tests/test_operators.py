@@ -73,6 +73,25 @@ class TestCoefficients:
         c = coefficients_of(constant_one(), TMBasis(zeros_sequence(40), 40))
         assert np.abs(c[39:] - np.eye(40)[0]).max() < 1e-15
 
+    @pytest.mark.parametrize("degree", [15, 16, 32])
+    def test_contour_sized_from_the_member_too(self, degree):
+        # With four zero poles rho is 0 and the poles alone ask for 16
+        # points, on which z^16 and z^32 alias onto the mean.  For B_4 = z^4
+        # the positive coefficients of z^d, d >= 4, vanish, so
+        # sigma_positive(z^d) = 0 and delta(z^d) = 4 z^(d - 1).
+        basis = TMBasis(zeros_sequence(4), 4)
+        f = polynomial([0.0] * degree + [1.0])
+        z = 0.3 + 0.1j
+        try:
+            c = coefficients_of(f, basis)
+            sig = complex(sigma_positive(f, basis, z))
+            got = complex(delta(f, basis, z))
+        except operators.NoConvergence:
+            return
+        assert np.abs(c).max() <= 1e-12
+        assert abs(sig) <= 1e-12
+        assert abs(got - 4.0 * z ** (degree - 1)) <= 1e-12
+
     def test_negative_coefficient_of_conjugate(self, seq_mixed):
         # Pins the layout, <f, phi_k> at index n - 1 + k.  For f(t) = conj(t)
         # the k = -m entry is the mean of phi_{m-1}, that is phi_{m-1}(0),
@@ -307,6 +326,7 @@ class TestSigmaPositive:
             "scalar",
             "high-degree",
             "gapped",
+            "past-quarter",
             "clustered",
         ],
     )
@@ -338,6 +358,11 @@ class TestSigmaPositive:
             # frequencies; only the growth test on |t| = rho sees it.
             seq = PointSequence(tuple(0.5 * np.exp(2j * np.pi * (np.arange(16) + 0.1) / 16)))
             f, z = polynomial([1.0] + [0.0] * 599 + [1.0]), circle_grid(512)
+        elif case == "past-quarter":
+            # 64 zero poles: conj(B_64) = t^-64 folds onto frequency 64 of
+            # 128 points, so n must stay within M / 4 as J does.
+            seq, order, f = zeros_sequence(64), 64, identity_map()
+            z = circle_grid(128)
         else:
             # The guard passes, but 4096 points do not resolve B_n.
             a = 0.96 * np.exp(1j * (0.3 + 1e-3 * np.arange(64)))
@@ -707,32 +732,150 @@ class TestDelta:
         with pytest.raises(ValueError, match="^delta of order 3"):
             delta(constant_one(), basis, 0.2 + 0j, coeffs=np.ones(4, dtype=complex))
 
+    # From order 16 on, members with a radius take the FFT route,
+    # f' - B_n g' with g = P_+(conj(B_n) f); every case it declines takes
+    # the algebraic route and its fallback.
+
+    @pytest.mark.parametrize("modulus", [0.7, 0.9])
+    @pytest.mark.parametrize("order", [16, 32])
+    def test_grid_route_matches_contour_route(self, order, modulus):
+        seq = _random_sequence(order, modulus, order)
+        basis = TMBasis(seq, order)
+        z = interior_probes(48)
+        bz = eval_blaschke(seq, order, z).value
+        for f in rational_corpus(12):
+            assert operators._delta_on_grid(f, seq, order, z) is not None, f.label
+            contour = f.derivative(z) - bz * _holomorphic_weighted_integral(f, seq, order, z)
+            assert np.abs(delta(f, basis, z) - contour).max() <= 1e-12, f.label
+
+    @pytest.mark.parametrize("order", [32, 128])
+    def test_grid_route_returns_the_derivative_at_nodes(self, order):
+        seq = _random_sequence(order, 0.7, 3)
+        basis = TMBasis(seq, order)
+        nodes = seq.as_array()
+        for f in rational_corpus(12):
+            assert np.array_equal(delta(f, basis, nodes), f.derivative(nodes)), f.label
+
+    def test_grid_route_does_no_hidden_work(self, monkeypatch):
+        # One recursion over the points, none over a contour, and no
+        # coefficients: the FFT reads f on a grid of its own.
+        seq = _random_sequence(32, 0.7, 5)
+        basis = TMBasis(seq, 32)
+        z = np.concatenate([interior_probes(16), seq.as_array()[:4]])
+        sizes = self._count_passes(monkeypatch, seq)
+        calls = []
+        inner = operators.coefficients_of
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "coefficients_of", counting)
+        for f in rational_corpus(12):
+            sizes.clear()
+            delta(f, basis, z)
+            assert sizes == [z.size], f.label
+        assert not calls
+        with pytest.raises(ValueError, match="^delta of order 32"):
+            delta(identity_map(), basis, z, coeffs=np.ones(62, dtype=complex))
+
+    @pytest.mark.parametrize("poles", ["zero64", "zero128", "small128"])
+    def test_grid_route_matches_closed_forms(self, poles):
+        # The grid holds conj(B_n) apart from f whatever J: 64 zero poles
+        # on 64 points would give conj(B_n) = 1 there and lose z^64.  For
+        # f = z and z^2, g = P_+(conj(B_n) f) has the Taylor coefficients
+        # of B_n at 0 alone: delta(z) = 1 - conj(B_n(0)) B_n(z) and
+        # delta(z^2) = 2z - B_n(z) (2 conj(B_n(0)) z + conj(B_n'(0))).
+        if poles == "small128":
+            seq, order = _random_sequence(128, 0.1, 128), 128
+        else:
+            order = int(poles[4:])
+            seq = zeros_sequence(order)
+        basis = TMBasis(seq, order)
+        z = np.concatenate([interior_probes(16), [0.97, -0.95j]])
+        at0, bz = eval_blaschke(seq, order, 0.0), eval_blaschke(seq, order, z).value
+        b0, db0 = np.conj(at0.value), np.conj(at0.derivative)
+        square = polynomial([0.0, 0.0, 1.0])
+        closed = ((identity_map(), 1.0 - b0 * bz), (square, 2.0 * z - bz * (2.0 * b0 * z + db0)))
+        for f, want in closed:
+            assert operators._delta_on_grid(f, seq, order, z) is not None, f.label
+            assert np.abs(delta(f, basis, z) - want).max() <= 1e-14, f.label
+
+    def test_grid_route_doubles_a_grid_that_does_not_resolve(self, monkeypatch):
+        # 64 poles of modulus 0.96 within 0.07 rad: the first grid, 4096
+        # points, passes the tests on f, n and J, but conj(B_n) reaches
+        # past -2048 and fills the band; 8192 points resolve it.
+        a = 0.96 * np.exp(1j * (0.3 + 1e-3 * np.arange(64)))
+        seq, f = PointSequence(tuple(a)), identity_map()
+        basis = TMBasis(seq, 64)
+        z = interior_probes(16)
+        assert operators._grid_start(f, seq, 64) == (4096, 959)
+        sizes = []
+        inner = operators._grid_blaschke
+
+        def spy(sequence, n, z0, roots, terms):
+            sizes.append(roots.size)
+            return inner(sequence, n, z0, roots, terms)
+
+        monkeypatch.setattr(operators, "_grid_blaschke", spy)
+        got = delta(f, basis, z)
+        assert sizes == [4096, 8192]
+        bz = eval_blaschke(seq, 64, z).value
+        b0 = np.conj(eval_blaschke(seq, 64, 0.0).value)
+        assert np.abs(got - (1.0 - b0 * bz)).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "case", ["low-order", "cauchy", "many-terms", "past-the-cap", "unresolved"]
+    )
+    def test_grid_route_off_the_guard_bit_for_bit(self, case):
+        seq, order, f = _random_sequence(16, 0.7, 1), 16, mobius(0.3)
+        if case == "low-order":
+            order = 8
+        elif case == "cauchy":
+            f = cauchy_transform(random_unit_density(np.random.default_rng(2)))
+        elif case == "many-terms":
+            # geometric:0.5 needs about 10^6 power sums at n = 16.
+            seq = PointSequence(tuple(1.0 - 0.5 ** np.arange(1, 17)))
+        elif case == "past-the-cap":
+            # z^1000 stays within the growth cap only on grids past CONTOUR_CAP.
+            f = polynomial([0.0] * 1000 + [1.0])
+        else:
+            # 384 poles at 0.96 give max|B_n'| = 18816: conj(B_n) fills
+            # the band on every grid up to CONTOUR_CAP = 2 * 16384 points.
+            seq, order, f = PointSequence((0.96,) * 384), 384, identity_map()
+        basis = TMBasis(seq, order)
+        z = np.concatenate([interior_probes(16), seq.as_array()[:2]])
+        assert operators._delta_on_grid(f, seq, order, z) is None
+        want = operators._delta_by_recursion(f, basis, z, None)
+        assert np.array_equal(delta(f, basis, z), want)
+
     @pytest.mark.parametrize("member", [constant_one, identity_map], ids=["one", "identity"])
     def test_order_128_fallback_settles_on_first_contour_size(self, member, monkeypatch):
         # |B_128| on |t| = 1/R falls to 1e-32 and below; the contour rule
         # scales by max|f| there, not by max|f conj(B_n)|, so it keeps its
         # first N instead of doubling for an accuracy delta never uses.
+        # delta itself takes the FFT route at this order, so the rule is
+        # called directly, at probes where the algebraic route would fall
+        # back to it.
         seq = _random_sequence(128, 0.7, 7)
         basis = TMBasis(seq, 128)
         rng = np.random.default_rng(7)
         z = rng.uniform(0.85, 0.9, 16) * np.exp(2j * np.pi * rng.random(16))
         f = member()
-        c = coefficients_of(f, basis)
         bz = eval_blaschke(seq, 128, z).value
-        # Every probe takes the fallback.
         assert (np.abs(bz) < SAFE_RATIO_FLOOR).all()
         sizes = self._count_passes(monkeypatch, seq)
-        got = delta(f, basis, z, coeffs=c)
-        contour = [m for m in sizes if m != z.size]
-        assert len(contour) == 1 and contour[0] > z.size
+        integral = _holomorphic_weighted_integral(f, seq, 128, z)
+        assert len(sizes) == 1 and sizes[0] > z.size
         # The same contour integral on 4N points.
         r, _ = _contour(f, max(np.abs(seq.as_array()).max(), np.abs(z).max()))
-        e = np.exp(2j * np.pi * np.arange(4 * contour[0]) / (4 * contour[0]))
+        e = np.exp(2j * np.pi * np.arange(4 * sizes[0]) / (4 * sizes[0]))
         t = r * e
         cb = np.conj(eval_blaschke(seq, 128, e / r).value)
-        integral = (t * f.value(t) * cb / (t - z[:, None]) ** 2).mean(axis=1)
-        assert np.abs(got - (f.derivative(z) - bz * integral)).max() <= 1e-14
+        fine = (t * f.value(t) * cb / (t - z[:, None]) ** 2).mean(axis=1)
+        assert np.abs(integral - fine).max() <= 1e-14
         # The C8 bound; delta(1) = 0 and delta(z) = 1 - conj(B_n(0)) B_n(z).
+        got = delta(f, basis, z, coeffs=coefficients_of(f, basis))
         assert (np.abs(got - f.derivative(z)) <= np.abs(bz) / (1.0 - np.abs(z) ** 2)).all()
 
 

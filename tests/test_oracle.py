@@ -7,7 +7,8 @@ S_n = sum_k c_k phi_k and S_n' that the recursion accumulates, and
 sigma_positive built from them, are checked against the same oracle
 summed at 50 digits, and so is sigma_positive's FFT route on a uniform
 grid, for a simple pole whose coefficients the Szego kernel gives
-exactly.  The refined
+exactly; delta's FFT route is checked against (B_n'/B_n)(f - S_n) + S_n'
+from the same exact coefficients.  The refined
 Frostman minimum is checked against a root of the derivative of the
 Frostman sum, found at 40 digits.  The coefficients of a simple pole are
 checked against the reproducing property of the Szego kernel.
@@ -21,7 +22,13 @@ from conftest import BRACKET, MIXED
 from tmfejer.analysis import diagnose_sequence
 from tmfejer.blaschke import PointSequence, _recurse, eval_blaschke
 from tmfejer.corpus import constant_one, simple_pole
-from tmfejer.operators import _uniform_grid, coefficients_of, sigma_positive
+from tmfejer.operators import (
+    _delta_on_grid,
+    _uniform_grid,
+    coefficients_of,
+    delta,
+    sigma_positive,
+)
 from tmfejer.tm_basis import TMBasis, phi_jet, phi_values
 
 INTERIOR = (0.0, 0.31 - 0.42j, -0.66 + 0.05j, 0.12j, 0.85 * np.exp(2.2j))
@@ -223,3 +230,47 @@ def test_sigma_on_a_uniform_grid_matches_product_formula():
         c = [complex(mpmath.conj(v) / p) for v in vals]
     _, _, sigma, _ = _sums_reference(poles, z, c)
     _assert_close(sigma_positive(simple_pole(p), basis, z), sigma, 1e-14)
+
+
+def _delta_reference(poles, z, members):
+    """delta of each simple pole r / (p - z) in `members` at each point z, at 50 digits.
+
+    The coefficients c_k = (r / p) conj(phi_k(1 / conj(p))) of the Szego
+    kernel stay at 50 digits, so f - S_n, which cancels to O(B_n), keeps
+    its digits; delta = (B_n'/B_n)(f - S_n) + S_n' away from the nodes.
+    """
+    with mpmath.workdps(50):
+        coeffs = []
+        for p, r in members:
+            pm = mpmath.mpc(p)
+            _, _, vals, _ = oracle(poles, 1 / mpmath.conj(pm))
+            coeffs.append([mpmath.mpc(r) / pm * mpmath.conj(v) for v in vals])
+        out = np.empty((len(members), len(z)), dtype=np.complex128)
+        for j, w in enumerate(z):
+            b, db, vals, ders = oracle(poles, w)
+            w = mpmath.mpc(w)
+            for i, ((p, r), c) in enumerate(zip(members, coeffs)):
+                f = mpmath.mpc(r) / (mpmath.mpc(p) - w)
+                s = mpmath.fsum(x * v for x, v in zip(c, vals))
+                sp = mpmath.fsum(x * d for x, d in zip(c, ders))
+                out[i, j] = complex(db / b * (f - s) + sp)
+    return out
+
+
+@pytest.mark.parametrize("modulus", [0.7, 0.9])
+@pytest.mark.parametrize("order", [16, 32])
+def test_delta_through_the_projection_matches_product_formula(order, modulus):
+    # delta's FFT route, f' - B_n g' with g = P_+(conj(B_n) f), reads f on
+    # a grid of its own and never the coefficients.
+    rng = np.random.default_rng(order)
+    radii = modulus * np.sqrt(rng.uniform(size=order))
+    poles = tuple(radii * np.exp(2j * np.pi * rng.uniform(size=order)))
+    seq = PointSequence(poles)
+    basis = TMBasis(seq, order)
+    z = np.asarray(INTERIOR + (0.95 * np.exp(0.7j),), dtype=np.complex128)
+    members = ((1.6, 1.0), (-1.25j, 0.5))
+    want = _delta_reference(poles, z, members)
+    for (p, r), exact in zip(members, want):
+        f = simple_pole(p, residue=r)
+        assert _delta_on_grid(f, seq, order, z) is not None
+        _assert_close(delta(f, basis, z), exact, 1e-14)
