@@ -3,7 +3,7 @@
 Fourier data with respect to the extended system, c_k = <f, phi_k> for
 |k| < n, is one array of length 2n - 1 holding c_k at index n - 1 + k.
 Its upper half c_0, ..., c_{n-1} gives the partial sum S_n(f) used by
-sigma_positive and delta; the whole array gives the Cesaro means.  The
+sigma_positive; the whole array gives the Cesaro means.  The
 positive summation method rests on the kernel
 
     F_n(t, z) = |K_n(t, z)|^2 / K_n(z, z),   K_n(t, z) = sum_{k<n} phi_k(t) conj(phi_k(z)),
@@ -29,26 +29,24 @@ is holomorphic in the disc, interpolates f' at the basis poles, and obeys
 the first-order bound |delta(f)(z) - f'(z)| <= |B_n(z)| / (1 - |z|^2) for
 Cauchy transforms of unit densities.
 
-Members holomorphic beyond the circle take their coefficients and the
-integral form of delta from the trapezoid rule on a circle |t| = R > 1,
-sized from the member's radius of analyticity and its growth.  Both
-accept a contour size on one scale, max|W| max|f| over the contour, so
-the tiny factor conj(B_n) of delta's integrand does not drive the size
-up.  delta's algebraic route runs the basis recursion once over its
-points: the pass that gives B_n and B_n' also accumulates S_n and S_n',
-from which sigma_positive follows.
+Members holomorphic beyond the circle take their coefficients from the
+trapezoid rule on a circle |t| = R > 1, sized from the member's radius
+of analyticity and its growth.
 
 On the circle S_n f = B_n P_-(f conj(B_n)), and f = S_n f + B_n g with
-g = P_+(f conj(B_n)).  Both sigma_positive and delta have a route
-through that projection: B_n and |B_n'| on a uniform grid come from the
-power sums of the poles by one FFT (blaschke._grid_blaschke), and the
-Fourier coefficients of f conj(B_n) from one more, with no coefficients
-c_k and no contour.  sigma_positive takes it on full uniform grids;
-delta = f' - B_n g' takes it at any points, on a grid it sizes itself.
-A guard on the order, the number of power sums and the growth of f
-beyond the circle decides the route.  When the spectrum shows the grid
-too coarse, sigma_positive falls back to the recursion, and delta first
-doubles its grid up to CONTOUR_CAP; see sigma_positive and delta.
+g = P_+(f conj(B_n)), so delta(f) = f' - B_n g' exactly.  Both
+sigma_positive and delta have a route through that projection: B_n and
+|B_n'| on a uniform grid come from the power sums of the poles by one
+FFT (blaschke._grid_blaschke), and the Fourier coefficients of
+f conj(B_n) from one more, with no coefficients c_k and no contour.
+sigma_positive takes it on full uniform grids from order 16 on, below
+which its recursion is faster, and falls back to the recursion when the
+spectrum shows the grid too coarse.  delta takes it at any points and
+any order, on a grid it sizes itself and doubles up to CONTOUR_CAP.
+Where that route declines, g' is an integral on the contour |t| = R,
+and for a Cauchy transform on its density's grid.  The contour rule
+accepts a size on one scale, max|W| max|f| over the contour, so the
+tiny factor conj(B_n) of delta's integrand does not drive the size up.
 
 Only grid-backed data is sampled on the unit circle, so the CLI's grid_n
 reaches only the Cauchy densities of voronovskaya and the boundary data
@@ -84,7 +82,6 @@ __all__ = [
     "CONTOUR_CAP",
     "CRITICAL_TOL",
     "NEAR_BOUNDARY_MARGIN",
-    "SAFE_RATIO_FLOOR",
     "ZERO_SWITCH",
     "CriticalPoint",
     "NearBoundary",
@@ -102,8 +99,6 @@ __all__ = [
 CRITICAL_TOL = 1e-12
 # delta is restricted to |z| <= 1 - NEAR_BOUNDARY_MARGIN.
 NEAR_BOUNDARY_MARGIN = 1e-9
-# Below this floor on |B_n| or |B_n'| delta switches to its integral form.
-SAFE_RATIO_FLOOR = 1e-6
 # fejer_kernel_angular takes its diagonal limit within ZERO_SWITCH of y = x.
 ZERO_SWITCH = 1e-8
 # Most points the contour rule takes before it raises NoConvergence.
@@ -115,10 +110,10 @@ _CONTOUR_DECAY = 1e-17
 _CONTOUR_TOL = 1e-14
 # Cap on max|f| over the contour relative to max|f| over the unit circle.
 _CONTOUR_GROWTH = 16.0
-# sigma_positive's FFT route runs from order _GRID_ORDER on, with at most
-# _GRID_TERMS power sums.  Its k-weighted sum leaves out Fourier
-# coefficients below _GRID_NOISE times the largest one in the band that
-# holds rounding alone.
+# sigma_positive's FFT route runs from order _GRID_ORDER on, below which
+# the recursion is faster; both FFT routes take at most _GRID_TERMS power
+# sums.  Their k-weighted sums leave out Fourier coefficients below
+# _GRID_NOISE times the largest one in the band that holds rounding alone.
 _GRID_ORDER = 16
 _GRID_TERMS = 1024
 _GRID_NOISE = 4.0
@@ -406,9 +401,8 @@ def _grid_start(f: AnalyticTestFunction, sequence: PointSequence, n: int) -> tup
     """(M0, J): the least grid size M0 the FFT routes may run on and J, the
     number of power sums of B_n; None when no grid size can serve.
 
-    n must be at least _GRID_ORDER, below which the recursion is the faster
-    route, and f needs a radius (Cauchy transforms keep the recursion).
-    The routes need the spectrum of f conj(B_n) at rounding level from
+    f needs a radius: Cauchy transforms are only known on the circle.  The
+    routes need the spectrum of f conj(B_n) at rounding level from
     frequency M / 4 up to M / 2, where the negative half begins.  The power
     sums of B_n decay like max|a_k|^j, which falls to _CONTOUR_DECAY at
     j = J, and conj(B_n) has its spectrum from 0 down to about -(n + J):
@@ -419,7 +413,7 @@ def _grid_start(f: AnalyticTestFunction, sequence: PointSequence, n: int) -> tup
     J = _GRID_TERMS the rounding of the long power sums grows: at J = 10^4
     (poles 1 - 2^-k, n = 8) the route was 3e-13 to 8e-13 off the recursion.
     """
-    if n < _GRID_ORDER or f.radius is None:
+    if f.radius is None:
         return None
     terms = _power_terms(sequence, n)
     if terms > _GRID_TERMS:
@@ -439,11 +433,13 @@ def _grid_tame(f: AnalyticTestFunction, npts: int) -> bool:
 
 
 def _uniform_grid(f: AnalyticTestFunction, sequence: PointSequence, n: int, zf: np.ndarray):
-    """(z0, roots, J) when the flat points zf are z0 roots[m], roots[m] = e^{2 pi i m / M},
-    to _CONTOUR_TOL, M is a power of two >= `_grid_start`'s M0 and f
-    passes `_grid_tame` on M points; None otherwise."""
+    """(z0, roots, J) when n >= _GRID_ORDER, the flat points zf are z0 roots[m],
+    roots[m] = e^{2 pi i m / M}, to _CONTOUR_TOL, M is a power of two >=
+    `_grid_start`'s M0 and f passes `_grid_tame` on M points; None
+    otherwise.  Below order _GRID_ORDER sigma_positive's recursion is the
+    faster route."""
     npts = zf.size
-    if npts < 64 or npts & (npts - 1):
+    if n < _GRID_ORDER or npts < 64 or npts & (npts - 1):
         return None
     r0 = abs(zf[0])
     if not abs(r0 - 1.0) <= _CONTOUR_TOL:
@@ -615,28 +611,23 @@ def _holomorphic_weighted_integral(
     return _contour_mean(f, r, rho, sample, f"delta of {f.label} at order {n}")
 
 
-def _delta_on_grid(
+def _projected_derivative(
     f: AnalyticTestFunction, sequence: PointSequence, n: int, zf: np.ndarray
 ) -> np.ndarray | None:
-    """delta(f) at the flat points zf as f' - B_n g', g = P_+(conj(B_n) f),
-    or None when the FFT route declines.
+    """g'(z) at the flat points zf for g = P_+(conj(B_n) f), or None when the
+    FFT route declines.
 
-    On the circle H^2 = K_B + B_n H^2, so f = S_n f + B_n g with g the
-    nonnegative-frequency part of f conj(B_n), and then
-    f - sigma_positive(f) = (B_n / B_n')(f' - B_n g') makes
-    delta(f) = f' - B_n g' exactly.  B_n at zf comes from the recursion
-    without derivatives; where it vanishes the value is f' itself.
-    Elsewhere g'(z) = sum_{k>=1} k g_k z^(k-1) is summed by Horner's rule
-    from the Taylor coefficients g_k of g, which are the Fourier
-    coefficients of f conj(B_n) on the circle: one FFT of its samples on
-    M points, with B_n there from `_grid_blaschke`.  M starts at the
-    smallest power of two >= `_grid_start`'s M0 on which f passes
-    `_grid_tame`, and doubles while `_positive_spectrum` finds it too
-    coarse: conj(B_n)'s spectrum has a tail past -(n + J) (64 random
-    poles |a| <= 0.5 reach -130 at 1e-14, J = 56), and poles near one
-    another put it near -max|B_n'|.  f passes `_grid_tame` on every
-    doubled grid, since by the maximum modulus principle its growth test
-    only gets easier.  None when M would pass CONTOUR_CAP.
+    g'(z) = sum_{k>=1} k g_k z^(k-1) is summed by Horner's rule from the
+    Taylor coefficients g_k of g, which are the Fourier coefficients of
+    f conj(B_n) on the circle: one FFT of its samples on M points, with
+    B_n there from `_grid_blaschke`.  M starts at the smallest power of two >=
+    `_grid_start`'s M0 on which f passes `_grid_tame`, and doubles while
+    `_positive_spectrum` finds it too coarse: conj(B_n)'s spectrum has a
+    tail past -(n + J) (64 random poles |a| <= 0.5 reach -130 at 1e-14,
+    J = 56), and poles near one another put it near -max|B_n'|.  f passes
+    `_grid_tame` on every doubled grid, since by the maximum modulus
+    principle its growth test only gets easier.  None when `_grid_start`
+    declines or M would pass CONTOUR_CAP.
     """
     start = _grid_start(f, sequence, n)
     if start is None:
@@ -644,106 +635,70 @@ def _delta_on_grid(
     npts, terms = start
     while npts <= CONTOUR_CAP and not _grid_tame(f, npts):
         npts *= 2
-    if npts > CONTOUR_CAP:
-        return None
-    bz = _recurse(sequence, n, zf, jet=False)[0]
-    out = np.array(np.broadcast_to(np.asarray(f.derivative(zf), dtype=np.complex128), zf.shape))
-    live = np.flatnonzero(bz)
-    if not live.size:
-        return out
-    while True:
+    kg = None
+    while kg is None and npts <= CONTOUR_CAP:
         roots = np.exp(2j * np.pi * np.arange(npts) / npts)
         b, _ = _grid_blaschke(sequence, n, 1.0, roots, terms)
         fv = np.broadcast_to(np.asarray(f.value(roots), dtype=np.complex128), roots.shape)
         kg = _positive_spectrum(fv, b)
-        if kg is not None:
-            break
         npts *= 2
-        if npts > CONTOUR_CAP:
-            return None
-    if kg.size:
-        zl = zf[live]
-        acc = np.full(zl.shape, kg[-1])
-        for coef in kg[-2::-1]:
-            acc *= zl
-            acc += coef
-        out[live] -= bz[live] * acc
+    if kg is None:
+        return None
+    out = np.zeros_like(zf)
+    for coef in kg[::-1]:
+        out *= zf
+        out += coef
     return out
 
 
 def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None = None):
-    """Weighted error (B_n'/B_n)(f - sigma_positive(f)) inside the disc, by one of two routes.
+    """Weighted error (B_n'/B_n)(f - sigma_positive(f)) inside the disc, as f' - B_n g'.
 
     The function is holomorphic despite the apparent poles: f - sigma_positive(f)
-    vanishes at the zeros of B_n.  With g = P_+(conj(B_n) f) on the circle,
-    delta(f) = f' - B_n g' exactly, and from order 16 on members with a
-    radius take that form through one FFT (`_delta_on_grid`); `coeffs` are
-    then only length-checked, and none are computed when it is None.
-    Against a 50-digit oracle (simple poles, n = 16 and 32, |a| <= 0.9)
-    that route was within 9e-16 relative, the algebraic route 1e-14 to
-    6e-14.  It declines below order 16, where the recursion is faster,
-    past 1024 power sums, and when no grid of at most CONTOUR_CAP points
-    both bounds f's growth and resolves f conj(B_n).
+    vanishes at the zeros of B_n.  On the circle H^2 = K_B + B_n H^2, so
+    f = S_n f + B_n g with g = P_+(conj(B_n) f), and then
+    f - sigma_positive(f) = (B_n / B_n')(f' - B_n g') makes
+    delta(f) = f' - B_n g' exactly.  B_n at z comes from one pass of the
+    basis recursion without derivatives.  Where B_n vanishes the value is
+    f' itself, so delta interpolates f' at every basis pole.  Elsewhere
+    g' comes from one of three sources:
 
-    Every other case takes the algebraic route.  Cauchy-transform members
-    are evaluated through the equivalent integral form
+    - for a Cauchy transform K(mu), the integral over mu's own grid
+      (`_cauchy_weighted_integral`)
 
-        delta(f)(z) = f'(z) - B_n(z) * (1/2pi) integral conj((t-z)/(1-conj(z)t))
-                      * conj(B_n(t)) mu(t) / |1 - conj(t) z|^2 |dt|,
+          g'(z) = (1/2pi) integral conj((t-z)/(1-conj(z)t))
+                  * conj(B_n(t)) mu(t) / |1 - conj(t) z|^2 |dt|;
 
-    which is also used, with mu = f taken on the contour |t| = R of
-    coefficients_of, as the removable-singularity fallback for other kinds
-    whenever |B_n| or |B_n'| drops below SAFE_RATIO_FLOOR.  At a zero of
-    B_n the integral term vanishes and is not computed.  Interpolates f'
-    at every basis pole.
+    - for every other member, g'(z) = sum_{k>=1} k g_k z^(k-1) by Horner's
+      rule, with g_k from one FFT of f conj(B_n) on a grid the route
+      sizes itself (`_projected_derivative`);
+    - where that route declines (past 1024 power sums of B_n, or when no
+      grid of at most CONTOUR_CAP points both bounds f's growth and
+      resolves f conj(B_n)), the same integral with mu = f, moved to the
+      contour |t| = R of coefficients_of (`_holomorphic_weighted_integral`).
 
-    One pass of the basis recursion over z gives B_n and B_n' and, for
-    every member but a Cauchy transform, the sums S_n and S_n' as well, so
-    sigma_positive at the points of the algebraic route costs no second
-    pass.  Without `coeffs` (the 2n - 1 values of coefficients_of) the
-    coefficients are computed first; Cauchy transforms need none.  The
-    fallback adds one pass over each contour size it samples.
+    Against a 50-digit oracle (simple poles, n = 1 to 32 with |a| <= 0.9,
+    and a_k = 1 - 2^-k at n = 12 and 16, where the FFT declines) delta
+    was within 3e-15 relative.  No source reads the coefficients, so
+    `coeffs`, the 2n - 1 values of coefficients_of, are only
+    length-checked.
     """
     zf, shape, scalar = _flatten(z)
     if zf.size and np.abs(zf).max() > 1.0 - NEAR_BOUNDARY_MARGIN:
         raise NearBoundary(f"delta requires |z| <= 1 - {NEAR_BOUNDARY_MARGIN}")
-    n = basis.order
+    n, sequence = basis.order, basis.sequence
     if f.kind != "cauchy_transform" and coeffs is not None:
         _require_length(coeffs, n, "delta")
-    out = _delta_on_grid(f, basis.sequence, n, zf)
-    if out is None:
-        out = _delta_by_recursion(f, basis, zf, coeffs)
-    return _restore(out, shape, scalar)
-
-
-def _delta_by_recursion(
-    f: AnalyticTestFunction, basis: TMBasis, zf: np.ndarray, coeffs: np.ndarray | None
-) -> np.ndarray:
-    """delta(f) at the flat points zf by the algebraic route and its integral fallback."""
-    n = basis.order
-    out = np.empty_like(zf)
-    if f.kind == "cauchy_transform":
-        bz, bpz, _, _ = _recurse(basis.sequence, n, zf)
-        algebraic = np.zeros(zf.shape, dtype=bool)
-    else:
-        if coeffs is None:
-            coeffs = coefficients_of(f, basis)
-        bz, bpz, s, sp = _recurse(basis.sequence, n, zf, c=coeffs[n - 1 :])
-        algebraic = (np.abs(bz) >= SAFE_RATIO_FLOOR) & (np.abs(bpz) >= SAFE_RATIO_FLOOR)
-    if algebraic.any():
-        ba, bpa = bz[algebraic], bpz[algebraic]
-        sig = _sigma_from_sums(ba, bpa, s[algebraic], sp[algebraic])
-        fv = np.asarray(f.value(zf[algebraic]), dtype=np.complex128).reshape(-1)
-        out[algebraic] = bpa / ba * (fv - sig)
-    rest = ~algebraic
-    if rest.any():
-        out[rest] = np.asarray(f.derivative(zf[rest]), dtype=np.complex128).reshape(-1)
-    weighted = rest & (bz != 0.0)
-    if weighted.any():
-        zw = zf[weighted]
+    bz = _recurse(sequence, n, zf, jet=False)[0]
+    out = np.array(np.broadcast_to(np.asarray(f.derivative(zf), dtype=np.complex128), zf.shape))
+    live = np.flatnonzero(bz)
+    if live.size:
+        zl = zf[live]
         if f.kind == "cauchy_transform":
-            integral = _cauchy_weighted_integral(basis.sequence, n, f.density.samples, zw)
+            dg = _cauchy_weighted_integral(sequence, n, f.density.samples, zl)
         else:
-            integral = _holomorphic_weighted_integral(f, basis.sequence, n, zw)
-        out[weighted] -= bz[weighted] * integral
-    return out
+            dg = _projected_derivative(f, sequence, n, zl)
+            if dg is None:
+                dg = _holomorphic_weighted_integral(f, sequence, n, zl)
+        out[live] -= bz[live] * dg
+    return _restore(out, shape, scalar)

@@ -26,7 +26,6 @@ from tmfejer.corpus import (
     simple_pole,
 )
 from tmfejer.operators import (
-    SAFE_RATIO_FLOOR,
     CriticalPoint,
     NearBoundary,
     _cauchy_weighted_integral,
@@ -570,6 +569,8 @@ class TestDelta:
         )
 
     def test_algebraic_and_integral_routes_agree(self, seq_mixed):
+        # The FFT of a holomorphic member against the unit-circle integral
+        # of its Cauchy wrapper.
         basis = TMBasis(seq_mixed, 8)
         f = mobius(-0.4 + 0.2j)
         wrapped = cauchy_transform(grid_of(f), label="wrapped")
@@ -589,14 +590,14 @@ class TestDelta:
         integral = (np.conj(t) * np.conj(bt) * f.value(t)).mean()
         b0 = eval_blaschke(seq, 2, 0.0).value
         oracle = complex(f.derivative(0.0)) - b0 * integral
-        # B' vanishes at 0, so delta must fall back to the integral form.
+        # B' vanishes at 0, where (B'/B)(f - sigma_positive(f)) is 0/0;
+        # f' - B g' has no such point.
         assert complex(delta(f, basis, 0.0 + 0j)) == pytest.approx(oracle, abs=1e-12)
 
     def test_contour_form_matches_algebraic_route(self, seq_mixed):
-        # Where |B_n| and |B_n'| stay above 1e-3 both routes are well
-        # conditioned, so f' - B_n I on the contour must reproduce
-        # (B_n'/B_n)(f - sigma_positive(f)).  The constant, whose delta
-        # vanishes, is test_constant_gives_zero.
+        # f' - B_n I with I on the contour must reproduce delta, which
+        # takes the FFT here.  The constant, whose delta vanishes, is
+        # test_constant_gives_zero.
         basis = TMBasis(seq_mixed, 8)
         z = interior_probes(48)
         be = eval_blaschke(seq_mixed, 8, z)
@@ -608,7 +609,7 @@ class TestDelta:
             np.testing.assert_allclose(contour, delta(f, basis, z), rtol=1e-10, err_msg=f.label)
 
     def test_contour_integral_matches_fine_unit_grid(self):
-        # The fallback integral on |t| = R against the unit-circle rule of
+        # The contour integral on |t| = R against the unit-circle rule of
         # the Cauchy route on 2^16 points, for poles with |a| <= 0.7.
         rng = np.random.default_rng(3)
         poles = 0.7 * np.sqrt(rng.random(8)) * np.exp(2j * np.pi * rng.random(8))
@@ -670,71 +671,46 @@ class TestDelta:
         lhs = np.abs(0.0 - be.derivative * np.conj(be.value) * 1.0)
         assert np.abs(lhs - np.abs(be.derivative)).max() < 1e-9
 
-    def _mixed_points(self, seq):
-        # Probes on the algebraic route, the nodes, where B_n = 0, and
-        # points 1e-8 off the nodes, where the fallback fires.
-        nodes = seq.as_array()
-        return np.concatenate([interior_probes(48), nodes, nodes[:3] + 1e-8])
-
-    def test_algebraic_points_equal_sigma_positive(self, seq_mixed):
-        # The recursion is pointwise, so the subset of algebraic points and
-        # the full set give the same bits.
-        basis = TMBasis(seq_mixed, 8)
-        z = self._mixed_points(seq_mixed)
-        be = eval_blaschke(seq_mixed, 8, z)
-        alg = (np.abs(be.value) >= SAFE_RATIO_FLOOR) & (np.abs(be.derivative) >= SAFE_RATIO_FLOOR)
-        assert 40 <= alg.sum() < z.size
-        za = z[alg]
-        for f in rational_corpus(12):
-            c = coefficients_of(f, basis)
-            sig = sigma_positive(f, basis, za, coeffs=c)
-            want = be.derivative[alg] / be.value[alg] * (f.value(za) - sig)
-            assert np.array_equal(delta(f, basis, z, coeffs=c)[alg], want), f.label
+    @pytest.mark.parametrize("order", [8, 32])
+    def test_matches_its_definition_through_sigma_positive(self, order):
+        # Where |B_n| and |B_n'| stay above 1e-3 the quotient is well
+        # conditioned, and (B_n'/B_n)(f - sigma_positive(f)) must reproduce
+        # f' - B_n g'.  The constant, whose delta vanishes, is
+        # test_constant_gives_zero.
+        seq = _random_sequence(order, 0.7, order)
+        basis = TMBasis(seq, order)
+        z = interior_probes(96)
+        be = eval_blaschke(seq, order, z)
+        keep = (np.abs(be.value) >= 1e-3) & (np.abs(be.derivative) >= 1e-3)
+        z, bz, dbz = z[keep], be.value[keep], be.derivative[keep]
+        assert z.size >= 16
+        for f in rational_corpus(12)[1:]:
+            want = dbz / bz * (f.value(z) - sigma_positive(f, basis, z))
+            np.testing.assert_allclose(delta(f, basis, z), want, rtol=1e-10, err_msg=f.label)
 
     @staticmethod
     def _count_passes(monkeypatch, seq):
-        """Sizes of the point sets of every recursion over the poles of seq;
-        members such as Schur products run their own sequences."""
-        sizes = []
+        """(size, jet) of every recursion over the poles of seq; members such
+        as Schur products run their own sequences."""
+        passes = []
 
-        def counting(sequence, n, zf, *args, **kwargs):
+        def counting(sequence, n, zf, *args, jet=True, **kwargs):
             if sequence is seq:
-                sizes.append(zf.size)
-            return _recurse(sequence, n, zf, *args, **kwargs)
+                passes.append((zf.size, jet))
+            return _recurse(sequence, n, zf, *args, jet=jet, **kwargs)
 
         for module in (blaschke, tm_basis, operators):
             monkeypatch.setattr(module, "_recurse", counting)
-        return sizes
-
-    def test_one_recursion_over_the_points(self, seq_mixed, monkeypatch):
-        # One pass over the M points; the fallback adds one per contour size.
-        basis = TMBasis(seq_mixed, 8)
-        z = self._mixed_points(seq_mixed)
-        coeffs = [coefficients_of(f, basis) for f in rational_corpus(12)]
-        sizes = self._count_passes(monkeypatch, seq_mixed)
-        for f, c in zip(rational_corpus(12), coeffs):
-            sizes.clear()
-            delta(f, basis, z, coeffs=c)
-            assert sizes.count(z.size) == 1, f.label
-            contour = [m for m in sizes if m != z.size]
-            assert len(contour) == len(set(contour)) >= 1, f.label
-            assert all(m >= 16 and m & (m - 1) == 0 for m in contour), f.label
-
-    def test_coefficients_computed_when_none_passed(self, seq_mixed):
-        basis = TMBasis(seq_mixed, 8)
-        z = self._mixed_points(seq_mixed)
-        for f in rational_corpus(12):
-            want = delta(f, basis, z, coeffs=coefficients_of(f, basis))
-            assert np.array_equal(delta(f, basis, z), want), f.label
+        return passes
 
     def test_wrong_coefficient_length_names_delta(self, seq_short):
         basis = TMBasis(seq_short, 3)
         with pytest.raises(ValueError, match="^delta of order 3"):
             delta(constant_one(), basis, 0.2 + 0j, coeffs=np.ones(4, dtype=complex))
 
-    # From order 16 on, members with a radius take the FFT route,
-    # f' - B_n g' with g = P_+(conj(B_n) f); every case it declines takes
-    # the algebraic route and its fallback.
+    # Members with a radius take the FFT route for g' in f' - B_n g',
+    # g = P_+(conj(B_n) f), at every order; where it declines, g' is the
+    # integral on the contour.
 
     @pytest.mark.parametrize("modulus", [0.7, 0.9])
     @pytest.mark.parametrize("order", [16, 32])
@@ -744,7 +720,7 @@ class TestDelta:
         z = interior_probes(48)
         bz = eval_blaschke(seq, order, z).value
         for f in rational_corpus(12):
-            assert operators._delta_on_grid(f, seq, order, z) is not None, f.label
+            assert operators._projected_derivative(f, seq, order, z) is not None, f.label
             contour = f.derivative(z) - bz * _holomorphic_weighted_integral(f, seq, order, z)
             assert np.abs(delta(f, basis, z) - contour).max() <= 1e-12, f.label
 
@@ -756,13 +732,24 @@ class TestDelta:
         for f in rational_corpus(12):
             assert np.array_equal(delta(f, basis, nodes), f.derivative(nodes)), f.label
 
-    def test_grid_route_does_no_hidden_work(self, monkeypatch):
-        # One recursion over the points, none over a contour, and no
-        # coefficients: the FFT reads f on a grid of its own.
-        seq = _random_sequence(32, 0.7, 5)
-        basis = TMBasis(seq, 32)
-        z = np.concatenate([interior_probes(16), seq.as_array()[:4]])
-        sizes = self._count_passes(monkeypatch, seq)
+    @pytest.mark.parametrize("case", ["order-8", "order-32", "cauchy"])
+    def test_grid_route_does_no_hidden_work(self, case, monkeypatch):
+        # One recursion over the points, for B_n alone, and no coefficients:
+        # the FFT reads f on a grid of its own, and a Cauchy transform adds
+        # one recursion over its density's grid.  Passed coefficients are
+        # only length-checked and change no bit.
+        order = 8 if case == "order-8" else 32
+        seq = PointSequence(MIXED) if order == 8 else _random_sequence(32, 0.7, 5)
+        basis = TMBasis(seq, order)
+        nodes = seq.as_array()
+        z = np.concatenate([interior_probes(48), nodes, nodes[:3] + 1e-8])
+        if case == "cauchy":
+            density = random_unit_density(np.random.default_rng(2))
+            members, extra = [cauchy_transform(density)], [(density.resolution, False)]
+        else:
+            members, extra = rational_corpus(12), []
+        coeffs = [coefficients_of(f, basis) for f in members]
+        passes = self._count_passes(monkeypatch, seq)
         calls = []
         inner = operators.coefficients_of
 
@@ -771,13 +758,39 @@ class TestDelta:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(operators, "coefficients_of", counting)
-        for f in rational_corpus(12):
-            sizes.clear()
-            delta(f, basis, z)
-            assert sizes == [z.size], f.label
+        for f, c in zip(members, coeffs):
+            passes.clear()
+            got = delta(f, basis, z)
+            assert passes == [(z.size, False)] + extra, f.label
+            assert np.array_equal(delta(f, basis, z, coeffs=c), got), f.label
         assert not calls
-        with pytest.raises(ValueError, match="^delta of order 32"):
-            delta(identity_map(), basis, z, coeffs=np.ones(62, dtype=complex))
+        if case != "cauchy":
+            with pytest.raises(ValueError, match=f"^delta of order {order}"):
+                delta(identity_map(), basis, z, coeffs=np.ones(2 * order - 2, dtype=complex))
+
+    @staticmethod
+    def _mixed_points(seq):
+        # Interior probes, the nodes, where B_n = 0, and points 1e-8 off them.
+        nodes = seq.as_array()
+        return np.concatenate([interior_probes(48), nodes, nodes[:3] + 1e-8])
+
+    def test_one_recursion_over_the_points(self, seq_mixed, monkeypatch):
+        # One jet-free pass over the M points, for B_n, and none over a contour.
+        basis = TMBasis(seq_mixed, 8)
+        z = self._mixed_points(seq_mixed)
+        passes = self._count_passes(monkeypatch, seq_mixed)
+        for f in rational_corpus(12):
+            passes.clear()
+            delta(f, basis, z)
+            assert passes == [(z.size, False)], f.label
+
+    def test_coefficients_computed_when_none_passed(self, seq_mixed):
+        # Leaving the coefficients out gives the bits that passing them gives.
+        basis = TMBasis(seq_mixed, 8)
+        z = self._mixed_points(seq_mixed)
+        for f in rational_corpus(12):
+            want = delta(f, basis, z, coeffs=coefficients_of(f, basis))
+            assert np.array_equal(delta(f, basis, z), want), f.label
 
     @pytest.mark.parametrize("poles", ["zero64", "zero128", "small128"])
     def test_grid_route_matches_closed_forms(self, poles):
@@ -798,7 +811,7 @@ class TestDelta:
         square = polynomial([0.0, 0.0, 1.0])
         closed = ((identity_map(), 1.0 - b0 * bz), (square, 2.0 * z - bz * (2.0 * b0 * z + db0)))
         for f, want in closed:
-            assert operators._delta_on_grid(f, seq, order, z) is not None, f.label
+            assert operators._projected_derivative(f, seq, order, z) is not None, f.label
             assert np.abs(delta(f, basis, z) - want).max() <= 1e-14, f.label
 
     def test_grid_route_doubles_a_grid_that_does_not_resolve(self, monkeypatch):
@@ -824,14 +837,10 @@ class TestDelta:
         b0 = np.conj(eval_blaschke(seq, 64, 0.0).value)
         assert np.abs(got - (1.0 - b0 * bz)).max() <= 1e-14
 
-    @pytest.mark.parametrize(
-        "case", ["low-order", "cauchy", "many-terms", "past-the-cap", "unresolved"]
-    )
+    @pytest.mark.parametrize("case", ["cauchy", "many-terms", "past-the-cap", "unresolved"])
     def test_grid_route_off_the_guard_bit_for_bit(self, case):
         seq, order, f = _random_sequence(16, 0.7, 1), 16, mobius(0.3)
-        if case == "low-order":
-            order = 8
-        elif case == "cauchy":
+        if case == "cauchy":
             f = cauchy_transform(random_unit_density(np.random.default_rng(2)))
         elif case == "many-terms":
             # geometric:0.5 needs about 10^6 power sums at n = 16.
@@ -845,8 +854,16 @@ class TestDelta:
             seq, order, f = PointSequence((0.96,) * 384), 384, identity_map()
         basis = TMBasis(seq, order)
         z = np.concatenate([interior_probes(16), seq.as_array()[:2]])
-        assert operators._delta_on_grid(f, seq, order, z) is None
-        want = operators._delta_by_recursion(f, basis, z, None)
+        bz = eval_blaschke(seq, order, z).value
+        live = bz != 0.0
+        assert live.sum() == 16
+        if case == "cauchy":
+            integral = _cauchy_weighted_integral(seq, order, f.density.samples, z[live])
+        else:
+            assert operators._projected_derivative(f, seq, order, z) is None
+            integral = _holomorphic_weighted_integral(f, seq, order, z[live])
+        want = np.array(np.broadcast_to(f.derivative(z), z.shape), dtype=complex)
+        want[live] -= bz[live] * integral
         assert np.array_equal(delta(f, basis, z), want)
 
     @pytest.mark.parametrize("member", [constant_one, identity_map], ids=["one", "identity"])
@@ -854,18 +871,18 @@ class TestDelta:
         # |B_128| on |t| = 1/R falls to 1e-32 and below; the contour rule
         # scales by max|f| there, not by max|f conj(B_n)|, so it keeps its
         # first N instead of doubling for an accuracy delta never uses.
-        # delta itself takes the FFT route at this order, so the rule is
-        # called directly, at probes where the algebraic route would fall
-        # back to it.
+        # delta itself takes the FFT route here, so the rule is called
+        # directly, at probes where |B_128| < 1e-6.
         seq = _random_sequence(128, 0.7, 7)
         basis = TMBasis(seq, 128)
         rng = np.random.default_rng(7)
         z = rng.uniform(0.85, 0.9, 16) * np.exp(2j * np.pi * rng.random(16))
         f = member()
         bz = eval_blaschke(seq, 128, z).value
-        assert (np.abs(bz) < SAFE_RATIO_FLOOR).all()
-        sizes = self._count_passes(monkeypatch, seq)
+        assert (np.abs(bz) < 1e-6).all()
+        passes = self._count_passes(monkeypatch, seq)
         integral = _holomorphic_weighted_integral(f, seq, 128, z)
+        sizes = [m for m, _ in passes]
         assert len(sizes) == 1 and sizes[0] > z.size
         # The same contour integral on 4N points.
         r, _ = _contour(f, max(np.abs(seq.as_array()).max(), np.abs(z).max()))

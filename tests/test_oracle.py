@@ -7,8 +7,9 @@ S_n = sum_k c_k phi_k and S_n' that the recursion accumulates, and
 sigma_positive built from them, are checked against the same oracle
 summed at 50 digits, and so is sigma_positive's FFT route on a uniform
 grid, for a simple pole whose coefficients the Szego kernel gives
-exactly; delta's FFT route is checked against (B_n'/B_n)(f - S_n) + S_n'
-from the same exact coefficients.  The refined
+exactly; delta, through the FFT and through the contour where the FFT
+declines, is checked against (B_n'/B_n)(f - S_n) + S_n' from the same
+exact coefficients.  The refined
 Frostman minimum is checked against a root of the derivative of the
 Frostman sum, found at 40 digits.  The coefficients of a simple pole are
 checked against the reproducing property of the Szego kernel.
@@ -23,7 +24,7 @@ from tmfejer.analysis import diagnose_sequence
 from tmfejer.blaschke import PointSequence, _recurse, eval_blaschke
 from tmfejer.corpus import constant_one, simple_pole
 from tmfejer.operators import (
-    _delta_on_grid,
+    _projected_derivative,
     _uniform_grid,
     coefficients_of,
     delta,
@@ -258,10 +259,10 @@ def _delta_reference(poles, z, members):
 
 
 @pytest.mark.parametrize("modulus", [0.7, 0.9])
-@pytest.mark.parametrize("order", [16, 32])
+@pytest.mark.parametrize("order", [1, 2, 8, 16, 32])
 def test_delta_through_the_projection_matches_product_formula(order, modulus):
     # delta's FFT route, f' - B_n g' with g = P_+(conj(B_n) f), reads f on
-    # a grid of its own and never the coefficients.
+    # a grid of its own and never the coefficients, at every order.
     rng = np.random.default_rng(order)
     radii = modulus * np.sqrt(rng.uniform(size=order))
     poles = tuple(radii * np.exp(2j * np.pi * rng.uniform(size=order)))
@@ -272,5 +273,23 @@ def test_delta_through_the_projection_matches_product_formula(order, modulus):
     want = _delta_reference(poles, z, members)
     for (p, r), exact in zip(members, want):
         f = simple_pole(p, residue=r)
-        assert _delta_on_grid(f, seq, order, z) is not None
+        assert _projected_derivative(f, seq, order, z) is not None
+        _assert_close(delta(f, basis, z), exact, 1e-14)
+
+
+@pytest.mark.parametrize("order", [12, 16])
+@pytest.mark.parametrize("rotation", [1.0, np.exp(1j)], ids=["real", "rotated"])
+def test_delta_through_the_contour_matches_product_formula(rotation, order):
+    # Poles 1 - 2^-k need more than 1024 power sums of B_n, so the FFT
+    # declines and g' is the integral on the contour |t| = R, here at
+    # points as near the circle as 0.999.
+    poles = tuple(rotation * (1.0 - 0.5 ** np.arange(1, order + 1)))
+    seq = PointSequence(poles)
+    basis = TMBasis(seq, order)
+    z = np.asarray(INTERIOR + (0.999, 0.99 * np.exp(2.5j)), dtype=np.complex128)
+    members = ((1.6, 1.0), (-1.25j, 0.5))
+    want = _delta_reference(poles, z, members)
+    for (p, r), exact in zip(members, want):
+        f = simple_pole(p, residue=r)
+        assert _projected_derivative(f, seq, order, z) is None
         _assert_close(delta(f, basis, z), exact, 1e-14)
