@@ -31,11 +31,10 @@ from itertools import groupby
 
 import numpy as np
 
-from tmfejer.blaschke import PointSequence, _check_order, _frostman_prefixes, _recurse
-from tmfejer.corpus import _unit_densities, constant_one, standard_corpus
+from tmfejer.blaschke import PointSequence, _check_order, _frostman_prefixes, _recurse, _taylor
+from tmfejer.corpus import _DEGREE, _unit_densities, constant_one, standard_corpus
 from tmfejer.operators import (
     AnalyticTestFunction,
-    _cauchy_weights,
     _cesaro_from_rows,
     _rusak_from_rows,
     _sigma_from_sums,
@@ -69,9 +68,6 @@ __all__ = [
 _ORDERS_PER_PASS = 8
 # Largest |derivative_l1 - n| that diagnose_sequence accepts (C10's tolerance).
 _L1_TOL = 1e-10
-# Largest |extremal_value - bound| that voronovskaya_experiment accepts: the
-# extremal member attains the bound exactly, so the gap is quadrature error.
-_EXTREMAL_TOL = 1e-7
 # Largest |rusak_sup - 1| that cesaro_counterexample accepts: the sup is exactly one.
 _RUSAK_TOL = 1e-9
 
@@ -295,42 +291,31 @@ def voronovskaya_experiment(
     probes: int = 16,
     trials: int = 50,
     seed: int = 0,
-    grid_n: int | None = None,
 ) -> list[VoronovskayaSample]:
     """First-order error |delta(f)(z) - f'(z)| against |B_n(z)|/(1 - |z|^2).
 
-    For a Cauchy transform f = K(mu) delta takes its integral form
-    delta(f)(z) = f'(z) - B_n(z) I_mu(z), so the gap is |B_n(z) I_mu(z)| and
-    f' never needs evaluating.  Random trials draw unit densities, stacked
-    as columns of one weighted integral; `random_max` records the worst
-    case per probe.  `extremal_value` is the gap of the member attaining
-    the bound at probe z, B_n(w) (w - z)/(1 - w conj(z)): its boundary
-    trace at probe z pairs only with that probe's row of weights, one
-    row-wise sum.  All of it shares one set of weights and one evaluation
-    of B_n on the densities' grid.  Since that member attains the bound
-    exactly, its gap is the quadrature error of the shared grid; past 1e-7
-    the grid is too coarse and NoConvergence is raised.
+    For a Cauchy transform f = K(mu) delta(f) = f' - B_n g' with
+    g = P_+(conj(B_n) mu), so the gap is |B_n(z) g'(z)| and f' is never
+    evaluated.  conj(B_n) has only non-positive frequencies on the circle,
+    so for mu = sum_{|m|<=6} mu_m t^m, g = sum_{k<=6} c_k z^k with
+    c_k = sum_{m>=k} mu_m conj(b_{m-k}), from the Taylor coefficients b_j of
+    B_n: no grid.  Random trials draw unit densities, and `random_max`
+    records the worst gap per probe.  `extremal_value` is the gap of the
+    member B_n m_z, m_z(w) = (w - z)/(1 - conj(z) w), which attains the
+    bound: P_+(conj(B_n) B_n m_z) = m_z, so the gap is |B_n(z) m_z'(z)|.
     """
     _check_order(sequence, order)
     zs = interior_probes(probes)
-    res = grid_n or default_resolution(order)
-    rng = np.random.default_rng(seed)
     bz = _recurse(sequence, order, zs, jet=False)[0]
     bounds = np.abs(bz) / (1.0 - np.abs(zs) ** 2)
-    densities = _unit_densities(rng, res, trials)
-    w, cbt = _cauchy_weights(sequence, order, res, zs)
-    integrals = w @ (densities * cbt[:, None]) / res
-    random_max = np.abs(bz[:, None] * integrals).max(axis=1, initial=0.0)
-    t = np.exp(2j * np.pi * np.arange(res) / res)
-    traces = np.conj(cbt) * (t - zs[:, None]) / (1.0 - t * np.conj(zs)[:, None])
-    at_own_probe = (w * cbt * traces).sum(axis=1) / res
-    extremal = np.abs(bz * at_own_probe)
-    gap = float(np.abs(extremal - bounds).max())
-    if gap > _EXTREMAL_TOL:
-        raise NoConvergence(
-            f"extremal value misses the bound by {gap:.2e} on a {res}-point grid "
-            f"at order {order}; a finer grid_n is needed"
-        )
+    g, peaks = _unit_densities(np.random.default_rng(seed), trials)
+    # Row k of the upper triangular Toeplitz matrix maps mu_0..mu_6 to c_k.
+    ms = np.arange(_DEGREE + 1)
+    toeplitz = np.triu(np.conj(_taylor(sequence, order, _DEGREE + 1))[ms - ms[:, None]])
+    c = toeplitz[1:] @ (g[:, _DEGREE:] / peaks[:, None]).T
+    dg = (ms[1:] * zs[:, None] ** ms[:-1]) @ c
+    random_max = np.abs(bz[:, None] * dg).max(axis=1, initial=0.0)
+    extremal = np.abs(bz * (1.0 - np.abs(zs) ** 2) / (1.0 - np.conj(zs) * zs) ** 2)
     return [
         VoronovskayaSample(
             order=order,

@@ -233,6 +233,26 @@ def _grid_blaschke(
     return tn * np.exp(1j * x.imag), n + x.real
 
 
+def _taylor(sequence: PointSequence, n: int, terms: int) -> np.ndarray:
+    """The first `terms` Taylor coefficients b_0, b_1, ... of B_n at 0.
+
+    Each factor expands as (z - a)/(1 - conj(a) z) = -a + w sum_{j>=1}
+    conj(a)^(j-1) z^j with w = (1 - |a|)(1 + |a|), as in `_recurse`; the
+    product of the factor series is truncated to `terms` after every pole.
+    Each step multiplies by a section of the Toeplitz operator of a factor
+    bounded by one on the disc, which does not amplify earlier rounding, so
+    the error grows at most linearly in n; |b_k| <= 1 since B_n is inner.
+    """
+    b = np.zeros(terms, dtype=np.complex128)
+    b[0] = 1.0
+    powers = np.arange(terms - 1)
+    for a in sequence.points[:n]:
+        w = (1.0 - abs(a)) * (1.0 + abs(a))
+        factor = np.concatenate(([-a], w * np.conj(a) ** powers))
+        b = np.convolve(b, factor)[:terms]
+    return b
+
+
 def eval_blaschke(sequence: PointSequence, n: int, z) -> BlaschkeEval:
     """Evaluate B_n and B_n' at z (scalar or array) by the basis recursion.
 

@@ -12,7 +12,7 @@ comment, list values sit in brackets:
     sequence = constant:0.5        # constant:c | geometric:r | harmonic:c | list:[...]
     orders = [1, 2, 4, 8]          # strictly increasing, all >= 1
     function = identity            # one | identity | mobius:c | pole:c | poly:[c0, c1, ...]
-    grid_n = 4096                  # power of two >= 16; voronovskaya, counterexample only
+    grid_n = 4096                  # power of two >= 16; counterexample only
     seed = 0
     format = csv                   # csv | json
     out = results/converge.csv     # default stdout
@@ -28,10 +28,10 @@ no timestamps, `%.17g` floats in CSV and float repr in JSON, sorted JSON
 keys.  An undefined value is nan in CSV and null in JSON; any other
 non-finite float exits 2 in either format.  The config's grid_n is the
 only grid setting, and the report metadata records it (null for the
-per-order default).  It reaches only voronovskaya, for its Cauchy
-densities and extremal traces, and counterexample, for the boundary data
-of sigma_rusak; converge reads its norms off the 8192-angle scans of its
-refined extrema.  Coefficients of the holomorphic functions
+per-order default).  It reaches only counterexample, for the boundary
+data of sigma_rusak; converge reads its norms off the 8192-angle scans of
+its refined extrema and voronovskaya its gaps off Taylor coefficients, so
+no grid_n makes either exit 3.  Coefficients of the holomorphic functions
 (one, identity, mobius, pole, poly) come from a contour |t| = R > 1 that
 is sized per function and order; a function that needs more than
 CONTOUR_CAP contour points, such as a pole closer than about 5e-3 to the
@@ -330,7 +330,7 @@ def _execute(config: ExperimentConfig) -> dict[str, list]:
         f = _resolve_function(config.function)
         rows = convergence_experiment(f, sequence, config.orders)
     elif config.command == "voronovskaya":
-        args = (config.probes, config.trials, config.seed, config.grid_n)
+        args = (config.probes, config.trials, config.seed)
         rows = [r for n in config.orders for r in voronovskaya_experiment(sequence, int(n), *args)]
     elif config.command == "saturation":
         rows = [r for n in config.orders for r in saturation_check(sequence, int(n))]

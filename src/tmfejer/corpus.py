@@ -201,11 +201,13 @@ def _peak_windows(g: np.ndarray) -> np.ndarray:
     return (2.0 * np.pi / _PEAK_SCAN) * idx
 
 
-def _unit_densities(rng: np.random.Generator, resolution: int, count: int) -> np.ndarray:
-    """Samples of `count` random unit densities as the columns of a (resolution, count) array.
+def _unit_densities(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """`count` random unit densities as raw (count, 13) coefficients and refined peaks.
 
-    Column k is what the k-th of `count` successive `random_unit_density`
-    calls on the same generator returns.
+    Row k holds g_m for m = -6..6 and peak k the refined maximum of
+    |sum_m g_m e^{im theta}|, so density k is sum_m (g_m / peak) e^{im theta}.
+    Row k is what the k-th of `count` successive `random_unit_density` calls
+    on the same generator draws, and peak k what it divides out.
     """
     draws = rng.standard_normal((count, 2, 2 * _DEGREE + 1))
     g = draws[:, 0] + 1j * draws[:, 1]
@@ -219,15 +221,7 @@ def _unit_densities(rng: np.random.Generator, resolution: int, count: int) -> np
 
     x = _peak_windows(g)
     _, v = _zoom(negative_modulus, x, np.full(x.shape, np.inf), 2.0 * np.pi / _PEAK_SCAN)
-    # Column by column into one array: a zero-padded (resolution, count)
-    # spectrum would double the live size of the result.
-    samples = np.empty((resolution, count), dtype=np.complex128)
-    spectrum = np.zeros(resolution, dtype=np.complex128)
-    for k in range(count):
-        spectrum[_ORDERS] = g[k]
-        samples[:, k] = np.fft.ifft(spectrum)
-    samples *= resolution / -v.min(axis=1)
-    return samples
+    return g, -v.min(axis=1)
 
 
 def random_unit_density(rng: np.random.Generator, resolution: int = 4096) -> BoundaryGridFunction:
@@ -249,9 +243,12 @@ def random_unit_density(rng: np.random.Generator, resolution: int = 4096) -> Bou
     scan angles when a lower one sits on the grid.  The samples are the
     inverse FFT of the 13 coefficients zero-padded to `resolution`; a grid
     holds at least 16 points, so they never alias.  Densities drawn
-    together share one scan FFT and one zoom.
+    together (`_unit_densities`) share one scan FFT and one zoom.
     """
-    return BoundaryGridFunction(_unit_densities(rng, resolution, 1)[:, 0])
+    (g,), (peak,) = _unit_densities(rng, 1)
+    spectrum = np.zeros(resolution, dtype=np.complex128)
+    spectrum[_ORDERS] = g
+    return BoundaryGridFunction(np.fft.ifft(spectrum) * (resolution / peak))
 
 
 def standard_corpus() -> tuple:

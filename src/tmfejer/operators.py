@@ -49,8 +49,9 @@ accepts a size on one scale, max|W| max|f| over the contour, so the
 tiny factor conj(B_n) of delta's integrand does not drive the size up.
 
 Only grid-backed data is sampled on the unit circle, so the CLI's grid_n
-reaches only the Cauchy densities of voronovskaya and the boundary data
-of sigma_rusak in counterexample.
+reaches only the boundary data of sigma_rusak in counterexample;
+voronovskaya reads its Cauchy integrals off the Taylor coefficients of
+B_n and of its densities, with no grid.
 """
 
 from __future__ import annotations
@@ -558,19 +559,6 @@ def _rusak_from_rows(samples: np.ndarray, vt: np.ndarray, vz: np.ndarray, n: int
     return (vz * (gram @ np.conj(vz))).sum(axis=0) / (np.abs(vz) ** 2).sum(axis=0)
 
 
-def _cauchy_weights(
-    sequence: PointSequence, n: int, npts: int, zf: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The M x N weights W(z, t) = conj((t - z)/(1 - conj(z) t)) / |1 - conj(t) z|^2
-    for the M points zf and the N-point uniform grid t, with conj(B_n(t)) there."""
-    tpts = np.exp(2j * np.pi * np.arange(npts) / npts)
-    ct = np.conj(tpts)
-    g = 1.0 - ct * zf[:, None]
-    w = (ct - np.conj(zf)[:, None]) / g
-    w /= np.abs(g) ** 2
-    return w, np.conj(_recurse(sequence, n, tpts, jet=False)[0])
-
-
 def _cauchy_weighted_integral(
     sequence: PointSequence, n: int, samples: np.ndarray, zf: np.ndarray
 ) -> np.ndarray:
@@ -579,10 +567,16 @@ def _cauchy_weighted_integral(
     `samples` holds mu on the uniform grid of N points, shape (N,) or
     (N, T) with one density per column; the result has shape (M,) or
     (M, T) for the M points zf.  The quadrature is one product
-    W @ (conj(B_n(t)) mu) / N with the weights of `_cauchy_weights`.
+    W @ (conj(B_n(t)) mu) / N with the M x N weights
+    W(z, t) = conj((t - z)/(1 - conj(z) t)) / |1 - conj(t) z|^2.
     """
     npts = samples.shape[0]
-    w, cbt = _cauchy_weights(sequence, n, npts, zf)
+    tpts = np.exp(2j * np.pi * np.arange(npts) / npts)
+    ct = np.conj(tpts)
+    g = 1.0 - ct * zf[:, None]
+    w = (ct - np.conj(zf)[:, None]) / g
+    w /= np.abs(g) ** 2
+    cbt = np.conj(_recurse(sequence, n, tpts, jet=False)[0])
     return w @ (samples.T * cbt).T / npts
 
 
@@ -687,7 +681,7 @@ def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None 
     if zf.size and np.abs(zf).max() > 1.0 - NEAR_BOUNDARY_MARGIN:
         raise NearBoundary(f"delta requires |z| <= 1 - {NEAR_BOUNDARY_MARGIN}")
     n, sequence = basis.order, basis.sequence
-    if f.kind != "cauchy_transform" and coeffs is not None:
+    if coeffs is not None:
         _require_length(coeffs, n, "delta")
     bz = _recurse(sequence, n, zf, jet=False)[0]
     out = np.array(np.broadcast_to(np.asarray(f.derivative(zf), dtype=np.complex128), zf.shape))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import BRACKET, MIXED, zeros_sequence
-from tmfejer import analysis
+from tmfejer import analysis, blaschke, operators
 from tmfejer.analysis import (
     cesaro_counterexample,
     convergence_experiment,
@@ -34,6 +34,9 @@ from tmfejer.quadrature import (
     refined_minimum,
 )
 from tmfejer.tm_basis import TMBasis
+
+# geometric:0.5, a_k = 1 - 2^-k for k = 1..12: poles that approach the circle.
+NEAR_CIRCLE = 1.0 - 0.5 ** np.arange(1, 13)
 
 
 class TestInteriorProbes:
@@ -202,16 +205,29 @@ class TestVoronovskaya:
             assert r.random_max <= r.bound + 1e-7
             assert r.extremal_value == pytest.approx(r.bound, abs=1e-7)
 
-    def test_random_max_matches_public_path(self, seq_mixed):
-        # The batched gaps |B_n(z) I_mu(z)| against |delta(f) - f'| per trial,
-        # with the densities redrawn from the same seed in the same order.
-        rows = voronovskaya_experiment(seq_mixed, 6, probes=6, trials=8, seed=4)
-        basis = TMBasis(seq_mixed, 6)
-        zs = interior_probes(6)
+    @pytest.mark.parametrize(
+        "poles, order, probes, trials, resolution",
+        [(MIXED, 6, 6, 8, default_resolution(6))]
+        + [
+            (tuple(NEAR_CIRCLE * turn), n, 4, 4, 1 << 17)
+            for turn in (1.0, np.exp(0.3j))
+            for n in (10, 12)
+        ],
+        ids=["mixed", "near-10", "near-12", "rotated-10", "rotated-12"],
+    )
+    def test_random_max_matches_public_path(self, poles, order, probes, trials, resolution):
+        # The gaps |B_n(z) g'(z)| against |delta(f) - f'| per trial, with the
+        # densities redrawn from the same seed in the same order and sampled
+        # on a grid that resolves B_n: 2^17 points for poles 1 - 2^-k, where
+        # a 4096-point quadrature of these gaps is up to 2.6e-3 off.
+        seq = PointSequence(poles)
+        rows = voronovskaya_experiment(seq, order, probes=probes, trials=trials, seed=4)
+        basis = TMBasis(seq, order)
+        zs = interior_probes(probes)
         rng = np.random.default_rng(4)
-        want = np.zeros(6)
-        for _ in range(8):
-            f = cauchy_transform(random_unit_density(rng, default_resolution(6)))
+        want = np.zeros(probes)
+        for _ in range(trials):
+            f = cauchy_transform(random_unit_density(rng, resolution))
             gap = np.abs(np.asarray(delta(f, basis, zs)) - np.asarray(f.derivative(zs)))
             want = np.maximum(want, gap)
         got = np.array([r.random_max for r in rows])
@@ -235,18 +251,25 @@ class TestVoronovskaya:
         assert [r.random_max for r in rows] == [0.0] * 4
         assert all(r.extremal_value == pytest.approx(r.bound, abs=1e-7) for r in rows)
 
-    def test_densities_follow_grid_n(self, seq_mixed, monkeypatch):
+    def test_one_recursion_at_the_probes(self, seq_mixed, monkeypatch):
+        # B_n at the probes is the only evaluation: no density grid, no
+        # weights and no B_n on the circle, in any module.
         calls = []
-        weights = analysis._cauchy_weights
+        inner = blaschke._recurse
 
-        def recording(sequence, n, npts, zf):
-            calls.append((n, npts, zf.size))
-            return weights(sequence, n, npts, zf)
+        def recording(sequence, n, zf, **kwargs):
+            calls.append((n, zf.copy(), kwargs))
+            return inner(sequence, n, zf, **kwargs)
 
-        monkeypatch.setattr(analysis, "_cauchy_weights", recording)
-        voronovskaya_experiment(seq_mixed, 6, probes=4, trials=3, seed=1, grid_n=1024)
-        # One set of weights, and one B_n on the densities' grid, per order.
-        assert calls == [(6, 1024, 4)]
+        for module in (analysis, blaschke, operators):
+            monkeypatch.setattr(module, "_recurse", recording)
+        for n in (2, 6):
+            calls.clear()
+            voronovskaya_experiment(seq_mixed, n, probes=4, trials=3, seed=1)
+            assert len(calls) == 1
+            order, zf, kwargs = calls[0]
+            assert order == n and kwargs == {"jet": False}
+            assert np.array_equal(zf, interior_probes(4))
 
     def test_order_validation(self, seq_mixed):
         for n in (0, len(seq_mixed) + 1):

@@ -412,10 +412,12 @@ class TestGridOverride:
     )
 
     def test_config_grid_changes_output(self, tmp_path):
+        # counterexample samples the boundary data of sigma_rusak on grid_n points.
+        body = "command = counterexample\nsequence = constant:0.5\norders = [1, 2, 4, 8]\n"
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        assert run(parse_config(self.BODY + f"out = {a}\n")) == 0
-        assert run(parse_config(self.BODY + f"grid_n = 1024\nout = {b}\n")) == 0
+        assert run(parse_config(body + f"out = {a}\n")) == 0
+        assert run(parse_config(body + f"grid_n = 1024\nout = {b}\n")) == 0
         assert a.read_bytes() != b.read_bytes()
 
     def test_json_records_config_grid(self, tmp_path):
@@ -433,6 +435,17 @@ class TestGridOverride:
         assert main(["converge", "--config", str(write_cfg(tmp_path, text)), "--out", str(a)]) == 0
         cfg = write_cfg(tmp_path, text + "grid_n = 16\n", name="coarse.cfg")
         assert main(["converge", "--config", str(cfg), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_voronovskaya_ignores_the_grid(self, tmp_path):
+        # voronovskaya reads its gaps off Taylor coefficients, with no grid.
+        text = (ROOT / "scripts" / "configs" / "voronovskaya.cfg").read_text(encoding="utf-8")
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["voronovskaya", "--config", str(cfg), "--out", str(a)]) == 0
+        cfg = write_cfg(tmp_path, text + "grid_n = 64\n", name="coarse.cfg")
+        assert main(["voronovskaya", "--config", str(cfg), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -476,15 +489,6 @@ class TestMainEntry:
         cfg = write_cfg(tmp_path, MINIMAL)
         assert main(["frostman", "--config", str(cfg)]) == 3
         capsys.readouterr()
-
-    def test_voronovskaya_grid_too_coarse(self, tmp_path, capsys):
-        # On 64 points the extremal member misses its bound by 1.4e-3.
-        text = (ROOT / "scripts" / "configs" / "voronovskaya.cfg").read_text(encoding="utf-8")
-        cfg = write_cfg(tmp_path, text + "grid_n = 64\n")
-        out = tmp_path / "r.csv"
-        assert main(["voronovskaya", "--config", str(cfg), "--out", str(out)]) == 3
-        assert not out.exists()
-        assert "extremal value misses the bound" in capsys.readouterr().err
 
     def test_counterexample_grid_too_coarse(self, tmp_path, capsys):
         # a_8 = 1 - 2^-8: on the default grid the kernel method's sup on the

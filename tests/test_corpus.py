@@ -120,6 +120,15 @@ class TestCauchyTransform:
         assert np.abs(np.asarray(k.value(zs))).max() < 1e-12
 
 
+def _sampled(drawn, resolution: int) -> np.ndarray:
+    """The densities of `_unit_densities` as the columns of (resolution, count)
+    samples: the zero-padded inverse FFT of `random_unit_density`."""
+    g, peaks = drawn
+    spectrum = np.zeros((resolution, len(g)), dtype=np.complex128)
+    spectrum[np.arange(-6, 7)] = g.T
+    return np.fft.ifft(spectrum, axis=0) * (resolution / peaks)
+
+
 class TestRandomDensities:
     def test_unit_sup_after_normalization(self):
         rng = np.random.default_rng(3)
@@ -154,7 +163,7 @@ class TestRandomDensities:
 
     def test_batch_equals_successive_draws(self):
         rng = np.random.default_rng(17)
-        batch = _unit_densities(rng, 1024, 12)
+        batch = _sampled(_unit_densities(rng, 12), 1024)
         after_batch = rng.standard_normal()
         rng = np.random.default_rng(17)
         one_by_one = np.stack([random_unit_density(rng, 1024).samples for _ in range(12)], axis=1)
@@ -171,7 +180,7 @@ class TestRandomDensities:
         n, ms = 2**16, np.arange(-6, 7)
         step = 2.0 * np.pi / n
         for _ in range(50):
-            mu = _unit_densities(rng, n, 10)
+            mu = _sampled(_unit_densities(rng, 10), n)
             mod = np.abs(mu)
             assert mod.max() <= 1.0 + 1e-12
             h = (np.fft.fft(mu[:: n // 16], axis=0) / 16)[ms]
@@ -199,7 +208,7 @@ class TestRandomDensities:
             def standard_normal(self, size):
                 return np.stack([g.real, g.imag]).reshape(size)
 
-        mod = np.abs(_unit_densities(Drawn(), 2**16, 1)[:, 0])
+        mod = np.abs(_sampled(_unit_densities(Drawn(), 1), 2**16)[:, 0])
         assert mod.max() <= 1.0 + 1e-12
         assert abs(mod.argmax() / 2**16 * 512 - 100.5) < 1.0
         assert mod.max() >= 1.0 - 1e-7

@@ -12,7 +12,9 @@ declines, is checked against (B_n'/B_n)(f - S_n) + S_n' from the same
 exact coefficients.  The refined
 Frostman minimum is checked against a root of the derivative of the
 Frostman sum, found at 40 digits.  The coefficients of a simple pole are
-checked against the reproducing property of the Szego kernel.
+checked against the reproducing property of the Szego kernel, and the
+Taylor coefficients of B_n against the series division of its numerator
+by its denominator.
 """
 
 import mpmath
@@ -21,7 +23,7 @@ import pytest
 
 from conftest import BRACKET, MIXED
 from tmfejer.analysis import diagnose_sequence
-from tmfejer.blaschke import PointSequence, _recurse, eval_blaschke
+from tmfejer.blaschke import PointSequence, _recurse, _taylor, eval_blaschke
 from tmfejer.corpus import constant_one, simple_pole
 from tmfejer.operators import (
     _projected_derivative,
@@ -293,3 +295,31 @@ def test_delta_through_the_contour_matches_product_formula(rotation, order):
         f = simple_pole(p, residue=r)
         assert _projected_derivative(f, seq, order, z) is None
         _assert_close(delta(f, basis, z), exact, 1e-14)
+
+
+
+def _times_linear(coeffs, c0, c1):
+    """Ascending coefficients of the polynomial `coeffs` times c0 + c1 z."""
+    return [c0 * x + c1 * y for x, y in zip(coeffs + [0], [0] + coeffs)]
+
+
+@pytest.mark.parametrize("rotation", [1.0, np.exp(0.3j)], ids=["real", "rotated"])
+def test_taylor_coefficients_match_series_division(rotation):
+    # b_0..b_6 of B_12 for poles 1 - 2^-k against the power series of
+    # prod(z - a_k) / prod(1 - conj(a_k) z), divided out term by term at
+    # 50 digits; |b_k| <= 1 since B_n is bounded by one on the disc.
+    poles = tuple(rotation * (1.0 - 0.5 ** np.arange(1, 13)))
+    terms = 7
+    with mpmath.workdps(50):
+        num, den = [mpmath.mpc(1)], [mpmath.mpc(1)]
+        for p in poles:
+            a = mpmath.mpc(p)
+            num = _times_linear(num, -a, 1)
+            den = _times_linear(den, 1, -mpmath.conj(a))
+        exact = []
+        for k in range(terms):
+            exact.append(num[k] - mpmath.fsum(den[j] * exact[k - j] for j in range(1, k + 1)))
+        exact = np.array([complex(b) for b in exact])
+    got = _taylor(PointSequence(poles), 12, terms)
+    assert np.abs(got - exact).max() <= 1e-15
+    assert (np.abs(exact) <= 1.0).all()
