@@ -9,6 +9,9 @@ which are unimodular on the unit circle.  B_n and B_n' come from one
 first-order recursion over the poles, B_{k+1} = B_k (z - a_k)/(1 - z*conj(a_k))
 carried with its derivative; the same pass yields the Takenaka-Malmquist
 functions phi_k = sqrt(1 - |a_k|^2) B_k / (1 - z*conj(a_k)) of tm_basis.
+The factors 1 - z*conj(a_k) and their reciprocals do not depend on B_k,
+so the pass forms them for a block of poles at once and runs the rest
+pole by pole; on short point sets that saves numpy calls, not arithmetic.
 The module also evaluates the boundary modulus
 
     |B_n'(e^{ix})| = sum_{k<n} (1 - |a_k|^2) / |1 - e^{-ix} a_k|^2
@@ -44,6 +47,9 @@ __all__ = [
 MODULUS_MARGIN = 1e-12
 # Evaluation rejects points with |1 - z*conj(a_j)| below POLE_TOL.
 POLE_TOL = 1e-12
+# The basis recursion forms 1 - z*conj(a_k) and its reciprocal for K poles
+# at once on M points, K x M <= _BLOCK values (256 KB).
+_BLOCK = 2**14
 
 
 class PoleProximity(ArithmeticError):
@@ -125,13 +131,20 @@ def _recurse(
     unless `jet`; with n coefficients `c` (and `jet`) the last two entries
     are instead the sums S_n = sum_k c_k phi_k and S_n' = sum_k c_k phi_k',
     accumulated as S += g_k q_k and S' += g_k r_k with g_k = c_k sqrt(w_k),
-    so that no n x M row array is formed.  Each step updates its length-M
-    buffers in place, in array passes per pole: 15 with coefficients, 7
-    for the rows phi_k alone and 13 with their derivatives, 11 for B_n and
-    B_n' and 6 for B_n alone, plus the pole test where it cannot be
-    skipped.  Every mode forms q, r, B and B' by the same expressions in
-    the same operand order (numpy's complex product need not be bitwise
-    symmetric), so B_n and B_n' agree bit for bit across modes.
+    so that no n x M row array is formed.  The factors u_k and 1/u_k do
+    not depend on the recursion, so they come for K poles at once,
+    K = _BLOCK // M clipped to [1, n], in 3 array passes over each K x M
+    block, plus the pole test where it cannot be skipped: on short point
+    sets one numpy call serves many poles, and from M = _BLOCK points on a
+    block holds one pole.  The products then run pole by pole on length-M
+    buffers in place, z - a_k written into the spent row of 1/u_k, in
+    array passes per pole: 12 with coefficients and 5 without their
+    derivatives, 4 for the rows phi_k alone and 10 with their derivatives,
+    8 for B_n and B_n' and 3 for B_n alone.  Every element takes the same
+    operations whatever K is, so K changes no bit of the results, and
+    every mode forms q, r, B and B' by the same expressions in the same
+    operand order (numpy's complex product need not be bitwise symmetric),
+    so B_n and B_n' agree bit for bit across modes.
 
     The functions phi_k depend on a_0..a_k alone, so one pass serves many
     orders: given `orders` as well, F non-decreasing orders ending at n,
@@ -144,7 +157,8 @@ def _recurse(
     with 1 - max|z| |a_k| >= 2 POLE_TOL cannot fire that test and skips it.
     """
     poles = sequence.points[:n]
-    mod = np.abs(np.asarray(poles, dtype=np.complex128))
+    ac = np.conj(np.asarray(poles, dtype=np.complex128))[:, None]
+    mod = np.abs(ac[:, 0])
     # (1 - |a|)(1 + |a|) keeps full relative accuracy as |a| -> 1.
     w = (1.0 - mod) * (1.0 + mod)
     sw = np.sqrt(w)
@@ -165,41 +179,47 @@ def _recurse(
     if orders is not None:
         snaps = np.empty((4, len(orders), zf.size), dtype=np.complex128)
         f = 0  # snapshots before f are taken
-    u, q = np.empty_like(zf), np.empty_like(zf)
+    size = max(1, min(n, _BLOCK // max(zf.size, 1)))
+    block, q = np.empty((size, zf.size), dtype=np.complex128), np.empty_like(zf)
     r = np.empty_like(zf) if jet else None
-    for k, a in enumerate(poles):
-        np.multiply(zf, acs[k], out=u)
+    for k0 in range(0, n, size):
+        u = block[: n - k0]
+        np.multiply(zf, ac[k0 : k0 + size], out=u)
         np.subtract(1.0, u, out=u)
         # |u| >= 1 - max|z| |a|: a pole with that bound above 2 POLE_TOL
         # (the factor 2 dwarfs any rounding) cannot fire, so skip its test.
-        if near[k] and np.abs(u).min() < POLE_TOL:
-            raise PoleProximity(f"point within {POLE_TOL} of the pole of phi_{k}")
-        inv = np.reciprocal(u, out=u)
-        np.multiply(inv, b, out=q)
-        if jet:
-            np.multiply(q, acs[k], out=r)
-            r += bp
-            r *= inv
-        # inv is spent: u now holds the products g_k q_k and g_k r_k, then z - a_k.
-        if c is not None:
-            np.multiply(q, gs[k], out=u)
-            vals += u
+        if any(near[k0 : k0 + size]):
+            hot = np.flatnonzero(near[k0 : k0 + size])
+            hot = hot[np.abs(u[hot]).min(axis=1) < POLE_TOL]
+            if hot.size:
+                raise PoleProximity(f"point within {POLE_TOL} of the pole of phi_{k0 + hot[0]}")
+        np.reciprocal(u, out=u)
+        for k, inv in zip(range(k0, n), u):
+            np.multiply(inv, b, out=q)
             if jet:
-                np.multiply(r, gs[k], out=u)
-                ders += u
-        elif vals is not None:
-            np.multiply(q, gs[k], out=vals[k])
-            if ders is not None:
-                np.multiply(r, gs[k], out=ders[k])
-        m = np.subtract(zf, a, out=u)
-        np.multiply(q, m, out=b)
-        if jet:
-            np.multiply(r, m, out=bp)
-            bp += q
-        if orders is not None:
-            while f < len(orders) and orders[f] == k + 1:
-                snaps[:, f] = b, bp, vals, ders
-                f += 1
+                np.multiply(q, acs[k], out=r)
+                r += bp
+                r *= inv
+            # inv is spent: its row now holds g_k q_k and g_k r_k, then z - a_k.
+            if c is not None:
+                np.multiply(q, gs[k], out=inv)
+                vals += inv
+                if jet:
+                    np.multiply(r, gs[k], out=inv)
+                    ders += inv
+            elif vals is not None:
+                np.multiply(q, gs[k], out=vals[k])
+                if ders is not None:
+                    np.multiply(r, gs[k], out=ders[k])
+            m = np.subtract(zf, poles[k], out=inv)
+            np.multiply(q, m, out=b)
+            if jet:
+                np.multiply(r, m, out=bp)
+                bp += q
+            if orders is not None:
+                while f < len(orders) and orders[f] == k + 1:
+                    snaps[:, f] = b, bp, vals, ders
+                    f += 1
     if orders is not None:
         return tuple(snaps)
     return b, bp, vals, ders
@@ -267,8 +287,9 @@ def eval_blaschke(sequence: PointSequence, n: int, z) -> BlaschkeEval:
 
 
 def _eval_value(sequence: PointSequence, n: int, z):
-    """B_n at z (scalar or array) by the recursion without derivatives: 6
-    array passes per pole, not eval_blaschke's 11, and bit for bit its value."""
+    """B_n at z (scalar or array) by the recursion without derivatives: 3
+    array passes per pole after the factors of its block of poles, not
+    eval_blaschke's 8, and bit for bit its value."""
     _check_order(sequence, n)
     zf, shape, scalar = _flatten(z)
     return _restore(_recurse(sequence, n, zf, jet=False)[0], shape, scalar)

@@ -56,6 +56,7 @@ B_n and of its densities, with no grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -179,8 +180,17 @@ def coefficients(f: BoundaryGridFunction, basis: TMBasis) -> np.ndarray:
     return np.concatenate([negative[::-1], positive])
 
 
+@functools.lru_cache(maxsize=32)
+def _roots(npts: int) -> np.ndarray:
+    """The read-only table e^{2 pi i m / M}, m = 0 .. M - 1, built once per
+    M; 32 tables cover every power of two the grid routes can ask for."""
+    roots = np.exp(2j * np.pi * np.arange(npts) / npts)
+    roots.flags.writeable = False
+    return roots
+
+
 # The 64 points on which the growth of f is sampled.
-_RING = np.exp(2j * np.pi * np.arange(64) / 64)
+_RING = _roots(64)
 
 
 def _tame(f: AnalyticTestFunction, r: float, outer: float) -> bool:
@@ -249,8 +259,7 @@ def _contour_mean(
     while npts <= CONTOUR_CAP:
         # Even-indexed points first, so the N/2-point rule is a leading block.
         m = npts // 2
-        j = np.concatenate([np.arange(0, npts, 2), np.arange(1, npts, 2)])
-        e = np.exp(2j * np.pi * j / npts)
+        e = np.concatenate([_roots(npts)[0::2], _roots(npts)[1::2]])
         w, h = sample(e)
         fv = np.asarray(f.value(r * e), dtype=np.complex128)
         v = fv if h is None else fv * h
@@ -446,7 +455,7 @@ def _uniform_grid(f: AnalyticTestFunction, sequence: PointSequence, n: int, zf: 
     if not abs(r0 - 1.0) <= _CONTOUR_TOL:
         return None
     z0 = complex(zf[0]) / r0
-    roots = np.exp(2j * np.pi * np.arange(npts) / npts)
+    roots = _roots(npts)
     # Written so that a NaN point fails the test.
     if not np.abs(zf - z0 * roots).max() <= _CONTOUR_TOL:
         return None
@@ -571,7 +580,7 @@ def _cauchy_weighted_integral(
     W(z, t) = conj((t - z)/(1 - conj(z) t)) / |1 - conj(t) z|^2.
     """
     npts = samples.shape[0]
-    tpts = np.exp(2j * np.pi * np.arange(npts) / npts)
+    tpts = _roots(npts)
     ct = np.conj(tpts)
     g = 1.0 - ct * zf[:, None]
     w = (ct - np.conj(zf)[:, None]) / g
@@ -631,7 +640,7 @@ def _projected_derivative(
         npts *= 2
     kg = None
     while kg is None and npts <= CONTOUR_CAP:
-        roots = np.exp(2j * np.pi * np.arange(npts) / npts)
+        roots = _roots(npts)
         b, _ = _grid_blaschke(sequence, n, 1.0, roots, terms)
         fv = np.broadcast_to(np.asarray(f.value(roots), dtype=np.complex128), roots.shape)
         kg = _positive_spectrum(fv, b)

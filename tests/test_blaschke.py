@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import angles, central_difference, disc_points, small_sequences
+from tmfejer import blaschke
 from tmfejer.blaschke import (
     PointSequence,
     PoleProximity,
@@ -19,6 +20,14 @@ from tmfejer.blaschke import (
     boundary_phase,
     eval_blaschke,
 )
+
+
+def long_sequence() -> PointSequence:
+    """128 poles with 0.5 <= |a_k| < 0.9, a_7 repeated as a_40."""
+    rng = np.random.default_rng(22)
+    a = (0.5 + 0.4 * rng.random(128)) * np.exp(2j * np.pi * rng.random(128))
+    a[40] = a[7]
+    return PointSequence(tuple(a))
 
 
 class TestPointSequence:
@@ -215,6 +224,20 @@ class TestOrdersInOnePass:
             _recurse(seq_short, 3, z, c=c, orders=[1, 2, 3])
         assert "phi_1" in str(one.value)
         assert str(many.value) == str(one.value)
+        # Past the first block of poles: on _BLOCK // 40 points the 128
+        # poles come 40 at a time, the poles of phi_100 and phi_110 lie in
+        # the third block and that of phi_120 in the fourth; phi_100 fires first.
+        seq = long_sequence()
+        z = 0.5 * np.exp(1j * np.arange(blaschke._BLOCK // 40))
+        z[[1, 2, 3]] = [1.0 / np.conj(seq.points[k]) for k in (110, 120, 100)]
+        assert blaschke._BLOCK // z.size <= 40
+        c = np.ones(128, dtype=np.complex128)
+        with pytest.raises(PoleProximity) as one:
+            _recurse(seq, 128, z, c=c)
+        with pytest.raises(PoleProximity) as many:
+            _recurse(seq, 128, z, c=c, orders=[1, 64, 128])
+        assert str(one.value).endswith("phi_100")
+        assert str(many.value) == str(one.value)
 
     def test_frostman_prefixes_equal_one_order_sums(self, seq_mixed):
         ang = 2.0 * np.pi * np.arange(33) / 33
@@ -232,3 +255,40 @@ class TestOrdersInOnePass:
             many = boundary_derivative_modulus(seq, n, ang)
             one = np.array([boundary_derivative_modulus(seq, n, x) for x in ang])
             assert one.tobytes() == many.tobytes()
+
+
+class TestPoleBlocks:
+    """The factors of K poles formed at once change no bit: a budget of
+    one value per block, which holds one pole per block, gives the bytes
+    of the default budget in every mode."""
+
+    C = np.array([1.0, 1j]) @ np.random.default_rng(5).normal(size=(2, 128))
+    MODES = {
+        "B": dict(jet=False),
+        "B and B'": dict(),
+        "rows": dict(rows=True, jet=False),
+        "rows and derivatives": dict(rows=True),
+        "sums": dict(c=C, jet=False),
+        "sums and derivatives": dict(c=C),
+        "snapshots": dict(c=C, orders=[1, 40, 41, 41, 100, 128]),
+    }
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_one_pole_per_block_gives_the_same_bytes(self, monkeypatch, mode):
+        seq = long_sequence()
+        # Circle points, interior points, the repeated pole a_7 = a_40 and
+        # the pole a_90, on _BLOCK // 50 points: blocks of 50, 50 and 28 poles.
+        npts = blaschke._BLOCK // 50
+        z = 0.95 * np.sqrt(np.linspace(0.0, 1.0, npts)) * np.exp(1j * np.arange(npts))
+        z[: npts // 2] = np.exp(2j * np.pi * np.arange(npts // 2) / (npts // 2))
+        z[[-1, -2]] = seq.points[7], seq.points[90]
+        assert -(-128 // (blaschke._BLOCK // npts)) >= 3
+        blocked = _recurse(seq, 128, z, **self.MODES[mode])
+        monkeypatch.setattr(blaschke, "_BLOCK", 1)
+        single = _recurse(seq, 128, z, **self.MODES[mode])
+        for got, want in zip(blocked, single):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+        # B_128 vanishes at a_7 and at a_90.
+        assert np.all(np.atleast_2d(blocked[0])[-1, -2:] == 0.0)
