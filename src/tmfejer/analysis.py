@@ -31,11 +31,12 @@ from itertools import groupby
 
 import numpy as np
 
-from tmfejer.blaschke import PointSequence, _check_order, _frostman_prefixes, _recurse, _taylor
+from tmfejer.blaschke import PointSequence, _check_order, _frostman_prefixes, _recurse
 from tmfejer.corpus import _DEGREE, _unit_densities, constant_one, standard_corpus
 from tmfejer.operators import (
     AnalyticTestFunction,
     _cesaro_from_rows,
+    _projected_taylor,
     _rusak_from_rows,
     _sigma_from_sums,
     coefficients_of,
@@ -298,9 +299,10 @@ def voronovskaya_experiment(
     g = P_+(conj(B_n) mu), so the gap is |B_n(z) g'(z)| and f' is never
     evaluated.  conj(B_n) has only non-positive frequencies on the circle,
     so for mu = sum_{|m|<=6} mu_m t^m, g = sum_{k<=6} c_k z^k with
-    c_k = sum_{m>=k} mu_m conj(b_{m-k}), from the Taylor coefficients b_j of
-    B_n: no grid.  Random trials draw unit densities, and `random_max`
-    records the worst gap per probe.  `extremal_value` is the gap of the
+    c_k = sum_{m>=k} mu_m conj(b_{m-k}) from the Taylor coefficients b_j of
+    B_n, by delta's `_projected_taylor`: no grid.  Random trials draw unit
+    densities, and `random_max` records the worst gap per probe.
+    `extremal_value` is the gap of the
     member B_n m_z, m_z(w) = (w - z)/(1 - conj(z) w), which attains the
     bound: P_+(conj(B_n) B_n m_z) = m_z, so the gap is |B_n(z) m_z'(z)|.
     """
@@ -309,10 +311,8 @@ def voronovskaya_experiment(
     bz = _recurse(sequence, order, zs, jet=False)[0]
     bounds = np.abs(bz) / (1.0 - np.abs(zs) ** 2)
     g, peaks = _unit_densities(np.random.default_rng(seed), trials)
-    # Row k of the upper triangular Toeplitz matrix maps mu_0..mu_6 to c_k.
     ms = np.arange(_DEGREE + 1)
-    toeplitz = np.triu(np.conj(_taylor(sequence, order, _DEGREE + 1))[ms - ms[:, None]])
-    c = toeplitz[1:] @ (g[:, _DEGREE:] / peaks[:, None]).T
+    c = _projected_taylor((g[:, _DEGREE:] / peaks[:, None]).T, sequence, order)[1:]
     dg = (ms[1:] * zs[:, None] ** ms[:-1]) @ c
     random_max = np.abs(bz[:, None] * dg).max(axis=1, initial=0.0)
     extremal = np.abs(bz * (1.0 - np.abs(zs) ** 2) / (1.0 - np.conj(zs) * zs) ** 2)

@@ -5,7 +5,8 @@ closures, so finite differences never enter the operator pipeline.  All
 members except the Cauchy transforms are holomorphic beyond the closed
 disc, up to the radius of analyticity each constructor records; grid-backed
 Cauchy transforms are interior objects whose boundary information lives
-in their density.
+in their density, and whose Taylor coefficients are its nonnegative
+Fourier coefficients.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from tmfejer.blaschke import PointSequence, _eval_value, _flatten, _restore, eval_blaschke
-from tmfejer.operators import AnalyticTestFunction
+from tmfejer.blaschke import PointSequence, _eval_value, eval_blaschke
+from tmfejer.operators import AnalyticTestFunction, _density_taylor
 from tmfejer.quadrature import BoundaryGridFunction, _zoom
 
 __all__ = [
@@ -149,23 +150,16 @@ def schur_product(alphas) -> AnalyticTestFunction:
 def cauchy_transform(density: BoundaryGridFunction, label: str = "") -> AnalyticTestFunction:
     """f(z) = (1/2pi) integral mu(t) / (1 - conj(t) z) |dt| for |z| < 1.
 
-    Value and derivative are grid quadratures over the density's own
-    nodes, one array expression for all points.  Not evaluable on the
-    circle; the operator layer reads boundary data from the attached
-    density instead.
+    f(z) = sum_{m>=0} mu_m z^m with mu_m the Fourier coefficients of the
+    density, read off one FFT of its samples as far as they rise above
+    rounding; value and derivative are Horner sums of them, right at
+    every |z| < 1.  The operator layer reads boundary data from the
+    attached density, not from f on the circle.
     """
-    pts = density.points
-    ct = np.conj(pts)[None, :]
-    mu = density.samples[None, :]
-
-    def _transform(z, power: int, weight) -> np.ndarray:
-        zf, shape, scalar = _flatten(z)
-        out = (weight * mu / (1.0 - ct * zf[:, None]) ** power).mean(axis=1)
-        return _restore(out, shape, scalar)
-
+    series = polynomial(_density_taylor(density.samples))
     return AnalyticTestFunction(
-        value=lambda z: _transform(z, 1, 1.0),
-        derivative=lambda z: _transform(z, 2, ct),
+        value=series.value,
+        derivative=series.derivative,
         kind="cauchy_transform",
         density=density,
         label=label or "cauchy",

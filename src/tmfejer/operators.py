@@ -43,10 +43,10 @@ sigma_positive takes it on full uniform grids from order 16 on, below
 which its recursion is faster, and falls back to the recursion when the
 spectrum shows the grid too coarse.  delta takes it at any points and
 any order, on a grid it sizes itself and doubles up to CONTOUR_CAP.
-Where that route declines, g' is an integral on the contour |t| = R,
-and for a Cauchy transform on its density's grid.  The contour rule
-accepts a size on one scale, max|W| max|f| over the contour, so the
-tiny factor conj(B_n) of delta's integrand does not drive the size up.
+Where that route declines, and for Cauchy transforms, delta takes the
+Taylor coefficients of g from those of f and of B_n: a Cauchy
+transform's are its density's nonnegative Fourier coefficients, any
+other member's come from one FFT on the contour |t| = R.
 
 Only grid-backed data is sampled on the unit circle, so the CLI's grid_n
 reaches only the boundary data of sigma_rusak in counterexample;
@@ -69,6 +69,7 @@ from tmfejer.blaschke import (
     _grid_blaschke,
     _recurse,
     _restore,
+    _taylor,
     boundary_derivative_modulus,
     boundary_phase,
 )
@@ -200,12 +201,14 @@ def _tame(f: AnalyticTestFunction, r: float, outer: float) -> bool:
     Cauchy's estimate then bounds the m-th Fourier coefficient of f(r e) by
     _CONTOUR_GROWTH max|f(r e)| (r / outer)^m.  A radius alone is not
     enough: an entire f of high degree has radius inf and slowly decaying
-    coefficients.  Written so that a NaN fails the test.
+    coefficients.  f may overflow at |t| = outer, so overflow is silenced
+    here; written so that a NaN or inf fails the test.
     """
     if not f.radius > outer:
         return False
-    top = np.abs(f.value(outer * _RING)).max()
-    return bool(top <= _CONTOUR_GROWTH * np.abs(f.value(r * _RING)).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = np.abs(f.value(outer * _RING)).max()
+        return bool(top <= _CONTOUR_GROWTH * np.abs(f.value(r * _RING)).max())
 
 
 def _contour(f: AnalyticTestFunction, inner: float) -> tuple[float, float]:
@@ -227,28 +230,17 @@ def _contour(f: AnalyticTestFunction, inner: float) -> tuple[float, float]:
     return r, max(inner / r, r / f.radius)
 
 
-def _contour_mean(
-    f: AnalyticTestFunction, r: float, rho: float, sample: Callable, what: str
-) -> np.ndarray:
-    """Trapezoid mean W @ v / N over the N points e^{i theta_j}, theta_j = 2 pi j / N.
+def _contour_size(f: AnalyticTestFunction, r: float, rho: float) -> int:
+    """The first number of points N for a rule on the contour |t| = R = r.
 
-    The values are v = f(R e) h at the unit points e, with R = r;
-    `sample(e)` returns the M x N weights W and the factor h there, or
-    None for h = 1.  The integrand is analytic in an annulus, so its
-    Fourier coefficients decay like rho^m; N is the smallest power of two
-    >= 16 with rho^(N/2) <= 1e-17 at which f passes `_tame` out to
-    |t| = R s, s^(-N) = 1e-17, so that f's part of the N-point rule's
-    aliasing is rounding.  rho comes from the poles and f's radius alone,
-    and an entire f of high degree aliases without the second test: with
-    zero poles, N = 16 and z^16, the 8- and 16-point rules both return
-    R^16 for the constant term.  The sum over the even-indexed points
-    is the N/2-point rule, and N doubles while the two differ by more than
-    1e-14 max|W| max|f(R e)|.  The factor h is left out of that scale:
-    delta's h = conj(B_n(e / R)) obeys |h| <= 1, since |B_n| <= 1 in the
-    disc, so the Fourier coefficients of f h are bounded by those of f,
-    while max|h| can be as small as 1e-32 at n = 128 and would ask for an
-    accuracy that the result, multiplied by |B_n(z)| <= 1, never uses.
-    Past CONTOUR_CAP points NoConvergence is raised.
+    An integrand analytic in an annulus has Fourier coefficients that
+    decay like rho^m; N is the smallest power of two >= 16 with
+    rho^(N/2) <= 1e-17 at which f passes `_tame` out to |t| = R s,
+    s^(-N) = 1e-17, so that f's part of the N-point rule's aliasing is
+    rounding.  rho comes from the poles and f's radius alone, and an
+    entire f of high degree aliases without the second test: with zero
+    poles, N = 16 and z^16, the 8- and 16-point rules both return R^16 for
+    the constant term.  N may exceed CONTOUR_CAP.
     """
     npts = 16
     if rho > 0.0:
@@ -256,21 +248,7 @@ def _contour_mean(
         npts = max(npts, next_power_of_two(2 * terms))
     while npts <= CONTOUR_CAP and not _tame(f, r, r * _CONTOUR_DECAY ** (-1.0 / npts)):
         npts *= 2
-    while npts <= CONTOUR_CAP:
-        # Even-indexed points first, so the N/2-point rule is a leading block.
-        m = npts // 2
-        e = np.concatenate([_roots(npts)[0::2], _roots(npts)[1::2]])
-        w, h = sample(e)
-        fv = np.asarray(f.value(r * e), dtype=np.complex128)
-        v = fv if h is None else fv * h
-        part = w[:, :m] @ v[:m]
-        full = (part + w[:, m:] @ v[m:]) / npts
-        half = part / m
-        scale = np.abs(w).max(initial=0.0) * np.abs(fv).max()
-        if np.abs(full - half).max(initial=0.0) <= _CONTOUR_TOL * scale:
-            return full
-        npts *= 2
-    raise NoConvergence(f"{what} needs more than {CONTOUR_CAP} contour points (rho = {rho:.9f})")
+    return npts
 
 
 def coefficients_of(f: AnalyticTestFunction, basis: TMBasis) -> np.ndarray:
@@ -287,8 +265,11 @@ def coefficients_of(f: AnalyticTestFunction, basis: TMBasis) -> np.ndarray:
         c_k = mean over theta of f(R e^{i theta}) conj(phi_k(e^{i theta} / R)),
 
     which is bounded there and converges geometrically, however close the
-    poles a_k come to the circle.  Its negative half is exactly zero.
-    Raises NoConvergence when the rule needs more than CONTOUR_CAP points.
+    poles a_k come to the circle.  Its negative half is exactly zero.  The
+    rule starts at `_contour_size` points N, and N doubles while it
+    differs from the rule on the even-indexed points by more than 1e-14
+    max|phi_k(e / R)| max|f(R e)|; past CONTOUR_CAP points NoConvergence
+    is raised.
     """
     n = basis.order
     if f.kind == "cauchy_transform":
@@ -296,13 +277,22 @@ def coefficients_of(f: AnalyticTestFunction, basis: TMBasis) -> np.ndarray:
         c[: n - 1] = 0.0
         return c
     r, rho = _contour(f, np.abs(basis.sequence.as_array()[:n]).max(initial=0.0))
-
-    def sample(e):
-        rows = phi_values(basis, e / r)
-        return np.conj(rows, out=rows), None
-
-    positive = _contour_mean(f, r, rho, sample, f"coefficients of {f.label} at order {n}")
-    return np.concatenate([np.zeros(n - 1, dtype=np.complex128), positive])
+    npts = _contour_size(f, r, rho)
+    while npts <= CONTOUR_CAP:
+        # Even-indexed points first, so the N/2-point rule is a leading block.
+        m = npts // 2
+        e = np.concatenate([_roots(npts)[0::2], _roots(npts)[1::2]])
+        w = phi_values(basis, e / r)
+        np.conj(w, out=w)
+        fv = np.asarray(f.value(r * e), dtype=np.complex128)
+        part = w[:, :m] @ fv[:m]
+        full = (part + w[:, m:] @ fv[m:]) / npts
+        scale = np.abs(w).max(initial=0.0) * np.abs(fv).max()
+        if np.abs(full - part / m).max(initial=0.0) <= _CONTOUR_TOL * scale:
+            return np.concatenate([np.zeros(n - 1, dtype=np.complex128), full])
+        npts *= 2
+    what = f"coefficients of {f.label} at order {n}"
+    raise NoConvergence(f"{what} need more than {CONTOUR_CAP} contour points (rho = {rho:.9f})")
 
 
 def _require_length(coeffs: np.ndarray, n: int, what: str) -> None:
@@ -465,29 +455,36 @@ def _uniform_grid(f: AnalyticTestFunction, sequence: PointSequence, n: int, zf: 
     return z0, roots, start[1]
 
 
+def _live_terms(mag: np.ndarray) -> int:
+    """How many leading entries of `mag`, the moduli of a one-sided spectrum
+    whose upper half holds rounding alone, rise above that noise: through
+    the last entry above _GRID_NOISE times the largest in the band, and at
+    least one.  Weighting rounding noise by the frequency would cost digits."""
+    half = mag.size // 2
+    live = np.flatnonzero(mag[:half] > _GRID_NOISE * mag[half:].max())
+    return live[-1] + 1 if live.size else 1
+
+
 def _positive_spectrum(fv: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """k g_k for k = 1 .. K, with g_k the Fourier coefficients of h = f conj(B_n)
     from its samples fv conj(b) on a uniform grid of M points, or None
     when the grid does not resolve h.
 
     The band k = M/4 .. M/2 - 1 must hold rounding alone, at most
-    _CONTOUR_TOL max|g|.  `_grid_tame` bounds f's part of it; the test
-    also catches the spectrum of conj(B_n), which reaches down to about
-    -max|B_n'| and folds into the band when the grid does not resolve it
-    (64 poles of modulus 0.96 within 0.07 rad of each other on 4096 points
-    put 1e-2 max|g| there).  K is the last k with |g_k| above _GRID_NOISE
-    times the largest |g_k| in the band: weighting rounding noise by k
-    would cost digits.
+    _CONTOUR_TOL max|g|, and K comes from `_live_terms` on k < M/2.
+    `_grid_tame` bounds f's part of the band; the test also catches the
+    spectrum of conj(B_n), which reaches down to about -max|B_n'| and
+    folds into the band when the grid does not resolve it (64 poles of
+    modulus 0.96 within 0.07 rad of each other on 4096 points put 1e-2
+    max|g| there).
     """
     npts = fv.size
     g = np.fft.fft(fv * np.conj(b)) / npts
     mag = np.abs(g)
-    noise = mag[npts // 4 : npts // 2].max()
-    if not noise <= _CONTOUR_TOL * mag.max():
+    if not mag[npts // 4 : npts // 2].max() <= _CONTOUR_TOL * mag.max():
         return None
-    live = np.flatnonzero(mag[1 : npts // 2] > _GRID_NOISE * noise)
-    top = live[-1] + 1 if live.size else 0
-    return np.arange(1, top + 1) * g[1 : top + 1]
+    top = _live_terms(mag[: npts // 2])
+    return np.arange(1, top) * g[1:top]
 
 
 def _sigma_on_grid(
@@ -568,50 +565,67 @@ def _rusak_from_rows(samples: np.ndarray, vt: np.ndarray, vz: np.ndarray, n: int
     return (vz * (gram @ np.conj(vz))).sum(axis=0) / (np.abs(vz) ** 2).sum(axis=0)
 
 
-def _cauchy_weighted_integral(
-    sequence: PointSequence, n: int, samples: np.ndarray, zf: np.ndarray
-) -> np.ndarray:
-    """(1/2pi) integral conj((t - z)/(1 - conj(z) t)) conj(B_n(t)) mu(t) / |1 - conj(t) z|^2 |dt|.
+def _horner(coefs: np.ndarray, zf: np.ndarray) -> np.ndarray:
+    """sum_k coefs[k] zf^k at the flat points zf by Horner's rule."""
+    out = np.zeros_like(zf)
+    for coef in coefs[::-1]:
+        out *= zf
+        out += coef
+    return out
 
-    `samples` holds mu on the uniform grid of N points, shape (N,) or
-    (N, T) with one density per column; the result has shape (M,) or
-    (M, T) for the M points zf.  The quadrature is one product
-    W @ (conj(B_n(t)) mu) / N with the M x N weights
-    W(z, t) = conj((t - z)/(1 - conj(z) t)) / |1 - conj(t) z|^2.
+
+def _density_taylor(samples: np.ndarray) -> np.ndarray:
+    """Taylor coefficients mu_0, mu_1, ... at 0 of the Cauchy transform K(mu):
+    the Fourier coefficients of the density from one FFT of its N samples,
+    frequencies 0 .. N/2 - 1 cut by `_live_terms`."""
+    spec = np.fft.fft(samples) / samples.size
+    return spec[: _live_terms(np.abs(spec[: samples.size // 2]))]
+
+
+def _taylor_of(f: AnalyticTestFunction) -> np.ndarray:
+    """Taylor coefficients f_0, f_1, ... of f at 0, as far as they rise above rounding.
+
+    A Cauchy transform takes its density's.  Every other member takes one
+    FFT of f on the circle |t| = R of `_contour`, whose m-th entry is
+    f_m R^m, on the N points of `_contour_size`, which put every frequency
+    from N/2 on at rounding for `_live_terms`; past CONTOUR_CAP points
+    NoConvergence is raised.
     """
-    npts = samples.shape[0]
-    tpts = _roots(npts)
-    ct = np.conj(tpts)
-    g = 1.0 - ct * zf[:, None]
-    w = (ct - np.conj(zf)[:, None]) / g
-    w /= np.abs(g) ** 2
-    cbt = np.conj(_recurse(sequence, n, tpts, jet=False)[0])
-    return w @ (samples.T * cbt).T / npts
+    if f.kind == "cauchy_transform":
+        return _density_taylor(f.density.samples)
+    r, rho = _contour(f, 0.0)
+    npts = _contour_size(f, r, rho)
+    if npts > CONTOUR_CAP:
+        raise NoConvergence(f"Taylor coefficients of {f.label} need more than {CONTOUR_CAP} points")
+    t = r * _roots(npts)
+    c = np.fft.fft(np.broadcast_to(np.asarray(f.value(t), dtype=np.complex128), t.shape)) / npts
+    top = _live_terms(np.abs(c))
+    return c[:top] * r ** -np.arange(top, dtype=np.float64)
 
 
-def _holomorphic_weighted_integral(
+def _projected_taylor(fm: np.ndarray, sequence: PointSequence, n: int) -> np.ndarray:
+    """Taylor coefficients g_0 .. g_{L-1} of g = P_+(conj(B_n) f) from f_0 .. f_{L-1}.
+
+    B_n g is f's part in B_n H^2 of H^2 = K_B + B_n H^2, K_B the model
+    space.  On the circle conj(B_n) = sum_j conj(b_j) t^(-j), b_j the
+    Taylor coefficients of B_n, so g_k = sum_{m>=k} f_m conj(b_{m-k});
+    since |b_j| <= 1, the f_m left out move g_k by at most their sum.
+    `fm` has shape (L,) or (L, T), one member per column.
+    """
+    size = len(fm)
+    g = np.zeros_like(fm)
+    for j, cb in enumerate(np.conj(_taylor(sequence, n, size))):
+        g[: size - j] += cb * fm[j:]
+    return g
+
+
+def _taylor_derivative(
     f: AnalyticTestFunction, sequence: PointSequence, n: int, zf: np.ndarray
 ) -> np.ndarray:
-    """The integral of _cauchy_weighted_integral with mu = f, taken on |t| = R.
-
-    On the unit circle the weight times |dt|/2pi equals
-    dt / (2 pi i (t - z)^2 B_n(t)), and 1/B_n(t) = conj(B_n(1/conj(t))), so
-    for f holomorphic beyond the circle the integral moves to the circle
-    |t| = R of `_contour`:
-
-        I(z) = mean over theta of t f(t) conj(B_n(e^{i theta} / R)) / (t - z)^2,
-
-    with t = R e^{i theta}.  The integrand is analytic for
-    max(max|a_k|, max|z|) < |t| < radius.
-    """
-    inner = max(np.abs(sequence.as_array()[:n]).max(initial=0.0), np.abs(zf).max())
-    r, rho = _contour(f, inner)
-
-    def sample(e):
-        t = r * e
-        return t / (t - zf[:, None]) ** 2, np.conj(_recurse(sequence, n, e / r, jet=False)[0])
-
-    return _contour_mean(f, r, rho, sample, f"delta of {f.label} at order {n}")
+    """g'(z) at the flat points zf for g = P_+(conj(B_n) f), by Horner's rule
+    from the Taylor coefficients of `_projected_taylor`."""
+    g = _projected_taylor(_taylor_of(f), sequence, n)
+    return _horner(np.arange(1, len(g)) * g[1:], zf)
 
 
 def _projected_derivative(
@@ -647,11 +661,7 @@ def _projected_derivative(
         npts *= 2
     if kg is None:
         return None
-    out = np.zeros_like(zf)
-    for coef in kg[::-1]:
-        out *= zf
-        out += coef
-    return out
+    return _horner(kg, zf)
 
 
 def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None = None):
@@ -664,25 +674,24 @@ def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None 
     delta(f) = f' - B_n g' exactly.  B_n at z comes from one pass of the
     basis recursion without derivatives.  Where B_n vanishes the value is
     f' itself, so delta interpolates f' at every basis pole.  Elsewhere
-    g' comes from one of three sources:
+    g'(z) = sum_{k>=1} k g_k z^(k-1) by Horner's rule, with the Taylor
+    coefficients g_k of g from one of two sources:
 
-    - for a Cauchy transform K(mu), the integral over mu's own grid
-      (`_cauchy_weighted_integral`)
-
-          g'(z) = (1/2pi) integral conj((t-z)/(1-conj(z)t))
-                  * conj(B_n(t)) mu(t) / |1 - conj(t) z|^2 |dt|;
-
-    - for every other member, g'(z) = sum_{k>=1} k g_k z^(k-1) by Horner's
-      rule, with g_k from one FFT of f conj(B_n) on a grid the route
-      sizes itself (`_projected_derivative`);
-    - where that route declines (past 1024 power sums of B_n, or when no
-      grid of at most CONTOUR_CAP points both bounds f's growth and
-      resolves f conj(B_n)), the same integral with mu = f, moved to the
-      contour |t| = R of coefficients_of (`_holomorphic_weighted_integral`).
+    - one FFT of f conj(B_n) on a grid the route sizes itself
+      (`_projected_derivative`), for members with a radius;
+    - g_k = sum_{m>=k} f_m conj(b_{m-k}) from the Taylor coefficients f_m
+      of f and b_j of B_n (`_taylor_derivative`), for Cauchy transforms
+      and wherever the FFT declines: past 1024 power sums of B_n, or when
+      no grid of at most CONTOUR_CAP points both bounds f's growth and
+      resolves f conj(B_n).  A Cauchy transform reads f_m off its
+      density's FFT, every other member off one FFT on the contour
+      |t| = R of coefficients_of.
 
     Against a 50-digit oracle (simple poles, n = 1 to 32 with |a| <= 0.9,
     and a_k = 1 - 2^-k at n = 12 and 16, where the FFT declines) delta
-    was within 3e-15 relative.  No source reads the coefficients, so
+    was within 5e-15 relative, and for Cauchy transforms of degree-6
+    densities on those poles within 2e-15 of the largest value over the
+    probes.  No source reads the coefficients, so
     `coeffs`, the 2n - 1 values of coefficients_of, are only
     length-checked.
     """
@@ -696,12 +705,8 @@ def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None 
     out = np.array(np.broadcast_to(np.asarray(f.derivative(zf), dtype=np.complex128), zf.shape))
     live = np.flatnonzero(bz)
     if live.size:
-        zl = zf[live]
-        if f.kind == "cauchy_transform":
-            dg = _cauchy_weighted_integral(sequence, n, f.density.samples, zl)
-        else:
-            dg = _projected_derivative(f, sequence, n, zl)
-            if dg is None:
-                dg = _holomorphic_weighted_integral(f, sequence, n, zl)
+        dg = _projected_derivative(f, sequence, n, zf[live])
+        if dg is None:
+            dg = _taylor_derivative(f, sequence, n, zf[live])
         out[live] -= bz[live] * dg
     return _restore(out, shape, scalar)

@@ -119,6 +119,18 @@ class TestCauchyTransform:
         zs = interior_probes(8)
         assert np.abs(np.asarray(k.value(zs))).max() < 1e-12
 
+    def test_degree_six_member_near_the_circle(self):
+        # K(mu) of a degree-6 density is sum_{m<=6} mu_m z^m; a quadrature
+        # over the density's 4096 nodes misses it near the circle.
+        (g,), (peak,) = _unit_densities(np.random.default_rng(2026), 1)
+        mu = g[6:] / peak
+        k = cauchy_transform(random_unit_density(np.random.default_rng(2026)))
+        z = 0.9999 * np.exp(0.3j)
+        value = np.polynomial.polynomial.polyval(z, mu)
+        slope = np.polynomial.polynomial.polyval(z, np.arange(1, 7) * mu[1:])
+        assert abs(k.value(z) - value) <= 1e-13 * abs(value)
+        assert abs(k.derivative(z) - slope) <= 1e-13 * abs(slope)
+
 
 def _sampled(drawn, resolution: int) -> np.ndarray:
     """The densities of `_unit_densities` as the columns of (resolution, count)

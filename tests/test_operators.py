@@ -1,8 +1,8 @@
 """Summation operators: coefficients, kernels, sigma variants, delta.
 
 Oracles: refined-grid quadrature for coefficients, the classical a == 0
-closed forms, explicit alternative quadratures for the integral form of
-delta, and hand-derived Moebius/Blaschke identities.
+closed forms, delta's two routes for g' against each other and against
+closed forms, and hand-derived Moebius/Blaschke identities.
 """
 
 import tracemalloc
@@ -28,10 +28,9 @@ from tmfejer.corpus import (
 from tmfejer.operators import (
     CriticalPoint,
     NearBoundary,
-    _cauchy_weighted_integral,
-    _contour,
-    _holomorphic_weighted_integral,
+    _projected_taylor,
     _sigma_from_sums,
+    _taylor_derivative,
     coefficients,
     coefficients_of,
     delta,
@@ -72,12 +71,14 @@ class TestCoefficients:
         c = coefficients_of(constant_one(), TMBasis(zeros_sequence(40), 40))
         assert np.abs(c[39:] - np.eye(40)[0]).max() < 1e-15
 
-    @pytest.mark.parametrize("degree", [15, 16, 32])
+    @pytest.mark.parametrize("degree", [15, 16, 32, 1000])
     def test_contour_sized_from_the_member_too(self, degree):
         # With four zero poles rho is 0 and the poles alone ask for 16
         # points, on which z^16 and z^32 alias onto the mean.  For B_4 = z^4
         # the positive coefficients of z^d, d >= 4, vanish, so
-        # sigma_positive(z^d) = 0 and delta(z^d) = 4 z^(d - 1).
+        # sigma_positive(z^d) = 0 and delta(z^d) = 4 z^(d - 1).  The growth
+        # test evaluates z^1000 where it overflows, which must not warn:
+        # the suite turns RuntimeWarning into an error.
         basis = TMBasis(zeros_sequence(4), 4)
         f = polynomial([0.0] * degree + [1.0])
         z = 0.3 + 0.1j
@@ -569,8 +570,8 @@ class TestDelta:
         )
 
     def test_algebraic_and_integral_routes_agree(self, seq_mixed):
-        # The FFT of a holomorphic member against the unit-circle integral
-        # of its Cauchy wrapper.
+        # The FFT of a holomorphic member against the Taylor route of its
+        # Cauchy wrapper.
         basis = TMBasis(seq_mixed, 8)
         f = mobius(-0.4 + 0.2j)
         wrapped = cauchy_transform(grid_of(f), label="wrapped")
@@ -595,9 +596,9 @@ class TestDelta:
         assert complex(delta(f, basis, 0.0 + 0j)) == pytest.approx(oracle, abs=1e-12)
 
     def test_contour_form_matches_algebraic_route(self, seq_mixed):
-        # f' - B_n I with I on the contour must reproduce delta, which
-        # takes the FFT here.  The constant, whose delta vanishes, is
-        # test_constant_gives_zero.
+        # f' - B_n g' with g' from the Taylor coefficients that one FFT on
+        # the contour gives must reproduce delta, which takes the FFT here.
+        # The constant, whose delta vanishes, is test_constant_gives_zero.
         basis = TMBasis(seq_mixed, 8)
         z = interior_probes(48)
         be = eval_blaschke(seq_mixed, 8, z)
@@ -605,29 +606,33 @@ class TestDelta:
         z, bz = z[keep], be.value[keep]
         assert z.size >= 40
         for f in rational_corpus(12)[1:]:
-            contour = f.derivative(z) - bz * _holomorphic_weighted_integral(f, seq_mixed, 8, z)
+            contour = f.derivative(z) - bz * _taylor_derivative(f, seq_mixed, 8, z)
             np.testing.assert_allclose(contour, delta(f, basis, z), rtol=1e-10, err_msg=f.label)
 
     def test_contour_integral_matches_fine_unit_grid(self):
-        # The contour integral on |t| = R against the unit-circle rule of
-        # the Cauchy route on 2^16 points, for poles with |a| <= 0.7.
+        # g' from the Taylor coefficients of f on the contour |t| = R
+        # against g' from those of its Cauchy wrapper, read off the DFT of
+        # its samples on 2^16 points of the unit circle, for poles with
+        # |a| <= 0.7.
         rng = np.random.default_rng(3)
         poles = 0.7 * np.sqrt(rng.random(8)) * np.exp(2j * np.pi * rng.random(8))
         seq = PointSequence(tuple(poles))
         z = interior_probes(8)
         for f in rational_corpus(12):
-            fine = _cauchy_weighted_integral(seq, 8, grid_of(f, 1 << 16).samples, z)
-            contour = _holomorphic_weighted_integral(f, seq, 8, z)
+            fine = _taylor_derivative(cauchy_transform(grid_of(f, 1 << 16)), seq, 8, z)
+            contour = _taylor_derivative(f, seq, 8, z)
             np.testing.assert_allclose(contour, fine, rtol=1e-10, atol=1e-13, err_msg=f.label)
 
     def test_stacked_integral_matches_columns(self, seq_mixed):
+        # The Taylor coefficients mu_0..mu_6 of four densities as the
+        # columns of one (7, 4) array, projected at once and one by one.
         rng = np.random.default_rng(5)
-        stacked = np.stack([random_unit_density(rng, 1024).samples for _ in range(4)], axis=1)
-        z = interior_probes(7)
-        both = _cauchy_weighted_integral(seq_mixed, 6, stacked, z)
+        densities = [random_unit_density(rng, 1024).samples for _ in range(4)]
+        stacked = np.stack([np.fft.fft(d)[:7] / 1024 for d in densities], axis=1)
+        both = _projected_taylor(stacked, seq_mixed, 6)
         assert both.shape == (7, 4)
         for j in range(4):
-            one = _cauchy_weighted_integral(seq_mixed, 6, stacked[:, j], z)
+            one = _projected_taylor(stacked[:, j], seq_mixed, 6)
             assert one.shape == (7,)
             np.testing.assert_allclose(both[:, j], one, rtol=1e-13, atol=1e-15)
 
@@ -709,8 +714,8 @@ class TestDelta:
             delta(constant_one(), basis, 0.2 + 0j, coeffs=np.ones(4, dtype=complex))
 
     # Members with a radius take the FFT route for g' in f' - B_n g',
-    # g = P_+(conj(B_n) f), at every order; where it declines, g' is the
-    # integral on the contour.
+    # g = P_+(conj(B_n) f), at every order; where it declines, g' comes
+    # from the Taylor coefficients of f and of B_n.
 
     @pytest.mark.parametrize("modulus", [0.7, 0.9])
     @pytest.mark.parametrize("order", [16, 32])
@@ -721,7 +726,7 @@ class TestDelta:
         bz = eval_blaschke(seq, order, z).value
         for f in rational_corpus(12):
             assert operators._projected_derivative(f, seq, order, z) is not None, f.label
-            contour = f.derivative(z) - bz * _holomorphic_weighted_integral(f, seq, order, z)
+            contour = f.derivative(z) - bz * _taylor_derivative(f, seq, order, z)
             assert np.abs(delta(f, basis, z) - contour).max() <= 1e-12, f.label
 
     @pytest.mark.parametrize("order", [32, 128])
@@ -735,9 +740,9 @@ class TestDelta:
     @pytest.mark.parametrize("case", ["order-8", "order-32", "cauchy"])
     def test_grid_route_does_no_hidden_work(self, case, monkeypatch):
         # One recursion over the points, for B_n alone, and no coefficients:
-        # the FFT reads f on a grid of its own, and a Cauchy transform adds
-        # one recursion over its density's grid.  Passed coefficients are
-        # only length-checked and change no bit.
+        # the FFT reads f on a grid of its own, and a Cauchy transform's
+        # Taylor route reads its density's spectrum, with no recursion.
+        # Passed coefficients are only length-checked and change no bit.
         order = 8 if case == "order-8" else 32
         seq = PointSequence(MIXED) if order == 8 else _random_sequence(32, 0.7, 5)
         basis = TMBasis(seq, order)
@@ -745,9 +750,9 @@ class TestDelta:
         z = np.concatenate([interior_probes(48), nodes, nodes[:3] + 1e-8])
         if case == "cauchy":
             density = random_unit_density(np.random.default_rng(2))
-            members, extra = [cauchy_transform(density)], [(density.resolution, False)]
+            members = [cauchy_transform(density)]
         else:
-            members, extra = rational_corpus(12), []
+            members = rational_corpus(12)
         coeffs = [coefficients_of(f, basis) for f in members]
         passes = self._count_passes(monkeypatch, seq)
         calls = []
@@ -761,7 +766,7 @@ class TestDelta:
         for f, c in zip(members, coeffs):
             passes.clear()
             got = delta(f, basis, z)
-            assert passes == [(z.size, False)] + extra, f.label
+            assert passes == [(z.size, False)], f.label
             assert np.array_equal(delta(f, basis, z, coeffs=c), got), f.label
             with pytest.raises(ValueError, match=f"^delta of order {order}"):
                 delta(f, basis, z, coeffs=np.ones(2 * order - 2, dtype=complex))
@@ -856,22 +861,18 @@ class TestDelta:
         bz = eval_blaschke(seq, order, z).value
         live = bz != 0.0
         assert live.sum() == 16
-        if case == "cauchy":
-            integral = _cauchy_weighted_integral(seq, order, f.density.samples, z[live])
-        else:
-            assert operators._projected_derivative(f, seq, order, z) is None
-            integral = _holomorphic_weighted_integral(f, seq, order, z[live])
+        assert operators._projected_derivative(f, seq, order, z) is None
+        dg = _taylor_derivative(f, seq, order, z[live])
         want = np.array(np.broadcast_to(f.derivative(z), z.shape), dtype=complex)
-        want[live] -= bz[live] * integral
+        want[live] -= bz[live] * dg
         assert np.array_equal(delta(f, basis, z), want)
 
     @pytest.mark.parametrize("member", [constant_one, identity_map], ids=["one", "identity"])
-    def test_order_128_fallback_settles_on_first_contour_size(self, member, monkeypatch):
-        # |B_128| on |t| = 1/R falls to 1e-32 and below; the contour rule
-        # scales by max|f| there, not by max|f conj(B_n)|, so it keeps its
-        # first N instead of doubling for an accuracy delta never uses.
-        # delta itself takes the FFT route here, so the rule is called
-        # directly, at probes where |B_128| < 1e-6.
+    def test_order_128_taylor_route_matches_closed_forms(self, member):
+        # delta takes the FFT route here, so the Taylor route is called
+        # directly, at probes where |B_128| < 1e-6.  g = P_+(conj(B_n) f)
+        # is the constant conj(B_n(0)) for f = 1, and for f = z it is
+        # conj(B_n'(0)) + conj(B_n(0)) z, so g' = 0 and conj(B_n(0)).
         seq = _random_sequence(128, 0.7, 7)
         basis = TMBasis(seq, 128)
         rng = np.random.default_rng(7)
@@ -879,17 +880,8 @@ class TestDelta:
         f = member()
         bz = eval_blaschke(seq, 128, z).value
         assert (np.abs(bz) < 1e-6).all()
-        passes = self._count_passes(monkeypatch, seq)
-        integral = _holomorphic_weighted_integral(f, seq, 128, z)
-        sizes = [m for m, _ in passes]
-        assert len(sizes) == 1 and sizes[0] > z.size
-        # The same contour integral on 4N points.
-        r, _ = _contour(f, max(np.abs(seq.as_array()).max(), np.abs(z).max()))
-        e = np.exp(2j * np.pi * np.arange(4 * sizes[0]) / (4 * sizes[0]))
-        t = r * e
-        cb = np.conj(eval_blaschke(seq, 128, e / r).value)
-        fine = (t * f.value(t) * cb / (t - z[:, None]) ** 2).mean(axis=1)
-        assert np.abs(integral - fine).max() <= 1e-14
+        want = 0.0 if member is constant_one else np.conj(eval_blaschke(seq, 128, 0.0).value)
+        assert np.abs(_taylor_derivative(f, seq, 128, z) - want).max() <= 1e-14
         # The C8 bound; delta(1) = 0 and delta(z) = 1 - conj(B_n(0)) B_n(z).
         got = delta(f, basis, z, coeffs=coefficients_of(f, basis))
         assert (np.abs(got - f.derivative(z)) <= np.abs(bz) / (1.0 - np.abs(z) ** 2)).all()

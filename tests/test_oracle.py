@@ -7,9 +7,10 @@ S_n = sum_k c_k phi_k and S_n' that the recursion accumulates, and
 sigma_positive built from them, are checked against the same oracle
 summed at 50 digits, and so is sigma_positive's FFT route on a uniform
 grid, for a simple pole whose coefficients the Szego kernel gives
-exactly; delta, through the FFT and through the contour where the FFT
-declines, is checked against (B_n'/B_n)(f - S_n) + S_n' from the same
-exact coefficients.  The refined
+exactly; delta, through the FFT and through Taylor coefficients where
+the FFT declines, is checked against (B_n'/B_n)(f - S_n) + S_n' from the
+same exact coefficients, and delta of a Cauchy transform against
+f' - B_n g' from its density's seven coefficients.  The refined
 Frostman minimum is checked against a root of the derivative of the
 Frostman sum, found at 40 digits.  The coefficients of a simple pole are
 checked against the reproducing property of the Szego kernel, and the
@@ -22,9 +23,15 @@ import numpy as np
 import pytest
 
 from conftest import BRACKET, MIXED
-from tmfejer.analysis import diagnose_sequence
+from tmfejer.analysis import diagnose_sequence, interior_probes
 from tmfejer.blaschke import PointSequence, _recurse, _taylor, eval_blaschke
-from tmfejer.corpus import constant_one, simple_pole
+from tmfejer.corpus import (
+    _unit_densities,
+    cauchy_transform,
+    constant_one,
+    random_unit_density,
+    simple_pole,
+)
 from tmfejer.operators import (
     _projected_derivative,
     _uniform_grid,
@@ -283,8 +290,9 @@ def test_delta_through_the_projection_matches_product_formula(order, modulus):
 @pytest.mark.parametrize("rotation", [1.0, np.exp(1j)], ids=["real", "rotated"])
 def test_delta_through_the_contour_matches_product_formula(rotation, order):
     # Poles 1 - 2^-k need more than 1024 power sums of B_n, so the FFT
-    # declines and g' is the integral on the contour |t| = R, here at
-    # points as near the circle as 0.999.
+    # declines and g' comes from the Taylor coefficients of f, read off one
+    # FFT on the contour |t| = R, and of B_n, here at points as near the
+    # circle as 0.999.
     poles = tuple(rotation * (1.0 - 0.5 ** np.arange(1, order + 1)))
     seq = PointSequence(poles)
     basis = TMBasis(seq, order)
@@ -303,23 +311,58 @@ def _times_linear(coeffs, c0, c1):
     return [c0 * x + c1 * y for x, y in zip(coeffs + [0], [0] + coeffs)]
 
 
+def _series_taylor(poles, terms):
+    """b_0 .. b_{terms-1} of B_n at 50 digits: the power series of
+    prod(z - a_k) / prod(1 - conj(a_k) z), divided out term by term."""
+    num, den = [mpmath.mpc(1)], [mpmath.mpc(1)]
+    for p in poles:
+        a = mpmath.mpc(p)
+        num = _times_linear(num, -a, 1)
+        den = _times_linear(den, 1, -mpmath.conj(a))
+    num += [mpmath.mpc(0)] * terms
+    exact = []
+    for k in range(terms):
+        exact.append(num[k] - mpmath.fsum(den[j] * exact[k - j] for j in range(1, min(k, len(den) - 1) + 1)))
+    return exact
+
+
 @pytest.mark.parametrize("rotation", [1.0, np.exp(0.3j)], ids=["real", "rotated"])
 def test_taylor_coefficients_match_series_division(rotation):
-    # b_0..b_6 of B_12 for poles 1 - 2^-k against the power series of
-    # prod(z - a_k) / prod(1 - conj(a_k) z), divided out term by term at
-    # 50 digits; |b_k| <= 1 since B_n is bounded by one on the disc.
-    poles = tuple(rotation * (1.0 - 0.5 ** np.arange(1, 13)))
-    terms = 7
+    # b_0..b_6 of B_12 and b_0..b_63 of B_16 for poles 1 - 2^-k against the
+    # series division at 50 digits; |b_k| <= 1 since B_n is bounded by one
+    # on the disc.
+    for terms, n in ((7, 12), (64, 16)):
+        poles = tuple(rotation * (1.0 - 0.5 ** np.arange(1, n + 1)))
+        with mpmath.workdps(50):
+            exact = np.array([complex(b) for b in _series_taylor(poles, terms)])
+        got = _taylor(PointSequence(poles), n, terms)
+        assert np.abs(got - exact).max() <= 1e-15
+        assert (np.abs(exact) <= 1.0).all()
+
+
+@pytest.mark.parametrize("order", [8, 10, 12, 16])
+@pytest.mark.parametrize("rotation", [1.0, np.exp(0.3j)], ids=["real", "rotated"])
+def test_delta_of_a_cauchy_transform_matches_seven_coefficients(rotation, order):
+    # K(mu) for a degree-6 unit density is the polynomial sum_{m<=6} mu_m z^m,
+    # so g = P_+(conj(B_n) mu) has g_k = sum_{m>=k} mu_m conj(b_{m-k}) and
+    # delta = f' - B_n g', all at 50 digits from the product formula and
+    # the series division.  Poles 1 - 2^-k; the error is relative to the
+    # largest |delta| over the probes.
+    poles = tuple(rotation * (1.0 - 0.5 ** np.arange(1, order + 1)))
+    f = cauchy_transform(random_unit_density(np.random.default_rng(2026)))
+    (g,), (peak,) = _unit_densities(np.random.default_rng(2026), 1)
+    z = interior_probes(16)
     with mpmath.workdps(50):
-        num, den = [mpmath.mpc(1)], [mpmath.mpc(1)]
-        for p in poles:
-            a = mpmath.mpc(p)
-            num = _times_linear(num, -a, 1)
-            den = _times_linear(den, 1, -mpmath.conj(a))
-        exact = []
-        for k in range(terms):
-            exact.append(num[k] - mpmath.fsum(den[j] * exact[k - j] for j in range(1, k + 1)))
-        exact = np.array([complex(b) for b in exact])
-    got = _taylor(PointSequence(poles), 12, terms)
-    assert np.abs(got - exact).max() <= 1e-15
-    assert (np.abs(exact) <= 1.0).all()
+        mu = [mpmath.mpc(complex(c)) / mpmath.mpf(float(peak)) for c in g[6:]]
+        b = _series_taylor(poles, 7)
+        gk = [mpmath.fsum(mu[m] * mpmath.conj(b[m - k]) for m in range(k, 7)) for k in range(7)]
+        want = []
+        for w in z:
+            bw, _, _, _ = oracle(poles, w)
+            w = mpmath.mpc(w)
+            df = mpmath.fsum(m * mu[m] * w ** (m - 1) for m in range(1, 7))
+            dg = mpmath.fsum(k * gk[k] * w ** (k - 1) for k in range(1, 7))
+            want.append(complex(df - bw * dg))
+    want = np.array(want)
+    got = delta(f, TMBasis(PointSequence(poles), order), z)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
