@@ -26,7 +26,7 @@ column it does not report, does not stop it on poles near the circle.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -113,7 +113,7 @@ class SequenceDiagnostics:
     product_modulus: float
 
     def to_row(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _l1_drift(sequence: PointSequence, order: int) -> float:
@@ -195,7 +195,7 @@ class ConvergenceRow:
     lower_l1: float
 
     def to_row(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def convergence_experiment(

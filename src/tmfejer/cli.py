@@ -43,11 +43,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import json
-import math
 import sys
 from dataclasses import dataclass
-from itertools import filterfalse
 from pathlib import Path
 
 import numpy as np
@@ -309,23 +308,23 @@ def _resolve_function(name: str):
 
 
 def _execute(config: ExperimentConfig) -> dict[str, list]:
-    """The report as columns in CSV order: name -> one value per row."""
+    """The report as columns in CSV order: name -> one value per row, as a
+    list or, for the kernel's angles and values, a float array."""
     sequence = config.sequence.materialize(max(config.orders))
     if config.command == "kernel":
         m = config.kernel_samples
         angles = 2.0 * np.pi * np.arange(m) / m
-        xg, yg = np.meshgrid(angles, angles, indexing="ij")
-        x, y = xg.ravel().tolist(), yg.ravel().tolist()
-        columns = {"order": [], "x": [], "y": [], "value": []}
-        for n in config.orders:
-            vals = fejer_kernel_angular(
-                TMBasis(sequence, int(n)), angles[:, None], angles[None, :]
-            )
-            columns["order"] += [int(n)] * len(x)
-            columns["x"] += x
-            columns["y"] += y
-            columns["value"] += vals.ravel().tolist()
-        return columns
+        count = len(config.orders)
+        values = [
+            fejer_kernel_angular(TMBasis(sequence, int(n)), angles[:, None], angles[None, :])
+            for n in config.orders
+        ]
+        return {
+            "order": np.repeat(config.orders, m * m).tolist(),
+            "x": np.tile(np.repeat(angles, m), count),
+            "y": np.tile(angles, m * count),
+            "value": np.concatenate(values, axis=None),
+        }
     if config.command == "converge":
         f = _resolve_function(config.function)
         rows = convergence_experiment(f, sequence, config.orders)
@@ -344,52 +343,67 @@ def _execute(config: ExperimentConfig) -> dict[str, list]:
     return {key: [d[key] for d in dicts] for key in dicts[0]}
 
 
-# Per format: the text of None (undefined), the float encoder, the encoder of the rest.
-_ENCODERS = {"csv": ("nan", "%.17g".__mod__, str), "json": ("null", float.__repr__, json.dumps)}
+# Per format: the text of None (undefined), a float's slot in the row
+# template and its encoder, and the encoder of every other value.
+_ENCODERS = {
+    "csv": ("nan", "%.17g", "%.17g".__mod__, str),
+    "json": ("null", "%r", float.__repr__, json.dumps),
+}
 
 
-def _texts(column: list, fmt: str) -> list[str]:
-    """Each cell's text in `fmt`, formatting every distinct value once.
+def _column(column, fmt: str) -> tuple[str, list]:
+    """One column's slot in the row template and the cells that fill it.
 
-    A column holds values of one type, or floats and None; a non-finite
-    float raises ValueError.
+    A column is a list or a float array holding values of one type, or
+    floats and None.  A float column that is mostly distinct is formatted
+    by its slot in the `%` pass, from plain floats so that JSON keeps the
+    float repr of numpy scalars too; any other column formats each distinct
+    value once.  Floats are told apart by their bits, which keeps 0.0 and
+    -0.0 apart.  A non-finite float raises ValueError.
     """
-    null, encode_float, encode = _ENCODERS[fmt]
-    memo = dict.fromkeys(column)
-    memo.pop(None, None)
-    values = list(memo)
-    if values and isinstance(values[0], float):
-        encode = encode_float
-        bad = next(filterfalse(math.isfinite, values), None)
-        if bad is not None:
-            raise ValueError(f"Out of range float values are not {fmt.upper()} compliant: {bad!r}")
-    memo = dict(zip(values, map(encode, values)))
-    memo[None] = null
-    texts = list(map(memo.__getitem__, column))
-    if 0.0 in memo:  # 0.0 and -0.0 share a key but not a text
-        for i, value in enumerate(column):
-            if value == 0.0:
-                texts[i] = encode(value)
-    return texts
+    null, slot, encode_float, encode = _ENCODERS[fmt]
+    if not isinstance(next((v for v in column if v is not None), None), float):
+        memo = {v: encode(v) for v in dict.fromkeys(column) if v is not None}
+        memo[None] = null
+        return "%s", list(map(memo.__getitem__, column))
+    values = np.array(column, dtype=np.float64)  # None becomes nan
+    undefined = np.flatnonzero(~np.isfinite(values)).tolist()
+    bad = next((column[i] for i in undefined if column[i] is not None), None)
+    if bad is not None:
+        what = f"Out of range float values are not {fmt.upper()} compliant"
+        raise ValueError(f"{what}: {float(bad)!r}")
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if not undefined and 2 * len(bits) > len(values):
+        return slot, values.tolist()
+    texts = np.array(list(map(encode_float, bits.view(np.float64).tolist())), dtype=object)
+    cells = texts[inverse]
+    cells[undefined] = null
+    return "%s", cells.tolist()
 
 
-def _table(columns: list[list], fmt: str, pieces: list[str]) -> str:
-    """The rows in order, each pieces[0] cell_0 pieces[1] ... cell_last pieces[-1]."""
-    width = 2 * len(columns) + 1
-    row = [None] * width
-    row[0::2] = pieces
-    flat = row * len(columns[0])
-    for j, column in enumerate(columns):
-        flat[2 * j + 1 :: width] = _texts(column, fmt)
-    return "".join(flat)
+def _table(columns: list, fmt: str, pieces: list[str]) -> str:
+    """The rows in order, each pieces[0] cell_0 pieces[1] ... cell_last pieces[-1].
+
+    One `%` pass over the row template repeated once per row writes the
+    whole table; see `_column` for how each column fills its slot.
+    """
+    slots, cells = zip(*(_column(c, fmt) for c in columns))
+    escaped = [p.replace("%", "%%") for p in pieces]
+    row = escaped[0] + "".join(map(str.__add__, slots, escaped[1:]))
+    width, count = len(columns), len(cells[0])
+    flat = [None] * (width * count)
+    for j, column in enumerate(cells):
+        flat[j::width] = column
+    return (row * count) % tuple(flat)
 
 
 def _render(config: ExperimentConfig, columns: dict[str, list]) -> str:
-    """The report text, written column by column.
+    """The report text: a header, then the rows as one `_table`.
 
     CSV floats are `%.17g`; JSON is laid out as json.dumps(doc,
     sort_keys=True, indent=2) would, floats as their repr.  None is nan in
     CSV and null in JSON; any other non-finite float raises ValueError.
+    The JSON rows go into the dumped document in place of an empty list.
     """
     meta = {
         "tool": "tmfejer",
@@ -447,7 +461,10 @@ def run(config: ExperimentConfig) -> int:
         return 2
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and then kept: parse_args
+    leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="tmfejer",
         description="Experiments for Takenaka-Malmquist bases and positive summation kernels.",
@@ -457,8 +474,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="report path (default: config `out`, else stdout)")
     parser.add_argument("--format", choices=("csv", "json"), help="override config format")
     parser.add_argument("--seed", type=int, help="override config seed")
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -219,11 +219,17 @@ def _contour(f: AnalyticTestFunction, inner: float) -> tuple[float, float]:
     entire f such as z^15 is far above its size on the circle.  When max|f|
     on |t| = R exceeds _CONTOUR_GROWTH times max|f| on the unit circle, R
     drops to R^s with s = log(_CONTOUR_GROWTH) / log(ratio), which by
-    Hadamard's three-circle theorem brings the ratio within the cap.  The
-    integrand is analytic for inner < |t| < radius.
+    Hadamard's three-circle theorem brings the ratio within the cap.  An f
+    that overflows on |t| = R, such as z^1100 at R = 2, first has R taken
+    to its square root until it does not.  The integrand is analytic for
+    inner < |t| < radius.
     """
     r = min(math.sqrt(f.radius), 2.0)
-    outer = np.abs(np.asarray(f.value(r * _RING))).max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        outer = np.abs(np.asarray(f.value(r * _RING))).max()
+        while r > 1.0 and not np.isfinite(outer):
+            r = math.sqrt(r)
+            outer = np.abs(np.asarray(f.value(r * _RING))).max()
     on_circle = np.abs(np.asarray(f.value(_RING))).max()
     if outer > _CONTOUR_GROWTH * on_circle:
         r **= math.log(_CONTOUR_GROWTH) / math.log(outer / on_circle)

@@ -10,6 +10,7 @@ workers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,11 +51,23 @@ def default_resolution(order: int) -> int:
     return next_power_of_two(max(4096, 64 * int(order)))
 
 
+@functools.lru_cache(maxsize=32)
+def _grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only angles 2 pi j / N and points e^{i angle} of the N-point
+    grid, built once per N."""
+    angles = 2.0 * np.pi * np.arange(n) / n
+    points = np.exp(1j * angles)
+    angles.flags.writeable = False
+    points.flags.writeable = False
+    return angles, points
+
+
 @dataclass(frozen=True, eq=False)
 class BoundaryGridFunction:
     """Samples of a function on the uniform grid t_j = exp(2*pi*i*j/N).
 
-    N must be a power of two with N >= 16.  Samples are stored read-only.
+    N must be a power of two with N >= 16.  Samples, angles and
+    points are read-only.
     """
 
     samples: np.ndarray
@@ -75,12 +88,11 @@ class BoundaryGridFunction:
 
     @property
     def angles(self) -> np.ndarray:
-        n = self.resolution
-        return 2.0 * np.pi * np.arange(n) / n
+        return _grid(self.resolution)[0]
 
     @property
     def points(self) -> np.ndarray:
-        return np.exp(1j * self.angles)
+        return _grid(self.resolution)[1]
 
     @classmethod
     def from_callable(cls, fn: Callable, resolution: int) -> "BoundaryGridFunction":

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tmfejer import __version__
 from tmfejer.analysis import _diagnose_orders
 from tmfejer.cli import (
     ExperimentConfig,
@@ -15,6 +16,7 @@ from tmfejer.cli import (
     SequenceSpec,
     ValidationError,
     _execute,
+    _render,
     main,
     parse_config,
     run,
@@ -462,6 +464,19 @@ class TestMainEntry:
         doc = json.loads(out.read_text())
         assert doc["metadata"]["seed"] == 3
 
+    def test_calls_share_no_state(self, tmp_path):
+        # The parser is built once per process; each call's flags apply to
+        # that call alone.
+        cfg = write_cfg(tmp_path, MINIMAL + "orders = [1,2]\n")
+        first, second = tmp_path / "a.out", tmp_path / "b.out"
+        argv = ["frostman", "--config", str(cfg), "--out"]
+        assert main(argv + [str(first), "--format", "json", "--seed", "3"]) == 0
+        assert main(argv + [str(second)]) == 0
+        assert json.loads(first.read_text())["metadata"]["seed"] == 3
+        assert "# seed: 0\n" in second.read_text()
+        assert main(argv + [str(first), "--seed", "4"]) == 0
+        assert "# seed: 4\n" in first.read_text()
+
     def test_command_mismatch(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL)
         assert main(["converge", "--config", str(cfg)]) == 2
@@ -585,3 +600,77 @@ class TestMainEntry:
 def test_experiment_config_is_dataclass():
     cfg = ExperimentConfig(command="frostman", sequence=SequenceSpec.parse("constant:0.5"))
     assert cfg.orders == (1, 2, 3, 4, 6, 8)
+
+
+class TestWriter:
+    """Exact bytes of a small synthetic report in both formats."""
+
+    # signs repeats, value is distinct, angle is a float array; ratio and
+    # label repeat, and ratio holds None.
+    COLUMNS = {
+        "order": [1, 2, 2, 3],
+        "label": ['a"b', "plain", 'a"b', "tab\there"],
+        "signs": [-0.0, 0.0, -0.0, 0.0],
+        "value": [np.float64(0.1), -0.0, 0.0, 1.0 / 3.0],
+        "ratio": [None, 0.25, None, np.float64(0.25)],
+        "angle": np.array([0.0, -0.0, 2.5, 1e-300]),
+    }
+    CSV = (
+        f"# tool: tmfejer {__version__}\n"
+        "# command: frostman\n"
+        "# sequence: constant:0.5 (generator v1)\n"
+        "# seed: 0\n"
+        "order,label,signs,value,ratio,angle\n"
+        '1,a"b,-0,0.10000000000000001,nan,0\n'
+        "2,plain,0,-0,0.25,-0\n"
+        '2,a"b,-0,0,nan,2.5\n'
+        "3,tab\there,0,0.33333333333333331,0.25,1e-300\n"
+    )
+    ROWS = (
+        ("0.0", '"a\\"b"', "1", "null", "-0.0", "0.1"),
+        ("-0.0", '"plain"', "2", "0.25", "0.0", "-0.0"),
+        ("2.5", '"a\\"b"', "2", "null", "-0.0", "0.0"),
+        ("1e-300", '"tab\\there"', "3", "0.25", "0.0", "0.3333333333333333"),
+    )
+
+    @staticmethod
+    def config(fmt):
+        return ExperimentConfig(command="frostman", orders=(1, 2, 3), format=fmt)
+
+    def test_csv_bytes(self):
+        assert _render(self.config("csv"), self.COLUMNS) == self.CSV
+
+    def test_json_bytes(self):
+        names = ("angle", "label", "order", "ratio", "signs", "value")
+        rows = ",\n".join(
+            "    {\n" + ",\n".join(f'      "{k}": {v}' for k, v in zip(names, row)) + "\n    }"
+            for row in self.ROWS
+        )
+        want = (
+            "{\n"
+            '  "metadata": {\n'
+            '    "command": "frostman",\n'
+            '    "function": "identity",\n'
+            '    "generator_version": "1",\n'
+            '    "grid_n": null,\n'
+            '    "orders": [\n      1,\n      2,\n      3\n    ],\n'
+            '    "seed": 0,\n'
+            '    "sequence": "constant:0.5",\n'
+            '    "tool": "tmfejer",\n'
+            f'    "tool_version": "{__version__}"\n'
+            "  },\n"
+            f'  "rows": [\n{rows}\n  ],\n'
+            '  "schema_version": "2"\n'
+            "}\n"
+        )
+        assert _render(self.config("json"), self.COLUMNS) == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "column",
+        [[1.0, np.float64(np.inf)], np.array([2.0, np.inf]), [None, -math.inf, 0.5, 0.5]],
+        ids=["scalar", "array", "with-none"],
+    )
+    def test_non_finite_float_named(self, fmt, column):
+        with pytest.raises(ValueError, match=f"not {fmt.upper()} compliant: -?inf$"):
+            _render(self.config(fmt), {"order": [1] * len(column), "value": column})

@@ -92,6 +92,20 @@ class TestCoefficients:
         assert abs(sig) <= 1e-12
         assert abs(got - 4.0 * z ** (degree - 1)) <= 1e-12
 
+    def test_contour_shrinks_where_the_member_overflows(self):
+        # z^1100 overflows at |t| = 2, so the contour radius is taken to
+        # its square root first; the suite's filter makes any overflow
+        # warning an error.  For B_4 = z^4 every coefficient vanishes and
+        # delta(z^1100) = 4 z^1099.  delta's Taylor coefficients carry
+        # rounding of eps max|f| = 16 eps on the contour, which Horner's sum
+        # raises by up to 1 / (1 - |z|)^2 = 1e4 at |z| = 0.99: 4e-11 here,
+        # against |4 z^1099| = 6.4e-5.
+        basis = TMBasis(zeros_sequence(4), 4)
+        f = polynomial([0.0] * 1100 + [1.0])
+        assert np.abs(coefficients_of(f, basis)).max() <= 1e-12
+        z = 0.99 * np.exp(2j * np.pi * np.arange(8) / 8)
+        assert np.abs(delta(f, basis, z) - 4.0 * z**1099).max() <= 1e-10
+
     def test_negative_coefficient_of_conjugate(self, seq_mixed):
         # Pins the layout, <f, phi_k> at index n - 1 + k.  For f(t) = conj(t)
         # the k = -m entry is the mean of phi_{m-1}, that is phi_{m-1}(0),
