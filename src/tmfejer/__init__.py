@@ -13,7 +13,6 @@ from tmfejer.blaschke import (
     PointSequence,
     PoleProximity,
     boundary_derivative_modulus,
-    boundary_phase,
     eval_blaschke,
 )
 from tmfejer.operators import (
@@ -53,7 +52,6 @@ __all__ = [
     "PoleProximity",
     "eval_blaschke",
     "boundary_derivative_modulus",
-    "boundary_phase",
     "TMBasis",
     "ExtendedOffCircle",
     "DiagonalSingularity",

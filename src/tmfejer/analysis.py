@@ -352,9 +352,10 @@ def saturation_check(sequence: PointSequence, order: int, members=None) -> list[
     The floor is (1/n) max_j (1 - |a_j|^2) |f'(a_j)| over the poles in
     play.  The sup is convergence_experiment's, one order at a time: the
     same error map, refined from the same scan and the Frostman minimizer.
-    Grid-backed Cauchy members are skipped: their boundary trace is not
-    available for the sup.  Ratio is error over floor (nan when the
-    floor vanishes, e.g. for constants; None in the report row).
+    Cauchy members are skipped, so the report holds the rows of the ten
+    closed-form members that the bundled saturation report fixes.  Ratio
+    is error over floor (nan when the floor vanishes, e.g. for constants;
+    None in the report row).
     """
     if members is None:
         members = standard_corpus()

@@ -14,12 +14,11 @@ so the pass forms them for a block of poles at once and runs the rest
 pole by pole; on short point sets that saves numpy calls, not arithmetic.
 The module also evaluates the boundary modulus
 
-    |B_n'(e^{ix})| = sum_{k<n} (1 - |a_k|^2) / |1 - e^{-ix} a_k|^2
+    |B_n'(e^{ix})| = sum_{k<n} (1 - |a_k|^2) / |1 - e^{-ix} a_k|^2,
 
-(a partial Frostman sum) and the continuous boundary phase of B_n, the
-integral of the density gamma_n = |B_n'|/2.  On a full uniform grid of
-the circle, B_n and |B_n'| also follow from the power sums of the poles by
-one inverse FFT, which the FFT routes of sigma_positive and delta use.
+a partial Frostman sum.  On a full uniform grid of the circle, B_n and
+|B_n'| also follow from the power sums of the poles by one inverse FFT,
+which the FFT routes of sigma_positive and delta use.
 Every evaluator accepts scalars or numpy arrays of points and returns
 matching shapes.  B_0 = 1 only starts the recursion: orders run over
 1 <= n <= len(a), the rule that `_check_order` states for this module,
@@ -40,7 +39,6 @@ __all__ = [
     "BlaschkeEval",
     "eval_blaschke",
     "boundary_derivative_modulus",
-    "boundary_phase",
 ]
 
 # Construction rejects any a_k without |a_k| < 1 - MODULUS_MARGIN, NaN included.
@@ -324,27 +322,3 @@ def _frostman_prefixes(sequence: PointSequence, orders, ang: np.ndarray) -> np.n
     for k in range(1, len(terms)):
         terms[k] += terms[k - 1]
     return terms[np.asarray(orders) - 1]
-
-
-def boundary_phase(sequence: PointSequence, n: int, angle_from, angle_to):
-    """Integral of gamma_n over [angle_from, angle_to] via a per-factor closed form.
-
-    Each factor has continuous boundary phase theta_j(x) = x - 2*arg(1 - conj(a_j) e^{ix});
-    the argument 1 - conj(a_j) e^{ix} stays in the right half plane, so the principal
-    branch is the continuous one and no unwrapping is required.  The return value is
-    (theta_n(angle_to) - theta_n(angle_from)) / 2 with theta_n the phase of B_n, valid
-    for arbitrary real endpoints including multi-revolution spans.
-    """
-    _check_order(sequence, n)
-    x = np.asarray(angle_from, dtype=np.float64)
-    y = np.asarray(angle_to, dtype=np.float64)
-    ac = np.conj(sequence.as_array()[:n, None])
-
-    # Per-point sums on each endpoint array before the pairs are formed, so
-    # an (m, 1) x (1, m) grid costs 2m sums instead of 2m^2.
-    def arg_sum(v):
-        g = np.angle(1.0 - ac * np.exp(1j * v.reshape(-1))[None, :]).sum(axis=0)
-        return g.reshape(v.shape)
-
-    out = 0.5 * n * (y - x) - (arg_sum(y) - arg_sum(x))
-    return out[()]

@@ -1,12 +1,11 @@
 """Test functions for the summation operators.
 
 Members are `AnalyticTestFunction` instances with exact derivative
-closures, so finite differences never enter the operator pipeline.  All
-members except the Cauchy transforms are holomorphic beyond the closed
-disc, up to the radius of analyticity each constructor records; grid-backed
-Cauchy transforms are interior objects whose boundary information lives
-in their density, and whose Taylor coefficients are its nonnegative
-Fourier coefficients.
+closures, so finite differences never enter the operator pipeline.  Every
+member is holomorphic beyond the closed disc, up to the radius of
+analyticity each constructor records.  A Cauchy transform of grid-backed
+data is the polynomial of its density's nonnegative Fourier coefficients,
+entire, and carries the density along.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from tmfejer.blaschke import PointSequence, _eval_value, eval_blaschke
-from tmfejer.operators import AnalyticTestFunction, _density_taylor
+from tmfejer.operators import AnalyticTestFunction, _live_terms
 from tmfejer.quadrature import BoundaryGridFunction, _zoom
 
 __all__ = [
@@ -151,18 +150,21 @@ def cauchy_transform(density: BoundaryGridFunction, label: str = "") -> Analytic
     """f(z) = (1/2pi) integral mu(t) / (1 - conj(t) z) |dt| for |z| < 1.
 
     f(z) = sum_{m>=0} mu_m z^m with mu_m the Fourier coefficients of the
-    density, read off one FFT of its samples as far as they rise above
-    rounding; value and derivative are Horner sums of them, right at
-    every |z| < 1.  The operator layer reads boundary data from the
-    attached density, not from f on the circle.
+    density, read off one FFT of its N samples at frequencies 0 .. N/2 - 1
+    as far as they rise above rounding (`_live_terms`); value and
+    derivative are Horner sums of them.  The polynomial is entire, so the
+    operators take its coefficients on a contour like any other member's.
+    The attached density is its boundary data for sigma_rusak.
     """
-    series = polynomial(_density_taylor(density.samples))
+    spec = np.fft.fft(density.samples) / density.resolution
+    series = polynomial(spec[: _live_terms(np.abs(spec[: density.resolution // 2]))])
     return AnalyticTestFunction(
         value=series.value,
         derivative=series.derivative,
         kind="cauchy_transform",
         density=density,
         label=label or "cauchy",
+        radius=math.inf,
     )
 
 

@@ -29,9 +29,10 @@ is holomorphic in the disc, interpolates f' at the basis poles, and obeys
 the first-order bound |delta(f)(z) - f'(z)| <= |B_n(z)| / (1 - |z|^2) for
 Cauchy transforms of unit densities.
 
-Members holomorphic beyond the circle take their coefficients from the
-trapezoid rule on a circle |t| = R > 1, sized from the member's radius
-of analyticity and its growth.
+Every member is holomorphic beyond the circle, a Cauchy transform as the
+polynomial of its density's live Fourier coefficients, and takes its
+coefficients from the trapezoid rule on a circle |t| = R > 1, sized from
+the member's radius of analyticity and its growth.
 
 On the circle S_n f = B_n P_-(f conj(B_n)), and f = S_n f + B_n g with
 g = P_+(f conj(B_n)), so delta(f) = f' - B_n g' exactly.  Both
@@ -43,10 +44,8 @@ sigma_positive takes it on full uniform grids from order 16 on, below
 which its recursion is faster, and falls back to the recursion when the
 spectrum shows the grid too coarse.  delta takes it at any points and
 any order, on a grid it sizes itself and doubles up to CONTOUR_CAP.
-Where that route declines, and for Cauchy transforms, delta takes the
-Taylor coefficients of g from those of f and of B_n: a Cauchy
-transform's are its density's nonnegative Fourier coefficients, any
-other member's come from one FFT on the contour |t| = R.
+Where that route declines, delta takes the Taylor coefficients of g from
+those of f, one FFT on the contour |t| = R, and of B_n.
 
 Only grid-backed data is sampled on the unit circle, so the CLI's grid_n
 reaches only the boundary data of sigma_rusak in counterexample;
@@ -71,7 +70,6 @@ from tmfejer.blaschke import (
     _restore,
     _taylor,
     boundary_derivative_modulus,
-    boundary_phase,
 )
 from tmfejer.quadrature import BoundaryGridFunction, NoConvergence, next_power_of_two
 from tmfejer.tm_basis import (
@@ -85,7 +83,6 @@ __all__ = [
     "CONTOUR_CAP",
     "CRITICAL_TOL",
     "NEAR_BOUNDARY_MARGIN",
-    "ZERO_SWITCH",
     "CriticalPoint",
     "NearBoundary",
     "AnalyticTestFunction",
@@ -102,8 +99,6 @@ __all__ = [
 CRITICAL_TOL = 1e-12
 # delta is restricted to |z| <= 1 - NEAR_BOUNDARY_MARGIN.
 NEAR_BOUNDARY_MARGIN = 1e-9
-# fejer_kernel_angular takes its diagonal limit within ZERO_SWITCH of y = x.
-ZERO_SWITCH = 1e-8
 # Most points the contour rule takes before it raises NoConvergence.
 CONTOUR_CAP = 1 << 15
 # The contour rule sizes N so that rho^(N/2) <= _CONTOUR_DECAY and accepts
@@ -138,7 +133,7 @@ class AnalyticTestFunction:
 
     `kind` tags how the member was built: 'rational', 'cauchy_transform'
     (with the generating boundary density attached), 'schur' (sup norm at
-    most one on the disc) or 'blaschke_multiple'.  Every other kind is
+    most one on the disc) or 'blaschke_multiple'.  Every kind is
     holomorphic on |z| < `radius`, its radius of analyticity (> 1, may be
     inf), which fixes the contour its coefficients are taken on.
     """
@@ -153,10 +148,9 @@ class AnalyticTestFunction:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {_KINDS}")
-        if self.kind == "cauchy_transform":
-            if self.density is None:
-                raise ValueError("cauchy_transform members carry their boundary density")
-        elif self.radius is None or not self.radius > 1.0:
+        if self.kind == "cauchy_transform" and self.density is None:
+            raise ValueError("cauchy_transform members carry their boundary density")
+        if self.radius is None or not self.radius > 1.0:
             raise ValueError(
                 f"{self.kind} members need a radius of analyticity > 1, got {self.radius!r}"
             )
@@ -260,13 +254,9 @@ def _contour_size(f: AnalyticTestFunction, r: float, rho: float) -> int:
 def coefficients_of(f: AnalyticTestFunction, basis: TMBasis) -> np.ndarray:
     """Coefficients <f, phi_k>, |k| < n, of an analytic member, in the layout of `coefficients`.
 
-    Cauchy-transform members are never sampled on the circle: the Riesz
-    projection is self-adjoint against the basis, so <K(mu), phi_k> equals
-    <mu, phi_k> for k >= 0 and the stored density serves as the boundary
-    data; the boundary values of K(mu) lie in H^2, so their negative-index
-    coefficients vanish.  Every other member is holomorphic beyond the
-    circle, and its coefficients come from the circle |t| = R of
-    `_contour`:
+    Every member is holomorphic beyond the circle, a Cauchy transform as
+    the polynomial of its density's live Fourier coefficients, and its
+    coefficients come from the circle |t| = R of `_contour`:
 
         c_k = mean over theta of f(R e^{i theta}) conj(phi_k(e^{i theta} / R)),
 
@@ -278,10 +268,6 @@ def coefficients_of(f: AnalyticTestFunction, basis: TMBasis) -> np.ndarray:
     is raised.
     """
     n = basis.order
-    if f.kind == "cauchy_transform":
-        c = coefficients(f.density, basis)
-        c[: n - 1] = 0.0
-        return c
     r, rho = _contour(f, np.abs(basis.sequence.as_array()[:n]).max(initial=0.0))
     npts = _contour_size(f, r, rho)
     while npts <= CONTOUR_CAP:
@@ -339,19 +325,36 @@ def fejer_kernel_angular(basis: TMBasis, x, y):
 
     Here gamma_n = |B_n'|/2 on the circle and phase(x, y) is the integral
     of gamma_n over [x, y].  Equals fejer_kernel at t = e^{iy}, z = e^{ix}.
+    |sin(phase) / sin((y-x)/2)| is |Q_n| for the divided difference
+    Q_n = (B_n(t) - B_n(z)) / ((t - z) B_n(z)), carried from Q_0 = 0 by
+
+        Q_{k+1} = Q_k b_k(t) / b_k(z) + w_k / ((1 - conj(a_k) t)(z - a_k)),
+
+    with b_k the k-th factor of B_n and w_k = 1 - |a_k|^2.  That recursion
+    subtracts no nearby values, so it needs no special case near the
+    diagonal, where it gives Q_n = B_n'(z) / B_n(z) of modulus |B_n'(z)|.
+    Its factors depend on x or on y alone and are formed before the pairs,
+    so an (m, 1) x (1, m) grid gives the bits of its broadcast pairs.
     """
-    n = basis.order
+    n, seq = basis.order, basis.sequence
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    # |B_n'| depends on x alone: evaluate it before broadcasting against y.
-    g = 0.5 * np.asarray(boundary_derivative_modulus(basis.sequence, n, x))
-    ph = np.asarray(boundary_phase(basis.sequence, n, x, y))
-    s2 = np.sin(0.5 * (y - x)) ** 2
-    tiny = s2 < (0.5 * ZERO_SWITCH) ** 2
-    s2_safe = np.where(tiny, 1.0, s2)
-    out = np.sin(ph) ** 2 / s2_safe / (2.0 * g)
-    out = np.where(tiny, 2.0 * g, out)
-    return out[()]
+    a = seq.as_array()[:n]
+    w = (1.0 - np.abs(a)) * (1.0 + np.abs(a))
+    z, t = np.exp(1j * x), np.exp(1j * y)
+    az, at = a.reshape((n,) + (1,) * z.ndim), a.reshape((n,) + (1,) * t.ndim)
+    # Per pole: 1 / b_k(z), w_k / (z - a_k), b_k(t) and 1 / (1 - conj(a_k) t).
+    zk = z - az
+    inv_bz = (1.0 - np.conj(az) * z) / zk
+    wz = w.reshape(az.shape) / zk
+    ut = 1.0 / (1.0 - np.conj(at) * t)
+    bt = (t - at) * ut
+    q = ut[0] * wz[0]
+    for k in range(1, n):
+        q *= inv_bz[k]
+        q *= bt[k]
+        q += ut[k] * wz[k]
+    return (np.abs(q) ** 2 / boundary_derivative_modulus(seq, n, x))[()]
 
 
 def sigma_positive(
@@ -407,8 +410,7 @@ def _grid_start(f: AnalyticTestFunction, sequence: PointSequence, n: int) -> tup
     """(M0, J): the least grid size M0 the FFT routes may run on and J, the
     number of power sums of B_n; None when no grid size can serve.
 
-    f needs a radius: Cauchy transforms are only known on the circle.  The
-    routes need the spectrum of f conj(B_n) at rounding level from
+    The routes need the spectrum of f conj(B_n) at rounding level from
     frequency M / 4 up to M / 2, where the negative half begins.  The power
     sums of B_n decay like max|a_k|^j, which falls to _CONTOUR_DECAY at
     j = J, and conj(B_n) has its spectrum from 0 down to about -(n + J):
@@ -419,8 +421,6 @@ def _grid_start(f: AnalyticTestFunction, sequence: PointSequence, n: int) -> tup
     J = _GRID_TERMS the rounding of the long power sums grows: at J = 10^4
     (poles 1 - 2^-k, n = 8) the route was 3e-13 to 8e-13 off the recursion.
     """
-    if f.radius is None:
-        return None
     terms = _power_terms(sequence, n)
     if terms > _GRID_TERMS:
         return None
@@ -580,25 +580,14 @@ def _horner(coefs: np.ndarray, zf: np.ndarray) -> np.ndarray:
     return out
 
 
-def _density_taylor(samples: np.ndarray) -> np.ndarray:
-    """Taylor coefficients mu_0, mu_1, ... at 0 of the Cauchy transform K(mu):
-    the Fourier coefficients of the density from one FFT of its N samples,
-    frequencies 0 .. N/2 - 1 cut by `_live_terms`."""
-    spec = np.fft.fft(samples) / samples.size
-    return spec[: _live_terms(np.abs(spec[: samples.size // 2]))]
-
-
 def _taylor_of(f: AnalyticTestFunction) -> np.ndarray:
     """Taylor coefficients f_0, f_1, ... of f at 0, as far as they rise above rounding.
 
-    A Cauchy transform takes its density's.  Every other member takes one
-    FFT of f on the circle |t| = R of `_contour`, whose m-th entry is
+    One FFT of f on the circle |t| = R of `_contour`, whose m-th entry is
     f_m R^m, on the N points of `_contour_size`, which put every frequency
     from N/2 on at rounding for `_live_terms`; past CONTOUR_CAP points
     NoConvergence is raised.
     """
-    if f.kind == "cauchy_transform":
-        return _density_taylor(f.density.samples)
     r, rho = _contour(f, 0.0)
     npts = _contour_size(f, r, rho)
     if npts > CONTOUR_CAP:
@@ -684,19 +673,17 @@ def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None 
     coefficients g_k of g from one of two sources:
 
     - one FFT of f conj(B_n) on a grid the route sizes itself
-      (`_projected_derivative`), for members with a radius;
+      (`_projected_derivative`);
     - g_k = sum_{m>=k} f_m conj(b_{m-k}) from the Taylor coefficients f_m
-      of f and b_j of B_n (`_taylor_derivative`), for Cauchy transforms
-      and wherever the FFT declines: past 1024 power sums of B_n, or when
-      no grid of at most CONTOUR_CAP points both bounds f's growth and
-      resolves f conj(B_n).  A Cauchy transform reads f_m off its
-      density's FFT, every other member off one FFT on the contour
-      |t| = R of coefficients_of.
+      of f and b_j of B_n (`_taylor_derivative`), wherever the FFT
+      declines: past 1024 power sums of B_n, or when no grid of at most
+      CONTOUR_CAP points both bounds f's growth and resolves f conj(B_n).
+      f_m come from one FFT on the contour |t| = R of coefficients_of.
 
     Against a 50-digit oracle (simple poles, n = 1 to 32 with |a| <= 0.9,
     and a_k = 1 - 2^-k at n = 12 and 16, where the FFT declines) delta
     was within 5e-15 relative, and for Cauchy transforms of degree-6
-    densities on those poles within 2e-15 of the largest value over the
+    densities on those poles within 3.2e-15 of the largest value over the
     probes.  No source reads the coefficients, so
     `coeffs`, the 2n - 1 values of coefficients_of, are only
     length-checked.

@@ -1,8 +1,7 @@
 """Blaschke product evaluation against independent oracles.
 
-Derivatives are checked by central differences, boundary phase by
-Gauss-Legendre quadrature of the density, and the closed-form constants
-were computed by hand from the defining formulas.
+Derivatives are checked by central differences, and the closed-form
+constants were computed by hand from the defining formulas.
 """
 
 import numpy as np
@@ -17,7 +16,6 @@ from tmfejer.blaschke import (
     _frostman_prefixes,
     _recurse,
     boundary_derivative_modulus,
-    boundary_phase,
     eval_blaschke,
 )
 
@@ -89,8 +87,6 @@ class TestEvalBlaschke:
             with pytest.raises(ValueError):
                 eval_blaschke(seq_short, n, 0.1)
             with pytest.raises(ValueError):
-                boundary_phase(seq_short, n, 0.0, 1.0)
-            with pytest.raises(ValueError):
                 boundary_derivative_modulus(seq_short, n, 0.0)
 
     def test_broadcasting(self, seq_short):
@@ -144,56 +140,6 @@ class TestBoundaryDensities:
         frostman = np.asarray(boundary_derivative_modulus(seq, n, xs))
         half_sum = 0.5 * (1.0 - np.abs(seq.as_array())).sum()
         assert frostman.min() >= half_sum - 1e-12
-
-
-class TestBoundaryPhase:
-    def test_against_gauss_legendre(self, seq_mixed):
-        nodes, weights = np.polynomial.legendre.leggauss(200)
-        for x, y in ((0.3, 2.1), (0.0, 6.0), (5.5, 1.2), (-1.0, 1.0)):
-            s = x + (y - x) * (nodes + 1.0) / 2.0
-            oracle = (
-                weights * 0.5 * np.asarray(boundary_derivative_modulus(seq_mixed, 8, s))
-            ).sum() * (y - x) / 2.0
-            assert boundary_phase(seq_mixed, 8, x, y) == pytest.approx(
-                oracle, abs=1e-10
-            )
-
-    def test_full_period_is_pi_n(self, seq_mixed):
-        for n in (1, 3, 8):
-            assert boundary_phase(seq_mixed, n, 0.0, 2.0 * np.pi) == pytest.approx(
-                np.pi * n, abs=1e-12
-            )
-
-    def test_derivative_is_gamma(self, seq_short):
-        x, h = 0.4, 1e-6
-        fd = (
-            boundary_phase(seq_short, 3, 0.0, x + h)
-            - boundary_phase(seq_short, 3, 0.0, x - h)
-        ) / (2.0 * h)
-        gamma = 0.5 * float(boundary_derivative_modulus(seq_short, 3, x))
-        assert fd == pytest.approx(gamma, abs=1e-7)
-
-    def test_antisymmetry_and_additivity(self, seq_short):
-        p = lambda x, y: boundary_phase(seq_short, 3, x, y)
-        assert p(0.3, 1.7) == pytest.approx(-p(1.7, 0.3), abs=1e-12)
-        assert p(0.3, 1.7) + p(1.7, 4.0) == pytest.approx(p(0.3, 4.0), abs=1e-12)
-
-    def test_broadcasts(self, seq_short):
-        xs = np.array([0.0, 0.5])
-        ys = np.array([1.0, 2.0])
-        vals = boundary_phase(seq_short, 3, xs, ys)
-        assert np.asarray(vals).shape == (2,)
-
-    def test_grid_equals_broadcast_pairs_exactly(self, seq_mixed):
-        # The per-point sums run on each endpoint array before the pairs
-        # form, in the same order as on the broadcast arrays.
-        m = 64
-        ang = 2.0 * np.pi * np.arange(m) / m
-        x, y = ang[:, None], ang[None, :] + 0.25
-        xb, yb = np.broadcast_arrays(x, y)
-        grid = boundary_phase(seq_mixed, 8, x, y)
-        assert grid.shape == (m, m)
-        assert np.array_equal(grid, boundary_phase(seq_mixed, 8, xb, yb))
 
 
 class TestOrdersInOnePass:

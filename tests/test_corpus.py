@@ -66,10 +66,10 @@ class TestClassMembership:
         with pytest.raises(ValueError):
             AnalyticTestFunction(lambda z: z, lambda z: 1.0, kind="unknown")
         with pytest.raises(ValueError):
-            AnalyticTestFunction(lambda z: z, lambda z: 1.0, kind="cauchy_transform")
+            AnalyticTestFunction(lambda z: z, lambda z: 1.0, kind="cauchy_transform", radius=np.inf)
 
     def test_holomorphic_members_need_a_radius(self):
-        # Every member but a Cauchy transform is integrated on a contour
+        # Every member, a Cauchy transform too, is integrated on a contour
         # sized from its radius of analyticity; there is no default.
         for radius in (None, 1.0, 0.5, float("nan")):
             with pytest.raises(ValueError):
@@ -83,6 +83,7 @@ class TestClassMembership:
         assert simple_pole(-1.25j).radius == pytest.approx(1.25)
         assert schur_product((0.2, -0.5j)).radius == pytest.approx(2.0)
         assert blaschke_multiple((0.4, -0.25j)).radius == pytest.approx(2.5)
+        assert cauchy_transform(random_unit_density(np.random.default_rng(1))).radius == np.inf
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

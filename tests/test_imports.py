@@ -1,16 +1,23 @@
 """Every module of the package uses each name it imports or lists it in __all__,
-and every private module-level function or constant is read somewhere in it.
+every private module-level function or constant is read somewhere in it,
+and every public function is read by the package, the acceptance gate or
+the benchmark.
 
 Stdlib-only stand-ins for a linter's unused-import and dead-code rules:
-they catch the imports and helpers that a deletion leaves behind.
+they catch the imports, helpers and public functions that a deletion
+leaves behind.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tmfejer"
+import tmfejer
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tmfejer"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -95,3 +102,60 @@ def test_guard_finds_an_unread_private():
 def test_no_unread_privates():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unread_privates(sources) == []
+
+
+def unread_public(names, sources: dict[str, str], gate: str, bench: dict[str, str]) -> list[str]:
+    """Public functions `names` that nothing reads.
+
+    A name counts as read where a package module in `sources` loads it,
+    by name or attribute, outside the function's own definition; where
+    the acceptance gate `gate` loads it; or where a perfbench module in
+    `bench` reads it as an attribute or names it as a "module.name"
+    string of a package module.  Imports and export lists read nothing.
+    """
+    names = set(names)
+    read = set()
+
+    def visit(node, inside):
+        if isinstance(node, ast.FunctionDef):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in inside:
+                read.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for text in [*sources.values(), gate]:
+        visit(ast.parse(text), frozenset())
+    for text in bench.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                module, _, name = node.value.rpartition(".")
+                if module in sources:
+                    read.add(name)
+    return sorted(names - read)
+
+
+def test_guard_finds_an_unread_public_function():
+    sources = {
+        "a": "def used():\n    return 1\n\n\ndef left():\n    return left()\n",
+        "b": "from tmfejer.a import left, used\n\n__all__ = ['left']\nused()\n",
+    }
+    names = ["used", "left", "gated", "benched", "named"]
+    gate = "import tmfejer\n\ntmfejer.gated()\n"
+    bench = {"run": "lib.a.benched()\nWORK = {'a.named': None, 'c.left': None}\n"}
+    assert unread_public(names, sources, gate, bench) == ["left"]
+
+
+def test_every_public_function_has_a_reader():
+    # No public function that the library, the acceptance gate and the
+    # benchmark can all do without.
+    names = [n for n in tmfejer.__all__ if inspect.isfunction(getattr(tmfejer, n))]
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    gate = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    bench = {p.stem: p.read_text(encoding="utf-8") for p in (ROOT / "perfbench").glob("*.py")}
+    assert unread_public(names, sources, gate, bench) == []

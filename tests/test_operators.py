@@ -203,8 +203,8 @@ class TestFejerKernel:
             assert rational == pytest.approx(angular, rel=1e-6)
 
     def test_angular_grid_equals_broadcast_pairs_exactly(self, seq_mixed):
-        # |B_n'| and the phase sums are taken per distinct angle before the
-        # pairs form; the kernel report's m x m grid must not change by a bit.
+        # |B_n'| and the per-pole factors are taken per distinct angle before
+        # the pairs form; the kernel report's m x m grid must not change by a bit.
         ang = 2.0 * np.pi * np.arange(32) / 32
         basis = TMBasis(seq_mixed, 8)
         xb, yb = np.broadcast_arrays(ang[:, None], ang[None, :])
@@ -322,7 +322,10 @@ class TestSigmaPositive:
         basis = TMBasis(_random_sequence(32, 0.7, 5), 32)
         t = circle_grid(4096)
         calls = self._count_calls(monkeypatch)
-        for f in rational_corpus(12):
+        # A Cauchy transform of a degree-6 density takes the route like any
+        # other member that passes the guard.
+        smooth = cauchy_transform(random_unit_density(np.random.default_rng(2)))
+        for f in rational_corpus(12) + (smooth,):
             sigma_positive(f, basis, t)
         assert calls == {"_recurse": 0, "coefficients_of": 0}
         with pytest.raises(ValueError, match="^sigma_positive of order 32"):
@@ -354,7 +357,9 @@ class TestSigmaPositive:
             seq = PointSequence(tuple(1.0 - 0.5 ** np.arange(1, 17)))
             z = circle_grid(1 << 17)
         elif case == "cauchy":
-            f = cauchy_transform(random_unit_density(np.random.default_rng(2)))
+            # The Cauchy transform of |Im t|, a polynomial of 471 terms,
+            # grows too fast beyond the circle for the band of 4096 points.
+            f = cauchy_transform(BoundaryGridFunction.from_callable(lambda t: np.abs(t.imag), 4096))
         elif case == "moved-point":
             z = z.copy()
             z[1000] *= np.exp(1e-12j)
@@ -490,6 +495,19 @@ class TestNearCircle:
         closed = z - be.value / be.derivative * (1.0 - np.conj(b0) * be.value)
         got = np.asarray(sigma_positive(identity_map(), basis, z))
         assert np.abs(got - closed).max() < 1e-8
+
+    @pytest.mark.parametrize("order", [8, 12, 16])
+    def test_cauchy_transform_of_the_constant(self, order):
+        # K(1) = 1 has <1, phi_k> = conj(phi_k(0)) and sigma_positive = 1.
+        # A quadrature over the density's 4096 nodes missed the coefficients
+        # by 8.8e-2 at n = 16 on a_k = 1 - 2^-k.
+        seq = PointSequence(tuple(self.FAMILIES["geometric:0.5"](np.arange(1, order + 1))))
+        basis = TMBasis(seq, order)
+        f = cauchy_transform(BoundaryGridFunction.from_callable(constant_one().value, 4096))
+        want = np.conj(phi_values(basis, 0.0 + 0j))
+        assert np.abs(coefficients_of(f, basis)[order - 1 :] - want).max() <= 1e-14
+        one = np.asarray(sigma_positive(f, basis, circle_grid(256)))
+        assert np.abs(one - 1.0).max() <= 1e-12
 
 
 class TestSigmaRusak:
@@ -754,8 +772,7 @@ class TestDelta:
     @pytest.mark.parametrize("case", ["order-8", "order-32", "cauchy"])
     def test_grid_route_does_no_hidden_work(self, case, monkeypatch):
         # One recursion over the points, for B_n alone, and no coefficients:
-        # the FFT reads f on a grid of its own, and a Cauchy transform's
-        # Taylor route reads its density's spectrum, with no recursion.
+        # the FFT reads f, a Cauchy transform too, on a grid of its own.
         # Passed coefficients are only length-checked and change no bit.
         order = 8 if case == "order-8" else 32
         seq = PointSequence(MIXED) if order == 8 else _random_sequence(32, 0.7, 5)
@@ -858,11 +875,14 @@ class TestDelta:
     @pytest.mark.parametrize("case", ["cauchy", "many-terms", "past-the-cap", "unresolved"])
     def test_grid_route_off_the_guard_bit_for_bit(self, case):
         seq, order, f = _random_sequence(16, 0.7, 1), 16, mobius(0.3)
+        geometric = PointSequence(tuple(1.0 - 0.5 ** np.arange(1, 17)))
         if case == "cauchy":
+            # A Cauchy transform declines where any other member does.
+            seq = geometric
             f = cauchy_transform(random_unit_density(np.random.default_rng(2)))
         elif case == "many-terms":
             # geometric:0.5 needs about 10^6 power sums at n = 16.
-            seq = PointSequence(tuple(1.0 - 0.5 ** np.arange(1, 17)))
+            seq = geometric
         elif case == "past-the-cap":
             # z^1000 stays within the growth cap only on grids past CONTOUR_CAP.
             f = polynomial([0.0] * 1000 + [1.0])

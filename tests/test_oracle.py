@@ -15,7 +15,9 @@ Frostman minimum is checked against a root of the derivative of the
 Frostman sum, found at 40 digits.  The coefficients of a simple pole are
 checked against the reproducing property of the Szego kernel, and the
 Taylor coefficients of B_n against the series division of its numerator
-by its denominator.
+by its denominator.  The angular kernel is checked near its diagonal
+against |B_n(t) - B_n(z)|^2 / (|t - z|^2 |B_n'(z)|) from the product
+formula.
 """
 
 import mpmath
@@ -37,6 +39,7 @@ from tmfejer.operators import (
     _uniform_grid,
     coefficients_of,
     delta,
+    fejer_kernel_angular,
     sigma_positive,
 )
 from tmfejer.tm_basis import TMBasis, phi_jet, phi_values
@@ -366,3 +369,28 @@ def test_delta_of_a_cauchy_transform_matches_seven_coefficients(rotation, order)
     want = np.array(want)
     got = delta(f, TMBasis(PointSequence(poles), order), z)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_angular_kernel_near_its_diagonal():
+    # F_n = |B_n(t) - B_n(z)|^2 / (|t - z|^2 |B_n'(z)|) at t = e^{iy},
+    # z = e^{ix}, and |B_n'(z)| at y = x, at 50 digits from the product
+    # formula; the subtraction costs the oracle at most 9 of its digits.
+    rng = np.random.default_rng(64)
+    poles = tuple(0.9 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64)))
+    x = 0.77
+    y = x + np.array([0.0, 5e-9, 2e-8, 1e-7, 1e-3, 0.5, 3.0])
+    want = []
+    with mpmath.workdps(50):
+        z = mpmath.expj(mpmath.mpf(x))
+        a, _, m, dm = _factors(poles, z)
+        bz, dbz = _product(m, dm, len(a))
+        for v in y:
+            t = mpmath.expj(mpmath.mpf(v))
+            if t == z:
+                want.append(float(abs(dbz)))
+                continue
+            _, _, mt, _ = _factors(poles, t)
+            diff = mpmath.fprod(mt) - bz
+            want.append(float(abs(diff) ** 2 / (abs(t - z) ** 2 * abs(dbz))))
+    got = fejer_kernel_angular(TMBasis(PointSequence(poles), 64), x, y)
+    _assert_close(got, np.array(want), 1e-13)
