@@ -37,7 +37,6 @@ from tmfejer.operators import (
     AnalyticTestFunction,
     _cesaro_from_rows,
     _projected_taylor,
-    _rusak_from_rows,
     _sigma_from_sums,
     coefficients_of,
 )
@@ -453,14 +452,17 @@ def _counterexample_pass(a, sequence, c, orders: list, grid_n, probes) -> list[C
     grid = BoundaryGridFunction.from_callable(
         constant_one().value, grid_n or default_resolution(orders[0])
     )
+    # The constant is real, so d = c and sigma_rusak = 2 Re T(c) - f_0.
+    cg = np.conj(phi_values(top, grid.points) @ grid.samples) / grid.resolution
     tp = np.exp(2j * np.pi * np.arange(probes) / probes)
-    vt, vz = phi_values(top, grid.points), phi_values(top, tp)
+    tc = _sigma_from_sums(*_recurse(sequence, top.order, tp, c=cg, orders=orders))
+    rsup = np.abs(2.0 * tc.real - grid.samples.mean()).max(axis=1)
     rows = [
         CounterexampleRow(
             order=n,
             excess=1.0 - float(v[j]),
             closed_form=1.0 + float(np.cumprod(a[:n]).sum()) / n,
-            rusak_sup=float(np.abs(_rusak_from_rows(grid.samples, vt, vz, n)).max()),
+            rusak_sup=float(rsup[j]),
         )
         for j, n in enumerate(orders)
     ]

@@ -14,14 +14,15 @@ equals |B_n'(z)|^{-1} |(B_n(t) - B_n(z)) / (t - z)|^2 and takes the value
 |B_n'(z)| on the diagonal.  The induced operator
 
     sigma_rusak(f)(z) = (1/2pi) * integral f(t) F_n(t, z) |dt|
-                      = phi(z)^T G conj(phi(z)) / |phi(z)|^2,
-    G_jk = (1/2pi) * integral f(t) conj(phi_j(t)) phi_k(t) |dt|,
 
 agrees on the circle with the holomorphic expression
 
-    sigma_positive(f)(z) = S_n(f)(z) - (B_n(z)/B_n'(z)) S_n'(f)(z)
+    sigma_positive(f)(z) = T(c)(z) = S_n(f)(z) - (B_n(z)/B_n'(z)) S_n'(f)(z)
 
-whenever f extends holomorphically.  The weighted approximation error
+whenever f extends holomorphically, with c_k = <f, phi_k>.  F_n is real,
+and for h in H^2 the part of h in B_n H^2 integrates to zero against it,
+so for any boundary data sigma_rusak(f) = T(c) + conj(T(d)) - f_0, with
+d_k = <conj f, phi_k> and f_0 the mean of f.  The weighted approximation error
 
     delta(f) = (B_n'/B_n) (f - sigma_positive(f))
 
@@ -311,13 +312,24 @@ def fejer_kernel(basis: TMBasis, t, z):
 
     Nonnegative, and (1/2pi) integral F_n(t, z) |dt| = 1 for every z on the
     circle.  The basis sum is smooth across the diagonal, where it takes
-    the value K_n(z, z) = |B_n'(z)|.
+    the value K_n(z, z) = |B_n'(z)|.  When t and z broadcast as an outer
+    product (no axis longer than one in both), K_n = conj(V_z)^T V_t is
+    one matrix product of the basis rows at the distinct points; other
+    shapes, such as the diagonal (z, z), sum the basis pair by pair.
     """
-    # Basis index last, so the point shapes of t and z broadcast as given.
-    vt = np.moveaxis(phi_values(basis, t), 0, -1)
-    vz = np.moveaxis(phi_values(basis, z), 0, -1)
-    cd = (vt * np.conj(vz)).sum(axis=-1)
-    return (np.abs(cd) ** 2 / (np.abs(vz) ** 2).sum(axis=-1))[()]
+    t = np.asarray(t, dtype=np.complex128)
+    z = np.asarray(z, dtype=np.complex128)
+    shape = np.broadcast_shapes(t.shape, z.shape)
+    if t.size * z.size != math.prod(shape):
+        # Basis index last, so the point shapes of t and z broadcast as given.
+        vt = np.moveaxis(phi_values(basis, t), 0, -1)
+        vz = np.moveaxis(phi_values(basis, z), 0, -1)
+        cd = (vt * np.conj(vz)).sum(axis=-1)
+        return (np.abs(cd) ** 2 / (np.abs(vz) ** 2).sum(axis=-1))[()]
+    vt, vz = phi_values(basis, t.reshape(-1)), phi_values(basis, z.reshape(-1))
+    out = np.abs(np.conj(vz).T @ vt) ** 2 / (np.abs(vz) ** 2).sum(axis=0)[:, None]
+    # Entry (i, j) belongs to z's flat point i and t's flat point j.
+    return out[np.arange(z.size).reshape(z.shape), np.arange(t.size).reshape(t.shape)][()]
 
 
 def fejer_kernel_angular(basis: TMBasis, x, y):
@@ -547,28 +559,22 @@ def _sigma_from_sums(bz, bpz, s, sp) -> np.ndarray:
 def sigma_rusak(f: BoundaryGridFunction, basis: TMBasis, z):
     """Kernel quadrature (1/2pi) integral f(t) F_n(t, z) |dt| over f's own grid.
 
-    Expanding |K_n(t, z)|^2 in the basis turns the quadrature into
-    phi(z)^T G conj(phi(z)) / |phi(z)|^2 with the n x n matrix
-    G_jk = mean_t f(t) conj(phi_j(t)) phi_k(t) on the grid, which is the
-    same sum at O((N + M) n^2) cost.  Defined for boundary data and
-    boundary evaluation points.  Positive and norm-one: nonnegative data
-    gives nonnegative values and the sup never exceeds the data sup beyond
-    quadrature error.
+    Computed as T(c) + conj(T(d)) - f_0 (see the module docstring) from
+    the grid's c_k = <f, phi_k> and d_k = <conj f, phi_k>, one product of
+    the n basis rows with the samples and their conjugates, and f_0 their
+    mean; T is sigma_positive's recursion with those coefficients.  That
+    costs O(n (N + M)), with no array larger than the n x N rows.  Defined
+    for boundary data and boundary evaluation points.  Positive and
+    norm-one up to quadrature error, checked by C6: nonnegative data gives
+    nonnegative values and the sup never exceeds the data sup.
     """
     zf, shape, scalar = _flatten(z)
     _require_circle(zf, "sigma_rusak")
-    vt = phi_values(basis, f.points)
-    out = _rusak_from_rows(f.samples, vt, phi_values(basis, zf), basis.order)
-    return _restore(out, shape, scalar)
-
-
-def _rusak_from_rows(samples: np.ndarray, vt: np.ndarray, vz: np.ndarray, n: int) -> np.ndarray:
-    """sigma_rusak at order n from basis rows vt on the data's grid and vz at
-    the evaluation points; rows past n - 1 are ignored, so one set of rows
-    at the largest order serves every smaller one."""
-    vt, vz = vt[:n], vz[:n]
-    gram = (np.conj(vt) * samples) @ vt.T / samples.size
-    return (vz * (gram @ np.conj(vz))).sum(axis=0) / (np.abs(vz) ** 2).sum(axis=0)
+    n, seq = basis.order, basis.sequence
+    sums = phi_values(basis, f.points) @ np.stack([np.conj(f.samples), f.samples], axis=1)
+    c, d = np.conj(sums.T) / f.resolution
+    tc, td = (_sigma_from_sums(*_recurse(seq, n, zf, c=g)) for g in (c, d))
+    return _restore(tc + np.conj(td) - f.samples.mean(), shape, scalar)
 
 
 def _horner(coefs: np.ndarray, zf: np.ndarray) -> np.ndarray:

@@ -211,6 +211,23 @@ class TestFejerKernel:
         grid = fejer_kernel_angular(basis, ang[:, None], ang[None, :])
         assert np.array_equal(grid, fejer_kernel_angular(basis, xb, yb))
 
+    @pytest.mark.parametrize(
+        "t_shape, z_shape",
+        [((1, 512), (5, 1)), ((512, 1), (1, 5)), ((512,), ()), ((), (5,)), ((3, 1, 4), (1, 5, 1))],
+    )
+    def test_outer_shapes_match_pair_sums(self, t_shape, z_shape):
+        # Outer shapes take one matrix product of the basis rows; the fully
+        # broadcast pairs take the per-pair sum.  Relative to the largest
+        # value: near the kernel's zeros either form holds rounding alone.
+        basis = TMBasis(_random_sequence(32, 0.9, 4), 32)
+        rng = np.random.default_rng(6)
+        t = np.exp(2j * np.pi * rng.random(t_shape))
+        z = np.exp(2j * np.pi * rng.random(z_shape))
+        got = np.asarray(fejer_kernel(basis, t, z))
+        want = np.asarray(fejer_kernel(basis, *np.broadcast_arrays(t, z)))
+        assert got.shape == want.shape == np.broadcast_shapes(t_shape, z_shape)
+        assert np.abs(got - want).max() <= 1e-13 * want.max()
+
 
 class TestSigmaPositive:
     def test_preserves_constants(self, seq_mixed):
@@ -551,8 +568,9 @@ class TestSigmaRusak:
             assert np.abs(sr - sp).max() < 1e-7, f.label
 
     def test_gram_form_is_the_kernel_quadrature(self, seq_mixed):
-        # The n x n Gram matrix only reorders the grid sum of f(t) F_n(t, z);
-        # probes on the grid put t = z inside the sum.
+        # The Fourier form T(c) + conj(T(d)) - f_0 against the grid sum of
+        # f(t) F_n(t, z) taken directly; probes on the grid put t = z
+        # inside the sum.
         basis = TMBasis(seq_mixed, 8)
         t = circle_grid(1024)
         probes = np.concatenate([t[::97], circle_grid(13) * np.exp(0.01j)])
@@ -562,6 +580,57 @@ class TestSigmaRusak:
             quadrature = (data.samples * kern).mean(axis=1)
             got = np.asarray(sigma_rusak(data, basis, probes))
             assert np.abs(got - quadrature).max() < 1e-12, f.label
+
+    @staticmethod
+    def gram_form(data, vt, vz):
+        """phi(z)^T G conj(phi(z)) / |phi(z)|^2 with the n x n matrix
+        G_jk = mean_t f(t) conj(phi_j(t)) phi_k(t) over the data's grid, from
+        basis rows vt there and vz at the probes: the grid sum of
+        f(t) F_n(t, z) reordered, so positive by construction."""
+        gram = (np.conj(vt) * data.samples) @ vt.T / data.resolution
+        return (vz * (gram @ np.conj(vz))).sum(axis=0) / (np.abs(vz) ** 2).sum(axis=0)
+
+    @pytest.mark.parametrize("order", [8, 32, 64])
+    def test_fourier_form_matches_the_gram_form(self, order):
+        # Complex holomorphic data, a kink, a 0/1 step and a unimodular step,
+        # on poles up to |a| = 0.97.
+        seq = _random_sequence(order, 0.97, order)
+        seq = PointSequence((0.97 * np.exp(0.4j),) + seq.points[1:])
+        basis = TMBasis(seq, order)
+        theta = np.angle(circle_grid(4096)) % (2.0 * np.pi)
+        data = [grid_of(f) for f in rational_corpus(12)] + [
+            BoundaryGridFunction(np.abs(np.sin(theta / 2.0)) + 0j),
+            BoundaryGridFunction((theta < 2.0) + 0j),
+            BoundaryGridFunction(np.where(theta < 2.0, 1.0, np.exp(2.5j))),
+        ]
+        probes = circle_grid(256) * np.exp(0.3j)
+        vt, vz = phi_values(basis, data[0].points), phi_values(basis, probes)
+        for f in data:
+            want = self.gram_form(f, vt, vz)
+            got = np.asarray(sigma_rusak(f, basis, probes))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(f.samples).max()
+
+    def test_boundary_calls_peak_below_4mb(self):
+        # n = 32 on 4096 points: the n x N rows take 2 MB, and neither call
+        # may form more than about one such array.
+        basis = TMBasis(_random_sequence(32, 0.7, 9), 32)
+        t = circle_grid(4096)
+        data = grid_of(mobius(0.3))
+        rows_at = np.exp(2j * np.pi * np.array([0.1, 0.35, 0.6, 0.85]))
+        probes = circle_grid(256) * np.exp(0.2j)
+        calls = (
+            lambda: fejer_kernel(basis, t[None, :], rows_at[:, None]),
+            lambda: sigma_rusak(data, basis, probes),
+        )
+        for call in calls:
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4e6
 
     def test_contraction_in_all_norms(self, seq_mixed):
         basis = TMBasis(seq_mixed, 8)
