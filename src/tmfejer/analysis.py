@@ -27,7 +27,6 @@ column it does not report, does not stop it on poles near the circle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -40,13 +39,7 @@ from tmfejer.operators import (
     _sigma_from_sums,
     coefficients_of,
 )
-from tmfejer.quadrature import (
-    _SCAN,
-    BoundaryGridFunction,
-    NoConvergence,
-    _refined_minima,
-    default_resolution,
-)
+from tmfejer.quadrature import _SCAN, NoConvergence, _refined_minima
 from tmfejer.tm_basis import TMBasis, phi_values
 
 __all__ = [
@@ -83,21 +76,18 @@ def interior_probes(count: int) -> np.ndarray:
     return r * np.exp(1j * angles)
 
 
-def _by_pass(orders, run, grid=None) -> list:
+def _by_pass(orders, run) -> list:
     """One row per entry of `orders`, in the order given.
 
     `run` maps a list of strictly increasing orders, at most
     _ORDERS_PER_PASS of them, to their rows in one pass over the poles;
-    the distinct orders go through it in increasing runs.  With `grid`, a
-    map from order to grid size, a pass also holds one grid size alone:
-    `cesaro_counterexample` samples on default_resolution's grid.
+    the distinct orders go through it in increasing runs.
     """
+    distinct = sorted(set(orders))
     rows = {}
-    for _, same in groupby(sorted(set(orders)), grid or (lambda n: None)):
-        same = list(same)
-        for i in range(0, len(same), _ORDERS_PER_PASS):
-            part = same[i : i + _ORDERS_PER_PASS]
-            rows.update(zip(part, run(part)))
+    for i in range(0, len(distinct), _ORDERS_PER_PASS):
+        part = distinct[i : i + _ORDERS_PER_PASS]
+        rows.update(zip(part, run(part)))
     return [rows[n] for n in orders]
 
 
@@ -399,25 +389,22 @@ class CounterexampleRow:
         }
 
 
-def cesaro_counterexample(
-    values,
-    orders,
-    grid_n: int | None = None,
-    probes: int = 256,
-) -> list[CounterexampleRow]:
+def cesaro_counterexample(values, orders, probes: int = 256) -> list[CounterexampleRow]:
     """Cesaro means of the constant against the positive method, per order.
 
     For a real sequence 0 <= a_k < 1 the uniform distance between the
     constant one and its Cesaro mean is (1/n) sum_{k<=n} (a_1 ... a_k),
     attained at the angle pi; `excess` reports one plus the refined sup so
     it reads as an operator-norm lower bound, always above one.  The
-    kernel method stays at sup one on the same data (`rusak_sup`), sampled
-    on `grid_n` points (default_resolution(n) when None); a sup that misses
-    one by more than 1e-9 means the grid is too coarse, and NoConvergence
-    is raised for the first such order.  The coefficients of the constant
-    are computed once on the whole sequence, and order n takes the 2n - 1
-    of them with |k| < n.  The orders share basis rows, computed at the
-    largest order of each pass; each row equals the one-order call.
+    kernel method stays at sup one on the same data: `rusak_sup` is the
+    largest |sigma_rusak(1)| over `probes` equally spaced points of the
+    circle, 2 Re T(c) - 1 with the constant's exact coefficients
+    c_k = conj(phi_k(0)), so no grid enters.  A sup that misses one by
+    more than 1e-9 raises NoConvergence for the first such order.  The
+    coefficients of the constant are computed once on the whole sequence,
+    and order n takes the 2n - 1 of them with |k| < n.  The orders share
+    basis rows, computed at the largest order of each pass; each row
+    equals the one-order call.
     """
     arr = np.asarray(values, dtype=np.complex128)
     if arr.size and (np.abs(arr.imag).max() > 0 or arr.real.min() < 0 or arr.real.max() >= 1):
@@ -425,14 +412,10 @@ def cesaro_counterexample(
     sequence = PointSequence(tuple(float(v.real) for v in arr))
     orders = [int(n) for n in orders]
     c = coefficients_of(constant_one(), TMBasis(sequence, len(sequence)))
-    return _by_pass(
-        orders,
-        lambda part: _counterexample_pass(arr.real, sequence, c, part, grid_n, probes),
-        default_resolution,
-    )
+    return _by_pass(orders, lambda part: _counterexample_pass(arr.real, sequence, c, part, probes))
 
 
-def _counterexample_pass(a, sequence, c, orders: list, grid_n, probes) -> list[CounterexampleRow]:
+def _counterexample_pass(a, sequence, c, orders: list, probes) -> list[CounterexampleRow]:
     """The rows of one pass, all read from basis rows at its largest order;
     c holds the coefficients of the constant on the whole sequence."""
     size = len(sequence)
@@ -449,14 +432,10 @@ def _counterexample_pass(a, sequence, c, orders: list, grid_n, probes) -> list[C
 
     cand = np.full((len(orders), 1), np.pi)
     _, v, _ = _refined_minima(lambda theta: -gaps(theta), cand)
-    grid = BoundaryGridFunction.from_callable(
-        constant_one().value, grid_n or default_resolution(orders[0])
-    )
-    # The constant is real, so d = c and sigma_rusak = 2 Re T(c) - f_0.
-    cg = np.conj(phi_values(top, grid.points) @ grid.samples) / grid.resolution
+    # The constant is real, so d = c and sigma_rusak = 2 Re T(c) - f_0 with f_0 = 1.
     tp = np.exp(2j * np.pi * np.arange(probes) / probes)
-    tc = _sigma_from_sums(*_recurse(sequence, top.order, tp, c=cg, orders=orders))
-    rsup = np.abs(2.0 * tc.real - grid.samples.mean()).max(axis=1)
+    tc = _sigma_from_sums(*_recurse(sequence, top.order, tp, c=c[size - 1 :], orders=orders))
+    rsup = np.abs(2.0 * tc.real - 1.0).max(axis=1)
     rows = [
         CounterexampleRow(
             order=n,
@@ -470,6 +449,6 @@ def _counterexample_pass(a, sequence, c, orders: list, grid_n, probes) -> list[C
         if abs(r.rusak_sup - 1.0) > _RUSAK_TOL:
             raise NoConvergence(
                 f"kernel method's sup on the constant misses 1 by {abs(r.rusak_sup - 1.0):.2e} "
-                f"on a {grid.resolution}-point grid at order {r.order}; a finer grid_n is needed"
+                f"at order {r.order}"
             )
     return rows

@@ -12,7 +12,6 @@ comment, list values sit in brackets:
     sequence = constant:0.5        # constant:c | geometric:r | harmonic:c | list:[...]
     orders = [1, 2, 4, 8]          # strictly increasing, all >= 1
     function = identity            # one | identity | mobius:c | pole:c | poly:[c0, c1, ...]
-    grid_n = 4096                  # power of two >= 16; counterexample only
     seed = 0
     format = csv                   # csv | json
     out = results/converge.csv     # default stdout
@@ -26,16 +25,16 @@ exit 3.  A report goes from the drivers to the file as columns.  Reruns
 of an identical config on the same machine produce byte-identical files:
 no timestamps, `%.17g` floats in CSV and float repr in JSON, sorted JSON
 keys.  An undefined value is nan in CSV and null in JSON; any other
-non-finite float exits 2 in either format.  The config's grid_n is the
-only grid setting, and the report metadata records it (null for the
-per-order default).  It reaches only counterexample, for the boundary
-data of sigma_rusak; converge reads its norms off the 8192-angle scans of
-its refined extrema and voronovskaya its gaps off Taylor coefficients, so
-no grid_n makes either exit 3.  Coefficients of the holomorphic functions
-(one, identity, mobius, pole, poly) come from a contour |t| = R > 1 that
-is sized per function and order; a function that needs more than
-CONTOUR_CAP contour points, such as a pole closer than about 5e-3 to the
-circle, exits 3.
+non-finite float exits 2 in either format.  No command takes a grid
+setting, and a config that names one fails as an unknown key: converge
+reads its norms off the 8192-angle scans of its refined extrema,
+voronovskaya its gaps off Taylor coefficients and counterexample its
+kernel column off the constant's exact coefficients.  Coefficients of
+the holomorphic functions (one, identity, mobius, pole, poly) come from
+a contour |t| = R > 1 that is sized per function and order; a function
+that needs more than CONTOUR_CAP contour points, such as a pole closer
+than about 5e-3 to the circle, exits 3, and so does a counterexample
+whose kernel column misses one by more than 1e-9.
 """
 
 from __future__ import annotations
@@ -191,7 +190,6 @@ class ExperimentConfig:
     command: str | None = None
     sequence: SequenceSpec = SequenceSpec("constant", (0.5 + 0j,), "constant:0.5")
     orders: tuple = (1, 2, 3, 4, 6, 8)
-    grid_n: int | None = None
     seed: int = 0
     out: str | None = None
     format: str = "csv"
@@ -224,13 +222,6 @@ def _parse_orders(text: str) -> tuple:
     return orders
 
 
-def _parse_grid_n(text: str) -> int:
-    value = _parse_int(text, "grid_n", 16)
-    if value & (value - 1):
-        raise ValidationError("grid_n", f"must be a power of two, got {value}")
-    return value
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Strict parse of a key = value document into an ExperimentConfig."""
     fields: dict = {}
@@ -260,8 +251,6 @@ def parse_config(text: str) -> ExperimentConfig:
         kwargs["sequence"] = _parse_sequence(fields["sequence"])
     if "orders" in fields:
         kwargs["orders"] = _parse_orders(fields["orders"])
-    if "grid_n" in fields:
-        kwargs["grid_n"] = _parse_grid_n(fields["grid_n"])
     if "seed" in fields:
         kwargs["seed"] = _parse_int(fields["seed"], "seed", 0)
     if "out" in fields:
@@ -336,7 +325,7 @@ def _execute(config: ExperimentConfig) -> dict[str, list]:
     elif config.command == "frostman":
         rows = _diagnose_orders(sequence, config.orders)
     elif config.command == "counterexample":
-        rows = cesaro_counterexample(sequence.points, config.orders, config.grid_n, config.probes)
+        rows = cesaro_counterexample(sequence.points, config.orders, config.probes)
     else:
         raise ValidationError("command", f"unknown command {config.command!r}")
     dicts = [r.to_row() for r in rows]
@@ -413,7 +402,6 @@ def _render(config: ExperimentConfig, columns: dict[str, list]) -> str:
         "generator_version": GENERATOR_VERSION,
         "orders": list(config.orders),
         "seed": config.seed,
-        "grid_n": config.grid_n,
         "function": config.function,
     }
     if config.format == "json":
@@ -421,7 +409,7 @@ def _render(config: ExperimentConfig, columns: dict[str, list]) -> str:
         keys = [f"      {json.dumps(k)}: " for k in names]
         pieces = ["    {\n" + keys[0]] + [",\n" + k for k in keys[1:]] + ["\n    },\n"]
         rows = _table([columns[k] for k in names], "json", pieces)
-        doc = {"schema_version": "2", "metadata": meta, "rows": []}
+        doc = {"schema_version": "3", "metadata": meta, "rows": []}
         text = json.dumps(doc, sort_keys=True, indent=2)
         # rows[:-2] drops the separator after the last row.
         return text.replace('"rows": []', f'"rows": [\n{rows[:-2]}\n  ]', 1) + "\n"

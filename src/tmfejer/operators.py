@@ -48,10 +48,10 @@ any order, on a grid it sizes itself and doubles up to CONTOUR_CAP.
 Where that route declines, delta takes the Taylor coefficients of g from
 those of f, one FFT on the contour |t| = R, and of B_n.
 
-Only grid-backed data is sampled on the unit circle, so the CLI's grid_n
-reaches only the boundary data of sigma_rusak in counterexample;
-voronovskaya reads its Cauchy integrals off the Taylor coefficients of
-B_n and of its densities, with no grid.
+Only grid-backed data is sampled on the unit circle, and no CLI command
+builds any: counterexample reads sigma_rusak(1) off the constant's exact
+coefficients, and voronovskaya its Cauchy integrals off the Taylor
+coefficients of B_n and of its densities.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from tmfejer.blaschke import (
     _recurse,
     _restore,
     _taylor,
-    boundary_derivative_modulus,
 )
 from tmfejer.quadrature import BoundaryGridFunction, NoConvergence, next_power_of_two
 from tmfejer.tm_basis import (
@@ -333,40 +332,15 @@ def fejer_kernel(basis: TMBasis, t, z):
 
 
 def fejer_kernel_angular(basis: TMBasis, x, y):
-    """Kernel in angular form: sin^2(phase(x,y)) / (2 gamma_n(x) sin^2((y-x)/2)).
+    """The kernel in angles: fejer_kernel at t = e^{iy}, z = e^{ix}.
 
-    Here gamma_n = |B_n'|/2 on the circle and phase(x, y) is the integral
-    of gamma_n over [x, y].  Equals fejer_kernel at t = e^{iy}, z = e^{ix}.
-    |sin(phase) / sin((y-x)/2)| is |Q_n| for the divided difference
-    Q_n = (B_n(t) - B_n(z)) / ((t - z) B_n(z)), carried from Q_0 = 0 by
-
-        Q_{k+1} = Q_k b_k(t) / b_k(z) + w_k / ((1 - conj(a_k) t)(z - a_k)),
-
-    with b_k the k-th factor of B_n and w_k = 1 - |a_k|^2.  That recursion
-    subtracts no nearby values, so it needs no special case near the
-    diagonal, where it gives Q_n = B_n'(z) / B_n(z) of modulus |B_n'(z)|.
-    Its factors depend on x or on y alone and are formed before the pairs,
-    so an (m, 1) x (1, m) grid gives the bits of its broadcast pairs.
+    That is sin^2(phase(x, y)) / (2 gamma_n(x) sin^2((y - x)/2)), with
+    gamma_n = |B_n'|/2 on the circle and phase(x, y) the integral of
+    gamma_n over [x, y].  An (m, 1) x (1, m) grid of angles, as in the
+    kernel report, takes fejer_kernel's outer-product path: one matrix
+    product of the basis rows.
     """
-    n, seq = basis.order, basis.sequence
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    a = seq.as_array()[:n]
-    w = (1.0 - np.abs(a)) * (1.0 + np.abs(a))
-    z, t = np.exp(1j * x), np.exp(1j * y)
-    az, at = a.reshape((n,) + (1,) * z.ndim), a.reshape((n,) + (1,) * t.ndim)
-    # Per pole: 1 / b_k(z), w_k / (z - a_k), b_k(t) and 1 / (1 - conj(a_k) t).
-    zk = z - az
-    inv_bz = (1.0 - np.conj(az) * z) / zk
-    wz = w.reshape(az.shape) / zk
-    ut = 1.0 / (1.0 - np.conj(at) * t)
-    bt = (t - at) * ut
-    q = ut[0] * wz[0]
-    for k in range(1, n):
-        q *= inv_bz[k]
-        q *= bt[k]
-        q += ut[k] * wz[k]
-    return (np.abs(q) ** 2 / boundary_derivative_modulus(seq, n, x))[()]
+    return fejer_kernel(basis, np.exp(1j * np.asarray(y)), np.exp(1j * np.asarray(x)))
 
 
 def sigma_positive(

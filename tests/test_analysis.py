@@ -37,6 +37,7 @@ from tmfejer.tm_basis import TMBasis
 
 # geometric:0.5, a_k = 1 - 2^-k for k = 1..12: poles that approach the circle.
 NEAR_CIRCLE = 1.0 - 0.5 ** np.arange(1, 13)
+NEAR_CIRCLE_39 = list(1.0 - 0.5 ** np.arange(1, 40))
 
 
 class TestInteriorProbes:
@@ -341,21 +342,33 @@ class TestCounterexample:
     @pytest.mark.parametrize(
         "values,order",
         [
-            ([1.0 - 0.5**k for k in range(1, 9)], 8),
-            ([1.0 - 0.5**k for k in range(1, 11)], 10),
+            (NEAR_CIRCLE_39[:8], 8),
+            (NEAR_CIRCLE_39[:10], 10),
             ([1.0 - 1.0 / (k + 1.0) for k in range(1, 65)], 64),
+            (NEAR_CIRCLE_39[:30], 30),
+            (NEAR_CIRCLE_39, 39),
         ],
-        ids=["geometric-8", "geometric-10", "harmonic-64"],
+        ids=["geometric-8", "geometric-10", "harmonic-64", "geometric-30", "geometric-39"],
     )
-    def test_kernel_sup_off_one_raises(self, values, order):
-        # The default grid puts the kernel method's sup on the constant at
-        # 1.0000009, 1.148 and 1.052; it is exactly one.
-        with pytest.raises(NoConvergence, match=f"at order {order}"):
-            cesaro_counterexample(values, [order])
+    def test_rusak_sup_is_one(self, values, order):
+        # sigma_rusak(1) = 2 Re T(c) - 1 with the constant's exact
+        # coefficients, so the sup is one to rounding even with a_39 within
+        # 2^-39 of the circle.
+        (row,) = cesaro_counterexample(values, [order])
+        assert abs(row.rusak_sup - 1.0) <= 1e-12
+        assert abs(row.excess - row.closed_form) <= 1e-12
+
+    def test_rusak_sup_off_one_raises(self, monkeypatch):
+        # The 1e-9 guard on sigma(1) = 1 stays as a residual check.
+        inner = analysis._sigma_from_sums
+        monkeypatch.setattr(analysis, "_sigma_from_sums", lambda *a: inner(*a) + 1e-6)
+        with pytest.raises(NoConvergence, match="at order 4"):
+            cesaro_counterexample([0.5] * 4, [4])
 
 
 # A multi-order call returns exactly the rows of one call per order: the
-# bundled sequences, a repeated pole, and orders on two default grid sizes.
+# bundled sequences, a repeated pole, and orders far apart ("two-grids": 8
+# and 100 lie on either side of default_resolution's step).
 HARMONIC = PointSequence(tuple(1.0 - 1.0 / (k + 1.0) for k in range(1, 101)))
 REPEATED = (0.5, 0.3, 0.5, 0.5, 0.2)
 MULTI_ORDER_CASES = [

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tmfejer import __version__
+from tmfejer import __version__, analysis
 from tmfejer.analysis import _diagnose_orders
 from tmfejer.cli import (
+    COMMANDS,
     ExperimentConfig,
     ParseError,
     SequenceSpec,
@@ -57,8 +58,8 @@ class TestParsing:
         assert cfg.orders == (1, 2, 3, 4, 6, 8)
         assert cfg.seed == 0
         assert cfg.format == "csv"
-        assert cfg.grid_n is None
         assert cfg.function == "identity"
+        assert (cfg.probes, cfg.trials, cfg.kernel_samples) == (16, 50, 64)
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config(
@@ -104,10 +105,6 @@ class TestParsing:
     def test_orders_must_increase(self):
         with pytest.raises(ValidationError):
             parse_config(MINIMAL + "orders = [4,2]\n")
-
-    def test_grid_must_be_power_of_two(self):
-        with pytest.raises(ValidationError):
-            parse_config(MINIMAL + "grid_n = 1000\n")
 
     def test_bad_format(self):
         with pytest.raises(ValidationError):
@@ -174,13 +171,13 @@ class TestCommands:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_every_command_both_formats(self, tmp_path, body, fmt):
         out = tmp_path / f"out.{fmt}"
-        cfg = parse_config(body + f"format = {fmt}\nout = {out}\ngrid_n = 1024\n")
+        cfg = parse_config(body + f"format = {fmt}\nout = {out}\n")
         assert run(cfg) == 0
         text = out.read_text()
         assert_pinned_format(text, fmt)
         if fmt == "json":
             doc = json.loads(text)
-            assert doc["schema_version"] == "2"
+            assert doc["schema_version"] == "3"
             assert doc["metadata"]["command"] == cfg.command
             assert doc["rows"]
         else:
@@ -236,7 +233,7 @@ class TestCommands:
     def test_rerun_is_byte_identical(self, tmp_path):
         body = (
             "command = voronovskaya\nsequence = list:[0.5,0.3]\norders = [2]\n"
-            "probes = 2\ntrials = 2\ngrid_n = 1024\nseed = 9\n"
+            "probes = 2\ntrials = 2\nseed = 9\n"
         )
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
@@ -247,7 +244,7 @@ class TestCommands:
     def test_seed_changes_random_columns(self, tmp_path):
         body = (
             "command = voronovskaya\nsequence = list:[0.5,0.3]\norders = [2]\n"
-            "probes = 2\ntrials = 2\ngrid_n = 1024\n"
+            "probes = 2\ntrials = 2\n"
         )
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -299,7 +296,7 @@ class TestCommands:
         out = tmp_path / "s.json"
         cfg = parse_config(
             "command = saturation\nsequence = list:[0.5,0.3]\norders = [1,2]\n"
-            f"grid_n = 1024\nformat = json\nout = {out}\n"
+            f"format = json\nout = {out}\n"
         )
         assert run(cfg) == 0
 
@@ -407,50 +404,6 @@ def test_rows_agree_with_single_order_configs(text):
         for key, column in one.items():
             np.testing.assert_allclose(column[0], many[key][i], rtol=1e-14, atol=1e-15)
 
-class TestGridOverride:
-    BODY = (
-        "command = voronovskaya\nsequence = list:[0.5,0.3]\norders = [2]\n"
-        "probes = 2\ntrials = 2\n"
-    )
-
-    def test_config_grid_changes_output(self, tmp_path):
-        # counterexample samples the boundary data of sigma_rusak on grid_n points.
-        body = "command = counterexample\nsequence = constant:0.5\norders = [1, 2, 4, 8]\n"
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        assert run(parse_config(body + f"out = {a}\n")) == 0
-        assert run(parse_config(body + f"grid_n = 1024\nout = {b}\n")) == 0
-        assert a.read_bytes() != b.read_bytes()
-
-    def test_json_records_config_grid(self, tmp_path):
-        for grid in (None, 256, 8192):
-            out = tmp_path / f"{grid}.json"
-            line = "" if grid is None else f"grid_n = {grid}\n"
-            assert run(parse_config(self.BODY + line + f"format = json\nout = {out}\n")) == 0
-            assert json.loads(out.read_text())["metadata"]["grid_n"] == grid
-
-    def test_converge_ignores_the_grid(self, tmp_path):
-        # converge takes every norm from its 8192-angle scans.
-        text = (ROOT / "scripts" / "configs" / "converge.cfg").read_text(encoding="utf-8")
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        assert main(["converge", "--config", str(write_cfg(tmp_path, text)), "--out", str(a)]) == 0
-        cfg = write_cfg(tmp_path, text + "grid_n = 16\n", name="coarse.cfg")
-        assert main(["converge", "--config", str(cfg), "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_voronovskaya_ignores_the_grid(self, tmp_path):
-        # voronovskaya reads its gaps off Taylor coefficients, with no grid.
-        text = (ROOT / "scripts" / "configs" / "voronovskaya.cfg").read_text(encoding="utf-8")
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        cfg = write_cfg(tmp_path, text)
-        assert main(["voronovskaya", "--config", str(cfg), "--out", str(a)]) == 0
-        cfg = write_cfg(tmp_path, text + "grid_n = 64\n", name="coarse.cfg")
-        assert main(["voronovskaya", "--config", str(cfg), "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-
 class TestMainEntry:
     def test_success_and_overrides(self, tmp_path):
         cfg = write_cfg(
@@ -505,15 +458,39 @@ class TestMainEntry:
         assert main(["frostman", "--config", str(cfg)]) == 3
         capsys.readouterr()
 
-    def test_counterexample_grid_too_coarse(self, tmp_path, capsys):
-        # a_8 = 1 - 2^-8: on the default grid the kernel method's sup on the
-        # constant misses 1 by 8.7e-7 at n = 8 and by 0.15 at n = 10.
-        text = "command = counterexample\nsequence = geometric:0.5\norders = [8, 10]\n"
+    def test_counterexample_near_the_circle(self, tmp_path):
+        # a_16 = 1 - 2^-16: the kernel method's sup on the constant comes
+        # from its exact coefficients, so it is one to rounding.
+        text = "command = counterexample\nsequence = geometric:0.5\norders = [8, 10, 16]\n"
         cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "r.json"
+        argv = ["counterexample", "--config", str(cfg), "--out", str(out), "--format", "json"]
+        assert main(argv) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["order"] for r in rows] == [8, 10, 16]
+        for r in rows:
+            assert abs(r["rusak_sup"] - 1.0) <= 1e-12
+            assert abs(r["excess"] - r["closed_form"]) <= 1e-12
+
+    def test_counterexample_kernel_column_off_one(self, tmp_path, monkeypatch, capsys):
+        # A sup of sigma(1) that misses one by more than 1e-9 exits 3.
+        inner = analysis._sigma_from_sums
+        monkeypatch.setattr(analysis, "_sigma_from_sums", lambda *a: inner(*a) + 1e-6)
+        cfg = write_cfg(tmp_path, "command = counterexample\nsequence = constant:0.5\n")
         out = tmp_path / "r.json"
         assert main(["counterexample", "--config", str(cfg), "--out", str(out)]) == 3
         assert not out.exists()
-        assert "misses 1 by 8.7" in capsys.readouterr().err
+        assert "misses 1 by 2.0" in capsys.readouterr().err
+
+    def test_grid_n_is_an_unknown_key(self, tmp_path, capsys):
+        # No command reads a grid size, so the key is refused like any other.
+        for command in COMMANDS:
+            text = f"command = {command}\nsequence = constant:0.5\ngrid_n = 1024\n"
+            cfg = write_cfg(tmp_path, text)
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert "line 3: unknown key 'grid_n'" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_frostman_mean_off_the_order(self, tmp_path, capsys):
         # geometric:0.5 puts a_9 within 2^-9 of the circle; the 8192-angle
@@ -652,7 +629,6 @@ class TestWriter:
             '    "command": "frostman",\n'
             '    "function": "identity",\n'
             '    "generator_version": "1",\n'
-            '    "grid_n": null,\n'
             '    "orders": [\n      1,\n      2,\n      3\n    ],\n'
             '    "seed": 0,\n'
             '    "sequence": "constant:0.5",\n'
@@ -660,7 +636,7 @@ class TestWriter:
             f'    "tool_version": "{__version__}"\n'
             "  },\n"
             f'  "rows": [\n{rows}\n  ],\n'
-            '  "schema_version": "2"\n'
+            '  "schema_version": "3"\n'
             "}\n"
         )
         assert _render(self.config("json"), self.COLUMNS) == want

@@ -202,14 +202,18 @@ class TestFejerKernel:
             angular = float(np.asarray(fejer_kernel_angular(basis, x, x + du)))
             assert rational == pytest.approx(angular, rel=1e-6)
 
-    def test_angular_grid_equals_broadcast_pairs_exactly(self, seq_mixed):
-        # |B_n'| and the per-pole factors are taken per distinct angle before
-        # the pairs form; the kernel report's m x m grid must not change by a bit.
+    def test_angular_grid_is_the_outer_kernel(self, seq_mixed):
+        # The kernel report's m x m grid of angles is fejer_kernel's outer
+        # product bit for bit; the fully broadcast pairs take the per-pair
+        # sum and agree to rounding.
         ang = 2.0 * np.pi * np.arange(32) / 32
         basis = TMBasis(seq_mixed, 8)
-        xb, yb = np.broadcast_arrays(ang[:, None], ang[None, :])
+        t, z = np.exp(1j * ang)[None, :], np.exp(1j * ang)[:, None]
         grid = fejer_kernel_angular(basis, ang[:, None], ang[None, :])
-        assert np.array_equal(grid, fejer_kernel_angular(basis, xb, yb))
+        assert np.array_equal(grid, fejer_kernel(basis, t, z))
+        xb, yb = np.broadcast_arrays(ang[:, None], ang[None, :])
+        pairs = fejer_kernel_angular(basis, xb, yb)
+        assert np.abs(pairs - grid).max() <= 1e-13 * grid.max()
 
     @pytest.mark.parametrize(
         "t_shape, z_shape",

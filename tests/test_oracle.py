@@ -375,22 +375,25 @@ def test_angular_kernel_near_its_diagonal():
     # F_n = |B_n(t) - B_n(z)|^2 / (|t - z|^2 |B_n'(z)|) at t = e^{iy},
     # z = e^{ix}, and |B_n'(z)| at y = x, at 50 digits from the product
     # formula; the subtraction costs the oracle at most 9 of its digits.
+    # Three cases in one test: 64 random poles |a| <= 0.9 at x = 0.77, and
+    # the poles 1 - 2^-k, k = 1..30, at x = 0.77 and 3.0.
     rng = np.random.default_rng(64)
-    poles = tuple(0.9 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64)))
-    x = 0.77
-    y = x + np.array([0.0, 5e-9, 2e-8, 1e-7, 1e-3, 0.5, 3.0])
-    want = []
-    with mpmath.workdps(50):
-        z = mpmath.expj(mpmath.mpf(x))
-        a, _, m, dm = _factors(poles, z)
-        bz, dbz = _product(m, dm, len(a))
-        for v in y:
-            t = mpmath.expj(mpmath.mpf(v))
-            if t == z:
-                want.append(float(abs(dbz)))
-                continue
-            _, _, mt, _ = _factors(poles, t)
-            diff = mpmath.fprod(mt) - bz
-            want.append(float(abs(diff) ** 2 / (abs(t - z) ** 2 * abs(dbz))))
-    got = fejer_kernel_angular(TMBasis(PointSequence(poles), 64), x, y)
-    _assert_close(got, np.array(want), 1e-13)
+    spread = tuple(0.9 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64)))
+    near = tuple(1.0 - 0.5 ** np.arange(1, 31))
+    for poles, x in ((spread, 0.77), (near, 0.77), (near, 3.0)):
+        y = x + np.array([0.0, 5e-9, 2e-8, 1e-7, 1e-3, 0.5, 3.0])
+        want = []
+        with mpmath.workdps(50):
+            z = mpmath.expj(mpmath.mpf(x))
+            a, _, m, dm = _factors(poles, z)
+            bz, dbz = _product(m, dm, len(a))
+            for v in y:
+                t = mpmath.expj(mpmath.mpf(v))
+                if t == z:
+                    want.append(float(abs(dbz)))
+                    continue
+                _, _, mt, _ = _factors(poles, t)
+                diff = mpmath.fprod(mt) - bz
+                want.append(float(abs(diff) ** 2 / (abs(t - z) ** 2 * abs(dbz))))
+        got = fejer_kernel_angular(TMBasis(PointSequence(poles), len(poles)), x, y)
+        _assert_close(got, np.array(want), 1e-13)
