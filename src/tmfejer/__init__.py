@@ -31,7 +31,6 @@ from tmfejer.quadrature import (
     BoundaryGridFunction,
     NoConvergence,
     NormReport,
-    default_resolution,
     norms,
     refined_maximum,
     refined_minimum,
@@ -62,7 +61,6 @@ __all__ = [
     "NormReport",
     "NoConvergence",
     "norms",
-    "default_resolution",
     "refined_minimum",
     "refined_maximum",
     "AnalyticTestFunction",

@@ -10,8 +10,8 @@ phi_k nor the coefficient c_k = <f, phi_k> depends on the order.
 coefficient vector on the whole sequence and give order n its slice.
 They and `_diagnose_orders` (the `frostman` report) evaluate up to
 _ORDERS_PER_PASS orders in one pass over the poles:
-one recursion that snapshots every order, one set of basis rows at the
-largest order, or one running Frostman sum.  Every extremum of the pass
+one recursion that snapshots every order's sums, or one running
+Frostman sum.  Every extremum of the pass
 is then refined in one multi-row zoom.  Each row equals the one-order
 call on the same sequence bit for bit.  `voronovskaya_experiment` and
 `saturation_check` take one order per call.
@@ -34,13 +34,12 @@ from tmfejer.blaschke import PointSequence, _check_order, _frostman_prefixes, _r
 from tmfejer.corpus import _DEGREE, _unit_densities, constant_one, standard_corpus
 from tmfejer.operators import (
     AnalyticTestFunction,
-    _cesaro_from_rows,
     _projected_taylor,
     _sigma_from_sums,
     coefficients_of,
 )
 from tmfejer.quadrature import _SCAN, NoConvergence, _refined_minima
-from tmfejer.tm_basis import TMBasis, phi_values
+from tmfejer.tm_basis import TMBasis
 
 __all__ = [
     "SequenceDiagnostics",
@@ -389,52 +388,49 @@ class CounterexampleRow:
         }
 
 
-def cesaro_counterexample(values, orders, probes: int = 256) -> list[CounterexampleRow]:
+def cesaro_counterexample(values, orders) -> list[CounterexampleRow]:
     """Cesaro means of the constant against the positive method, per order.
 
     For a real sequence 0 <= a_k < 1 the uniform distance between the
     constant one and its Cesaro mean is (1/n) sum_{k<=n} (a_1 ... a_k),
     attained at the angle pi; `excess` reports one plus the refined sup so
     it reads as an operator-norm lower bound, always above one.  The
-    kernel method stays at sup one on the same data: `rusak_sup` is the
-    largest |sigma_rusak(1)| over `probes` equally spaced points of the
+    constant's negative coefficients are exactly zero, so its order-n
+    Cesaro mean is S_n(c) - S_n(k c) / n with S_n(x) = sum_{k<n} x_k phi_k.
+    The kernel method stays at sup one on the same data: `rusak_sup` is
+    the largest |sigma_rusak(1)| over 256 equally spaced points of the
     circle, 2 Re T(c) - 1 with the constant's exact coefficients
     c_k = conj(phi_k(0)), so no grid enters.  A sup that misses one by
     more than 1e-9 raises NoConvergence for the first such order.  The
     coefficients of the constant are computed once on the whole sequence,
-    and order n takes the 2n - 1 of them with |k| < n.  The orders share
-    basis rows, computed at the largest order of each pass; each row
-    equals the one-order call.
+    and order n takes c_0, ..., c_{n-1}.  The orders share passes over the
+    poles; each row equals the one-order call.
     """
     arr = np.asarray(values, dtype=np.complex128)
     if arr.size and (np.abs(arr.imag).max() > 0 or arr.real.min() < 0 or arr.real.max() >= 1):
         raise ValueError("counterexample sequences are real with 0 <= a < 1")
     sequence = PointSequence(tuple(float(v.real) for v in arr))
     orders = [int(n) for n in orders]
-    c = coefficients_of(constant_one(), TMBasis(sequence, len(sequence)))
-    return _by_pass(orders, lambda part: _counterexample_pass(arr.real, sequence, c, part, probes))
+    c = coefficients_of(constant_one(), TMBasis(sequence, len(sequence)))[len(sequence) - 1 :]
+    return _by_pass(orders, lambda part: _counterexample_pass(arr.real, sequence, c, part))
 
 
-def _counterexample_pass(a, sequence, c, orders: list, probes) -> list[CounterexampleRow]:
-    """The rows of one pass, all read from basis rows at its largest order;
-    c holds the coefficients of the constant on the whole sequence."""
-    size = len(sequence)
-    windows = [c[size - n : size - 1 + n] for n in orders]
-    top = TMBasis(sequence, orders[-1])
+def _counterexample_pass(a, sequence, c, orders: list) -> list[CounterexampleRow]:
+    """The rows of one pass, from the constant's coefficients c_0, c_1, ...:
+    the Cesaro gaps from the sums of the block [c, k c] at every order."""
+    top = orders[-1]
+    block = np.stack([c[:top], np.arange(top) * c[:top]], axis=1)
+    per_order = np.asarray(orders)[:, None]
 
-    def gaps(theta):
-        """|1 - Cesaro mean| at the flat angles theta, (F, M) with row j at orders[j]."""
-        t = np.exp(1j * theta)
-        vals = phi_values(top, t)
-        return np.stack(
-            [np.abs(1.0 - _cesaro_from_rows(w, vals, t, n)) for w, n in zip(windows, orders)]
-        )
+    def negated_gaps(theta):
+        """-|1 - Cesaro mean| at the flat angles theta, (F, M) with row j at orders[j]."""
+        _, _, s, _ = _recurse(sequence, top, np.exp(1j * theta), c=block, jet=False, orders=orders)
+        return -np.abs(1.0 - s[0] + s[1] / per_order)
 
-    cand = np.full((len(orders), 1), np.pi)
-    _, v, _ = _refined_minima(lambda theta: -gaps(theta), cand)
+    _, v, _ = _refined_minima(negated_gaps, np.full((len(orders), 1), np.pi))
     # The constant is real, so d = c and sigma_rusak = 2 Re T(c) - f_0 with f_0 = 1.
-    tp = np.exp(2j * np.pi * np.arange(probes) / probes)
-    tc = _sigma_from_sums(*_recurse(sequence, top.order, tp, c=c[size - 1 :], orders=orders))
+    tp = np.exp(2j * np.pi * np.arange(256) / 256)
+    tc = _sigma_from_sums(*_recurse(sequence, top, tp, c=c[:top], orders=orders))
     rsup = np.abs(2.0 * tc.real - 1.0).max(axis=1)
     rows = [
         CounterexampleRow(

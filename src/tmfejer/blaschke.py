@@ -126,30 +126,33 @@ def _recurse(
     divides by z - a_k, so zeros of B_n, repeated ones included, are
     ordinary points.  Returns (B_n, B_n', phi rows, phi' rows) in one of
     three modes: the rows are None unless `rows`, the derivatives None
-    unless `jet`; with n coefficients `c` (and `jet`) the last two entries
-    are instead the sums S_n = sum_k c_k phi_k and S_n' = sum_k c_k phi_k',
-    accumulated as S += g_k q_k and S' += g_k r_k with g_k = c_k sqrt(w_k),
-    so that no n x M row array is formed.  The factors u_k and 1/u_k do
-    not depend on the recursion, so they come for K poles at once,
-    K = _BLOCK // M clipped to [1, n], in 3 array passes over each K x M
-    block, plus the pole test where it cannot be skipped: on short point
-    sets one numpy call serves many poles, and from M = _BLOCK points on a
-    block holds one pole.  The products then run pole by pole on length-M
-    buffers in place, z - a_k written into the spent row of 1/u_k, in
-    array passes per pole: 12 with coefficients and 5 without their
-    derivatives, 4 for the rows phi_k alone and 10 with their derivatives,
-    8 for B_n and B_n' and 3 for B_n alone.  Every element takes the same
-    operations whatever K is, so K changes no bit of the results, and
+    unless `jet`; with coefficients `c` the last two entries are instead
+    the sums S_n = sum_k c_k phi_k and S_n' = sum_k c_k phi_k', accumulated
+    as S += g_k q_k and S' += g_k r_k with g_k = c_k sqrt(w_k), so that no
+    n x M row array is formed.  A block `c` of shape (n, K) gives the
+    (K, M) sums of its columns in one pass, each column by the numpy
+    calls of, and so bit for bit equal to, the one-column call.  The
+    factors u_k and 1/u_k do not depend on the recursion, so they come
+    for P poles at once, P = _BLOCK // M clipped to [1, n], in 3 array
+    passes over each P x M block, plus the pole test where it cannot be
+    skipped: on short point sets one numpy call serves many poles, and
+    from M = _BLOCK points on a block holds one pole.  The products then
+    run pole by pole on length-M buffers in place, z - a_k written into
+    the spent row of 1/u_k, in array passes per pole: 8 for B_n and B_n'
+    and 3 for B_n alone, plus 2 per sum or derivative sum and 1 per row
+    of phi_k or phi_k'.  Every element takes the same operations
+    whatever P is, so P changes no bit of the results, and
     every mode forms q, r, B and B' by the same expressions in the same
     operand order (numpy's complex product need not be bitwise symmetric),
     so B_n and B_n' agree bit for bit across modes.
 
     The functions phi_k depend on a_0..a_k alone, so one pass serves many
     orders: given `orders` as well, F non-decreasing orders ending at n,
-    the four results are snapshots of B, B', S and S' taken as the pass
-    reaches each order and come back with shape (F, M), row f at order
-    orders[f].  A snapshot at order m equals the one-order call with
-    c[:m] bit for bit.
+    the results are snapshots taken as the pass reaches each order, one
+    copy of the running values' buffer each into one array, and gain an
+    axis of F before the points, index f at order orders[f]: (F, M), and
+    (K, F, M) for a block.  A snapshot at order m equals the one-order
+    call with c[:m] bit for bit.
 
     Raises PoleProximity when z comes within POLE_TOL of a pole; a pole
     with 1 - max|z| |a_k| >= 2 POLE_TOL cannot fire that test and skips it.
@@ -164,18 +167,23 @@ def _recurse(
     # indexing numpy arrays inside the loop.
     acs = [a.conjugate() for a in poles]
     near = (1.0 - np.abs(zf).max(initial=0.0) * mod < 2.0 * POLE_TOL).tolist()
-    # g_k = c_k sqrt(w_k) weighs the sums; the rows take g_k = sqrt(w_k).
-    gs = (c[:n] * sw).tolist() if c is not None else sw.tolist()
-    b = np.ones_like(zf)
-    bp = np.zeros_like(zf) if jet else None
-    if c is None:
-        vals = np.empty((n, zf.size), dtype=np.complex128) if rows else None
-        ders = np.empty((n, zf.size), dtype=np.complex128) if rows and jet else None
-    else:
-        vals = np.zeros_like(zf)
-        ders = np.zeros_like(zf) if jet else None
+    # g_k = c_k sqrt(w_k) weighs the sums of the K columns of c; the rows take sqrt(w_k).
+    cols = [] if c is None else (np.asarray(c)[:n].reshape(n, -1) * sw[:, None]).T.tolist()
+    sws, width, lead = sw.tolist(), len(cols), 1 + jet
+    # One row each for B, B' (with `jet`), the K sums and their derivatives
+    # (with `jet`).  Filled, not np.zeros: calloc hands a large buffer out
+    # as fresh pages that fault on first write.
+    run = np.empty((lead + lead * width, zf.size), dtype=np.complex128)
+    run.fill(0.0)
+    run[0] = 1.0
+    b, bp = run[0], run[1] if jet else None
+    # Per column: its weights, its sum row and its derivative row.
+    dsums = run[lead + width :] if jet else [None] * width
+    sums = list(zip(cols, run[lead : lead + width], dsums)) if cols else []
+    vals = np.empty((n, zf.size), dtype=np.complex128) if rows else None
+    ders = np.empty((n, zf.size), dtype=np.complex128) if rows and jet else None
     if orders is not None:
-        snaps = np.empty((4, len(orders), zf.size), dtype=np.complex128)
+        snaps = np.empty((len(run), len(orders), zf.size), dtype=np.complex128)
         f = 0  # snapshots before f are taken
     size = max(1, min(n, _BLOCK // max(zf.size, 1)))
     block, q = np.empty((size, zf.size), dtype=np.complex128), np.empty_like(zf)
@@ -199,16 +207,17 @@ def _recurse(
                 r += bp
                 r *= inv
             # inv is spent: its row now holds g_k q_k and g_k r_k, then z - a_k.
-            if c is not None:
-                np.multiply(q, gs[k], out=inv)
-                vals += inv
+            if sums:
+                for g, s, ds in sums:
+                    np.multiply(q, g[k], out=inv)
+                    s += inv
+                    if jet:
+                        np.multiply(r, g[k], out=inv)
+                        ds += inv
+            elif rows:
+                np.multiply(q, sws[k], out=vals[k])
                 if jet:
-                    np.multiply(r, gs[k], out=inv)
-                    ders += inv
-            elif vals is not None:
-                np.multiply(q, gs[k], out=vals[k])
-                if ders is not None:
-                    np.multiply(r, gs[k], out=ders[k])
+                    np.multiply(r, sws[k], out=ders[k])
             m = np.subtract(zf, poles[k], out=inv)
             np.multiply(q, m, out=b)
             if jet:
@@ -216,11 +225,15 @@ def _recurse(
                 bp += q
             if orders is not None:
                 while f < len(orders) and orders[f] == k + 1:
-                    snaps[:, f] = b, bp, vals, ders
+                    snaps[:, f] = run
                     f += 1
-    if orders is not None:
-        return tuple(snaps)
-    return b, bp, vals, ders
+    out = run if orders is None else snaps
+    if c is not None:
+        # A 1-D c takes one row each, a block keeps the axis of its columns.
+        one = np.ndim(c) == 1
+        at = [lead, lead + 1] if one else [slice(lead, lead + width), slice(lead + width, None)]
+        vals, ders = out[at[0]], out[at[1]] if jet else None
+    return out[0], out[1] if jet else None, vals, ders
 
 
 def _grid_blaschke(

@@ -15,7 +15,7 @@ comment, list values sit in brackets:
     seed = 0
     format = csv                   # csv | json
     out = results/converge.csv     # default stdout
-    probes = 16                    # voronovskaya probe count / counterexample circle probes
+    probes = 16                    # voronovskaya probe count
     trials = 50                    # voronovskaya random densities
     kernel_samples = 64            # kernel command: samples per angle axis
 
@@ -325,7 +325,7 @@ def _execute(config: ExperimentConfig) -> dict[str, list]:
     elif config.command == "frostman":
         rows = _diagnose_orders(sequence, config.orders)
     elif config.command == "counterexample":
-        rows = cesaro_counterexample(sequence.points, config.orders, config.probes)
+        rows = cesaro_counterexample(sequence.points, config.orders)
     else:
         raise ValidationError("command", f"unknown command {config.command!r}")
     dicts = [r.to_row() for r in rows]

@@ -162,8 +162,8 @@ def coefficients(f: BoundaryGridFunction, basis: TMBasis) -> np.ndarray:
     Returns the 2n - 1 values as one array with <f, phi_k> at index
     n - 1 + k.  Negative indices use conj(phi_{-m}(t)) = t * phi_{m-1}(t),
     so both halves are products of the same n rows phi_k(t) with the
-    samples.  The grid must resolve the basis; stated tolerances elsewhere
-    assume at least default_resolution(order) samples.
+    samples.  The grid must resolve the basis: fewer than 16 n samples
+    raise ValueError.
     """
     n = basis.order
     if f.resolution < 16 * n:
@@ -295,15 +295,6 @@ def _require_length(coeffs: np.ndarray, n: int, what: str) -> None:
 def _require_circle(zf: np.ndarray, what: str) -> None:
     if zf.size and np.abs(np.abs(zf) - 1.0).max() > CIRCLE_TOL:
         raise ExtendedOffCircle(f"{what} requires points on the unit circle")
-
-
-def _cesaro_from_rows(coeffs: np.ndarray, vals: np.ndarray, tf: np.ndarray, n: int) -> np.ndarray:
-    """The order-n Cesaro mean at the flat points tf from rows phi_0, phi_1, ...
-    there; rows past n - 1 are ignored, so one set of rows at the largest
-    order serves every smaller one."""
-    rows = np.concatenate([np.conj(tf * vals[: n - 1][::-1]), vals[:n]])
-    weights = 1.0 - np.abs(np.arange(1 - n, n)) / n
-    return (weights * coeffs) @ rows
 
 
 def fejer_kernel(basis: TMBasis, t, z):
@@ -536,7 +527,8 @@ def sigma_rusak(f: BoundaryGridFunction, basis: TMBasis, z):
     Computed as T(c) + conj(T(d)) - f_0 (see the module docstring) from
     the grid's c_k = <f, phi_k> and d_k = <conj f, phi_k>, one product of
     the n basis rows with the samples and their conjugates, and f_0 their
-    mean; T is sigma_positive's recursion with those coefficients.  That
+    mean; T is sigma_positive's recursion, one pass over the poles that
+    sums the block [c, d] of both coefficient vectors at once.  That
     costs O(n (N + M)), with no array larger than the n x N rows.  Defined
     for boundary data and boundary evaluation points.  Positive and
     norm-one up to quadrature error, checked by C6: nonnegative data gives
@@ -544,10 +536,10 @@ def sigma_rusak(f: BoundaryGridFunction, basis: TMBasis, z):
     """
     zf, shape, scalar = _flatten(z)
     _require_circle(zf, "sigma_rusak")
-    n, seq = basis.order, basis.sequence
     sums = phi_values(basis, f.points) @ np.stack([np.conj(f.samples), f.samples], axis=1)
-    c, d = np.conj(sums.T) / f.resolution
-    tc, td = (_sigma_from_sums(*_recurse(seq, n, zf, c=g)) for g in (c, d))
+    # Column 0 holds c, column 1 d.
+    cd = np.conj(sums) / f.resolution
+    tc, td = _sigma_from_sums(*_recurse(basis.sequence, basis.order, zf, c=cd))
     return _restore(tc + np.conj(td) - f.samples.mean(), shape, scalar)
 
 

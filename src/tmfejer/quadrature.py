@@ -22,7 +22,6 @@ __all__ = [
     "BoundaryGridFunction",
     "NormReport",
     "next_power_of_two",
-    "default_resolution",
     "norms",
     "refined_minimum",
     "refined_maximum",
@@ -44,11 +43,6 @@ class NoConvergence(RuntimeError):
 
 def next_power_of_two(n: int) -> int:
     return 1 << max(int(n) - 1, 0).bit_length()
-
-
-def default_resolution(order: int) -> int:
-    """Default grid size for a basis of the given order: max(4096, 64*order)."""
-    return next_power_of_two(max(4096, 64 * int(order)))
 
 
 @functools.lru_cache(maxsize=32)

@@ -29,7 +29,6 @@ from tmfejer.operators import delta, sigma_positive
 from tmfejer.quadrature import (
     BoundaryGridFunction,
     NoConvergence,
-    default_resolution,
     refined_maximum,
     refined_minimum,
 )
@@ -185,8 +184,9 @@ class TestConvergence:
 
     @pytest.mark.parametrize("orders", [[64, 65], [62, 64]], ids=["grid-step", "one-grid"])
     def test_orders_across_a_grid_step_share_a_pass(self, orders, monkeypatch):
-        # default_resolution steps between n = 64 and 65; converge samples
-        # on no such grid, so either pair of orders takes one pass.
+        # A grid of max(4096, 64 n) points, rounded up to a power of two,
+        # steps between n = 64 and 65; converge samples on no such grid, so
+        # either pair of orders takes one pass.
         rng = np.random.default_rng(3)
         a = 0.6 * np.sqrt(rng.random(70)) * np.exp(2j * np.pi * rng.random(70))
         calls = []
@@ -242,7 +242,7 @@ class TestVoronovskaya:
         for r in rows:
             member = blaschke_multiple(seq_mixed.points[:6] + (r.z,))
             k = cauchy_transform(
-                BoundaryGridFunction.from_callable(member.value, default_resolution(6))
+                BoundaryGridFunction.from_callable(member.value, 4096)
             )
             want = abs(complex(delta(k, basis, r.z)) - complex(k.derivative(r.z)))
             assert r.extremal_value == pytest.approx(want, rel=1e-12)
@@ -321,11 +321,12 @@ class TestSaturation:
 
 class TestCounterexample:
     def test_closed_form_and_kernel_contrast(self):
-        rows = cesaro_counterexample([0.5] * 4, (1, 2, 3, 4), probes=64)
+        # rusak_sup over the 256 circle points that the CLI uses as well.
+        rows = cesaro_counterexample([0.5] * 4, (1, 2, 3, 4))
         for r in rows:
             assert r.excess == pytest.approx(r.closed_form, abs=1e-9)
             assert r.excess > 1.0
-            assert r.rusak_sup == pytest.approx(1.0, abs=1e-7)
+            assert r.rusak_sup == pytest.approx(1.0, abs=1e-12)
         assert rows[0].excess == pytest.approx(1.5, abs=1e-9)
         assert rows[1].excess == pytest.approx(1.375, abs=1e-9)
 
@@ -368,7 +369,7 @@ class TestCounterexample:
 
 # A multi-order call returns exactly the rows of one call per order: the
 # bundled sequences, a repeated pole, and orders far apart ("two-grids": 8
-# and 100 lie on either side of default_resolution's step).
+# and 100 lie on either side of the step of a max(4096, 64 n) grid).
 HARMONIC = PointSequence(tuple(1.0 - 1.0 / (k + 1.0) for k in range(1, 101)))
 REPEATED = (0.5, 0.3, 0.5, 0.5, 0.2)
 MULTI_ORDER_CASES = [

@@ -203,6 +203,30 @@ class TestOrdersInOnePass:
             assert one.tobytes() == many.tobytes()
 
 
+class TestCoefficientBlocks:
+    """A block of K coefficient vectors gives K sums in one pass, each
+    column bit for bit the one-column call."""
+
+    @pytest.mark.parametrize("jet", [True, False], ids=["derivatives", "sums"])
+    @pytest.mark.parametrize("orders", [None, [1, 3, 3, 8]], ids=["one-order", "snapshots"])
+    @pytest.mark.parametrize("npts", [1, 2, 22])
+    def test_columns_equal_one_column_calls(self, seq_mixed, jet, orders, npts):
+        rng = np.random.default_rng(9)
+        c = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        # Circle and interior points, and a_2, a zero of B_n from n = 3 on.
+        zf = np.append(0.8 * np.exp(1j * np.arange(npts - 1.0)), seq_mixed.points[2])
+        b, bp, s, sp = _recurse(seq_mixed, 8, zf, jet=jet, c=c, orders=orders)
+        assert s.shape == (3,) + np.shape(b)
+        assert (bp is None, sp is None) == (not jet, not jet)
+        for j in range(3):
+            one = _recurse(seq_mixed, 8, zf, jet=jet, c=c[:, j].copy(), orders=orders)
+            assert one[0].tobytes() == b.tobytes()
+            assert one[2].tobytes() == s[j].tobytes()
+            if jet:
+                assert one[1].tobytes() == bp.tobytes()
+                assert one[3].tobytes() == sp[j].tobytes()
+
+
 class TestPoleBlocks:
     """The factors of K poles formed at once change no bit: a budget of
     one value per block, which holds one pole per block, gives the bytes
@@ -217,6 +241,9 @@ class TestPoleBlocks:
         "sums": dict(c=C, jet=False),
         "sums and derivatives": dict(c=C),
         "snapshots": dict(c=C, orders=[1, 40, 41, 41, 100, 128]),
+        "block snapshots": dict(
+            c=np.stack([C, 2.0 * C], axis=1), jet=False, orders=[1, 40, 41, 41, 100, 128]
+        ),
     }
 
     @pytest.mark.parametrize("mode", list(MODES))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tmfejer.quadrature import (
     BoundaryGridFunction,
     _zoom,
-    default_resolution,
     next_power_of_two,
     norms,
     refined_maximum,
@@ -160,8 +159,3 @@ class TestResolutions:
         assert next_power_of_two(4095) == 4096
         assert next_power_of_two(4096) == 4096
         assert next_power_of_two(4097) == 8192
-
-    def test_default_resolution(self):
-        assert default_resolution(1) == 4096
-        assert default_resolution(64) == 4096
-        assert default_resolution(100) == 8192

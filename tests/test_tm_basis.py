@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from conftest import angles, central_difference, circle_grid, disc_points, small_sequences
 from tmfejer.blaschke import PointSequence, eval_blaschke
-from tmfejer.quadrature import default_resolution
 from tmfejer.tm_basis import DiagonalSingularity, TMBasis, cd_kernel, phi_jet, phi_values
 
 
@@ -33,7 +32,7 @@ class TestPhiValues:
 
     def test_orthonormal_on_default_grid(self, seq_mixed):
         basis = TMBasis(seq_mixed, 8)
-        t = circle_grid(default_resolution(8))
+        t = circle_grid(4096)
         vals = phi_values(basis, t)
         gram = (vals @ vals.conj().T) / t.size
         assert np.abs(gram - np.eye(8)).max() < 1e-8
