@@ -7,7 +7,7 @@ what the command line layer serializes.
 The TM system is nested, phi_k depending on a_0..a_k alone, so neither
 phi_k nor the coefficient c_k = <f, phi_k> depends on the order.
 `convergence_experiment` and `cesaro_counterexample` compute one
-coefficient vector on the whole sequence and give order n its slice.
+coefficient vector and give order n its slice.
 They and `_diagnose_orders` (the `frostman` report) evaluate up to
 _ORDERS_PER_PASS orders in one pass over the poles:
 one recursion that snapshots every order's sums, or one running
@@ -31,15 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from tmfejer.blaschke import PointSequence, _check_order, _frostman_prefixes, _recurse
-from tmfejer.corpus import _DEGREE, _unit_densities, constant_one, standard_corpus
+from tmfejer.corpus import _DEGREE, _unit_densities, standard_corpus
 from tmfejer.operators import (
     AnalyticTestFunction,
     _projected_taylor,
     _sigma_from_sums,
     coefficients_of,
 )
-from tmfejer.quadrature import _SCAN, NoConvergence, _refined_minima
-from tmfejer.tm_basis import TMBasis
+from tmfejer.quadrature import _SCAN, NoConvergence, _grid, _refined_minima
+from tmfejer.tm_basis import TMBasis, phi_values
 
 __all__ = [
     "SequenceDiagnostics",
@@ -322,16 +322,9 @@ class SaturationRow:
     label: str
     error_sup: float
     lower_bound: float
-    ratio: float
 
     def to_row(self) -> dict:
-        return {
-            "order": self.order,
-            "label": self.label,
-            "error_sup": self.error_sup,
-            "lower_bound": self.lower_bound,
-            "ratio": None if np.isnan(self.ratio) else self.ratio,
-        }
+        return dict(vars(self))
 
 
 def saturation_check(sequence: PointSequence, order: int, members=None) -> list[SaturationRow]:
@@ -341,9 +334,9 @@ def saturation_check(sequence: PointSequence, order: int, members=None) -> list[
     play.  The sup is convergence_experiment's, one order at a time: the
     same error map, refined from the same scan and the Frostman minimizer.
     Cauchy members are skipped, so the report holds the rows of the ten
-    closed-form members that the bundled saturation report fixes.  Ratio
-    is error over floor (nan when the floor vanishes, e.g. for constants;
-    None in the report row).
+    closed-form members that the bundled saturation report fixes.  The
+    saturation statement is error_sup >= lower_bound; the floor vanishes
+    for constants, so the row carries both sides rather than their ratio.
     """
     if members is None:
         members = standard_corpus()
@@ -358,15 +351,8 @@ def saturation_check(sequence: PointSequence, order: int, members=None) -> list[
         _, (err_sup,) = _boundary_errors(f, sequence, c, [order], argmin)
         fp = np.abs(np.asarray(f.derivative(pts), dtype=np.complex128))
         lower = float(((1.0 - np.abs(pts) ** 2) * fp).max() / order)
-        ratio = float(err_sup) / lower if lower > 1e-300 else float("nan")
         rows.append(
-            SaturationRow(
-                order=order,
-                label=f.label,
-                error_sup=float(err_sup),
-                lower_bound=lower,
-                ratio=ratio,
-            )
+            SaturationRow(order=order, label=f.label, error_sup=float(err_sup), lower_bound=lower)
         )
     return rows
 
@@ -399,11 +385,12 @@ def cesaro_counterexample(values, orders) -> list[CounterexampleRow]:
     Cesaro mean is S_n(c) - S_n(k c) / n with S_n(x) = sum_{k<n} x_k phi_k.
     The kernel method stays at sup one on the same data: `rusak_sup` is
     the largest |sigma_rusak(1)| over 256 equally spaced points of the
-    circle, 2 Re T(c) - 1 with the constant's exact coefficients
-    c_k = conj(phi_k(0)), so no grid enters.  A sup that misses one by
-    more than 1e-9 raises NoConvergence for the first such order.  The
-    coefficients of the constant are computed once on the whole sequence,
-    and order n takes c_0, ..., c_{n-1}.  The orders share passes over the
+    circle, 2 Re T(c) - 1 with the constant's coefficients c.  A sup that
+    misses one by more than 1e-9 raises NoConvergence for the first such
+    order.  Those coefficients are exact, c_k = <1, phi_k> = conj(phi_k(0)),
+    from one pass of the recursion at 0 up to the largest order, so poles
+    past it cost nothing; order n takes c_0, ..., c_{n-1}.  An order past
+    the sequence raises ValueError.  The orders share passes over the
     poles; each row equals the one-order call.
     """
     arr = np.asarray(values, dtype=np.complex128)
@@ -411,7 +398,7 @@ def cesaro_counterexample(values, orders) -> list[CounterexampleRow]:
         raise ValueError("counterexample sequences are real with 0 <= a < 1")
     sequence = PointSequence(tuple(float(v.real) for v in arr))
     orders = [int(n) for n in orders]
-    c = coefficients_of(constant_one(), TMBasis(sequence, len(sequence)))[len(sequence) - 1 :]
+    c = np.conj(phi_values(TMBasis(sequence, max(orders, default=1)), 0.0))
     return _by_pass(orders, lambda part: _counterexample_pass(arr.real, sequence, c, part))
 
 
@@ -429,7 +416,7 @@ def _counterexample_pass(a, sequence, c, orders: list) -> list[CounterexampleRow
 
     _, v, _ = _refined_minima(negated_gaps, np.full((len(orders), 1), np.pi))
     # The constant is real, so d = c and sigma_rusak = 2 Re T(c) - f_0 with f_0 = 1.
-    tp = np.exp(2j * np.pi * np.arange(256) / 256)
+    tp = _grid(256)[1]
     tc = _sigma_from_sums(*_recurse(sequence, top, tp, c=c[:top], orders=orders))
     rsup = np.abs(2.0 * tc.real - 1.0).max(axis=1)
     rows = [

@@ -24,12 +24,12 @@ value-level problems are ValidationError (exit 2); numerical failures
 exit 3.  A report goes from the drivers to the file as columns.  Reruns
 of an identical config on the same machine produce byte-identical files:
 no timestamps, `%.17g` floats in CSV and float repr in JSON, sorted JSON
-keys.  An undefined value is nan in CSV and null in JSON; any other
-non-finite float exits 2 in either format.  No command takes a grid
-setting, and a config that names one fails as an unknown key: converge
-reads its norms off the 8192-angle scans of its refined extrema,
-voronovskaya its gaps off Taylor coefficients and counterexample its
-kernel column off the constant's exact coefficients.  Coefficients of
+keys.  Every float cell is finite: an undefined or non-finite value
+exits 2 in either format.  No command takes a grid setting, and a config
+that names one fails as an unknown key: converge reads its norms off
+the 8192-angle scans of its refined extrema, voronovskaya its gaps off
+Taylor coefficients and counterexample its kernel column off the
+constant's exact coefficients.  Coefficients of
 the holomorphic functions (one, identity, mobius, pole, poly) come from
 a contour |t| = R > 1 that is sized per function and order; a function
 that needs more than CONTOUR_CAP contour points, such as a pole closer
@@ -332,42 +332,40 @@ def _execute(config: ExperimentConfig) -> dict[str, list]:
     return {key: [d[key] for d in dicts] for key in dicts[0]}
 
 
-# Per format: the text of None (undefined), a float's slot in the row
-# template and its encoder, and the encoder of every other value.
+# Per format: a float's slot in the row template and its encoder, and the
+# encoder of every other value.
 _ENCODERS = {
-    "csv": ("nan", "%.17g", "%.17g".__mod__, str),
-    "json": ("null", "%r", float.__repr__, json.dumps),
+    "csv": ("%.17g", "%.17g".__mod__, str),
+    "json": ("%r", float.__repr__, json.dumps),
 }
 
 
 def _column(column, fmt: str) -> tuple[str, list]:
     """One column's slot in the row template and the cells that fill it.
 
-    A column is a list or a float array holding values of one type, or
-    floats and None.  A float column that is mostly distinct is formatted
-    by its slot in the `%` pass, from plain floats so that JSON keeps the
-    float repr of numpy scalars too; any other column formats each distinct
-    value once.  Floats are told apart by their bits, which keeps 0.0 and
-    -0.0 apart.  A non-finite float raises ValueError.
+    A column is a list or a float array holding values of one type.  A
+    float column that is mostly distinct is formatted by its slot in the
+    `%` pass, from plain floats so that JSON keeps the float repr of numpy
+    scalars too; any other column formats each distinct value once.
+    Floats are told apart by their bits, which keeps 0.0 and -0.0 apart.
+    A column that starts with a float or None is a float column, and a
+    None (read as nan) or non-finite float anywhere in it raises
+    ValueError, which names the last such cell.
     """
-    null, slot, encode_float, encode = _ENCODERS[fmt]
-    if not isinstance(next((v for v in column if v is not None), None), float):
-        memo = {v: encode(v) for v in dict.fromkeys(column) if v is not None}
-        memo[None] = null
+    slot, encode_float, encode = _ENCODERS[fmt]
+    if not isinstance(column[0], (float, type(None))):
+        memo = {v: encode(v) for v in dict.fromkeys(column)}
         return "%s", list(map(memo.__getitem__, column))
     values = np.array(column, dtype=np.float64)  # None becomes nan
-    undefined = np.flatnonzero(~np.isfinite(values)).tolist()
-    bad = next((column[i] for i in undefined if column[i] is not None), None)
-    if bad is not None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
         what = f"Out of range float values are not {fmt.upper()} compliant"
-        raise ValueError(f"{what}: {float(bad)!r}")
+        raise ValueError(f"{what}: {float(values[bad[-1]])!r}")
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    if not undefined and 2 * len(bits) > len(values):
+    if 2 * len(bits) > len(values):
         return slot, values.tolist()
     texts = np.array(list(map(encode_float, bits.view(np.float64).tolist())), dtype=object)
-    cells = texts[inverse]
-    cells[undefined] = null
-    return "%s", cells.tolist()
+    return "%s", texts[inverse].tolist()
 
 
 def _table(columns: list, fmt: str, pieces: list[str]) -> str:
@@ -390,9 +388,9 @@ def _render(config: ExperimentConfig, columns: dict[str, list]) -> str:
     """The report text: a header, then the rows as one `_table`.
 
     CSV floats are `%.17g`; JSON is laid out as json.dumps(doc,
-    sort_keys=True, indent=2) would, floats as their repr.  None is nan in
-    CSV and null in JSON; any other non-finite float raises ValueError.
-    The JSON rows go into the dumped document in place of an empty list.
+    sort_keys=True, indent=2) would, floats as their repr.  A None or
+    non-finite float raises ValueError in either format.  The JSON rows
+    go into the dumped document in place of an empty list.
     """
     meta = {
         "tool": "tmfejer",
@@ -409,7 +407,7 @@ def _render(config: ExperimentConfig, columns: dict[str, list]) -> str:
         keys = [f"      {json.dumps(k)}: " for k in names]
         pieces = ["    {\n" + keys[0]] + [",\n" + k for k in keys[1:]] + ["\n    },\n"]
         rows = _table([columns[k] for k in names], "json", pieces)
-        doc = {"schema_version": "3", "metadata": meta, "rows": []}
+        doc = {"schema_version": "4", "metadata": meta, "rows": []}
         text = json.dumps(doc, sort_keys=True, indent=2)
         # rows[:-2] drops the separator after the last row.
         return text.replace('"rows": []', f'"rows": [\n{rows[:-2]}\n  ]', 1) + "\n"

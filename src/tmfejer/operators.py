@@ -56,7 +56,6 @@ coefficients of B_n and of its densities.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -71,7 +70,7 @@ from tmfejer.blaschke import (
     _restore,
     _taylor,
 )
-from tmfejer.quadrature import BoundaryGridFunction, NoConvergence, next_power_of_two
+from tmfejer.quadrature import BoundaryGridFunction, NoConvergence, _grid, next_power_of_two
 from tmfejer.tm_basis import (
     CIRCLE_TOL,
     ExtendedOffCircle,
@@ -175,17 +174,8 @@ def coefficients(f: BoundaryGridFunction, basis: TMBasis) -> np.ndarray:
     return np.concatenate([negative[::-1], positive])
 
 
-@functools.lru_cache(maxsize=32)
-def _roots(npts: int) -> np.ndarray:
-    """The read-only table e^{2 pi i m / M}, m = 0 .. M - 1, built once per
-    M; 32 tables cover every power of two the grid routes can ask for."""
-    roots = np.exp(2j * np.pi * np.arange(npts) / npts)
-    roots.flags.writeable = False
-    return roots
-
-
 # The 64 points on which the growth of f is sampled.
-_RING = _roots(64)
+_RING = _grid(64)[1]
 
 
 def _tame(f: AnalyticTestFunction, r: float, outer: float) -> bool:
@@ -273,7 +263,7 @@ def coefficients_of(f: AnalyticTestFunction, basis: TMBasis) -> np.ndarray:
     while npts <= CONTOUR_CAP:
         # Even-indexed points first, so the N/2-point rule is a leading block.
         m = npts // 2
-        e = np.concatenate([_roots(npts)[0::2], _roots(npts)[1::2]])
+        e = _grid(npts)[1].reshape(-1, 2).T.ravel()
         w = phi_values(basis, e / r)
         np.conj(w, out=w)
         fv = np.asarray(f.value(r * e), dtype=np.complex128)
@@ -428,7 +418,7 @@ def _uniform_grid(f: AnalyticTestFunction, sequence: PointSequence, n: int, zf: 
     if not abs(r0 - 1.0) <= _CONTOUR_TOL:
         return None
     z0 = complex(zf[0]) / r0
-    roots = _roots(npts)
+    roots = _grid(npts)[1]
     # Written so that a NaN point fails the test.
     if not np.abs(zf - z0 * roots).max() <= _CONTOUR_TOL:
         return None
@@ -564,7 +554,7 @@ def _taylor_of(f: AnalyticTestFunction) -> np.ndarray:
     npts = _contour_size(f, r, rho)
     if npts > CONTOUR_CAP:
         raise NoConvergence(f"Taylor coefficients of {f.label} need more than {CONTOUR_CAP} points")
-    t = r * _roots(npts)
+    t = r * _grid(npts)[1]
     c = np.fft.fft(np.broadcast_to(np.asarray(f.value(t), dtype=np.complex128), t.shape)) / npts
     top = _live_terms(np.abs(c))
     return c[:top] * r ** -np.arange(top, dtype=np.float64)
@@ -621,7 +611,7 @@ def _projected_derivative(
         npts *= 2
     kg = None
     while kg is None and npts <= CONTOUR_CAP:
-        roots = _roots(npts)
+        roots = _grid(npts)[1]
         b, _ = _grid_blaschke(sequence, n, 1.0, roots, terms)
         fv = np.broadcast_to(np.asarray(f.value(roots), dtype=np.complex128), roots.shape)
         kg = _positive_spectrum(fv, b)

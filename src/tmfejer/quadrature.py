@@ -90,7 +90,7 @@ class BoundaryGridFunction:
 
     @classmethod
     def from_callable(cls, fn: Callable, resolution: int) -> "BoundaryGridFunction":
-        return cls(fn(np.exp(2j * np.pi * np.arange(resolution) / resolution)))
+        return cls(fn(_grid(resolution)[1]))
 
 
 @dataclass(frozen=True)

@@ -308,7 +308,6 @@ class TestSaturation:
         (r,) = saturation_check(seq_short, 3, members=[constant_one()])
         assert r.lower_bound == 0.0
         assert r.error_sup < 1e-9
-        assert np.isnan(r.ratio)
 
     @pytest.mark.parametrize("order", [2, 4, 8])
     def test_error_sup_is_convergence_error_sup(self, seq_mixed, order):
@@ -337,8 +336,21 @@ class TestCounterexample:
             cesaro_counterexample([-0.5], (1,))
 
     def test_order_validation(self):
-        with pytest.raises(ValueError):
+        # An order past the sequence is named, whatever the other orders.
+        with pytest.raises(ValueError, match="order 2 outside"):
             cesaro_counterexample([0.5], (2,))
+        with pytest.raises(ValueError, match="order 5 outside"):
+            cesaro_counterexample([0.5, 0.3], (1, 5))
+
+    def test_poles_past_the_largest_order_change_no_bit(self):
+        # c_k = conj(phi_k(0)) depends on a_0..a_k alone, so trailing poles
+        # neither enter the rows nor cost a contour sum.
+        values = [0.5, 0.3, 0.7, 0.1, 0.6, 0.2, 0.4, 0.8]
+        tail = list(np.random.default_rng(3).uniform(0.0, 0.9, 2000))
+        assert cesaro_counterexample(values + tail, [2, 5, 8]) == cesaro_counterexample(
+            values, [2, 5, 8]
+        )
+        assert cesaro_counterexample(values + tail, []) == []
 
     @pytest.mark.parametrize(
         "values,order",

@@ -177,7 +177,7 @@ class TestCommands:
         assert_pinned_format(text, fmt)
         if fmt == "json":
             doc = json.loads(text)
-            assert doc["schema_version"] == "3"
+            assert doc["schema_version"] == "4"
             assert doc["metadata"]["command"] == cfg.command
             assert doc["rows"]
         else:
@@ -291,21 +291,32 @@ class TestCommands:
             assert row["error_l1"] < 1e-9
 
     def test_saturation_json_is_strict(self, tmp_path):
-        # The constant member has a vanishing floor, so its ratio is
-        # undefined: null in JSON, never a bare NaN.
-        out = tmp_path / "s.json"
-        cfg = parse_config(
-            "command = saturation\nsequence = list:[0.5,0.3]\norders = [1,2]\n"
-            f"format = json\nout = {out}\n"
-        )
-        assert run(cfg) == 0
+        # The constant member has a vanishing floor, and still every cell is
+        # a label or a finite number in both formats: no nan, null or NaN.
+        columns = ["order", "label", "error_sup", "lower_bound"]
 
         def reject(token):
             raise ValueError(f"non-finite JSON constant {token}")
 
-        rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
-        assert [r["ratio"] for r in rows if r["label"] == "one"] == [None, None]
-        assert all(r["ratio"] is not None for r in rows if r["label"] != "one")
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"s.{fmt}"
+            cfg = parse_config(
+                "command = saturation\nsequence = list:[0.5,0.3]\norders = [1,2]\n"
+                f"format = {fmt}\nout = {out}\n"
+            )
+            assert run(cfg) == 0
+            text = out.read_text()
+            if fmt == "json":
+                rows = json.loads(text, parse_constant=reject)["rows"]
+                cells = [[r[k] for k in columns] for r in rows]
+                assert all(sorted(r) == sorted(columns) for r in rows)
+            else:
+                lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+                assert lines[0] == ",".join(columns)
+                cells = [ln.split(",") for ln in lines[1:]]
+            assert [r[1] for r in cells].count("one") == 2
+            for order, _, error_sup, lower_bound in cells:
+                assert all(math.isfinite(float(v)) for v in (order, error_sup, lower_bound))
 
     def test_stdout_when_no_out_path(self, capsys):
         cfg = parse_config("command = frostman\nsequence = constant:0.5\norders = [1]\n")
@@ -338,15 +349,13 @@ GOLDEN_ATOL = 1e-14
 
 
 def _same(got, want) -> bool:
-    """Numbers agree to the golden tolerances, NaN with NaN; text exactly."""
+    """Numbers agree to the golden tolerances; text exactly."""
     if isinstance(want, str):
         try:
             got, want = float(got), float(want)
         except ValueError:
             return got == want
     if isinstance(want, float) and isinstance(got, (int, float)):
-        if math.isnan(want) or math.isnan(got):
-            return math.isnan(want) and math.isnan(got)
         return math.isclose(got, want, rel_tol=GOLDEN_RTOL, abs_tol=GOLDEN_ATOL)
     if isinstance(want, dict):
         return isinstance(got, dict) and got.keys() == want.keys() and all(
@@ -582,14 +591,12 @@ def test_experiment_config_is_dataclass():
 class TestWriter:
     """Exact bytes of a small synthetic report in both formats."""
 
-    # signs repeats, value is distinct, angle is a float array; ratio and
-    # label repeat, and ratio holds None.
+    # signs and label repeat, value is distinct, angle is a float array.
     COLUMNS = {
         "order": [1, 2, 2, 3],
         "label": ['a"b', "plain", 'a"b', "tab\there"],
         "signs": [-0.0, 0.0, -0.0, 0.0],
         "value": [np.float64(0.1), -0.0, 0.0, 1.0 / 3.0],
-        "ratio": [None, 0.25, None, np.float64(0.25)],
         "angle": np.array([0.0, -0.0, 2.5, 1e-300]),
     }
     CSV = (
@@ -597,17 +604,17 @@ class TestWriter:
         "# command: frostman\n"
         "# sequence: constant:0.5 (generator v1)\n"
         "# seed: 0\n"
-        "order,label,signs,value,ratio,angle\n"
-        '1,a"b,-0,0.10000000000000001,nan,0\n'
-        "2,plain,0,-0,0.25,-0\n"
-        '2,a"b,-0,0,nan,2.5\n'
-        "3,tab\there,0,0.33333333333333331,0.25,1e-300\n"
+        "order,label,signs,value,angle\n"
+        '1,a"b,-0,0.10000000000000001,0\n'
+        "2,plain,0,-0,-0\n"
+        '2,a"b,-0,0,2.5\n'
+        "3,tab\there,0,0.33333333333333331,1e-300\n"
     )
     ROWS = (
-        ("0.0", '"a\\"b"', "1", "null", "-0.0", "0.1"),
-        ("-0.0", '"plain"', "2", "0.25", "0.0", "-0.0"),
-        ("2.5", '"a\\"b"', "2", "null", "-0.0", "0.0"),
-        ("1e-300", '"tab\\there"', "3", "0.25", "0.0", "0.3333333333333333"),
+        ("0.0", '"a\\"b"', "1", "-0.0", "0.1"),
+        ("-0.0", '"plain"', "2", "0.0", "-0.0"),
+        ("2.5", '"a\\"b"', "2", "-0.0", "0.0"),
+        ("1e-300", '"tab\\there"', "3", "0.0", "0.3333333333333333"),
     )
 
     @staticmethod
@@ -618,7 +625,7 @@ class TestWriter:
         assert _render(self.config("csv"), self.COLUMNS) == self.CSV
 
     def test_json_bytes(self):
-        names = ("angle", "label", "order", "ratio", "signs", "value")
+        names = ("angle", "label", "order", "signs", "value")
         rows = ",\n".join(
             "    {\n" + ",\n".join(f'      "{k}": {v}' for k, v in zip(names, row)) + "\n    }"
             for row in self.ROWS
@@ -636,7 +643,7 @@ class TestWriter:
             f'    "tool_version": "{__version__}"\n'
             "  },\n"
             f'  "rows": [\n{rows}\n  ],\n'
-            '  "schema_version": "3"\n'
+            '  "schema_version": "4"\n'
             "}\n"
         )
         assert _render(self.config("json"), self.COLUMNS) == want
@@ -650,3 +657,10 @@ class TestWriter:
     def test_non_finite_float_named(self, fmt, column):
         with pytest.raises(ValueError, match=f"not {fmt.upper()} compliant: -?inf$"):
             _render(self.config(fmt), {"order": [1] * len(column), "value": column})
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("column", [[None, 0.5], [0.5, None]], ids=["first", "last"])
+    def test_none_cell_refused(self, fmt, column):
+        # No driver leaves a cell undefined, so None is never written as text.
+        with pytest.raises(ValueError, match=f"not {fmt.upper()} compliant: nan$"):
+            _render(self.config(fmt), {"order": [1, 2], "value": column})
