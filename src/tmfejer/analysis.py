@@ -6,22 +6,22 @@ what the command line layer serializes.
 
 The TM system is nested, phi_k depending on a_0..a_k alone, so neither
 phi_k nor the coefficient c_k = <f, phi_k> depends on the order.
-`convergence_experiment` and `cesaro_counterexample` compute one
-coefficient vector and give order n its slice.
-They and `_diagnose_orders` (the `frostman` report) evaluate up to
-_ORDERS_PER_PASS orders in one pass over the poles:
-one recursion that snapshots every order's sums, or one running
-Frostman sum.  Every extremum of the pass
-is then refined in one multi-row zoom.  Each row equals the one-order
-call on the same sequence bit for bit.  `voronovskaya_experiment` and
+`cesaro_counterexample` computes one coefficient vector and gives order
+n its slice.  It, `convergence_experiment` and `_diagnose_orders` (the
+`frostman` report) evaluate up to _ORDERS_PER_PASS orders in one pass
+over the poles: one recursion that snapshots every order's B_n and B_n'
+or sums, or one running Frostman sum.  Every extremum of the pass is
+then refined in one multi-row zoom.  Each row equals the one-order call
+on the same sequence bit for bit.  `voronovskaya_experiment` and
 `saturation_check` take one order per call.
 
 The uniform error ||f - sigma_positive(f)||_C has one route: the error
-map of `_boundary_errors` and its refined sup, seeded by the Frostman
-minimizer.  `saturation_check` runs it at one order, so its error_sup
-equals convergence_experiment's.  It needs only the minimizer, not the
-rest of the diagnostics, so the drift check on the mean of |B_n'|, a
-column it does not report, does not stop it on poles near the circle.
+map |B_n/B_n'| |f' - B_n g'| of `_boundary_errors`, with no coefficients
+c_k, and its refined sup, seeded by the Frostman minimizer.
+`saturation_check` runs it at one order, so its error_sup equals
+convergence_experiment's.  It needs only the minimizer, not the rest of
+the diagnostics, so the drift check on the mean of |B_n'|, a column it
+does not report, does not stop it on poles near the circle.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ from tmfejer.blaschke import PointSequence, _check_order, _frostman_prefixes, _r
 from tmfejer.corpus import _DEGREE, _unit_densities, standard_corpus
 from tmfejer.operators import (
     AnalyticTestFunction,
+    _delta_at,
     _projected_taylor,
+    _projections,
     _sigma_from_sums,
-    coefficients_of,
 )
 from tmfejer.quadrature import _SCAN, NoConvergence, _grid, _refined_minima
 from tmfejer.tm_basis import TMBasis, phi_values
@@ -199,41 +200,40 @@ def convergence_experiment(
     columns are means over the 8192-angle scans of the error's and the
     Frostman minimum's refined searches, a trapezoid rule that converges
     geometrically on these rational integrands; no grid setting reaches
-    them.  The coefficients come from coefficients_of's contour on the
-    whole sequence, once per call, and order n takes c_0..c_{n-1}.  The
-    orders share passes over the poles; each row equals the one-order
-    call on the same sequence.
+    them.  Poles past the largest order cost nothing.  The orders share
+    passes over the poles; each row equals the one-order call bit for bit.
     """
     orders = [int(n) for n in orders]
-    size = len(sequence)
-    c = coefficients_of(f, TMBasis(sequence, size))[size - 1 :]
-    return _by_pass(orders, lambda part: _convergence_pass(f, sequence, c, part))
+    return _by_pass(orders, lambda part: _convergence_pass(f, sequence, part))
 
 
-def _boundary_errors(f, sequence, c, orders: list, argmins):
+def _boundary_errors(f, sequence, orders: list, argmins):
     """|f - sigma_positive(f)| on the circle at the orders of one pass.
 
     Returns the (F, 8192) errors on the scan angles, row j at orders[j],
     and the (F,) refined sups of its rows, row j's search seeded by
-    argmins[j], the Frostman minimizer where 1/|B_n'| peaks.  One
-    recursion per set of angles carries every order's S_n, S_n', B_n and
-    B_n' from the coefficients c_0, c_1, ... in c.
+    argmins[j], the Frostman minimizer where 1/|B_n'| peaks.  The error
+    is |B_n/B_n'| |f' - B_n g'| as in delta: one recursion per set of
+    angles snapshots every order's B_n and B_n', and `_projections` runs
+    once for the scan and every zoom round.
     """
+    projections = _projections(f, sequence, orders)
 
     def negated_errors(theta):
         t = np.exp(1j * theta)
-        sums = _recurse(sequence, orders[-1], t, c=c[: orders[-1]], orders=orders)
-        return -np.abs(np.asarray(f.value(t)) - _sigma_from_sums(*sums))
+        b, bp, _, _ = _recurse(sequence, orders[-1], t, orders=orders)
+        d = np.stack([_delta_at(f, kf, kg, t, bj) for (kf, kg), bj in zip(projections, b)])
+        return -np.abs(b / bp) * np.abs(d)
 
     _, v, scan = _refined_minima(negated_errors, np.asarray(argmins)[:, None])
     return -scan, -v
 
 
-def _convergence_pass(f, sequence, c, orders: list) -> list[ConvergenceRow]:
-    """The rows of one pass, from the coefficients c."""
+def _convergence_pass(f, sequence, orders: list) -> list[ConvergenceRow]:
+    """The rows of one pass."""
     argmins, _, frostman_scan = minima = _frostman_minima(sequence, orders)
     diags = _diagnose_pass(sequence, orders, minima)
-    err, sups = _boundary_errors(f, sequence, c, orders, argmins)
+    err, sups = _boundary_errors(f, sequence, orders, argmins)
     inv = 1.0 / frostman_scan
     rows = []
     for j, (n, diag) in enumerate(zip(orders, diags)):
@@ -288,7 +288,7 @@ def voronovskaya_experiment(
     evaluated.  conj(B_n) has only non-positive frequencies on the circle,
     so for mu = sum_{|m|<=6} mu_m t^m, g = sum_{k<=6} c_k z^k with
     c_k = sum_{m>=k} mu_m conj(b_{m-k}) from the Taylor coefficients b_j of
-    B_n, by delta's `_projected_taylor`: no grid.  Random trials draw unit
+    B_n, by `_projected_taylor`: no grid.  Random trials draw unit
     densities, and `random_max` records the worst gap per probe.
     `extremal_value` is the gap of the
     member B_n m_z, m_z(w) = (w - z)/(1 - conj(z) w), which attains the
@@ -332,7 +332,8 @@ def saturation_check(sequence: PointSequence, order: int, members=None) -> list[
 
     The floor is (1/n) max_j (1 - |a_j|^2) |f'(a_j)| over the poles in
     play.  The sup is convergence_experiment's, one order at a time: the
-    same error map, refined from the same scan and the Frostman minimizer.
+    same error map, refined from the same scan and the Frostman minimizer;
+    the constant's is 0 exactly, since g' = 0.
     Cauchy members are skipped, so the report holds the rows of the ten
     closed-form members that the bundled saturation report fixes.  The
     saturation statement is error_sup >= lower_bound; the floor vanishes
@@ -340,15 +341,13 @@ def saturation_check(sequence: PointSequence, order: int, members=None) -> list[
     """
     if members is None:
         members = standard_corpus()
-    basis = TMBasis(sequence, order)
     pts = sequence.as_array()[:order]
     argmin, _, _ = _frostman_minima(sequence, [order])
     rows = []
     for f in members:
         if f.kind == "cauchy_transform":
             continue
-        c = coefficients_of(f, basis)[order - 1 :]
-        _, (err_sup,) = _boundary_errors(f, sequence, c, [order], argmin)
+        _, (err_sup,) = _boundary_errors(f, sequence, [order], argmin)
         fp = np.abs(np.asarray(f.derivative(pts), dtype=np.complex128))
         lower = float(((1.0 - np.abs(pts) ** 2) * fp).max() / order)
         rows.append(

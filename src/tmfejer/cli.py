@@ -29,12 +29,12 @@ exits 2 in either format.  No command takes a grid setting, and a config
 that names one fails as an unknown key: converge reads its norms off
 the 8192-angle scans of its refined extrema, voronovskaya its gaps off
 Taylor coefficients and counterexample its kernel column off the
-constant's exact coefficients.  Coefficients of
-the holomorphic functions (one, identity, mobius, pole, poly) come from
-a contour |t| = R > 1 that is sized per function and order; a function
-that needs more than CONTOUR_CAP contour points, such as a pole closer
-than about 5e-3 to the circle, exits 3, and so does a counterexample
-whose kernel column misses one by more than 1e-9.
+constant's exact coefficients.  converge and saturation take no
+coefficients: their errors are (B_n/B_n')(f' - B_n g'), g = P_+(conj(B_n) f),
+from Taylor coefficients by an FFT on the circle or on a contour
+|t| = R > 1; a function that needs more than CONTOUR_CAP contour points,
+such as a pole closer than about 5e-3 to the circle, exits 3, and so
+does a counterexample whose kernel column misses one by more than 1e-9.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Fourier data with respect to the extended system, c_k = <f, phi_k> for
 |k| < n, is one array of length 2n - 1 holding c_k at index n - 1 + k.
-Its upper half c_0, ..., c_{n-1} gives the partial sum S_n(f) used by
-sigma_positive; the whole array gives the Cesaro means.  The
+Its upper half c_0, ..., c_{n-1} gives the partial sum S_n(f); the whole
+array gives the Cesaro means.  The
 positive summation method rests on the kernel
 
     F_n(t, z) = |K_n(t, z)|^2 / K_n(z, z),   K_n(t, z) = sum_{k<n} phi_k(t) conj(phi_k(z)),
@@ -36,17 +36,12 @@ coefficients from the trapezoid rule on a circle |t| = R > 1, sized from
 the member's radius of analyticity and its growth.
 
 On the circle S_n f = B_n P_-(f conj(B_n)), and f = S_n f + B_n g with
-g = P_+(f conj(B_n)), so delta(f) = f' - B_n g' exactly.  Both
-sigma_positive and delta have a route through that projection: B_n and
-|B_n'| on a uniform grid come from the power sums of the poles by one
-FFT (blaschke._grid_blaschke), and the Fourier coefficients of
-f conj(B_n) from one more, with no coefficients c_k and no contour.
-sigma_positive takes it on full uniform grids from order 16 on, below
-which its recursion is faster, and falls back to the recursion when the
-spectrum shows the grid too coarse.  delta takes it at any points and
-any order, on a grid it sizes itself and doubles up to CONTOUR_CAP.
-Where that route declines, delta takes the Taylor coefficients of g from
-those of f, one FFT on the contour |t| = R, and of B_n.
+g = P_+(f conj(B_n)), so delta(f) = f' - B_n g' and sigma_positive(f) =
+f - (B_n/B_n')(f' - B_n g') exactly, with no coefficients c_k.  g' comes
+from `_projections`: one FFT of f conj(B_n) on a uniform grid, B_n there
+from the power sums of the poles (blaschke._grid_blaschke), or where
+that declines, one FFT of f / B_n on the contour |t| = R.  On a full
+uniform grid sigma_positive reads f conj(B_n) on that grid itself.
 
 Only grid-backed data is sampled on the unit circle, and no CLI command
 builds any: counterexample reads sigma_rusak(1) off the constant's exact
@@ -107,11 +102,9 @@ _CONTOUR_DECAY = 1e-17
 _CONTOUR_TOL = 1e-14
 # Cap on max|f| over the contour relative to max|f| over the unit circle.
 _CONTOUR_GROWTH = 16.0
-# sigma_positive's FFT route runs from order _GRID_ORDER on, below which
-# the recursion is faster; both FFT routes take at most _GRID_TERMS power
-# sums.  Their k-weighted sums leave out Fourier coefficients below
-# _GRID_NOISE times the largest one in the band that holds rounding alone.
-_GRID_ORDER = 16
+# The FFT routes take at most _GRID_TERMS power sums.  Their k-weighted
+# sums leave out Fourier coefficients below _GRID_NOISE times the largest
+# one in the band that holds rounding alone.
 _GRID_TERMS = 1024
 _GRID_NOISE = 4.0
 
@@ -330,40 +323,39 @@ def sigma_positive(
     z,
     coeffs: np.ndarray | None = None,
 ):
-    """S_n(f)(z) - (B_n(z)/B_n'(z)) S_n'(f)(z), by one of two routes.
+    """S_n(f)(z) - (B_n(z)/B_n'(z)) S_n'(f)(z) on the closed disc, as
+    f - (B_n/B_n')(f' - B_n g') with g = P_+(conj(B_n) f).
 
     When z is a full uniform grid z0 e^{2 pi i m / M} (to 1e-14, any
-    rotation z0, M a power of two >= 64), 16 <= n <= M / 4, the power sums
-    of B_n need at most min(M / 4, 1024) terms, and f is holomorphic beyond the
-    circle |t| = rho, rho^(-M/4) = 1e-17, and at most 16 times as large
-    there as on the unit circle, `_sigma_on_grid` takes the value from
-    samples of f and f' with three FFTs, in O(n J + M log M); `coeffs`
-    are then only length-checked, and none are computed when it is None.
-    That route hands over to the recursion when the spectrum it computes
-    shows the grid too coarse.  It stays within 4e-14 of the recursion
-    (poles |a| <= 0.962, n = 16 to 1024, M up to 2^17), which is itself
-    within about 1e-15 of closed forms; below n = 16 the recursion is
-    also the faster route.
+    rotation z0, M a power of two >= 64), n <= M / 4, the power sums of
+    B_n need at most min(M / 4, 1024) terms, and f is holomorphic beyond
+    the circle |t| = rho, rho^(-M/4) = 1e-17, and at most 16 times as
+    large there as on the unit circle, `_sigma_on_grid` takes the value
+    from samples of f and f' with three FFTs, in O(n J + M log M).  That
+    route hands over to the points route when the spectrum it computes
+    shows the grid too coarse.
 
-    Every other point set takes the basis recursion, which accumulates S_n
-    and S_n' term by term, so no n x M array of basis values is formed.
-    S_n' is assembled from the exact rational derivatives of the basis
-    functions, never from finite differences.  At a multiple interpolation
-    node both B_n and B_n' vanish and the ratio tends to zero, so the value
-    degenerates to S_n(z) there; at a genuine critical point of B_n the
-    operator has a pole and CriticalPoint is raised.  Precomputed `coeffs`
-    are the 2n - 1 values of coefficients_of; S_n uses coeffs[n - 1:].
+    Every other point set takes B_n and B_n' from one pass of the basis
+    recursion and f' - B_n g' as delta does, so the constant gives 1
+    exactly however near the poles come to the circle.  At a multiple
+    node both B_n and B_n' vanish and the value is f(z); at a genuine
+    critical point of B_n CriticalPoint is raised.  The Taylor series of
+    g is cut at rounding level on the circle, so |z| > 1 + CIRCLE_TOL
+    raises ValueError.  `coeffs` is deprecated and ignored: the 2n - 1
+    values of coefficients_of are only length-checked.
     """
-    n = basis.order
+    n, sequence = basis.order, basis.sequence
     zf, shape, scalar = _flatten(z)
     if coeffs is not None:
         _require_length(coeffs, n, "sigma_positive")
-    grid = _uniform_grid(f, basis.sequence, n, zf)
-    out = None if grid is None else _sigma_on_grid(f, basis.sequence, n, zf, *grid)
+    grid = _uniform_grid(f, sequence, n, zf)
+    out = None if grid is None else _sigma_on_grid(f, sequence, n, zf, *grid)
     if out is None:
-        if coeffs is None:
-            coeffs = coefficients_of(f, basis)
-        out = _sigma_from_sums(*_recurse(basis.sequence, n, zf, c=coeffs[n - 1 :]))
+        if zf.size and np.abs(zf).max() > 1.0 + CIRCLE_TOL:
+            raise ValueError(f"sigma_positive requires |z| <= 1 + {CIRCLE_TOL}")
+        bz, bpz, _, _ = _recurse(sequence, n, zf)
+        d = _delta_at(f, *_projections(f, sequence, [n])[0], zf, bz)
+        out = _sigma_from_sums(bz, bpz, f.value(zf), d)
     return _restore(out, shape, scalar)
 
 
@@ -406,13 +398,12 @@ def _grid_tame(f: AnalyticTestFunction, npts: int) -> bool:
 
 
 def _uniform_grid(f: AnalyticTestFunction, sequence: PointSequence, n: int, zf: np.ndarray):
-    """(z0, roots, J) when n >= _GRID_ORDER, the flat points zf are z0 roots[m],
+    """(z0, roots, J) when the flat points zf are z0 roots[m],
     roots[m] = e^{2 pi i m / M}, to _CONTOUR_TOL, M is a power of two >=
     `_grid_start`'s M0 and f passes `_grid_tame` on M points; None
-    otherwise.  Below order _GRID_ORDER sigma_positive's recursion is the
-    faster route."""
+    otherwise."""
     npts = zf.size
-    if n < _GRID_ORDER or npts < 64 or npts & (npts - 1):
+    if npts < 64 or npts & (npts - 1):
         return None
     r0 = abs(zf[0])
     if not abs(r0 - 1.0) <= _CONTOUR_TOL:
@@ -542,24 +533,6 @@ def _horner(coefs: np.ndarray, zf: np.ndarray) -> np.ndarray:
     return out
 
 
-def _taylor_of(f: AnalyticTestFunction) -> np.ndarray:
-    """Taylor coefficients f_0, f_1, ... of f at 0, as far as they rise above rounding.
-
-    One FFT of f on the circle |t| = R of `_contour`, whose m-th entry is
-    f_m R^m, on the N points of `_contour_size`, which put every frequency
-    from N/2 on at rounding for `_live_terms`; past CONTOUR_CAP points
-    NoConvergence is raised.
-    """
-    r, rho = _contour(f, 0.0)
-    npts = _contour_size(f, r, rho)
-    if npts > CONTOUR_CAP:
-        raise NoConvergence(f"Taylor coefficients of {f.label} need more than {CONTOUR_CAP} points")
-    t = r * _grid(npts)[1]
-    c = np.fft.fft(np.broadcast_to(np.asarray(f.value(t), dtype=np.complex128), t.shape)) / npts
-    top = _live_terms(np.abs(c))
-    return c[:top] * r ** -np.arange(top, dtype=np.float64)
-
-
 def _projected_taylor(fm: np.ndarray, sequence: PointSequence, n: int) -> np.ndarray:
     """Taylor coefficients g_0 .. g_{L-1} of g = P_+(conj(B_n) f) from f_0 .. f_{L-1}.
 
@@ -576,23 +549,59 @@ def _projected_taylor(fm: np.ndarray, sequence: PointSequence, n: int) -> np.nda
     return g
 
 
-def _taylor_derivative(
-    f: AnalyticTestFunction, sequence: PointSequence, n: int, zf: np.ndarray
-) -> np.ndarray:
-    """g'(z) at the flat points zf for g = P_+(conj(B_n) f), by Horner's rule
-    from the Taylor coefficients of `_projected_taylor`."""
-    g = _projected_taylor(_taylor_of(f), sequence, n)
-    return _horner(np.arange(1, len(g)) * g[1:], zf)
+def _projections(f: AnalyticTestFunction, sequence: PointSequence, orders: list) -> list:
+    """For each order n, (kf, kg): the Taylor coefficients k g_k, k >= 1, of
+    g' for g = P_+(conj(B_n) f), and kf those of f', or None where f' is
+    f.derivative.
+
+    kg comes from `_projected_derivative`'s FFT on the circle.  Where that
+    declines, 1/B_n(t) = conj(B_n(t / R^2)) on |t| = R makes g_k R^k and
+    f_k R^k the Fourier coefficients of f(R s) conj(B_n(s / R)) and f(R s)
+    on |s| = 1: one FFT each of the same samples of f, with R and N from
+    `_contour` for the inner radius 1 (|b_j| <= 1), however near the poles
+    come to the circle.  f' then shares g''s rounding, which cancels in
+    f' - B_n g' (with the exact f', sigma_positive(1 + z^600) on 16 poles
+    of modulus 0.5 was 4e-12 off).  Past CONTOUR_CAP points NoConvergence
+    is raised.
+    """
+    kgs = [_projected_derivative(f, sequence, n) for n in orders]
+    late = [n for n, kg in zip(orders, kgs) if kg is None]
+    if not late:
+        return [(None, kg) for kg in kgs]
+    r, rho = _contour(f, 1.0)
+    npts = _contour_size(f, r, rho)
+    if npts > CONTOUR_CAP:
+        what = f"Taylor coefficients of {f.label}"
+        raise NoConvergence(f"{what} need more than {CONTOUR_CAP} contour points (rho = {rho:.9f})")
+    # Roots from an inverse FFT, without the drift in angle of 2 pi j / N.
+    s = np.fft.ifft(np.eye(1, npts, 1)[0] * npts)
+    fv = np.broadcast_to(np.asarray(f.value(r * s), dtype=np.complex128), s.shape)
+    blaschke = iter(_recurse(sequence, late[-1], s / r, jet=False, orders=late)[0])
+    out = []
+    for kg in kgs:
+        kf = None
+        if kg is None:
+            c = np.fft.fft(np.stack([fv, fv * np.conj(next(blaschke))])) / npts
+            k = np.arange(1, _live_terms(np.abs(c[0])))
+            kf, kg = k * c[:, k] * r ** -k.astype(np.float64)
+        out.append((kf, kg))
+    return out
+
+
+def _delta_at(f: AnalyticTestFunction, kf, kg, zf: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """f'(z) - b g'(z) at the flat points zf, b = B_n there, from one
+    order's `_projections`, by Horner's rule."""
+    fp = f.derivative(zf) if kf is None else _horner(kf, zf)
+    return fp - b * _horner(kg, zf)
 
 
 def _projected_derivative(
-    f: AnalyticTestFunction, sequence: PointSequence, n: int, zf: np.ndarray
+    f: AnalyticTestFunction, sequence: PointSequence, n: int
 ) -> np.ndarray | None:
-    """g'(z) at the flat points zf for g = P_+(conj(B_n) f), or None when the
-    FFT route declines.
+    """The Taylor coefficients k g_k, k >= 1, of g' for g = P_+(conj(B_n) f)
+    by the FFT route, or None when it declines.
 
-    g'(z) = sum_{k>=1} k g_k z^(k-1) is summed by Horner's rule from the
-    Taylor coefficients g_k of g, which are the Fourier coefficients of
+    The Taylor coefficients g_k of g are the Fourier coefficients of
     f conj(B_n) on the circle: one FFT of its samples on M points, with
     B_n there from `_grid_blaschke`.  M starts at the smallest power of two >=
     `_grid_start`'s M0 on which f passes `_grid_tame`, and doubles while
@@ -616,9 +625,7 @@ def _projected_derivative(
         fv = np.broadcast_to(np.asarray(f.value(roots), dtype=np.complex128), roots.shape)
         kg = _positive_spectrum(fv, b)
         npts *= 2
-    if kg is None:
-        return None
-    return _horner(kg, zf)
+    return kg
 
 
 def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None = None):
@@ -632,23 +639,18 @@ def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None 
     basis recursion without derivatives.  Where B_n vanishes the value is
     f' itself, so delta interpolates f' at every basis pole.  Elsewhere
     g'(z) = sum_{k>=1} k g_k z^(k-1) by Horner's rule, with the Taylor
-    coefficients g_k of g from one of two sources:
-
-    - one FFT of f conj(B_n) on a grid the route sizes itself
-      (`_projected_derivative`);
-    - g_k = sum_{m>=k} f_m conj(b_{m-k}) from the Taylor coefficients f_m
-      of f and b_j of B_n (`_taylor_derivative`), wherever the FFT
-      declines: past 1024 power sums of B_n, or when no grid of at most
-      CONTOUR_CAP points both bounds f's growth and resolves f conj(B_n).
-      f_m come from one FFT on the contour |t| = R of coefficients_of.
+    coefficients g_k of g from one FFT of f conj(B_n) on a grid the route
+    sizes itself, or wherever the FFT declines (past 1024 power sums of
+    B_n, or when no grid of at most CONTOUR_CAP points both bounds f's
+    growth and resolves f conj(B_n)) from `_projections`' rule on a
+    contour |t| = R > 1, which also gives f' there.
 
     Against a 50-digit oracle (simple poles, n = 1 to 32 with |a| <= 0.9,
     and a_k = 1 - 2^-k at n = 12 and 16, where the FFT declines) delta
     was within 5e-15 relative, and for Cauchy transforms of degree-6
-    densities on those poles within 3.2e-15 of the largest value over the
-    probes.  No source reads the coefficients, so
-    `coeffs`, the 2n - 1 values of coefficients_of, are only
-    length-checked.
+    densities on those poles within 3.8e-15 of the largest value over the
+    probes.  No source reads the coefficients: `coeffs` is deprecated and
+    ignored, the 2n - 1 values of coefficients_of only length-checked.
     """
     zf, shape, scalar = _flatten(z)
     if zf.size and np.abs(zf).max() > 1.0 - NEAR_BOUNDARY_MARGIN:
@@ -660,8 +662,5 @@ def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None 
     out = np.array(np.broadcast_to(np.asarray(f.derivative(zf), dtype=np.complex128), zf.shape))
     live = np.flatnonzero(bz)
     if live.size:
-        dg = _projected_derivative(f, sequence, n, zf[live])
-        if dg is None:
-            dg = _taylor_derivative(f, sequence, n, zf[live])
-        out[live] -= bz[live] * dg
+        out[live] = _delta_at(f, *_projections(f, sequence, [n])[0], zf[live], bz[live])
     return _restore(out, shape, scalar)

@@ -23,6 +23,7 @@ from tmfejer.corpus import (
     identity_map,
     mobius,
     random_unit_density,
+    simple_pole,
     standard_corpus,
 )
 from tmfejer.operators import delta, sigma_positive
@@ -196,6 +197,14 @@ class TestConvergence:
         )
         convergence_experiment(identity_map(), PointSequence(tuple(a)), orders)
         assert len(calls) == 7
+
+    def test_poles_past_the_largest_order_change_no_bit(self):
+        # No coefficient vector enters the rows: each order reads its own
+        # poles alone, so a long tail neither changes a bit nor costs a sum.
+        f, head = simple_pole(1.3), (0.5,) * 8
+        want = convergence_experiment(f, PointSequence(head), [2, 4, 8])
+        assert convergence_experiment(f, PointSequence(head + (0.3,) * 2000), [2, 4, 8]) == want
+        assert convergence_experiment(f, PointSequence(head + (0.3,) * 2000), []) == []
 
 
 class TestVoronovskaya:

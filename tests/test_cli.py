@@ -393,25 +393,30 @@ POLE_CONVERGE = (
 )
 
 
+BUNDLED_CONVERGE = (ROOT / "scripts" / "configs" / "converge.cfg").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "text",
     [
-        (ROOT / "scripts" / "configs" / "converge.cfg").read_text(encoding="utf-8"),
+        BUNDLED_CONVERGE,
         (ROOT / "scripts" / "configs" / "counterexample.cfg").read_text(encoding="utf-8"),
         POLE_CONVERGE,
+        BUNDLED_CONVERGE.replace("function = identity", "function = pole:1.6"),
+        BUNDLED_CONVERGE.replace("function = identity", "function = mobius:0.3"),
     ],
-    ids=["converge", "counterexample", "converge-pole"],
+    ids=["converge", "counterexample", "converge-pole", "bundled-pole", "bundled-mobius"],
 )
 def test_rows_agree_with_single_order_configs(text):
-    # A single-order config materializes only n poles, so its coefficients
-    # come from another contour sum and agree with the row to rounding.
+    # A single-order config materializes only n poles, and no row reads a
+    # pole past its order, so the rows agree bit for bit.
     config = parse_config(text)
     many = _execute(config)
     for i, n in enumerate(config.orders):
         one = _execute(dataclasses.replace(config, orders=(n,)))
         assert one["order"] == [n]
         for key, column in one.items():
-            np.testing.assert_allclose(column[0], many[key][i], rtol=1e-14, atol=1e-15)
+            assert column == [many[key][i]], (n, key)
 
 class TestMainEntry:
     def test_success_and_overrides(self, tmp_path):
@@ -543,6 +548,18 @@ class TestMainEntry:
         assert [r["error_sup"] for r in rows if r["label"] == "identity"][1] == pytest.approx(
             1.1732304660387234, abs=1e-12
         )
+
+    def test_saturation_on_rotated_poles_near_the_circle(self, tmp_path):
+        # a_k = (1 - 2^-k) e^{i}: g' = 0 for the constant, so its error is 0
+        # exactly, however near its angle S_n - (B_n/B_n') S_n' cancels.
+        a = (1.0 - 0.5 ** np.arange(1, 39)) * np.exp(1j)
+        points = ", ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in a)
+        cfg = write_cfg(tmp_path, f"sequence = list:[{points}]\norders = [30, 38]\nformat = json\n")
+        out = tmp_path / "r.json"
+        assert main(["saturation", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
+        assert [r["error_sup"] for r in rows if r["label"] == "one"] == [0.0, 0.0]
+        assert all(math.isfinite(v) for r in rows for v in r.values() if isinstance(v, float))
 
     def test_pole_too_close_to_the_circle(self, tmp_path, capsys):
         # A pole 1e-7 outside the circle needs a contour of about 1e9 points.

@@ -34,9 +34,10 @@ from tmfejer.corpus import (
 from tmfejer.operators import (
     CriticalPoint,
     NearBoundary,
+    _delta_at,
+    _horner,
     _projected_taylor,
     _sigma_from_sums,
-    _taylor_derivative,
     coefficients,
     coefficients_of,
     delta,
@@ -46,11 +47,29 @@ from tmfejer.operators import (
     sigma_rusak,
 )
 from tmfejer.quadrature import BoundaryGridFunction
-from tmfejer.tm_basis import ExtendedOffCircle, TMBasis, phi_jet, phi_values
+from tmfejer.tm_basis import CIRCLE_TOL, ExtendedOffCircle, TMBasis, phi_jet, phi_values
 
 
 def grid_of(f, resolution=4096):
     return BoundaryGridFunction.from_callable(f.value, resolution)
+
+
+def _contour_projection(f, seq, n):
+    """(k f_k, k g_k) for g = P_+(conj(B_n) f) from the contour rule: the
+    projection with its FFT on the circle declined."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_projected_derivative", lambda *args: None)
+        return operators._projections(f, seq, [n])[0]
+
+
+def _contour_dg(f, seq, n, z):
+    """g'(z) from the contour rule."""
+    return _horner(_contour_projection(f, seq, n)[1], z)
+
+
+def _contour_delta(f, seq, n, z, bz):
+    """f'(z) - B_n(z) g'(z), bz = B_n(z), from the contour rule."""
+    return _delta_at(f, *_contour_projection(f, seq, n), z, bz)
 
 
 class TestCoefficients:
@@ -299,6 +318,18 @@ class TestSigmaPositive:
         partial_sum = complex(c[1:] @ phi_values(basis, 0.3 + 0j))
         assert got == pytest.approx(partial_sum, abs=1e-12)
 
+    def test_off_the_closed_disc_raises(self, seq_short):
+        # The Taylor series of g is cut at rounding level on the circle, so
+        # it loses digits beyond it.
+        basis = TMBasis(seq_short, 3)
+        f = simple_pole(1.6)
+        with pytest.raises(ValueError, match="^sigma_positive requires"):
+            sigma_positive(f, basis, np.array([0.5, -1.0 - 2.0 * CIRCLE_TOL]))
+        edge = complex(-1.0 - 0.5 * CIRCLE_TOL)
+        assert complex(sigma_positive(f, basis, edge)) == pytest.approx(
+            complex(self._by_recursion(f, basis, np.array([edge]))[0]), abs=1e-14
+        )
+
     def test_precomputed_coefficients_match(self, seq_short):
         basis = TMBasis(seq_short, 3)
         f = mobius(-0.4 + 0.2j)
@@ -311,7 +342,8 @@ class TestSigmaPositive:
             sigma_positive(f, basis, z, coeffs=c[2:])
 
     # A full uniform grid takes the FFT route; every other point set, and
-    # every grid outside the guard, the basis recursion.
+    # every grid outside the guard, one recursion for B_n and B_n' and g'
+    # from the projection.  The reference sums S_n and S_n' instead.
 
     @staticmethod
     def _by_recursion(f, basis, z, c=None):
@@ -335,7 +367,7 @@ class TestSigmaPositive:
 
     @pytest.mark.parametrize("offset", [0.0, 0.37], ids=["unrotated", "rotated"])
     @pytest.mark.parametrize("npts", [4096, 8192])
-    @pytest.mark.parametrize("order", [16, 32, 128])
+    @pytest.mark.parametrize("order", [8, 16, 32, 128])
     def test_grid_route_accuracy(self, order, npts, offset, monkeypatch):
         seq = _random_sequence(order, 0.9, order)
         basis = TMBasis(seq, order)
@@ -387,7 +419,9 @@ class TestSigmaPositive:
         seq, order, f = _random_sequence(16, 0.7, 1), 16, mobius(0.3)
         z = circle_grid(4096)
         if case == "low-order":
-            seq, order = PointSequence(MIXED), 8
+            # The order does not pick the route: 8 poles take the grid on
+            # 4096 points, but their 57 power sums need 256 points.
+            seq, order, z = PointSequence(MIXED), 8, circle_grid(128)
         elif case == "many-terms":
             # geometric:0.5 needs about 10^6 power sums at n = 16.
             seq = PointSequence(tuple(1.0 - 0.5 ** np.arange(1, 17)))
@@ -424,11 +458,33 @@ class TestSigmaPositive:
             seq, order, f = PointSequence(tuple(a)), 64, identity_map()
             assert operators._uniform_grid(f, seq, order, z) is not None
         basis = TMBasis(seq, order)
-        want = self._by_recursion(f, basis, np.atleast_1d(z))
+        zs = np.atleast_1d(z)
+        if case == "many-terms":
+            # The recursion's sums lose digits on poles this near the
+            # circle, so the constant and the identity check closed forms.
+            be = eval_blaschke(seq, order, zs)
+            b0 = np.conj(eval_blaschke(seq, order, 0.0).value)
+            closed = zs - be.value / be.derivative * (1.0 - b0 * be.value)
+            members = [(constant_one(), np.ones_like(zs)), (identity_map(), closed)]
+        else:
+            members = [(f, self._by_recursion(f, basis, zs))]
+        # Off the guard sigma_positive is the points route bit for bit: one
+        # recursion for B_n and B_n' at the points and f' - B_n g' from the
+        # projection, whose contour rule, where the FFT on the circle
+        # declines, runs the recursion once more at its own points.
+        routes, passes = [], 0
+        for f, _ in members:
+            bz, bpz, _, _ = _recurse(seq, order, zs)
+            d = _delta_at(f, *operators._projections(f, seq, [order])[0], zs, bz)
+            routes.append(_sigma_from_sums(bz, bpz, f.value(zs), d))
+            passes += 1 + (operators._projected_derivative(f, seq, order) is None)
         calls = self._count_calls(monkeypatch)
-        got = np.atleast_1d(sigma_positive(f, basis, z))
-        assert calls["_recurse"] == 1
-        assert np.array_equal(got, want)
+        for (f, want), route in zip(members, routes):
+            got = np.atleast_1d(sigma_positive(f, basis, z))
+            assert np.array_equal(got, route), f.label
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(f.value(zs)).max(), f.label
+        # No coefficients.
+        assert calls == {"_recurse": passes, "coefficients_of": 0}
 
 
 def _random_sequence(n, max_modulus, seed):
@@ -466,13 +522,13 @@ class TestStreamedSums:
 
     def test_no_rows_allocated(self):
         # The n x M rows of values and derivatives alone would take 33 MB.
-        basis = TMBasis(STREAMED["random128"], 128)
-        coeffs = np.random.default_rng(3).standard_normal(255) + 0j
+        seq = STREAMED["random128"]
+        c = np.random.default_rng(3).standard_normal(128) + 0j
         z = 0.95 * circle_grid(8192)
-        sigma_positive(constant_one(), basis, z, coeffs=coeffs)
+        _sigma_from_sums(*_recurse(seq, 128, z, c=c))
         tracemalloc.start()
         try:
-            sigma_positive(constant_one(), basis, z, coeffs=coeffs)
+            _sigma_from_sums(*_recurse(seq, 128, z, c=c))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -490,7 +546,9 @@ class TestStreamedSums:
             eval_blaschke(basis.sequence, 2, z)
         with pytest.raises(PoleProximity):
             phi_values(basis, z)
-        with pytest.raises(PoleProximity):
+        # sigma_positive refuses points off the closed disc before any pass.
+        raised = PoleProximity if abs(pole) <= 1.0 + CIRCLE_TOL else ValueError
+        with pytest.raises(raised):
             sigma_positive(constant_one(), basis, z, coeffs=np.ones(3, dtype=complex))
 
 
@@ -504,6 +562,10 @@ class TestNearCircle:
         "harmonic:1": lambda k: 1.0 - 1.0 / (k + 1.0),
         "geometric:0.5": lambda k: 1.0 - 0.5**k,
         "geometric:0.9": lambda k: 1.0 - 0.9**k,
+        # Complex poles: u = 1 - z conj(a) loses digits near their angle,
+        # and S_n - (B_n/B_n') S_n' cancels there.
+        "geometric:0.5@0.3": lambda k: (1.0 - 0.5**k) * np.exp(0.3j),
+        "geometric:0.5@1": lambda k: (1.0 - 0.5**k) * np.exp(1j),
     }
 
     @pytest.mark.parametrize(
@@ -517,12 +579,18 @@ class TestNearCircle:
             ("geometric:0.5", 30),
             ("geometric:0.9", 32),
             ("geometric:0.9", 128),
+            ("geometric:0.5@0.3", 30),
+            ("geometric:0.5@0.3", 38),
+            ("geometric:0.5@1", 30),
+            ("geometric:0.5@1", 38),
         ],
     )
     def test_constant_and_identity(self, family, order):
         seq = PointSequence(tuple(self.FAMILIES[family](np.arange(1, order + 1))))
         basis = TMBasis(seq, order)
-        z = np.concatenate([circle_grid(max(4096, 64 * order)), interior_probes(64)])
+        # The grid, the angle that the poles approach, and interior probes.
+        angle = np.exp(1j * np.angle(seq.points[-1]))
+        z = np.concatenate([circle_grid(max(4096, 64 * order)), [angle], interior_probes(64)])
         one = np.asarray(sigma_positive(constant_one(), basis, z))
         assert np.abs(one - 1.0).max() < 1e-9
         z = z[np.abs(eval_blaschke(seq, order, z).derivative) > 1e-6]
@@ -743,7 +811,7 @@ class TestDelta:
         z, bz = z[keep], be.value[keep]
         assert z.size >= 40
         for f in rational_corpus(12)[1:]:
-            contour = f.derivative(z) - bz * _taylor_derivative(f, seq_mixed, 8, z)
+            contour = _contour_delta(f, seq_mixed, 8, z, bz)
             np.testing.assert_allclose(contour, delta(f, basis, z), rtol=1e-10, err_msg=f.label)
 
     def test_contour_integral_matches_fine_unit_grid(self):
@@ -756,8 +824,8 @@ class TestDelta:
         seq = PointSequence(tuple(poles))
         z = interior_probes(8)
         for f in rational_corpus(12):
-            fine = _taylor_derivative(cauchy_transform(grid_of(f, 1 << 16)), seq, 8, z)
-            contour = _taylor_derivative(f, seq, 8, z)
+            fine = _contour_dg(cauchy_transform(grid_of(f, 1 << 16)), seq, 8, z)
+            contour = _contour_dg(f, seq, 8, z)
             np.testing.assert_allclose(contour, fine, rtol=1e-10, atol=1e-13, err_msg=f.label)
 
     def test_stacked_integral_matches_columns(self, seq_mixed):
@@ -851,8 +919,8 @@ class TestDelta:
             delta(constant_one(), basis, 0.2 + 0j, coeffs=np.ones(4, dtype=complex))
 
     # Members with a radius take the FFT route for g' in f' - B_n g',
-    # g = P_+(conj(B_n) f), at every order; where it declines, g' comes
-    # from the Taylor coefficients of f and of B_n.
+    # g = P_+(conj(B_n) f), at every order; where it declines, f' and g'
+    # come from the contour rule.
 
     @pytest.mark.parametrize("modulus", [0.7, 0.9])
     @pytest.mark.parametrize("order", [16, 32])
@@ -862,8 +930,8 @@ class TestDelta:
         z = interior_probes(48)
         bz = eval_blaschke(seq, order, z).value
         for f in rational_corpus(12):
-            assert operators._projected_derivative(f, seq, order, z) is not None, f.label
-            contour = f.derivative(z) - bz * _taylor_derivative(f, seq, order, z)
+            assert operators._projected_derivative(f, seq, order) is not None, f.label
+            contour = _contour_delta(f, seq, order, z, bz)
             assert np.abs(delta(f, basis, z) - contour).max() <= 1e-12, f.label
 
     @pytest.mark.parametrize("order", [32, 128])
@@ -951,7 +1019,7 @@ class TestDelta:
         square = polynomial([0.0, 0.0, 1.0])
         closed = ((identity_map(), 1.0 - b0 * bz), (square, 2.0 * z - bz * (2.0 * b0 * z + db0)))
         for f, want in closed:
-            assert operators._projected_derivative(f, seq, order, z) is not None, f.label
+            assert operators._projected_derivative(f, seq, order) is not None, f.label
             assert np.abs(delta(f, basis, z) - want).max() <= 1e-14, f.label
 
     def test_grid_route_doubles_a_grid_that_does_not_resolve(self, monkeypatch):
@@ -1000,15 +1068,14 @@ class TestDelta:
         bz = eval_blaschke(seq, order, z).value
         live = bz != 0.0
         assert live.sum() == 16
-        assert operators._projected_derivative(f, seq, order, z) is None
-        dg = _taylor_derivative(f, seq, order, z[live])
+        assert operators._projected_derivative(f, seq, order) is None
         want = np.array(np.broadcast_to(f.derivative(z), z.shape), dtype=complex)
-        want[live] -= bz[live] * dg
+        want[live] = _contour_delta(f, seq, order, z[live], bz[live])
         assert np.array_equal(delta(f, basis, z), want)
 
     @pytest.mark.parametrize("member", [constant_one, identity_map], ids=["one", "identity"])
     def test_order_128_taylor_route_matches_closed_forms(self, member):
-        # delta takes the FFT route here, so the Taylor route is called
+        # delta takes the FFT route here, so the contour rule is called
         # directly, at probes where |B_128| < 1e-6.  g = P_+(conj(B_n) f)
         # is the constant conj(B_n(0)) for f = 1, and for f = z it is
         # conj(B_n'(0)) + conj(B_n(0)) z, so g' = 0 and conj(B_n(0)).
@@ -1020,7 +1087,7 @@ class TestDelta:
         bz = eval_blaschke(seq, 128, z).value
         assert (np.abs(bz) < 1e-6).all()
         want = 0.0 if member is constant_one else np.conj(eval_blaschke(seq, 128, 0.0).value)
-        assert np.abs(_taylor_derivative(f, seq, 128, z) - want).max() <= 1e-14
+        assert np.abs(_contour_dg(f, seq, 128, z) - want).max() <= 1e-14
         # The C8 bound; delta(1) = 0 and delta(z) = 1 - conj(B_n(0)) B_n(z).
         got = delta(f, basis, z, coeffs=coefficients_of(f, basis))
         assert (np.abs(got - f.derivative(z)) <= np.abs(bz) / (1.0 - np.abs(z) ** 2)).all()

@@ -4,10 +4,12 @@ The oracle multiplies the factors (z - a_j)/(1 - z conj(a_j)) directly and
 differentiates the product by the product rule, in mpmath at 50 digits;
 it shares no code with the first-order recursion under test.  The sums
 S_n = sum_k c_k phi_k and S_n' that the recursion accumulates, and
-sigma_positive built from them, are checked against the same oracle
-summed at 50 digits, and so is sigma_positive's FFT route on a uniform
-grid, for a simple pole whose coefficients the Szego kernel gives
-exactly; delta, through the FFT and through Taylor coefficients where
+S_n - (B_n/B_n') S_n' built from them, are checked against the same
+oracle summed at 50 digits, and so is sigma_positive's FFT route on a
+uniform grid, for a simple pole whose coefficients the Szego kernel
+gives exactly; sigma_positive near a complex pole's angle against
+f - (B_n/B_n')(f' - B_n g') at 60 digits from the Taylor series of f
+and of B_n; delta, through the FFT and through Taylor coefficients where
 the FFT declines, is checked against (B_n'/B_n)(f - S_n) + S_n' from the
 same exact coefficients, and delta of a Cauchy transform against
 f' - B_n g' from its density's seven coefficients.  The refined
@@ -30,12 +32,13 @@ from tmfejer.blaschke import PointSequence, _recurse, _taylor, eval_blaschke
 from tmfejer.corpus import (
     _unit_densities,
     cauchy_transform,
-    constant_one,
+    mobius,
     random_unit_density,
     simple_pole,
 )
 from tmfejer.operators import (
     _projected_derivative,
+    _sigma_from_sums,
     _uniform_grid,
     coefficients_of,
     delta,
@@ -166,11 +169,11 @@ def test_streamed_sums_match_product_formula(name):
     _, _, vals, ders = _reference(poles, z)
     scale = np.abs(c) @ np.abs(vals)
     dscale = np.abs(c) @ np.abs(ders)
-    _, _, got_s, got_sp = _recurse(PointSequence(poles), n, z, c=c)
+    sums = _recurse(PointSequence(poles), n, z, c=c)
+    got_s, got_sp = sums[2:]
     assert (np.abs(got_s - s) <= tol * scale).all()
     assert (np.abs(got_sp - sp) <= tol * dscale).all()
-    coeffs = np.concatenate([np.zeros(n - 1), c])
-    got = sigma_positive(constant_one(), TMBasis(PointSequence(poles), n), z, coeffs=coeffs)
+    got = _sigma_from_sums(*sums)
     assert (np.abs(got - sigma) <= tol * (scale + np.abs(ratio) * dscale)).all()
 
 
@@ -232,7 +235,7 @@ def test_sigma_on_a_uniform_grid_matches_product_formula():
     # The FFT route of sigma_positive, which reads f and f' on the grid and
     # never the coefficients, against S_n - (B_n/B_n') S_n' summed at 50
     # digits from the exact coefficients of 1/(p - z), as in the test above.
-    # Sixteen poles, |a| <= 0.5: the route starts at order 16.
+    # Sixteen poles, |a| <= 0.5.
     poles = MIXED + tuple(np.exp(0.5j) * np.asarray(MIXED))
     n, p = len(poles), 2.5 + 0.5j
     basis = TMBasis(PointSequence(poles), n)
@@ -243,6 +246,50 @@ def test_sigma_on_a_uniform_grid_matches_product_formula():
         c = [complex(mpmath.conj(v) / p) for v in vals]
     _, _, sigma, _ = _sums_reference(poles, z, c)
     _assert_close(sigma_positive(simple_pole(p), basis, z), sigma, 1e-14)
+
+
+def test_sigma_near_a_pole_angle_matches_the_projection():
+    # sigma_positive = f - (B_n/B_n')(f' - B_n g') at 60 digits: B_n and
+    # B_n' from the product formula, g_k = sum_{m>=k} f_m conj(b_{m-k})
+    # from 220 Taylor coefficients of f and of B_n, which leave out less
+    # than 1.6^-220.  Poles (1 - 2^-k) e^{0.3i}, k = 1..30, at angles as
+    # near theirs as 1e-9, where S_n - (B_n/B_n') S_n' cancels.
+    n, terms = 30, 220
+    poles = tuple((1.0 - 0.5 ** np.arange(1, n + 1)) * np.exp(0.3j))
+    x = np.array([0.3, 0.3 + 1e-9, 0.3 + 1e-6, 0.3 + 1e-3, 1.5, 3.0, 5.0])
+    z = np.exp(1j * x)
+    basis = TMBasis(PointSequence(poles), n)
+    with mpmath.workdps(60):
+        c, p = mpmath.mpf(0.3), mpmath.mpf(1.6)
+        members = (
+            (
+                mobius(0.3),
+                lambda w: (w - c) / (1 - c * w),
+                lambda w: (1 - c**2) / (1 - c * w) ** 2,
+                [-c] + [(1 - c**2) * c ** (m - 1) for m in range(1, terms)],
+            ),
+            (
+                simple_pole(1.6),
+                lambda w: 1 / (p - w),
+                lambda w: 1 / (p - w) ** 2,
+                [p ** -(m + 1) for m in range(terms)],
+            ),
+        )
+        b = _series_taylor(poles, terms)
+        for f, value, slope, fm in members:
+            gk = [
+                mpmath.fsum(fm[m] * mpmath.conj(b[m - k]) for m in range(k, terms))
+                for k in range(terms)
+            ]
+            want = []
+            for w in z:
+                a, _, m, dm = _factors(poles, w)
+                bw, dbw = _product(m, dm, n)
+                w = mpmath.mpc(w)
+                dg = mpmath.polyval([k * gk[k] for k in range(terms - 1, 0, -1)], w)
+                want.append(complex(value(w) - bw / dbw * (slope(w) - bw * dg)))
+            got = sigma_positive(f, basis, z)
+            assert np.abs(got - np.array(want)).max() <= 1e-14, f.label
 
 
 def _delta_reference(poles, z, members):
@@ -285,7 +332,7 @@ def test_delta_through_the_projection_matches_product_formula(order, modulus):
     want = _delta_reference(poles, z, members)
     for (p, r), exact in zip(members, want):
         f = simple_pole(p, residue=r)
-        assert _projected_derivative(f, seq, order, z) is not None
+        assert _projected_derivative(f, seq, order) is not None
         _assert_close(delta(f, basis, z), exact, 1e-14)
 
 
@@ -293,9 +340,8 @@ def test_delta_through_the_projection_matches_product_formula(order, modulus):
 @pytest.mark.parametrize("rotation", [1.0, np.exp(1j)], ids=["real", "rotated"])
 def test_delta_through_the_contour_matches_product_formula(rotation, order):
     # Poles 1 - 2^-k need more than 1024 power sums of B_n, so the FFT
-    # declines and g' comes from the Taylor coefficients of f, read off one
-    # FFT on the contour |t| = R, and of B_n, here at points as near the
-    # circle as 0.999.
+    # declines and f' and g' come from one FFT each on the contour
+    # |t| = R, here at points as near the circle as 0.999.
     poles = tuple(rotation * (1.0 - 0.5 ** np.arange(1, order + 1)))
     seq = PointSequence(poles)
     basis = TMBasis(seq, order)
@@ -304,7 +350,7 @@ def test_delta_through_the_contour_matches_product_formula(rotation, order):
     want = _delta_reference(poles, z, members)
     for (p, r), exact in zip(members, want):
         f = simple_pole(p, residue=r)
-        assert _projected_derivative(f, seq, order, z) is None
+        assert _projected_derivative(f, seq, order) is None
         _assert_close(delta(f, basis, z), exact, 1e-14)
 
 
