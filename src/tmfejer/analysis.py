@@ -9,19 +9,19 @@ phi_k nor the coefficient c_k = <f, phi_k> depends on the order.
 `cesaro_counterexample` computes one coefficient vector and gives order
 n its slice.  It, `convergence_experiment` and `_diagnose_orders` (the
 `frostman` report) evaluate up to _ORDERS_PER_PASS orders in one pass
-over the poles: one recursion that snapshots every order's B_n and B_n'
-or sums, or one running Frostman sum.  Every extremum of the pass is
-then refined in one multi-row zoom.  Each row equals the one-order call
-on the same sequence bit for bit.  `voronovskaya_experiment` and
-`saturation_check` take one order per call.
+over the poles and refine every extremum of the pass in one search,
+each set of angles taking one running Frostman sum and at most one
+recursion that snapshots every order's B_n or sums.  Each row equals
+the one-order call on the same sequence bit for bit.
+`voronovskaya_experiment` and `saturation_check` take one order per call.
 
 The uniform error ||f - sigma_positive(f)||_C has one route: the error
-map |B_n/B_n'| |f' - B_n g'| of `_boundary_errors`, with no coefficients
-c_k, and its refined sup, seeded by the Frostman minimizer.
-`saturation_check` runs it at one order, so its error_sup equals
-convergence_experiment's.  It needs only the minimizer, not the rest of
-the diagnostics, so the drift check on the mean of |B_n'|, a column it
-does not report, does not stop it on poles near the circle.
+map |f' - B_n g'| / |B_n'| of `_boundary_errors`, with no coefficients
+c_k, |B_n'| the Frostman sum of the same search, whose scan argmin seeds
+the error's sup.  `saturation_check` runs one such search per order for
+all its members, so its error_sup equals convergence_experiment's.  It
+needs only the minimizer, so the drift check on the mean of |B_n'|, a
+column it does not report, does not stop it on poles near the circle.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from tmfejer.operators import (
     _projections,
     _sigma_from_sums,
 )
-from tmfejer.quadrature import _SCAN, NoConvergence, _grid, _refined_minima
+from tmfejer.quadrature import _SCAN, NoConvergence, _grid, _refined_minima, _scan_angles
 from tmfejer.tm_basis import TMBasis, phi_values
 
 __all__ = [
@@ -133,30 +133,25 @@ def _diagnose_orders(sequence: PointSequence, orders) -> list[SequenceDiagnostic
 
     Each pass takes the scans of all its orders from one running sum
     over the per-pole Frostman terms and zooms in on all their minima at
-    once.  Raises for the first order, in increasing order, that
-    diagnose_sequence would refuse.
+    once (`_boundary_errors` with no members).  Raises for the first
+    order, in increasing order, that diagnose_sequence would refuse.
     """
-    return _by_pass(orders, lambda p: _diagnose_pass(sequence, p, _frostman_minima(sequence, p)))
+    return _by_pass(orders, lambda p: _diagnose_pass(sequence, p)[0])
 
 
-def _frostman_minima(sequence: PointSequence, orders: list):
-    """Refined minima of |B_n'| at the orders of one pass: (F,) angles, values, (F, 8192) scan."""
-    return _refined_minima(
-        lambda a: _frostman_prefixes(sequence, orders, a), np.empty((len(orders), 0))
-    )
-
-
-def _diagnose_pass(sequence: PointSequence, orders: list, minima) -> list[SequenceDiagnostics]:
-    """The rows of at most _ORDERS_PER_PASS increasing orders, from their _frostman_minima."""
-    x, fmin, vals = minima
-    rows = []
-    for j, n in enumerate(orders):
+def _diagnose_pass(sequence: PointSequence, orders: list, fs=()):
+    """The rows of at most _ORDERS_PER_PASS increasing orders, and the
+    `_boundary_errors` search of the members fs that they were read from."""
+    for n in orders:
         drift = _l1_drift(sequence, n)
         if abs(drift) > _L1_TOL:
             raise NoConvergence(
                 f"the {_SCAN}-angle mean of |B_n'| misses order {n} by {drift:.2e}; "
                 f"poles too close to the circle"
             )
+    x, fmin, vals = search = _boundary_errors(fs, sequence, orders)
+    rows = []
+    for j, n in enumerate(orders):
         moduli = np.abs(sequence.as_array()[:n])
         rows.append(
             SequenceDiagnostics(
@@ -169,7 +164,7 @@ def _diagnose_pass(sequence: PointSequence, orders: list, minima) -> list[Sequen
                 product_modulus=float(np.prod(moduli)),
             )
         )
-    return rows
+    return rows, search
 
 
 @dataclass(frozen=True)
@@ -197,8 +192,8 @@ def convergence_experiment(
     2 * ||1/B_n'|| above and prod |a_k|^2 * ||1/B_n'|| below in the matching
     norm; the two-sided enclosure is the identity-map statement and needs
     prod |a_k|^2 <= 1 - prod |a_k| for the lower half.  The L^1 and L^2
-    columns are means over the 8192-angle scans of the error's and the
-    Frostman minimum's refined searches, a trapezoid rule that converges
+    columns are means over the 8192-angle scan of the one search for the
+    error's sup and the Frostman minimum, a trapezoid rule that converges
     geometrically on these rational integrands; no grid setting reaches
     them.  Poles past the largest order cost nothing.  The orders share
     passes over the poles; each row equals the one-order call bit for bit.
@@ -207,34 +202,41 @@ def convergence_experiment(
     return _by_pass(orders, lambda part: _convergence_pass(f, sequence, part))
 
 
-def _boundary_errors(f, sequence, orders: list, argmins):
-    """|f - sigma_positive(f)| on the circle at the orders of one pass.
+def _boundary_errors(fs, sequence, orders: list):
+    """One refined search over |B_n'| and, for each member of fs, the
+    negated |f - sigma_positive(f)| on the circle at the orders of one pass.
 
-    Returns the (F, 8192) errors on the scan angles, row j at orders[j],
-    and the (F,) refined sups of its rows, row j's search seeded by
-    argmins[j], the Frostman minimizer where 1/|B_n'| peaks.  The error
-    is |B_n/B_n'| |f' - B_n g'| as in delta: one recursion per set of
-    angles snapshots every order's B_n and B_n', and `_projections` runs
-    once for the scan and every zoom round.
+    Rows j < F hold |B_n'| at orders[j], then F rows per member its error
+    |B_n/B_n'| |f' - B_n g'| as in delta, read as |f' - B_n g'| / |B_n'|
+    (|B_n| = 1): each set of angles takes one `_frostman_prefixes` and one
+    recursion without derivatives that snapshots every order's B_n.  Every
+    row also zooms in on its order's Frostman scan argmin, where 1/|B_n'|
+    peaks.  Returns `_refined_minima`'s angles, values and scan.
     """
-    projections = _projections(f, sequence, orders)
+    projections = [_projections(f, sequence, orders) for f in fs]
 
-    def negated_errors(theta):
+    def rows(theta):
+        fr = _frostman_prefixes(sequence, orders, theta)
+        if not fs:
+            return fr
         t = np.exp(1j * theta)
-        b, bp, _, _ = _recurse(sequence, orders[-1], t, orders=orders)
-        d = np.stack([_delta_at(f, kf, kg, t, bj) for (kf, kg), bj in zip(projections, b)])
-        return -np.abs(b / bp) * np.abs(d)
+        b = _recurse(sequence, orders[-1], t, jet=False, orders=orders)[0]
+        out = np.tile(fr, (len(fs) + 1, 1))
+        d = (_delta_at(f, *kfg, t, bj) for f, p in zip(fs, projections) for kfg, bj in zip(p, b))
+        for row, dj in zip(out[len(orders) :], d):
+            np.divide(np.abs(dj), -row, out=row)
+        return out
 
-    _, v, scan = _refined_minima(negated_errors, np.asarray(argmins)[:, None])
-    return -scan, -v
+    scan = rows(_scan_angles())
+    seeds = _scan_angles()[scan[: len(orders)].argmin(axis=1)]
+    cands = np.tile(seeds, len(fs) + 1)[:, None] if fs else np.empty((len(orders), 0))
+    return _refined_minima(rows, cands, scan)
 
 
 def _convergence_pass(f, sequence, orders: list) -> list[ConvergenceRow]:
     """The rows of one pass."""
-    argmins, _, frostman_scan = minima = _frostman_minima(sequence, orders)
-    diags = _diagnose_pass(sequence, orders, minima)
-    err, sups = _boundary_errors(f, sequence, orders, argmins)
-    inv = 1.0 / frostman_scan
+    diags, (_, v, scan) = _diagnose_pass(sequence, orders, [f])
+    err, sups, inv = -scan[len(orders) :], -v[len(orders) :], 1.0 / scan[: len(orders)]
     rows = []
     for j, (n, diag) in enumerate(zip(orders, diags)):
         inv_mean = float(inv[j].mean())
@@ -332,8 +334,8 @@ def saturation_check(sequence: PointSequence, order: int, members=None) -> list[
 
     The floor is (1/n) max_j (1 - |a_j|^2) |f'(a_j)| over the poles in
     play.  The sup is convergence_experiment's, one order at a time: the
-    same error map, refined from the same scan and the Frostman minimizer;
-    the constant's is 0 exactly, since g' = 0.
+    same error map, refined in one search for all members from the same
+    scan and the Frostman minimizer; the constant's is 0 exactly (g' = 0).
     Cauchy members are skipped, so the report holds the rows of the ten
     closed-form members that the bundled saturation report fixes.  The
     saturation statement is error_sup >= lower_bound; the floor vanishes
@@ -342,12 +344,10 @@ def saturation_check(sequence: PointSequence, order: int, members=None) -> list[
     if members is None:
         members = standard_corpus()
     pts = sequence.as_array()[:order]
-    argmin, _, _ = _frostman_minima(sequence, [order])
+    members = [f for f in members if f.kind != "cauchy_transform"]
+    _, v, _ = _boundary_errors(members, sequence, [order])
     rows = []
-    for f in members:
-        if f.kind == "cauchy_transform":
-            continue
-        _, (err_sup,) = _boundary_errors(f, sequence, [order], argmin)
+    for f, err_sup in zip(members, -v[1:]):
         fp = np.abs(np.asarray(f.derivative(pts), dtype=np.complex128))
         lower = float(((1.0 - np.abs(pts) ** 2) * fp).max() / order)
         rows.append(
@@ -381,7 +381,9 @@ def cesaro_counterexample(values, orders) -> list[CounterexampleRow]:
     attained at the angle pi; `excess` reports one plus the refined sup so
     it reads as an operator-norm lower bound, always above one.  The
     constant's negative coefficients are exactly zero, so its order-n
-    Cesaro mean is S_n(c) - S_n(k c) / n with S_n(x) = sum_{k<n} x_k phi_k.
+    Cesaro mean is S_n(c) - S_n(k c) / n with S_n(x) = sum_{k<n} x_k phi_k,
+    and 1 - S_n(c) = conj(B_n(0)) B_n, the constant's part in B_n H^2: the
+    gap takes one sum, S_n(k c), and B_n from the same pass.
     The kernel method stays at sup one on the same data: `rusak_sup` is
     the largest |sigma_rusak(1)| over 256 equally spaced points of the
     circle, 2 Re T(c) - 1 with the constant's coefficients c.  A sup that
@@ -402,16 +404,18 @@ def cesaro_counterexample(values, orders) -> list[CounterexampleRow]:
 
 
 def _counterexample_pass(a, sequence, c, orders: list) -> list[CounterexampleRow]:
-    """The rows of one pass, from the constant's coefficients c_0, c_1, ...:
-    the Cesaro gaps from the sums of the block [c, k c] at every order."""
+    """The rows of one pass, from the constant's coefficients c_0, c_1, ...: the
+    Cesaro gaps conj(B_n(0)) B_n + S_n(k c) / n, B_n(0) = prod(-a_k) real."""
     top = orders[-1]
-    block = np.stack([c[:top], np.arange(top) * c[:top]], axis=1)
     per_order = np.asarray(orders)[:, None]
+    b0, kc = np.cumprod(-a[:top])[per_order - 1], np.arange(top) * c[:top]
 
     def negated_gaps(theta):
         """-|1 - Cesaro mean| at the flat angles theta, (F, M) with row j at orders[j]."""
-        _, _, s, _ = _recurse(sequence, top, np.exp(1j * theta), c=block, jet=False, orders=orders)
-        return -np.abs(1.0 - s[0] + s[1] / per_order)
+        b, _, s, _ = _recurse(sequence, top, np.exp(1j * theta), c=kc, jet=False, orders=orders)
+        b *= b0
+        b += np.divide(s, per_order, out=s)
+        return -np.abs(b)
 
     _, v, _ = _refined_minima(negated_gaps, np.full((len(orders), 1), np.pi))
     # The constant is real, so d = c and sigma_rusak = 2 Re T(c) - f_0 with f_0 = 1.

@@ -27,6 +27,7 @@ tm_basis and the operators.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,18 +321,31 @@ def boundary_derivative_modulus(sequence: PointSequence, n: int, angle):
 def _frostman_prefixes(sequence: PointSequence, orders, ang: np.ndarray) -> np.ndarray:
     """Partial Frostman sums at the flat angles ang for each of the increasing
     `orders`, shape (F, M): one running sum over the per-pole Poisson terms
-    (1 - |a_k|^2) / |1 - e^{-ix} a_k|^2, added row by row in place.
-
-    Every Frostman sum of the package is a prefix of this sum, so a row
+    (1 - |a_k|^2) / |1 - e^{-ix} a_k|^2 = w_k / ((1 - r_k)^2 + s_k^2), with
+    a_k = r_k e^{i theta_k} and s_k = 2 sqrt(r_k) sin((x - theta_k)/2) =
+    sin(x/2) Re(2 sqrt(a_k)) - cos(x/2) Im(2 sqrt(a_k)) in real arithmetic:
+    nothing cancels as x nears theta_k.  The terms come for _BLOCK // M
+    poles at once in reused buffers and are added row by row in place, so
+    every Frostman sum of the package is a prefix of this sum, and a row
     does not depend on the other orders or angles it is computed with.
     """
     for n in orders:
         _check_order(sequence, n)
     a = sequence.as_array()[: orders[-1], None]
-    w = (1.0 - np.abs(a)) * (1.0 + np.abs(a))
-    t = np.exp(1j * ang)[None, :]
-    terms = w / np.abs(1.0 - np.conj(t) * a) ** 2
-    # Adding rows in place beats np.cumsum along axis 0 here.
-    for k in range(1, len(terms)):
-        terms[k] += terms[k - 1]
-    return terms[np.asarray(orders) - 1]
+    mod = np.abs(a)
+    w, gap, half = (1.0 - mod) * (1.0 + mod), (1.0 - mod) ** 2, 2.0 * np.sqrt(a)
+    sx, cx = np.sin(0.5 * ang), np.cos(0.5 * ang)
+    size = max(1, min(len(a), _BLOCK // max(ang.size, 1)))
+    u, v = np.empty((size, ang.size)), np.empty((size, ang.size))
+    run, out = np.zeros(ang.size), np.empty((len(orders), ang.size))
+    for k0 in range(0, len(a), size):
+        p, q = u[: len(a) - k0], v[: len(a) - k0]
+        np.multiply(sx, half.real[k0 : k0 + size], out=p)
+        p -= np.multiply(cx, half.imag[k0 : k0 + size], out=q)
+        p *= p
+        p += gap[k0 : k0 + size]
+        np.divide(w[k0 : k0 + size], p, out=p)
+        for k, term in enumerate(p, k0 + 1):
+            run += term
+            out[bisect_left(orders, k) : bisect_right(orders, k)] = run
+    return out

@@ -210,9 +210,10 @@ def _unit_densities(rng: np.random.Generator, count: int) -> tuple[np.ndarray, n
 
     def negative_modulus(theta):
         w = np.exp(1j * theta)
-        acc = np.broadcast_to(g[:, -1:], w.shape)
+        acc = np.broadcast_to(g[:, -1:], w.shape).copy()
         for k in range(2 * _DEGREE - 1, -1, -1):
-            acc = g[:, k : k + 1] + acc * w
+            acc *= w
+            acc += g[:, k : k + 1]
         return -np.abs(acc)
 
     x = _peak_windows(g)

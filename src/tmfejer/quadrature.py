@@ -144,7 +144,7 @@ def _scan_angles() -> np.ndarray:
 
 
 def _refined_minima(
-    fn: Callable[[np.ndarray], np.ndarray], candidates: np.ndarray
+    fn: Callable[[np.ndarray], np.ndarray], candidates: np.ndarray, scan=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Refine the minima of F functions of the angle at once.
 
@@ -152,12 +152,13 @@ def _refined_minima(
     and row f of the (F, C) `candidates` holds function f's extra angles.
     Each row zooms in on its argmin over the 8192 scan angles and on its
     candidates, as refined_minimum does for one function, and keeps the
-    lowest of its windows.  A zoom round sends the windows of all F rows
-    through fn at once and row f keeps its own: F times the work of its
-    own angles alone, which on zoom windows costs less than F calls.
-    Returns the (F,) angles and values and the (F, 8192) scan.
+    lowest of its windows; `scan`, when given, is fn(_scan_angles()), so
+    a caller can seed candidates from it.  A zoom round sends the windows
+    of all F rows through fn at once and row f keeps its own: F times the
+    work of its own angles alone, which on zoom windows costs less than F
+    calls.  Returns the (F,) angles and values and the (F, 8192) scan.
     """
-    vals = np.asarray(fn(_scan_angles()), dtype=np.float64)
+    vals = np.asarray(fn(_scan_angles()) if scan is None else scan, dtype=np.float64)
     f = np.arange(vals.shape[0])
     i = vals.argmin(axis=1)
     x = np.concatenate([_scan_angles()[i][:, None], candidates], axis=1)

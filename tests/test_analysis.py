@@ -33,7 +33,7 @@ from tmfejer.quadrature import (
     refined_maximum,
     refined_minimum,
 )
-from tmfejer.tm_basis import TMBasis
+from tmfejer.tm_basis import TMBasis, phi_values
 
 # geometric:0.5, a_k = 1 - 2^-k for k = 1..12: poles that approach the circle.
 NEAR_CIRCLE = 1.0 - 0.5 ** np.arange(1, 13)
@@ -442,3 +442,43 @@ class TestOrdersInOnePass:
                 tracemalloc.stop()
 
         assert peak(range(1, 65)) <= 1.1 * peak(range(57, 65))
+
+
+class TestScanIdentities:
+    """The identities that let one pass serve converge and counterexample."""
+
+    @pytest.mark.parametrize(
+        "seq,orders",
+        [(PointSequence(BRACKET), [1, 2, 4, 8]), (PointSequence(tuple(NEAR_CIRCLE)), [8])],
+        ids=["bracket", "geometric:0.5"],
+    )
+    @pytest.mark.parametrize(
+        "f", [identity_map(), mobius(0.3), simple_pole(1.6)], ids=lambda f: f.label
+    )
+    def test_error_rows_equal_the_jet_recursion(self, seq, orders, f):
+        # |B_n| = 1 and |B_n'| = the Frostman sum on the circle, so the error
+        # rows |f' - B_n g'| / |B_n'| are |B_n / B_n'| |f' - B_n g'|.
+        scan = -analysis._boundary_errors([f], seq, orders)[2][len(orders) :]
+        t = np.exp(1j * analysis._scan_angles())
+        for row, n in zip(scan, orders):
+            b, bp, _, _ = blaschke._recurse(seq, n, t)
+            ((kf, kg),) = operators._projections(f, seq, [n])
+            want = np.abs(b / bp) * np.abs(operators._delta_at(f, kf, kg, t, b))
+            assert (np.abs(row - want) <= 1e-14 * want).all(), n
+
+    @pytest.mark.parametrize(
+        "values", [[0.5] * 30, list(1.0 - 0.5 ** np.arange(1, 31))], ids=["constant", "geometric"]
+    )
+    def test_cesaro_gap_reads_the_blaschke_product(self, values):
+        # 1 - S_n(c) is the constant's part in B_n H^2: conj(B_n(0)) B_n.
+        # Within 3 scan steps of the angle 0 that geometric:0.5 approaches,
+        # each side is up to 1.4e-14 off the 50-digit product at n = 30.
+        seq, n = PointSequence(tuple(values)), 30
+        c = np.conj(phi_values(TMBasis(seq, n), 0.0))
+        t = np.exp(1j * analysis._scan_angles())
+        block = np.stack([c, np.arange(n) * c], axis=1)
+        b, _, s, _ = blaschke._recurse(seq, n, t, c=block, jet=False)
+        b0 = np.prod(-np.asarray(values))
+        gap = np.abs(np.conj(b0) * b - (1.0 - s[0]))
+        assert gap[4:-3].max() <= 1e-14
+        assert gap.max() <= 2e-14

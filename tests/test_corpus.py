@@ -7,6 +7,8 @@ from conftest import central_difference, circle_grid, schur_corpus
 from tmfejer.analysis import interior_probes
 from tmfejer.blaschke import PointSequence, eval_blaschke
 from tmfejer.corpus import (
+    _PEAK_SCAN,
+    _peak_windows,
     _unit_densities,
     blaschke_multiple,
     cauchy_transform,
@@ -21,7 +23,7 @@ from tmfejer.corpus import (
     standard_corpus,
 )
 from tmfejer.operators import AnalyticTestFunction
-from tmfejer.quadrature import BoundaryGridFunction, refined_maximum
+from tmfejer.quadrature import BoundaryGridFunction, _zoom, refined_maximum
 
 
 class TestDerivativeClosures:
@@ -225,6 +227,24 @@ class TestRandomDensities:
         assert mod.max() <= 1.0 + 1e-12
         assert abs(mod.argmax() / 2**16 * 512 - 100.5) < 1.0
         assert mod.max() >= 1.0 - 1e-7
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_in_place_horner_peaks_bit_for_bit(self, seed):
+        # The peak search runs Horner's rule in place on one buffer; the
+        # form that allocates two arrays per step gives the same peaks.
+        def allocating(g, theta):
+            w = np.exp(1j * theta)
+            acc = np.broadcast_to(g[:, -1:], w.shape)
+            for k in range(11, -1, -1):
+                acc = g[:, k : k + 1] + acc * w
+            return -np.abs(acc)
+
+        for count in (1, 7):
+            g, peaks = _unit_densities(np.random.default_rng(seed), count)
+            x = _peak_windows(g)
+            half = 2.0 * np.pi / _PEAK_SCAN
+            _, v = _zoom(lambda th: allocating(g, th), x, np.full(x.shape, np.inf), half)
+            assert peaks.tobytes() == (-v.min(axis=1)).tobytes()
 
 
 class TestCorpusShape:

@@ -12,14 +12,15 @@ f - (B_n/B_n')(f' - B_n g') at 60 digits from the Taylor series of f
 and of B_n; delta, through the FFT and through Taylor coefficients where
 the FFT declines, is checked against (B_n'/B_n)(f - S_n) + S_n' from the
 same exact coefficients, and delta of a Cauchy transform against
-f' - B_n g' from its density's seven coefficients.  The refined
-Frostman minimum is checked against a root of the derivative of the
-Frostman sum, found at 40 digits.  The coefficients of a simple pole are
-checked against the reproducing property of the Szego kernel, and the
-Taylor coefficients of B_n against the series division of its numerator
-by its denominator.  The angular kernel is checked near its diagonal
-against |B_n(t) - B_n(z)|^2 / (|t - z|^2 |B_n'(z)|) from the product
-formula.
+f' - B_n g' from its density's seven coefficients.  The Frostman sum
+is checked at 50 digits near the angle of poles that approach the
+circle, and the refined Frostman minimum against a root of the
+derivative of the Frostman sum, found at 40 digits.  The coefficients
+of a simple pole are checked against the reproducing property of the
+Szego kernel, and the Taylor coefficients of B_n against the series
+division of its numerator by its denominator.  The angular kernel is
+checked near its diagonal against |B_n(t) - B_n(z)|^2 / (|t - z|^2
+|B_n'(z)|) from the product formula.
 """
 
 import mpmath
@@ -28,7 +29,7 @@ import pytest
 
 from conftest import BRACKET, MIXED
 from tmfejer.analysis import diagnose_sequence, interior_probes
-from tmfejer.blaschke import PointSequence, _recurse, _taylor, eval_blaschke
+from tmfejer.blaschke import PointSequence, _frostman_prefixes, _recurse, _taylor, eval_blaschke
 from tmfejer.corpus import (
     _unit_densities,
     cauchy_transform,
@@ -45,6 +46,7 @@ from tmfejer.operators import (
     fejer_kernel_angular,
     sigma_positive,
 )
+from tmfejer.quadrature import _SCAN, _scan_angles
 from tmfejer.tm_basis import TMBasis, phi_jet, phi_values
 
 INTERIOR = (0.0, 0.31 - 0.42j, -0.66 + 0.05j, 0.12j, 0.85 * np.exp(2.2j))
@@ -203,6 +205,30 @@ def _frostman_minimum(poles):
         i = min(range(256), key=lambda k: frostman(k * step))
         x = mpmath.findroot(slope, ((i - 1) * step, (i + 1) * step), solver="anderson")
         return float(x), float(frostman(x))
+
+
+def _frostman_sum(poles, x):
+    """sum_j (1 - |a_j|^2) / |1 - e^{-ix} a_j|^2 at 50 digits, at the double x."""
+    with mpmath.workdps(50):
+        t = mpmath.expj(mpmath.mpf(float(x)))
+        a = [mpmath.mpc(p) for p in poles]
+        return float(mpmath.fsum((1 - abs(p) ** 2) / abs(1 - mpmath.conj(t) * p) ** 2 for p in a))
+
+
+@pytest.mark.parametrize(
+    "rotation, tol", [(0.0, 1e-15), (0.3, 1e-12), (1.0, 1e-12), (2.5, 1e-12)]
+)
+def test_frostman_sum_near_the_pole_angle(rotation, tol):
+    # geometric:0.5 rotated by e^{i rotation} puts every pole on one angle:
+    # the scan angles within 3 steps of it, and three far ones.  On real
+    # poles sin((x - theta) / 2) is sin(x / 2) itself.
+    poles = (1.0 - 0.5 ** np.arange(1, 17)) * np.exp(1j * rotation)
+    near = round(rotation / (2.0 * np.pi) * _SCAN) + np.arange(-3, 4)
+    ang = _scan_angles()[np.append(near, near[3] + [1000, 3000, 4096]) % _SCAN]
+    rows = _frostman_prefixes(PointSequence(tuple(poles)), [8, 12, 16], ang)
+    for row, n in zip(rows, (8, 12, 16)):
+        want = np.array([_frostman_sum(poles[:n], x) for x in ang])
+        assert (np.abs(row - want) <= tol * want).all(), n
 
 
 @pytest.mark.parametrize("order", [3, 8])
