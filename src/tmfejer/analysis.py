@@ -12,7 +12,9 @@ n its slice.  It, `convergence_experiment` and `_diagnose_orders` (the
 over the poles and refine every extremum of the pass in one search,
 each set of angles taking one running Frostman sum and at most one
 recursion that snapshots every order's B_n or sums.  Each row equals
-the one-order call on the same sequence bit for bit.
+the one-order call on the same sequence bit for bit.  For real poles
+B_n(conj z) = conj(B_n(z)), so the counterexample and each `frostman` row
+on real poles scan the even gap or |B_n'| on [0, pi] alone.
 `voronovskaya_experiment` and `saturation_check` take one order per call.
 
 The uniform error ||f - sigma_positive(f)||_C has one route: the error
@@ -39,7 +41,7 @@ from tmfejer.operators import (
     _projections,
     _sigma_from_sums,
 )
-from tmfejer.quadrature import _SCAN, NoConvergence, _grid, _refined_minima, _scan_angles
+from tmfejer.quadrature import _HALF, _SCAN, NoConvergence, _grid, _refined_minima, _scan_angles
 from tmfejer.tm_basis import TMBasis, phi_values
 
 __all__ = [
@@ -123,7 +125,9 @@ def diagnose_sequence(sequence: PointSequence, order: int) -> SequenceDiagnostic
     `refined_minimum`; the uniform norm of 1/B_n' is its reciprocal.  The
     mean of |B_n'| over the same scan reproduces the order (winding of B_n)
     up to the closed-form error of `_l1_drift`; past 1e-10, as for poles
-    near the circle, NoConvergence is raised.
+    near the circle, NoConvergence is raised.  When a_0..a_{n-1} are real
+    |B_n'| is even, so the scan covers [0, pi], `argmin_angle` lies there
+    and the mean is the half-range rule, equal to the full scan's mean.
     """
     return _diagnose_orders(sequence, [order])[0]
 
@@ -227,7 +231,16 @@ def _boundary_errors(fs, sequence, orders: list):
             np.divide(np.abs(dj), -row, out=row)
         return out
 
-    scan = rows(_scan_angles())
+    # With real poles |B_n'| is even in the angle: such a row reads [0, pi]
+    # and mirrors it, which keeps its argmin there and makes its mean the
+    # half-range rule.  The pass scans the half circle when every row does.
+    real = [j for j, n in enumerate(orders) if not (fs or sequence.as_array()[:n].imag.any())]
+    if len(real) == len(orders):
+        scan = rows(_scan_angles()[:_HALF])
+        scan = np.concatenate((scan, scan[:, _HALF - 2 : 0 : -1]), axis=1)
+    else:
+        scan = rows(_scan_angles())
+        scan[real, _HALF:] = scan[real, _HALF - 2 : 0 : -1]
     seeds = _scan_angles()[scan[: len(orders)].argmin(axis=1)]
     cands = np.tile(seeds, len(fs) + 1)[:, None] if fs else np.empty((len(orders), 0))
     return _refined_minima(rows, cands, scan)
@@ -296,26 +309,36 @@ def voronovskaya_experiment(
     member B_n m_z, m_z(w) = (w - z)/(1 - conj(z) w), which attains the
     bound: P_+(conj(B_n) B_n m_z) = m_z, so the gap is |B_n(z) m_z'(z)|.
     """
-    _check_order(sequence, order)
+    return _voronovskaya_orders(sequence, [order], probes, trials, seed)
+
+
+def _voronovskaya_orders(sequence, orders, probes, trials, seed) -> list[VoronovskayaSample]:
+    """voronovskaya_experiment at every order, in the order given: the unit
+    densities and their peak search are drawn once for all orders."""
+    for n in orders:
+        _check_order(sequence, n)
     zs = interior_probes(probes)
-    bz = _recurse(sequence, order, zs, jet=False)[0]
-    bounds = np.abs(bz) / (1.0 - np.abs(zs) ** 2)
     g, peaks = _unit_densities(np.random.default_rng(seed), trials)
+    mu = (g[:, _DEGREE:] / peaks[:, None]).T
     ms = np.arange(_DEGREE + 1)
-    c = _projected_taylor((g[:, _DEGREE:] / peaks[:, None]).T, sequence, order)[1:]
-    dg = (ms[1:] * zs[:, None] ** ms[:-1]) @ c
-    random_max = np.abs(bz[:, None] * dg).max(axis=1, initial=0.0)
-    extremal = np.abs(bz * (1.0 - np.abs(zs) ** 2) / (1.0 - np.conj(zs) * zs) ** 2)
-    return [
-        VoronovskayaSample(
-            order=order,
-            z=complex(z),
-            bound=float(bounds[i]),
-            random_max=float(random_max[i]),
-            extremal_value=float(extremal[i]),
-        )
-        for i, z in enumerate(zs)
-    ]
+    rows = []
+    for n in orders:
+        bz = _recurse(sequence, n, zs, jet=False)[0]
+        bounds = np.abs(bz) / (1.0 - np.abs(zs) ** 2)
+        dg = (ms[1:] * zs[:, None] ** ms[:-1]) @ _projected_taylor(mu, sequence, n)[1:]
+        random_max = np.abs(bz[:, None] * dg).max(axis=1, initial=0.0)
+        extremal = np.abs(bz * (1.0 - np.abs(zs) ** 2) / (1.0 - np.conj(zs) * zs) ** 2)
+        rows += [
+            VoronovskayaSample(
+                order=n,
+                z=complex(z),
+                bound=float(bounds[i]),
+                random_max=float(random_max[i]),
+                extremal_value=float(extremal[i]),
+            )
+            for i, z in enumerate(zs)
+        ]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -379,8 +402,9 @@ def cesaro_counterexample(values, orders) -> list[CounterexampleRow]:
     For a real sequence 0 <= a_k < 1 the uniform distance between the
     constant one and its Cesaro mean is (1/n) sum_{k<=n} (a_1 ... a_k),
     attained at the angle pi; `excess` reports one plus the refined sup so
-    it reads as an operator-norm lower bound, always above one.  The
-    constant's negative coefficients are exactly zero, so its order-n
+    it reads as an operator-norm lower bound, always above one; the gap is
+    even in the angle, so its scan covers [0, pi] alone.  The constant's
+    negative coefficients are exactly zero, so its order-n
     Cesaro mean is S_n(c) - S_n(k c) / n with S_n(x) = sum_{k<n} x_k phi_k,
     and 1 - S_n(c) = conj(B_n(0)) B_n, the constant's part in B_n H^2: the
     gap takes one sum, S_n(k c), and B_n from the same pass.
@@ -417,7 +441,9 @@ def _counterexample_pass(a, sequence, c, orders: list) -> list[CounterexampleRow
         b += np.divide(s, per_order, out=s)
         return -np.abs(b)
 
-    _, v, _ = _refined_minima(negated_gaps, np.full((len(orders), 1), np.pi))
+    # The gaps are even in the angle (real poles), so the scan covers [0, pi].
+    scan = negated_gaps(_scan_angles()[:_HALF])
+    _, v, _ = _refined_minima(negated_gaps, np.full((len(orders), 1), np.pi), scan)
     # The constant is real, so d = c and sigma_rusak = 2 Re T(c) - f_0 with f_0 = 1.
     tp = _grid(256)[1]
     tc = _sigma_from_sums(*_recurse(sequence, top, tp, c=c[:top], orders=orders))

@@ -53,10 +53,10 @@ import numpy as np
 from tmfejer import __version__
 from tmfejer.analysis import (
     _diagnose_orders,
+    _voronovskaya_orders,
     cesaro_counterexample,
     convergence_experiment,
     saturation_check,
-    voronovskaya_experiment,
 )
 from tmfejer.blaschke import MODULUS_MARGIN, PointSequence, PoleProximity
 from tmfejer.corpus import constant_one, identity_map, mobius, polynomial, simple_pole
@@ -319,7 +319,7 @@ def _execute(config: ExperimentConfig) -> dict[str, list]:
         rows = convergence_experiment(f, sequence, config.orders)
     elif config.command == "voronovskaya":
         args = (config.probes, config.trials, config.seed)
-        rows = [r for n in config.orders for r in voronovskaya_experiment(sequence, int(n), *args)]
+        rows = _voronovskaya_orders(sequence, config.orders, *args)
     elif config.command == "saturation":
         rows = [r for n in config.orders for r in saturation_check(sequence, int(n))]
     elif config.command == "frostman":

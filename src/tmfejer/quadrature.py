@@ -30,8 +30,10 @@ __all__ = [
 MIN_RESOLUTION = 16
 
 # refined_minimum: scan size, zoom samples per window (offset 0 among them),
-# narrowing per round and the half-width at which the zoom stops.
+# narrowing per round and the half-width at which the zoom stops.  The first
+# _HALF scan angles run from 0 to pi.
 _SCAN = 8192
+_HALF = _SCAN // 2 + 1
 _OFFSETS = np.arange(-16, 17) / 16.0
 _ZOOM = 16.0
 _TOL = 1e-10
@@ -150,27 +152,34 @@ def _refined_minima(
 
     `fn` maps flat angles to the (F, M) values of the F functions there,
     and row f of the (F, C) `candidates` holds function f's extra angles.
-    Each row zooms in on its argmin over the 8192 scan angles and on its
-    candidates, as refined_minimum does for one function, and keeps the
-    lowest of its windows; `scan`, when given, is fn(_scan_angles()), so
-    a caller can seed candidates from it.  A zoom round sends the windows
-    of all F rows through fn at once and row f keeps its own: F times the
-    work of its own angles alone, which on zoom windows costs less than F
-    calls.  Returns the (F,) angles and values and the (F, 8192) scan.
+    Each row zooms in on its argmin over the scan and on its candidates,
+    as refined_minimum does for one function, and keeps the lowest of its
+    windows, the scan's on a tie.  `scan`, when given, is fn at the first
+    8192 or, for functions even in the angle, the first _HALF scan angles,
+    those in [0, pi]; a caller can seed candidates from it.  A candidate
+    at its row's scan argmin adds no window, so each distinct (row,
+    window) zooms once.  A zoom round sends the windows of all rows
+    through fn as one flat list and each window keeps its own row's
+    values: F times the work of its own angles alone, which on zoom
+    windows costs less than F calls.  Returns the (F,) angles and values
+    and the scan.
     """
     vals = np.asarray(fn(_scan_angles()) if scan is None else scan, dtype=np.float64)
     f = np.arange(vals.shape[0])
     i = vals.argmin(axis=1)
     x = np.concatenate([_scan_angles()[i][:, None], candidates], axis=1)
+    keep = np.concatenate([np.ones((f.size, 1), bool), candidates != x[:, :1]], axis=1)
     v = np.full(x.shape, np.inf)
     v[:, 0] = vals[f, i]
+    row, x, v = np.broadcast_to(f[:, None], x.shape)[keep], x[keep], v[keep]
 
     def own(a):
-        return fn(a.ravel()).reshape(f.size, *a.shape)[f, f]
+        out = fn(a.ravel()).reshape(f.size, row.size, -1)
+        return out[row, np.arange(row.size)].reshape(a.shape)
 
-    x, v = _zoom(own, x, v, 2.0 * np.pi / _SCAN)
-    k = v.argmin(axis=1)
-    return x[f, k], v[f, k], vals
+    (x,), (v,) = _zoom(own, x[None], v[None], 2.0 * np.pi / _SCAN)
+    k = np.lexsort((v, row))[np.searchsorted(row, f)]
+    return x[k], v[k], vals
 
 
 def refined_minimum(
@@ -181,7 +190,8 @@ def refined_minimum(
     Scans a uniform grid of 8192 angles, then zooms in on the one-step
     window around the grid argmin and on the same window around each angle
     in `candidates`: the scan can miss a dip narrower than its spacing, so
-    callers pass angles where the extremum is known to sit.  Each round
+    callers pass angles where the extremum is known to sit.  A candidate
+    at the grid argmin shares its window.  Each round
     samples 33 equispaced angles across every window in one call of `fn`,
     recentres each window on its best point and narrows it 16-fold, until
     the half-width is below 1e-10 (six rounds).  The window centre is one

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import BRACKET, MIXED, zeros_sequence
-from tmfejer import analysis, blaschke, operators
+from tmfejer import analysis, blaschke, operators, quadrature
 from tmfejer.analysis import (
     cesaro_counterexample,
     convergence_experiment,
@@ -482,3 +482,110 @@ class TestScanIdentities:
         gap = np.abs(np.conj(b0) * b - (1.0 - s[0]))
         assert gap[4:-3].max() <= 1e-14
         assert gap.max() <= 2e-14
+
+
+def zoom_sizes(monkeypatch) -> list:
+    """The number of angles that each zoom round sends through its function."""
+    sizes, inner = [], quadrature._zoom
+
+    def counting(fn, x, v, half):
+        def counted(a):
+            sizes.append(a.size)
+            return fn(a)
+
+        return inner(counted, x, v, half)
+
+    monkeypatch.setattr(quadrature, "_zoom", counting)
+    return sizes
+
+
+class TestDistinctWindows:
+    """Each refined search zooms every distinct (row, window) once."""
+
+    def test_bundled_converge(self, monkeypatch):
+        # Twelve rows; the Frostman rows' seeds are their own scan argmins,
+        # and one error row's scan argmin is its seed: 17 windows, not 24.
+        sizes = zoom_sizes(monkeypatch)
+        convergence_experiment(identity_map(), PointSequence(BRACKET), [1, 2, 3, 4, 6, 8])
+        assert sizes == [17 * 33] * 6
+
+    def test_bundled_counterexample(self, monkeypatch):
+        # Every gap but order 1's, a constant 1/2, peaks at the candidate pi.
+        sizes = zoom_sizes(monkeypatch)
+        cesaro_counterexample([0.5] * 8, [1, 2, 3, 4, 6, 8])
+        assert sizes == [7 * 33] * 6
+
+
+def frostman_reference(seq, orders):
+    """The full-circle search of the Frostman sums: angles, minima and scan."""
+    rows = lambda th: blaschke._frostman_prefixes(seq, orders, th)  # noqa: E731
+    return analysis._refined_minima(rows, np.empty((len(orders), 0)))
+
+
+REAL_LIST = [0.5, -0.6, 0.3, -0.2, 0.8, -0.75, 0.1, 0.4]
+
+
+class TestHalfCircle:
+    """Real poles make |B_n'| and the Cesaro gap even in the angle, so their
+    searches scan [0, pi] and match the full circle."""
+
+    @pytest.mark.parametrize(
+        "values,orders",
+        [
+            ([0.5] * 30, [8, 10, 16, 30]),
+            (list(NEAR_CIRCLE_39[:30]), [8, 10, 16, 30]),
+            ([1.0 - 1.0 / (k + 1.0) for k in range(1, 17)], [1, 2, 4, 8, 12, 16]),
+        ],
+        ids=["constant", "geometric", "harmonic"],
+    )
+    def test_counterexample_equals_the_full_circle(self, values, orders):
+        rows = cesaro_counterexample(values, orders)
+        for row, n in zip(rows, orders):
+            a = np.asarray(values[:n])
+            seq = PointSequence(tuple(a))
+            kc = np.arange(n) * np.conj(phi_values(TMBasis(seq, n), 0.0))
+            b0 = np.cumprod(-a)[-1]
+
+            def gap(theta, seq=seq, kc=kc, b0=b0, n=n):
+                t = np.exp(1j * theta)
+                b, _, s, _ = blaschke._recurse(seq, n, t, c=kc, jet=False, orders=[n])
+                return -np.abs(b * b0 + s / n)
+
+            _, v, _ = analysis._refined_minima(gap, np.array([[np.pi]]))
+            assert row.excess == 1.0 - v[0], n
+
+    @pytest.mark.parametrize(
+        "seq,orders",
+        [
+            (HARMONIC, [1, 2, 4, 8, 12, 16]),
+            (PointSequence(tuple(NEAR_CIRCLE[:8])), [2, 4, 8]),
+            (PointSequence(tuple(REAL_LIST)), [2, 4, 8]),
+            (PointSequence(tuple(-x for x in REAL_LIST)), [2, 4, 8]),
+        ],
+        ids=["harmonic", "geometric", "list", "negated"],
+    )
+    def test_frostman_on_real_poles(self, seq, orders):
+        x, v, scan = frostman_reference(seq, orders)
+        for j, row in enumerate(analysis._diagnose_orders(seq, orders)):
+            assert row.frostman_min == pytest.approx(v[j], rel=1e-15, abs=0.0)
+            assert abs(row.derivative_l1 - scan[j].mean()) <= 1e-13
+            assert 0.0 <= row.argmin_angle <= np.pi
+
+    def test_frostman_on_complex_poles_keeps_the_full_circle(self, seq_mixed):
+        orders = [2, 4, 8]
+        x, v, scan = frostman_reference(seq_mixed, orders)
+        for j, row in enumerate(analysis._diagnose_orders(seq_mixed, orders)):
+            assert (row.argmin_angle, row.frostman_min) == (x[j], v[j])
+            assert row.derivative_l1 == scan[j].mean()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_real_rows_of_a_mixed_pass_equal_their_one_order_call(self, seed):
+        # The first four poles are real, the rest complex: rows 2 and 4 read
+        # the half circle inside a full-circle pass, as on their own.
+        rng = np.random.default_rng(seed)
+        real = rng.uniform(-0.9, 0.9, 4)
+        cplx = 0.8 * np.sqrt(rng.random(4)) * np.exp(2j * np.pi * rng.random(4))
+        seq = PointSequence((*map(float, real), *map(complex, cplx)))
+        orders = [2, 4, 8]
+        want = [diagnose_sequence(seq, n) for n in orders]
+        assert analysis._diagnose_orders(seq, orders) == want

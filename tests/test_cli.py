@@ -252,6 +252,25 @@ class TestCommands:
         assert run(parse_config(body + f"seed = 2\nout = {b}\n")) == 0
         assert a.read_bytes() != b.read_bytes()
 
+    def test_voronovskaya_draws_its_densities_once(self, monkeypatch):
+        # The orders of a report share one draw of unit densities and one
+        # peak search; each order's rows equal its one-order call.
+        config = parse_config(
+            "command = voronovskaya\nsequence = list:[0.5,0.3,-0.2j,0.4]\norders = [2, 4]\n"
+            "probes = 3\ntrials = 4\nseed = 9\n"
+        )
+        sequence = config.sequence.materialize(4)
+        want = [
+            r.to_row()
+            for n in config.orders
+            for r in analysis.voronovskaya_experiment(sequence, n, 3, 4, 9)
+        ]
+        calls, inner = [], analysis._unit_densities
+        monkeypatch.setattr(analysis, "_unit_densities", lambda *a: calls.append(a) or inner(*a))
+        got = _execute(config)
+        assert len(calls) == 1
+        assert got == {key: [row[key] for row in want] for key in want[0]}
+
     def test_counterexample_frozen_values(self, tmp_path):
         out = tmp_path / "ce.json"
         cfg = parse_config(

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmfejer.quadrature import (
+    _HALF,
     BoundaryGridFunction,
+    _refined_minima,
+    _scan_angles,
     _zoom,
     next_power_of_two,
     norms,
@@ -151,6 +154,65 @@ class TestRefinement:
             xf, vf = _zoom(one, x0[f : f + 1], v0[f : f + 1], 0.05)
             assert np.array_equal(x[f : f + 1], xf)
             assert np.array_equal(v[f : f + 1], vf)
+
+
+SHIFTS = np.array([0.7, 2.0, -1.1])
+
+
+def shifted(th):
+    """Three functions of the flat angles th, row f with its minimum at SHIFTS[f] + pi."""
+    return np.cos(th - SHIFTS[:, None]) + 0.1 * np.cos(5 * th)
+
+
+class TestDistinctWindows:
+    def counted(self, sizes):
+        def ev(th):
+            sizes.append(th.size)
+            return shifted(th)
+
+        return ev
+
+    def test_candidate_at_the_scan_argmin_adds_no_window(self):
+        # Each row's candidate is its own scan argmin: a zoom round sends one
+        # window per row, F * 33 angles, and nothing moves against the
+        # search without candidates.
+        scan = shifted(_scan_angles())
+        cands = _scan_angles()[scan.argmin(axis=1)][:, None]
+        sizes = []
+        x, v, _ = _refined_minima(self.counted(sizes), cands)
+        assert sizes == [8192] + [3 * 33] * 6
+        x0, v0, _ = _refined_minima(shifted, np.empty((3, 0)))
+        assert np.array_equal(x, x0) and np.array_equal(v, v0)
+
+    def test_a_candidate_elsewhere_keeps_its_window(self):
+        scan = shifted(_scan_angles())
+        cands = _scan_angles()[scan.argmin(axis=1)][:, None]
+        cands[1, 0] = 1.0
+        sizes = []
+        _refined_minima(self.counted(sizes), cands)
+        assert sizes == [8192] + [4 * 33] * 6
+
+    def test_a_tie_keeps_the_scan_window(self):
+        # Two plateaus at -1: the candidate's window moves to its first
+        # sample and ends at the same value, so the scan argmin stays.
+        def ev(th):
+            flat = (np.abs(th - 1.0) < 1e-3) | (np.abs(th - 4.0) < 1e-3)
+            return np.where(flat, -1.0, np.cos(th))[None]
+
+        x0 = _scan_angles()[ev(_scan_angles())[0].argmin()]
+        x, v, _ = _refined_minima(ev, np.array([[4.0]]))
+        assert (x[0], v[0]) == (x0, -1.0)
+
+    def test_a_half_scan_on_an_even_function(self):
+        # The first _HALF scan angles cover [0, pi]; an even function keeps
+        # its minimum there and reaches the full scan's value.
+        def ev(th):
+            return (0.5 * np.cos(th) ** 2 + 0.2 * np.cos(3 * th))[None]
+
+        half = ev(_scan_angles()[:_HALF])
+        x, v, scan = _refined_minima(ev, np.empty((1, 0)), half)
+        assert scan.shape == (1, _HALF) and 0.0 <= x[0] <= np.pi
+        assert v[0] == pytest.approx(_refined_minima(ev, np.empty((1, 0)))[1][0], abs=1e-15)
 
 
 class TestResolutions:
