@@ -18,7 +18,8 @@ The module also evaluates the boundary modulus
 
 a partial Frostman sum.  On a full uniform grid of the circle, B_n and
 |B_n'| also follow from the power sums of the poles by one inverse FFT,
-which the FFT routes of sigma_positive and delta use.
+which the projection behind delta and sigma_positive uses, and so does
+sigma_positive's evaluation on such a grid.
 Every evaluator accepts scalars or numpy arrays of points and returns
 matching shapes.  B_0 = 1 only starts the recursion: orders run over
 1 <= n <= len(a), the rule that `_check_order` states for this module,

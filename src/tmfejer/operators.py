@@ -38,10 +38,12 @@ the member's radius of analyticity and its growth.
 On the circle S_n f = B_n P_-(f conj(B_n)), and f = S_n f + B_n g with
 g = P_+(f conj(B_n)), so delta(f) = f' - B_n g' and sigma_positive(f) =
 f - (B_n/B_n')(f' - B_n g') exactly, with no coefficients c_k.  g' comes
-from `_projections`: one FFT of f conj(B_n) on a uniform grid, B_n there
-from the power sums of the poles (blaschke._grid_blaschke), or where
-that declines, one FFT of f / B_n on the contour |t| = R.  On a full
-uniform grid sigma_positive reads f conj(B_n) on that grid itself.
+from `_projections` on every point set: one FFT of f conj(B_n) on a
+uniform grid, B_n there from the power sums of the poles
+(blaschke._grid_blaschke), or where that declines, one FFT of f / B_n on
+the contour |t| = R.  Only the evaluation depends on the points: on a
+full uniform grid sigma_positive sums g' by one inverse FFT, elsewhere
+by Horner's rule.
 
 Only grid-backed data is sampled on the unit circle, and no CLI command
 builds any: counterexample reads sigma_rusak(1) off the constant's exact
@@ -102,9 +104,10 @@ _CONTOUR_DECAY = 1e-17
 _CONTOUR_TOL = 1e-14
 # Cap on max|f| over the contour relative to max|f| over the unit circle.
 _CONTOUR_GROWTH = 16.0
-# The FFT routes take at most _GRID_TERMS power sums.  Their k-weighted
-# sums leave out Fourier coefficients below _GRID_NOISE times the largest
-# one in the band that holds rounding alone.
+# `_projections`' FFT and sigma_positive's grid evaluation take at most
+# _GRID_TERMS power sums of B_n.  The k-weighted sums of the FFT leave out
+# Fourier coefficients below _GRID_NOISE times the largest one in the band
+# that holds rounding alone.
 _GRID_TERMS = 1024
 _GRID_NOISE = 4.0
 
@@ -324,16 +327,21 @@ def sigma_positive(
     coeffs: np.ndarray | None = None,
 ):
     """S_n(f)(z) - (B_n(z)/B_n'(z)) S_n'(f)(z) on the closed disc, as
-    f - (B_n/B_n')(f' - B_n g') with g = P_+(conj(B_n) f).
+    f - (B_n/B_n')(f' - B_n g') with g = P_+(h), h = conj(B_n) f, and the
+    Taylor coefficients k g_k of g' from one call of `_projections`.
 
     When z is a full uniform grid z0 e^{2 pi i m / M} (to 1e-14, any
-    rotation z0, M a power of two >= 64), n <= M / 4, the power sums of
-    B_n need at most min(M / 4, 1024) terms, and f is holomorphic beyond
-    the circle |t| = rho, rho^(-M/4) = 1e-17, and at most 16 times as
-    large there as on the unit circle, `_sigma_on_grid` takes the value
-    from samples of f and f' with three FFTs, in O(n J + M log M).  That
-    route hands over to the points route when the spectrum it computes
-    shows the grid too coarse.
+    rotation z0, M a power of two >= 64) and the power sums of B_n need
+    J <= 1024 terms with 2J < M, B_n and |B_n'| come from `_grid_blaschke`.
+    On the circle t B_n'/B_n = |B_n'|, so with D = t d/dt, which maps t^k
+    to k t^k,
+
+        sigma_positive(f) = -(B_n / |B_n'|) D P_-(h)
+                          = f - (t f' - B_n D g) / |B_n'|,
+
+    the second form because D conj(B_n) = -|B_n'| conj(B_n) there.  D g =
+    sum_{k>=1} k g_k t^k is one inverse FFT on the grid (`_grid_series`),
+    and so is t f' when the contour rule gave f's coefficients.
 
     Every other point set takes B_n and B_n' from one pass of the basis
     recursion and f' - B_n g' as delta does, so the constant gives 1
@@ -348,14 +356,18 @@ def sigma_positive(
     zf, shape, scalar = _flatten(z)
     if coeffs is not None:
         _require_length(coeffs, n, "sigma_positive")
-    grid = _uniform_grid(f, sequence, n, zf)
-    out = None if grid is None else _sigma_on_grid(f, sequence, n, zf, *grid)
-    if out is None:
-        if zf.size and np.abs(zf).max() > 1.0 + CIRCLE_TOL:
-            raise ValueError(f"sigma_positive requires |z| <= 1 + {CIRCLE_TOL}")
+    if zf.size and np.abs(zf).max() > 1.0 + CIRCLE_TOL:
+        raise ValueError(f"sigma_positive requires |z| <= 1 + {CIRCLE_TOL}")
+    grid = _uniform_grid(sequence, n, zf)
+    kf, kg = _projections(f, sequence, [n])[0]
+    if grid is None:
         bz, bpz, _, _ = _recurse(sequence, n, zf)
-        d = _delta_at(f, *_projections(f, sequence, [n])[0], zf, bz)
-        out = _sigma_from_sums(bz, bpz, f.value(zf), d)
+        out = _sigma_from_sums(bz, bpz, f.value(zf), _delta_at(f, kf, kg, zf, bz))
+    else:
+        z0, roots, terms = grid
+        b, db = _grid_blaschke(sequence, n, z0, roots, terms)
+        tf = zf * f.derivative(zf) if kf is None else _grid_series(kf, z0, zf.size)
+        out = f.value(zf) - (tf - b * _grid_series(kg, z0, zf.size)) / db
     return _restore(out, shape, scalar)
 
 
@@ -365,11 +377,12 @@ def _power_terms(sequence: PointSequence, n: int) -> int:
     return math.ceil(math.log(_CONTOUR_DECAY) / math.log(mod)) if mod > 0.0 else 0
 
 
-def _grid_start(f: AnalyticTestFunction, sequence: PointSequence, n: int) -> tuple[int, int] | None:
-    """(M0, J): the least grid size M0 the FFT routes may run on and J, the
-    number of power sums of B_n; None when no grid size can serve.
+def _grid_start(sequence: PointSequence, n: int) -> tuple[int, int] | None:
+    """(M0, J): the least grid size M0 that `_projected_derivative`'s FFT
+    may run on and J, the number of power sums of B_n; None when no grid
+    size can serve.
 
-    The routes need the spectrum of f conj(B_n) at rounding level from
+    The FFT needs the spectrum of f conj(B_n) at rounding level from
     frequency M / 4 up to M / 2, where the negative half begins.  The power
     sums of B_n decay like max|a_k|^j, which falls to _CONTOUR_DECAY at
     j = J, and conj(B_n) has its spectrum from 0 down to about -(n + J):
@@ -397,11 +410,11 @@ def _grid_tame(f: AnalyticTestFunction, npts: int) -> bool:
     return _tame(f, 1.0, _CONTOUR_DECAY ** (-4.0 / npts))
 
 
-def _uniform_grid(f: AnalyticTestFunction, sequence: PointSequence, n: int, zf: np.ndarray):
+def _uniform_grid(sequence: PointSequence, n: int, zf: np.ndarray):
     """(z0, roots, J) when the flat points zf are z0 roots[m],
-    roots[m] = e^{2 pi i m / M}, to _CONTOUR_TOL, M is a power of two >=
-    `_grid_start`'s M0 and f passes `_grid_tame` on M points; None
-    otherwise."""
+    roots[m] = e^{2 pi i m / M}, to _CONTOUR_TOL, M is a power of two
+    >= 64 and J = `_power_terms` is at most _GRID_TERMS with 2J < M, which
+    `_grid_blaschke` needs; None otherwise."""
     npts = zf.size
     if npts < 64 or npts & (npts - 1):
         return None
@@ -413,10 +426,19 @@ def _uniform_grid(f: AnalyticTestFunction, sequence: PointSequence, n: int, zf: 
     # Written so that a NaN point fails the test.
     if not np.abs(zf - z0 * roots).max() <= _CONTOUR_TOL:
         return None
-    start = _grid_start(f, sequence, n)
-    if start is None or npts < start[0] or not _grid_tame(f, npts):
+    terms = _power_terms(sequence, n)
+    if terms > _GRID_TERMS or 2 * terms >= npts:
         return None
-    return z0, roots, start[1]
+    return z0, roots, terms
+
+
+def _grid_series(coefs: np.ndarray, z0: complex, npts: int) -> np.ndarray:
+    """sum_{k>=1} coefs[k-1] t^k on the grid t_m = z0 e^{2 pi i m / M}, M = npts:
+    the terms rotated by z0^k, folded modulo M, and one inverse FFT."""
+    k = np.arange(1, coefs.size + 1)
+    folded = np.zeros(-(-(coefs.size + 1) // npts) * npts, dtype=np.complex128)
+    folded[k] = coefs * z0**k
+    return np.fft.ifft(folded.reshape(-1, npts).sum(axis=0)) * npts
 
 
 def _live_terms(mag: np.ndarray) -> int:
@@ -449,45 +471,6 @@ def _positive_spectrum(fv: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         return None
     top = _live_terms(mag[: npts // 2])
     return np.arange(1, top) * g[1:top]
-
-
-def _sigma_on_grid(
-    f: AnalyticTestFunction,
-    sequence: PointSequence,
-    n: int,
-    zf: np.ndarray,
-    z0: complex,
-    roots: np.ndarray,
-    terms: int,
-) -> np.ndarray | None:
-    """sigma_positive(f) on the uniform grid zf = z0 roots from samples of f
-    and f', or None when the grid does not resolve them.
-
-    On the circle S_n f = B_n P_-(h) with h = f conj(B_n), and
-    t B_n'/B_n = |B_n'|, so with D = t d/dt, which maps t^k to k t^k,
-
-        sigma_positive(f) = -(B_n / |B_n'|) D P_-(h)
-                          = f - (t f' - B_n D P_+(h)) / |B_n'|,
-
-    the second form because D conj(B_n) = -|B_n'| conj(B_n) there.  So
-    sigma_positive(f)(t) = f - (t f' - B_n sum_{k>=1} k g_k t^k) / |B_n'|,
-    with g_k the Fourier coefficients of h: one forward FFT of its
-    samples, the k-weighted positive half of `_positive_spectrum`, one
-    inverse FFT.  The rotation z0 cancels between the two.  The positive
-    half decays with f's coefficients, while the negative half decays only
-    like max|a_k|^k; for the constant and the identity it holds at most
-    g_1, so both come out exact to rounding.
-    """
-    npts = zf.size
-    b, db = _grid_blaschke(sequence, n, z0, roots, terms)
-    fv = np.broadcast_to(np.asarray(f.value(zf), dtype=np.complex128), zf.shape)
-    dv = np.broadcast_to(np.asarray(f.derivative(zf), dtype=np.complex128), zf.shape)
-    kg = _positive_spectrum(fv, b)
-    if kg is None:
-        return None
-    weighted = np.zeros(npts, dtype=np.complex128)
-    weighted[1 : kg.size + 1] = kg
-    return fv - (zf * dv - b * np.fft.ifft(weighted) * npts) / db
 
 
 def _sigma_from_sums(bz, bpz, s, sp) -> np.ndarray:
@@ -612,7 +595,7 @@ def _projected_derivative(
     principle its growth test only gets easier.  None when `_grid_start`
     declines or M would pass CONTOUR_CAP.
     """
-    start = _grid_start(f, sequence, n)
+    start = _grid_start(sequence, n)
     if start is None:
         return None
     npts, terms = start

@@ -341,9 +341,10 @@ class TestSigmaPositive:
         with pytest.raises(ValueError):
             sigma_positive(f, basis, z, coeffs=c[2:])
 
-    # A full uniform grid takes the FFT route; every other point set, and
-    # every grid outside the guard, one recursion for B_n and B_n' and g'
-    # from the projection.  The reference sums S_n and S_n' instead.
+    # Every point set takes g' from one projection.  A full uniform grid
+    # that holds the power sums of B_n sums it by an inverse FFT; every
+    # other point set takes one recursion for B_n and B_n' and Horner's
+    # rule.  The reference sums S_n and S_n' instead.
 
     @staticmethod
     def _by_recursion(f, basis, z, c=None):
@@ -419,8 +420,8 @@ class TestSigmaPositive:
         seq, order, f = _random_sequence(16, 0.7, 1), 16, mobius(0.3)
         z = circle_grid(4096)
         if case == "low-order":
-            # The order does not pick the route: 8 poles take the grid on
-            # 4096 points, but their 57 power sums need 256 points.
+            # The order does not pick the route: 8 poles whose 57 power
+            # sums fit in 128 points take the grid.
             seq, order, z = PointSequence(MIXED), 8, circle_grid(128)
         elif case == "many-terms":
             # geometric:0.5 needs about 10^6 power sums at n = 16.
@@ -428,7 +429,8 @@ class TestSigmaPositive:
             z = circle_grid(1 << 17)
         elif case == "cauchy":
             # The Cauchy transform of |Im t|, a polynomial of 471 terms,
-            # grows too fast beyond the circle for the band of 4096 points.
+            # grows too fast beyond the circle for the band of 4096 points;
+            # the grid asks nothing of f.
             f = cauchy_transform(BoundaryGridFunction.from_callable(lambda t: np.abs(t.imag), 4096))
         elif case == "moved-point":
             z = z.copy()
@@ -440,25 +442,27 @@ class TestSigmaPositive:
         elif case == "scalar":
             z = complex(np.exp(0.4j))
         elif case == "high-degree":
-            # Entire, but z^200 fills the band 128 .. 255 of a 512-point grid.
+            # Entire, and z^200 fills the band 128 .. 255 of a 512-point grid.
             f, z = polynomial([0.0] * 200 + [1.0]), circle_grid(512)
         elif case == "gapped":
-            # 1 + z^600 leaves that band empty and folds onto low
-            # frequencies; only the growth test on |t| = rho sees it.
+            # 1 + z^600 has more terms than the grid has points, so its
+            # series folds onto low frequencies.
             seq = PointSequence(tuple(0.5 * np.exp(2j * np.pi * (np.arange(16) + 0.1) / 16)))
             f, z = polynomial([1.0] + [0.0] * 599 + [1.0]), circle_grid(512)
         elif case == "past-quarter":
-            # 64 zero poles: conj(B_64) = t^-64 folds onto frequency 64 of
-            # 128 points, so n must stay within M / 4 as J does.
+            # 64 zero poles on 128 points: g' comes from the projection's
+            # own grid, so n need not stay within M / 4.
             seq, order, f = zeros_sequence(64), 64, identity_map()
             z = circle_grid(128)
         else:
-            # The guard passes, but 4096 points do not resolve B_n.
+            # 4096 points do not resolve conj(B_n); the projection doubles
+            # its own grid.
             a = 0.96 * np.exp(1j * (0.3 + 1e-3 * np.arange(64)))
             seq, order, f = PointSequence(tuple(a)), 64, identity_map()
-            assert operators._uniform_grid(f, seq, order, z) is not None
         basis = TMBasis(seq, order)
         zs = np.atleast_1d(z)
+        on_grid = case in ("low-order", "cauchy", "high-degree", "gapped", "past-quarter", "clustered")
+        assert (operators._uniform_grid(seq, order, zs) is not None) == on_grid
         if case == "many-terms":
             # The recursion's sums lose digits on poles this near the
             # circle, so the constant and the identity check closed forms.
@@ -468,23 +472,53 @@ class TestSigmaPositive:
             members = [(constant_one(), np.ones_like(zs)), (identity_map(), closed)]
         else:
             members = [(f, self._by_recursion(f, basis, zs))]
-        # Off the guard sigma_positive is the points route bit for bit: one
+        # Off the grid sigma_positive is the points route bit for bit: one
         # recursion for B_n and B_n' at the points and f' - B_n g' from the
-        # projection, whose contour rule, where the FFT on the circle
-        # declines, runs the recursion once more at its own points.
+        # projection.  On either route the projection's contour rule, where
+        # the FFT on the circle declines, runs the recursion at its own points.
         routes, passes = [], 0
         for f, _ in members:
             bz, bpz, _, _ = _recurse(seq, order, zs)
             d = _delta_at(f, *operators._projections(f, seq, [order])[0], zs, bz)
             routes.append(_sigma_from_sums(bz, bpz, f.value(zs), d))
-            passes += 1 + (operators._projected_derivative(f, seq, order) is None)
+            passes += (not on_grid) + (operators._projected_derivative(f, seq, order) is None)
         calls = self._count_calls(monkeypatch)
         for (f, want), route in zip(members, routes):
             got = np.atleast_1d(sigma_positive(f, basis, z))
-            assert np.array_equal(got, route), f.label
+            assert on_grid or np.array_equal(got, route), f.label
             assert np.abs(got - want).max() <= 1e-12 * np.abs(f.value(zs)).max(), f.label
         # No coefficients.
         assert calls == {"_recurse": passes, "coefficients_of": 0}
+
+    def test_grid_series_folds_more_terms_than_points(self):
+        # 600 terms on a rotated 512-point grid: t^k lands on frequency
+        # k mod 512.  The terms past 511 carry 6e-3 of the largest here.
+        z0, roots = complex(np.exp(0.37j * 2 * np.pi / 512)), circle_grid(512)
+        zf = z0 * roots
+        rng = np.random.default_rng(5)
+        c = (rng.standard_normal(600) + 1j * rng.standard_normal(600)) * 0.99 ** np.arange(600)
+        want = zf * _horner(c, zf)
+        assert np.abs(operators._grid_series(c, z0, 512) - want).max() <= 1e-13 * np.abs(want).max()
+        # A lone 600 t^600, the k f_k of 1 + z^600, folds onto frequency 88.
+        # Horner at z0 roots is 4e-13 off here: the roots' angles carry
+        # rounding that the 600th power multiplies.
+        lone = np.zeros(600, dtype=complex)
+        lone[-1] = 600.0
+        want = 600.0 * z0**600 * roots[(88 * np.arange(512)) % 512]
+        assert np.abs(operators._grid_series(lone, z0, 512) - want).max() <= 1e-13 * 600.0
+
+    def test_grid_takes_the_contour_source(self):
+        # z^1000 is tame only on grids past CONTOUR_CAP, so the projection
+        # takes f' from the contour rule too, and the grid sums it.
+        seq, f = _random_sequence(16, 0.7, 1), polynomial([0.0] * 1000 + [1.0])
+        z = np.exp(2j * np.pi * (np.arange(4096) + 0.3) / 4096)
+        assert operators._uniform_grid(seq, 16, z) is not None
+        kf, kg = operators._projections(f, seq, [16])[0]
+        assert kf is not None
+        bz, bpz, _, _ = _recurse(seq, 16, z)
+        route = _sigma_from_sums(bz, bpz, f.value(z), _delta_at(f, kf, kg, z, bz))
+        got = sigma_positive(f, TMBasis(seq, 16), z)
+        assert np.abs(got - route).max() <= 1e-12 * np.abs(f.value(z)).max()
 
 
 def _random_sequence(n, max_modulus, seed):
@@ -1030,7 +1064,7 @@ class TestDelta:
         seq, f = PointSequence(tuple(a)), identity_map()
         basis = TMBasis(seq, 64)
         z = interior_probes(16)
-        assert operators._grid_start(f, seq, 64) == (4096, 959)
+        assert operators._grid_start(seq, 64) == (4096, 959)
         sizes = []
         inner = operators._grid_blaschke
 

@@ -258,15 +258,15 @@ def test_simple_pole_coefficients_near_the_circle():
 
 
 def test_sigma_on_a_uniform_grid_matches_product_formula():
-    # The FFT route of sigma_positive, which reads f and f' on the grid and
-    # never the coefficients, against S_n - (B_n/B_n') S_n' summed at 50
+    # The grid route of sigma_positive, which sums g' by an inverse FFT on
+    # the grid and never reads the coefficients, against S_n - (B_n/B_n') S_n' summed at 50
     # digits from the exact coefficients of 1/(p - z), as in the test above.
     # Sixteen poles, |a| <= 0.5.
     poles = MIXED + tuple(np.exp(0.5j) * np.asarray(MIXED))
     n, p = len(poles), 2.5 + 0.5j
     basis = TMBasis(PointSequence(poles), n)
     z = np.exp(2j * np.pi * (np.arange(256) + 0.3) / 256)
-    assert _uniform_grid(simple_pole(p), basis.sequence, n, z) is not None
+    assert _uniform_grid(basis.sequence, n, z) is not None
     with mpmath.workdps(50):
         _, _, vals, _ = oracle(poles, 1 / mpmath.conj(mpmath.mpc(p)))
         c = [complex(mpmath.conj(v) / p) for v in vals]
