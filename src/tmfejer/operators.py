@@ -22,7 +22,12 @@ agrees on the circle with the holomorphic expression
 whenever f extends holomorphically, with c_k = <f, phi_k>.  F_n is real,
 and for h in H^2 the part of h in B_n H^2 integrates to zero against it,
 so for any boundary data sigma_rusak(f) = T(c) + conj(T(d)) - f_0, with
-d_k = <conj f, phi_k> and f_0 the mean of f.  The weighted approximation error
+d_k = <conj f, phi_k> and f_0 the mean of f.  On grid data c and d come
+by the discrete Parseval identity: one FFT of the N samples against the
+spectrum of the n basis rows, which decays geometrically and is taken
+on the least power-of-two grid of M0 points that resolves it, so a call
+costs O(n M0 + N log N) before the recursion at the probes.  The
+weighted approximation error
 
     delta(f) = (B_n'/B_n) (f - sigma_positive(f))
 
@@ -380,7 +385,9 @@ def _power_terms(sequence: PointSequence, n: int) -> int:
 def _grid_start(sequence: PointSequence, n: int) -> tuple[int, int] | None:
     """(M0, J): the least grid size M0 that `_projected_derivative`'s FFT
     may run on and J, the number of power sums of B_n; None when no grid
-    size can serve.
+    size can serve.  `_parseval_coefficients` starts the basis spectrum
+    on M0 points too: the rows phi_k, k < n, have their spectrum on
+    frequencies 0 up to about n + J.
 
     The FFT needs the spectrum of f conj(B_n) at rounding level from
     frequency M / 4 up to M / 2, where the negative half begins.  The power
@@ -435,6 +442,8 @@ def _uniform_grid(sequence: PointSequence, n: int, zf: np.ndarray):
 def _grid_series(coefs: np.ndarray, z0: complex, npts: int) -> np.ndarray:
     """sum_{k>=1} coefs[k-1] t^k on the grid t_m = z0 e^{2 pi i m / M}, M = npts:
     the terms rotated by z0^k, folded modulo M, and one inverse FFT."""
+    if not coefs.size:
+        return np.zeros(npts, dtype=np.complex128)
     k = np.arange(1, coefs.size + 1)
     folded = np.zeros(-(-(coefs.size + 1) // npts) * npts, dtype=np.complex128)
     folded[k] = coefs * z0**k
@@ -449,6 +458,15 @@ def _live_terms(mag: np.ndarray) -> int:
     half = mag.size // 2
     live = np.flatnonzero(mag[:half] > _GRID_NOISE * mag[half:].max())
     return live[-1] + 1 if live.size else 1
+
+
+def _resolved(mag: np.ndarray) -> bool:
+    """Whether spectra on M points, the moduli `mag` along the last axis,
+    hold at most _CONTOUR_TOL of their largest entry in the band
+    M/4 .. M/2 - 1: the test that a grid resolves a one-sided spectrum.
+    Written so that a NaN fails it."""
+    npts = mag.shape[-1]
+    return bool(mag[..., npts // 4 : npts // 2].max() <= _CONTOUR_TOL * mag.max())
 
 
 def _positive_spectrum(fv: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -467,7 +485,7 @@ def _positive_spectrum(fv: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     npts = fv.size
     g = np.fft.fft(fv * np.conj(b)) / npts
     mag = np.abs(g)
-    if not mag[npts // 4 : npts // 2].max() <= _CONTOUR_TOL * mag.max():
+    if not _resolved(mag):
         return None
     top = _live_terms(mag[: npts // 2])
     return np.arange(1, top) * g[1:top]
@@ -485,24 +503,57 @@ def _sigma_from_sums(bz, bpz, s, sp) -> np.ndarray:
     return s - ratio * sp
 
 
+def _parseval_coefficients(f: BoundaryGridFunction, basis: TMBasis) -> np.ndarray:
+    """The block [c, d] of shape (n, 2): c_k = <f, phi_k> and d_k = <conj f, phi_k>
+    on f's grid of N points, by the discrete Parseval identity.
+
+    With F = fft(f) / N and Phi_k the spectrum of phi_k on M points,
+    c = conj(Phi) F, and d = conj(Phi) G with G_m = conj(F_{-m mod N}),
+    the spectrum of conj f.  The rows phi_k are holomorphic past the
+    circle, so their spectrum decays geometrically and lives on m >= 0: M
+    starts at `_grid_start`'s M0 and doubles until `_resolved` finds the
+    band M/4 .. M/2 - 1 at rounding level, as `_positive_spectrum` does,
+    and the sums run over m < M/2.  When M reaches N, or `_grid_start`
+    declines, the rows are taken on the data grid itself and the sums run
+    over all N frequencies, where the identity is exact.
+    """
+    n, npts = basis.order, f.resolution
+    start = _grid_start(basis.sequence, n)
+    size = npts if start is None else min(start[0], npts)
+    spec = np.fft.fft(phi_values(basis, _grid(size)[1]), axis=1, norm="forward")
+    while size < npts and not _resolved(np.abs(spec)):
+        size *= 2
+        spec = np.fft.fft(phi_values(basis, _grid(size)[1]), axis=1, norm="forward")
+    top = size // 2 if size < npts else npts
+    fs = np.fft.fft(f.samples, norm="forward")
+    # Rows conj(F_m) and F_{-m}, so that c and d are the conjugates of
+    # their products with the spectrum; this orientation of the product
+    # also keeps multithreaded BLAS off its slow path for a two-column
+    # right-hand side.
+    rhs = np.stack([np.conj(fs[:top]), fs[-np.arange(top) % npts]])
+    return np.conj(rhs @ spec[:, :top].T).T
+
+
 def sigma_rusak(f: BoundaryGridFunction, basis: TMBasis, z):
     """Kernel quadrature (1/2pi) integral f(t) F_n(t, z) |dt| over f's own grid.
 
     Computed as T(c) + conj(T(d)) - f_0 (see the module docstring) from
-    the grid's c_k = <f, phi_k> and d_k = <conj f, phi_k>, one product of
-    the n basis rows with the samples and their conjugates, and f_0 their
-    mean; T is sigma_positive's recursion, one pass over the poles that
-    sums the block [c, d] of both coefficient vectors at once.  That
-    costs O(n (N + M)), with no array larger than the n x N rows.  Defined
-    for boundary data and boundary evaluation points.  Positive and
-    norm-one up to quadrature error, checked by C6: nonnegative data gives
-    nonnegative values and the sup never exceeds the data sup.
+    the grid's c_k = <f, phi_k> and d_k = <conj f, phi_k>, and f_0 the
+    samples' mean.  c and d come by the discrete Parseval identity
+    (`_parseval_coefficients`): one FFT of the N samples against the
+    spectrum of the n basis rows on the least grid of M0 points that
+    resolves it (512 for n <= 32 poles |a| <= 0.7 against N = 4096), or on
+    the data grid itself when none smaller does.  T is sigma_positive's
+    recursion, one pass over the poles that sums the block [c, d] at the
+    M probes at once.  That costs O(n M0 + N log N + n M), with no n x N
+    array unless M0 reaches N.  Defined for boundary data and boundary
+    evaluation points.  Positive and norm-one up to quadrature error,
+    checked by C6: nonnegative data gives nonnegative values and the sup
+    never exceeds the data sup.
     """
     zf, shape, scalar = _flatten(z)
     _require_circle(zf, "sigma_rusak")
-    sums = phi_values(basis, f.points) @ np.stack([np.conj(f.samples), f.samples], axis=1)
-    # Column 0 holds c, column 1 d.
-    cd = np.conj(sums) / f.resolution
+    cd = _parseval_coefficients(f, basis)
     tc, td = _sigma_from_sums(*_recurse(basis.sequence, basis.order, zf, c=cd))
     return _restore(tc + np.conj(td) - f.samples.mean(), shape, scalar)
 

@@ -506,6 +506,9 @@ class TestSigmaPositive:
         lone[-1] = 600.0
         want = 600.0 * z0**600 * roots[(88 * np.arange(512)) % 512]
         assert np.abs(operators._grid_series(lone, z0, 512) - want).max() <= 1e-13 * 600.0
+        # No terms, as where g' vanishes to rounding: zeros on every point.
+        empty = operators._grid_series(np.zeros(0, dtype=complex), z0, 512)
+        assert empty.shape == (512,) and not empty.any()
 
     def test_grid_takes_the_contour_source(self):
         # z^1000 is tame only on grids past CONTOUR_CAP, so the projection
@@ -711,15 +714,11 @@ class TestSigmaRusak:
         gram = (np.conj(vt) * data.samples) @ vt.T / data.resolution
         return (vz * (gram @ np.conj(vz))).sum(axis=0) / (np.abs(vz) ** 2).sum(axis=0)
 
-    @pytest.mark.parametrize("order", [8, 32, 64])
-    def test_fourier_form_matches_the_gram_form(self, order):
-        # Complex holomorphic data, a kink, a 0/1 step and a unimodular step,
-        # on poles up to |a| = 0.97.
-        seq = _random_sequence(order, 0.97, order)
-        seq = PointSequence((0.97 * np.exp(0.4j),) + seq.points[1:])
-        basis = TMBasis(seq, order)
-        theta = np.angle(circle_grid(4096)) % (2.0 * np.pi)
-        data = [grid_of(f) for f in rational_corpus(12)] + [
+    def assert_gram_form(self, basis, resolution=4096):
+        """sigma_rusak within 1e-13 max|f| of the Gram form on complex
+        holomorphic data, a kink, a 0/1 step and a unimodular step."""
+        theta = np.angle(circle_grid(resolution)) % (2.0 * np.pi)
+        data = [grid_of(f, resolution) for f in rational_corpus(12)] + [
             BoundaryGridFunction(np.abs(np.sin(theta / 2.0)) + 0j),
             BoundaryGridFunction((theta < 2.0) + 0j),
             BoundaryGridFunction(np.where(theta < 2.0, 1.0, np.exp(2.5j))),
@@ -730,6 +729,59 @@ class TestSigmaRusak:
             want = self.gram_form(f, vt, vz)
             got = np.asarray(sigma_rusak(f, basis, probes))
             assert np.abs(got - want).max() <= 1e-13 * np.abs(f.samples).max()
+
+    @pytest.mark.parametrize("order", [8, 32, 64])
+    def test_fourier_form_matches_the_gram_form(self, order):
+        # Poles up to |a| = 0.97.
+        seq = _random_sequence(order, 0.97, order)
+        seq = PointSequence((0.97 * np.exp(0.4j),) + seq.points[1:])
+        self.assert_gram_form(TMBasis(seq, order))
+
+    @staticmethod
+    def spectrum_sizes(basis, resolution):
+        """The grid sizes on which `_parseval_coefficients` takes the basis
+        spectrum for data on `resolution` points."""
+        sizes, inner = [], operators.phi_values
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "phi_values", lambda b, z: sizes.append(np.size(z)) or inner(b, z))
+            operators._parseval_coefficients(grid_of(constant_one(), resolution), basis)
+        return sizes
+
+    @pytest.mark.parametrize("order", [8, 32])
+    def test_parseval_on_the_first_grid(self, order):
+        # |a| <= 0.7: J <= 110 power sums, so 512 points resolve the
+        # spectrum of the rows and no n x N array is formed.
+        basis = TMBasis(_random_sequence(order, 0.7, order), order)
+        assert self.spectrum_sizes(basis, 4096) == [512]
+        self.assert_gram_form(basis)
+
+    def test_parseval_doubles_a_grid_that_does_not_resolve(self):
+        # 64 poles of modulus 0.96 within 0.063 rad: the spectrum of the
+        # rows reaches past 2048, so 4096 and 8192 points leave the band
+        # above rounding and 16384 resolve it, short of the data's 32768.
+        a = 0.96 * np.exp(1j * (0.3 + 1e-3 * np.arange(64)))
+        seq = PointSequence(tuple(a))
+        basis = TMBasis(seq, 64)
+        assert operators._grid_start(seq, 64) == (4096, 959)
+        assert self.spectrum_sizes(basis, 1 << 15) == [4096, 8192, 16384]
+        self.assert_gram_form(basis, 1 << 15)
+
+    @pytest.mark.parametrize(
+        "poles,order,resolution",
+        [("geometric", 16, 4096), ("geometric", 30, 4096), ("random", 8, 64)],
+    )
+    def test_parseval_on_the_data_grid(self, poles, order, resolution):
+        # Poles 1 - 2^-k need J > 1024 power sums, so `_grid_start`
+        # declines; on 64 points the first grid, 512 points, passes N.
+        # Either way the spectrum is taken on the data grid itself.
+        if poles == "geometric":
+            seq = PointSequence(tuple(1.0 - 0.5 ** np.arange(1.0, order + 1.0)))
+            assert operators._grid_start(seq, order) is None
+        else:
+            seq = _random_sequence(order, 0.7, order)
+        basis = TMBasis(seq, order)
+        assert self.spectrum_sizes(basis, resolution) == [resolution]
+        self.assert_gram_form(basis, resolution)
 
     def test_one_pass_over_the_poles(self, seq_mixed, monkeypatch):
         # One recursion sums the block [c, d]; the result is that of one
@@ -743,22 +795,24 @@ class TestSigmaRusak:
         )
         got = np.asarray(sigma_rusak(data, basis, probes))
         assert len(calls) == 1
-        samples = np.stack([np.conj(data.samples), data.samples], axis=1)
-        c, d = np.conj((phi_values(basis, data.points) @ samples).T) / data.resolution
+        c, d = operators._parseval_coefficients(data, basis).T
         tc, td = (_sigma_from_sums(*inner(seq_mixed, 8, probes, c=g)) for g in (c, d))
         assert got.tobytes() == (tc + np.conj(td) - data.samples.mean()).tobytes()
 
     def test_boundary_calls_peak_below_4mb(self):
         # n = 32 on 4096 points: the n x N rows take 2 MB, and neither call
-        # may form more than about one such array.
+        # may form more than about one such array.  On 2^16 points they
+        # would take 32 MB; sigma_rusak forms none, only the basis spectrum
+        # on 512 points and one FFT of the samples.
         basis = TMBasis(_random_sequence(32, 0.7, 9), 32)
         t = circle_grid(4096)
-        data = grid_of(mobius(0.3))
+        data, large = grid_of(mobius(0.3)), grid_of(mobius(0.3), 1 << 16)
         rows_at = np.exp(2j * np.pi * np.array([0.1, 0.35, 0.6, 0.85]))
         probes = circle_grid(256) * np.exp(0.2j)
         calls = (
             lambda: fejer_kernel(basis, t[None, :], rows_at[:, None]),
             lambda: sigma_rusak(data, basis, probes),
+            lambda: sigma_rusak(large, basis, probes),
         )
         for call in calls:
             call()
