@@ -22,11 +22,24 @@ agrees on the circle with the holomorphic expression
 whenever f extends holomorphically, with c_k = <f, phi_k>.  F_n is real,
 and for h in H^2 the part of h in B_n H^2 integrates to zero against it,
 so for any boundary data sigma_rusak(f) = T(c) + conj(T(d)) - f_0, with
-d_k = <conj f, phi_k> and f_0 the mean of f.  On grid data c and d come
-by the discrete Parseval identity: one FFT of the N samples against the
-spectrum of the n basis rows, which decays geometrically and is taken
-on the least power-of-two grid of M0 points that resolves it, so a call
-costs O(n M0 + N log N) before the recursion at the probes.  The
+d_k = <conj f, phi_k> and f_0 the mean of f.
+
+Two users need the n basis rows on a uniform grid of N points, and both
+take them from the rows' spectrum where that is cheaper.  The rows are
+holomorphic past the circle, so their spectrum decays geometrically;
+`_basis_spectrum` takes it on the least power-of-two grid of M points
+that resolves it, from M0 = 512 for n <= 32 poles |a| <= 0.7, and
+declines where M would reach N or the poles need more than _GRID_TERMS
+power sums.  Then:
+
+- sigma_rusak's c and d on grid data come by the discrete Parseval
+  identity, one FFT of the N samples against the spectrum: O(n M +
+  N log N) before the recursion at the probes;
+- fejer_kernel's rows at K points z on a full uniform grid of t are one
+  zero-padded inverse FFT of length N per z: O(n M + K N log N).
+
+Where the spectrum declines, both take the n x N basis rows on the grid
+itself, at O(n N) for c and d and O(n N K) for the kernel rows.  The
 weighted approximation error
 
     delta(f) = (B_n'/B_n) (f - sigma_positive(f))
@@ -117,6 +130,7 @@ _GRID_TERMS = 1024
 _GRID_NOISE = 4.0
 
 _KINDS = ("rational", "cauchy_transform", "schur", "blaschke_multiple")
+_NO_POINTS = np.zeros(0, dtype=np.complex128)
 
 
 class CriticalPoint(ArithmeticError):
@@ -294,9 +308,22 @@ def fejer_kernel(basis: TMBasis, t, z):
     Nonnegative, and (1/2pi) integral F_n(t, z) |dt| = 1 for every z on the
     circle.  The basis sum is smooth across the diagonal, where it takes
     the value K_n(z, z) = |B_n'(z)|.  When t and z broadcast as an outer
-    product (no axis longer than one in both), K_n = conj(V_z)^T V_t is
-    one matrix product of the basis rows at the distinct points; other
-    shapes, such as the diagonal (z, z), sum the basis pair by pair.
+    product (no axis longer than one in both), K_n = conj(V_z)^T V_t over
+    the K distinct points z and N distinct points t, with V the basis
+    rows, by one of two routes:
+
+    - when the flat t is a full uniform grid z0 e^{2 pi i j / N} (to
+      1e-14, N a power of two >= 64) and `_basis_spectrum` resolves the
+      spectrum Phi of s -> phi_k(z0 s) on M < N points, each row of K_n
+      is one zero-padded inverse FFT of length N of kappa =
+      conj(V_z)^T Phi, a K x M/2 block, with V_z from the same pass of
+      the recursion as the M grid points: O(n M + K N log N), with no
+      n x N array;
+    - otherwise V_t holds the rows at t and K_n is one matrix product:
+      O(n N K).
+
+    The two agree to about 1e-14 of the largest value.  Other shapes,
+    such as the diagonal (z, z), sum the basis pair by pair.
     """
     t = np.asarray(t, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
@@ -307,8 +334,16 @@ def fejer_kernel(basis: TMBasis, t, z):
         vz = np.moveaxis(phi_values(basis, z), 0, -1)
         cd = (vt * np.conj(vz)).sum(axis=-1)
         return (np.abs(cd) ** 2 / (np.abs(vz) ** 2).sum(axis=-1))[()]
-    vt, vz = phi_values(basis, t.reshape(-1)), phi_values(basis, z.reshape(-1))
-    out = np.abs(np.conj(vz).T @ vt) ** 2 / (np.abs(vz) ** 2).sum(axis=0)[:, None]
+    tf, zf = t.reshape(-1), z.reshape(-1)
+    z0 = _grid_rotation(tf)
+    spectral = None if z0 is None else _basis_spectrum(basis, z0, tf.size, zf)
+    if spectral is None:
+        vz = phi_values(basis, zf)
+        cd = np.conj(vz).T @ phi_values(basis, tf)
+    else:
+        spec, vz = spectral
+        cd = np.fft.ifft(np.conj(vz).T @ spec, n=tf.size, axis=1, norm="forward")
+    out = np.abs(cd) ** 2 / (np.abs(vz) ** 2).sum(axis=0)[:, None]
     # Entry (i, j) belongs to z's flat point i and t's flat point j.
     return out[np.arange(z.size).reshape(z.shape), np.arange(t.size).reshape(t.shape)][()]
 
@@ -319,8 +354,9 @@ def fejer_kernel_angular(basis: TMBasis, x, y):
     That is sin^2(phase(x, y)) / (2 gamma_n(x) sin^2((y - x)/2)), with
     gamma_n = |B_n'|/2 on the circle and phase(x, y) the integral of
     gamma_n over [x, y].  An (m, 1) x (1, m) grid of angles, as in the
-    kernel report, takes fejer_kernel's outer-product path: one matrix
-    product of the basis rows.
+    kernel report, takes fejer_kernel's outer-product path; at m <= 64,
+    as in the bundled report, m is no more than the basis spectrum's
+    least grid M0 >= 64, so that is one matrix product of the basis rows.
     """
     return fejer_kernel(basis, np.exp(1j * np.asarray(y)), np.exp(1j * np.asarray(x)))
 
@@ -385,9 +421,8 @@ def _power_terms(sequence: PointSequence, n: int) -> int:
 def _grid_start(sequence: PointSequence, n: int) -> tuple[int, int] | None:
     """(M0, J): the least grid size M0 that `_projected_derivative`'s FFT
     may run on and J, the number of power sums of B_n; None when no grid
-    size can serve.  `_parseval_coefficients` starts the basis spectrum
-    on M0 points too: the rows phi_k, k < n, have their spectrum on
-    frequencies 0 up to about n + J.
+    size can serve.  `_basis_spectrum` starts on M0 points too: the rows
+    phi_k, k < n, have their spectrum on frequencies 0 up to about n + J.
 
     The FFT needs the spectrum of f conj(B_n) at rounding level from
     frequency M / 4 up to M / 2, where the negative half begins.  The power
@@ -417,11 +452,9 @@ def _grid_tame(f: AnalyticTestFunction, npts: int) -> bool:
     return _tame(f, 1.0, _CONTOUR_DECAY ** (-4.0 / npts))
 
 
-def _uniform_grid(sequence: PointSequence, n: int, zf: np.ndarray):
-    """(z0, roots, J) when the flat points zf are z0 roots[m],
-    roots[m] = e^{2 pi i m / M}, to _CONTOUR_TOL, M is a power of two
-    >= 64 and J = `_power_terms` is at most _GRID_TERMS with 2J < M, which
-    `_grid_blaschke` needs; None otherwise."""
+def _grid_rotation(zf: np.ndarray) -> complex | None:
+    """z0 when the flat points zf are z0 e^{2 pi i m / M}, m < M, to
+    _CONTOUR_TOL and M is a power of two >= 64; None otherwise."""
     npts = zf.size
     if npts < 64 or npts & (npts - 1):
         return None
@@ -429,14 +462,24 @@ def _uniform_grid(sequence: PointSequence, n: int, zf: np.ndarray):
     if not abs(r0 - 1.0) <= _CONTOUR_TOL:
         return None
     z0 = complex(zf[0]) / r0
-    roots = _grid(npts)[1]
     # Written so that a NaN point fails the test.
-    if not np.abs(zf - z0 * roots).max() <= _CONTOUR_TOL:
+    if not np.abs(zf - z0 * _grid(npts)[1]).max() <= _CONTOUR_TOL:
+        return None
+    return z0
+
+
+def _uniform_grid(sequence: PointSequence, n: int, zf: np.ndarray):
+    """(z0, roots, J) when the flat points zf are z0 roots[m],
+    roots[m] = e^{2 pi i m / M}, as `_grid_rotation` tests, and J =
+    `_power_terms` is at most _GRID_TERMS with 2J < M, which
+    `_grid_blaschke` needs; None otherwise."""
+    z0 = _grid_rotation(zf)
+    if z0 is None:
         return None
     terms = _power_terms(sequence, n)
-    if terms > _GRID_TERMS or 2 * terms >= npts:
+    if terms > _GRID_TERMS or 2 * terms >= zf.size:
         return None
-    return z0, roots, terms
+    return z0, _grid(zf.size)[1], terms
 
 
 def _grid_series(coefs: np.ndarray, z0: complex, npts: int) -> np.ndarray:
@@ -503,35 +546,56 @@ def _sigma_from_sums(bz, bpz, s, sp) -> np.ndarray:
     return s - ratio * sp
 
 
+def _basis_spectrum(basis: TMBasis, z0: complex, npts: int, zf: np.ndarray = _NO_POINTS):
+    """(Phi, V): Phi[k, m], m < M/2, the spectrum of s -> phi_k(z0 s) on the
+    least grid of M < npts points that resolves it, and V the rows phi_k at
+    the flat points zf from the same pass of the recursion; None when no
+    such grid exists.
+
+    The rows phi_k, k < n, are holomorphic past the circle, so their
+    spectrum decays geometrically and lives on m >= 0: M starts at
+    `_grid_start`'s M0 and doubles until `_resolved` finds the band
+    M/4 .. M/2 - 1 at rounding level, as `_positive_spectrum` does.  None
+    when `_grid_start` declines or M would reach npts, where the rows on
+    the npts points themselves cost no more.
+    """
+    start = _grid_start(basis.sequence, basis.order)
+    size = npts if start is None else start[0]
+    while size < npts:
+        rows = phi_values(basis, np.concatenate([zf, z0 * _grid(size)[1]]))
+        spec = np.fft.fft(rows[:, zf.size :], axis=1, norm="forward")
+        if _resolved(np.abs(spec)):
+            return spec[:, : size // 2], rows[:, : zf.size]
+        size *= 2
+    return None
+
+
 def _parseval_coefficients(f: BoundaryGridFunction, basis: TMBasis) -> np.ndarray:
     """The block [c, d] of shape (n, 2): c_k = <f, phi_k> and d_k = <conj f, phi_k>
-    on f's grid of N points, by the discrete Parseval identity.
+    on f's grid of N points.
 
-    With F = fft(f) / N and Phi_k the spectrum of phi_k on M points,
-    c = conj(Phi) F, and d = conj(Phi) G with G_m = conj(F_{-m mod N}),
-    the spectrum of conj f.  The rows phi_k are holomorphic past the
-    circle, so their spectrum decays geometrically and lives on m >= 0: M
-    starts at `_grid_start`'s M0 and doubles until `_resolved` finds the
-    band M/4 .. M/2 - 1 at rounding level, as `_positive_spectrum` does,
-    and the sums run over m < M/2.  When M reaches N, or `_grid_start`
-    declines, the rows are taken on the data grid itself and the sums run
-    over all N frequencies, where the identity is exact.
+    With F = fft(f) / N and Phi the basis spectrum of `_basis_spectrum`,
+    the discrete Parseval identity gives c = conj(Phi) F and d = conj(Phi) G
+    with G_m = conj(F_{-m mod N}), the spectrum of conj f, summed over
+    m < M/2.  Where `_basis_spectrum` declines, c and d are the means of
+    conj(phi_k) f and conj(phi_k) conj(f) over the basis rows on the data
+    grid itself.
     """
-    n, npts = basis.order, f.resolution
-    start = _grid_start(basis.sequence, n)
-    size = npts if start is None else min(start[0], npts)
-    spec = np.fft.fft(phi_values(basis, _grid(size)[1]), axis=1, norm="forward")
-    while size < npts and not _resolved(np.abs(spec)):
-        size *= 2
-        spec = np.fft.fft(phi_values(basis, _grid(size)[1]), axis=1, norm="forward")
-    top = size // 2 if size < npts else npts
-    fs = np.fft.fft(f.samples, norm="forward")
-    # Rows conj(F_m) and F_{-m}, so that c and d are the conjugates of
-    # their products with the spectrum; this orientation of the product
-    # also keeps multithreaded BLAS off its slow path for a two-column
+    npts = f.resolution
+    spectral = _basis_spectrum(basis, 1.0, npts)
+    # Two rows whose products with the basis spectrum, or with the basis
+    # rows, are conj(c) and conj(d); this orientation of the product also
+    # keeps multithreaded BLAS off its slow path for a two-column
     # right-hand side.
-    rhs = np.stack([np.conj(fs[:top]), fs[-np.arange(top) % npts]])
-    return np.conj(rhs @ spec[:, :top].T).T
+    if spectral is None:
+        rows = phi_values(basis, f.points)
+        rhs = np.stack([np.conj(f.samples), f.samples]) / npts
+    else:
+        rows = spectral[0]
+        fs = np.fft.fft(f.samples, norm="forward")
+        top = rows.shape[1]
+        rhs = np.stack([np.conj(fs[:top]), fs[-np.arange(top) % npts]])
+    return np.conj(rhs @ rows.T).T
 
 
 def sigma_rusak(f: BoundaryGridFunction, basis: TMBasis, z):
@@ -541,12 +605,13 @@ def sigma_rusak(f: BoundaryGridFunction, basis: TMBasis, z):
     the grid's c_k = <f, phi_k> and d_k = <conj f, phi_k>, and f_0 the
     samples' mean.  c and d come by the discrete Parseval identity
     (`_parseval_coefficients`): one FFT of the N samples against the
-    spectrum of the n basis rows on the least grid of M0 points that
-    resolves it (512 for n <= 32 poles |a| <= 0.7 against N = 4096), or on
-    the data grid itself when none smaller does.  T is sigma_positive's
-    recursion, one pass over the poles that sums the block [c, d] at the
-    M probes at once.  That costs O(n M0 + N log N + n M), with no n x N
-    array unless M0 reaches N.  Defined for boundary data and boundary
+    spectrum of the n basis rows on the least grid of M points that
+    resolves it (512 for n <= 32 poles |a| <= 0.7 against N = 4096), or,
+    when no grid smaller than N does, as means over the basis rows on the
+    data grid.  T is sigma_positive's recursion, one pass over the poles
+    that sums the block [c, d] at the P probes at once.  That costs
+    O(n M + N log N + n P), or O(n N + n P) on the rows, which form the
+    only n x N array.  Defined for boundary data and boundary
     evaluation points.  Positive and norm-one up to quadrature error,
     checked by C6: nonnegative data gives nonnegative values and the sup
     never exceeds the data sup.

@@ -54,6 +54,17 @@ def grid_of(f, resolution=4096):
     return BoundaryGridFunction.from_callable(f.value, resolution)
 
 
+def _traced_peak(call):
+    """The traced peak of memory, in bytes, of a second call of `call`."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _contour_projection(f, seq, n):
     """(k f_k, k g_k) for g = P_+(conj(B_n) f) from the contour rule: the
     projection with its FFT on the circle declined."""
@@ -265,6 +276,93 @@ class TestFejerKernel:
         want = np.asarray(fejer_kernel(basis, *np.broadcast_arrays(t, z)))
         assert got.shape == want.shape == np.broadcast_shapes(t_shape, z_shape)
         assert np.abs(got - want).max() <= 1e-13 * want.max()
+
+    @staticmethod
+    def rows_formula(basis, t, z):
+        """|conj(V_z)^T V_t|^2 / sum |V_z|^2 from the basis rows at the flat
+        points, one row per z: the outer-product path without the spectrum."""
+        vt, vz = phi_values(basis, t), phi_values(basis, z)
+        return np.abs(np.conj(vz).T @ vt) ** 2 / (np.abs(vz) ** 2).sum(axis=0)[:, None]
+
+    @staticmethod
+    def layout(t, z, shape):
+        """t and z arranged as (1, N) x (K, 1), (N, 1) x (1, K) or, with a
+        single z, (N,) x scalar, and the map from (K, N) rows to that layout."""
+        if shape == "rows":
+            return t[None, :], z[:, None], lambda rows: rows
+        if shape == "columns":
+            return t[:, None], z[None, :], lambda rows: rows.T
+        return t, complex(z[0]), lambda rows: rows[0]
+
+    @pytest.mark.parametrize("shape", ["rows", "columns", "scalar"])
+    @pytest.mark.parametrize(
+        "npts, offset, order, modulus",
+        [(512, 0.0, 16, 0.5), (2048, 0.37, 32, 0.7), (4096, 0.0, 8, 0.7)],
+        ids=["512", "2048-rotated", "4096"],
+    )
+    def test_spectral_rows_on_uniform_grids(self, npts, offset, order, modulus, shape, monkeypatch):
+        # The basis spectrum resolves on fewer than N points, so no basis
+        # row is evaluated on the grid itself.  Two references: the rows
+        # formula, and the closed form |B_n(t) - B_n(z)|^2 / (|t - z|^2
+        # |B_n'(z)|) from the product B_n and the Frostman sum, which holds
+        # off the diagonal; on it the kernel is |B_n'(z)|.
+        seq = _random_sequence(order, modulus, order)
+        basis = TMBasis(seq, order)
+        t = circle_grid(npts) * np.exp(1j * offset)
+        z = np.append(t[[0, npts // 5, npts // 2]], np.exp(2.1j))[: 1 if shape == "scalar" else 4]
+        sizes, inner = [], operators.phi_values
+        monkeypatch.setattr(
+            operators, "phi_values", lambda b, p: sizes.append(np.size(p)) or inner(b, p)
+        )
+        tt, zz, arrange = self.layout(t, z, shape)
+        got = np.asarray(fejer_kernel(basis, tt, zz))
+        assert max(sizes) < npts
+        want = self.rows_formula(basis, t, z)
+        assert got.shape == arrange(want).shape
+        assert np.abs(got - arrange(want)).max() <= 1e-13 * want.max()
+
+        rows = got.T if shape == "columns" else got.reshape(len(z), npts)
+        gap = np.abs(t[None, :] - z[:, None])
+        off = gap > 1e-2
+        b_t, b_z = (eval_blaschke(seq, order, p).value for p in (t, z))
+        dz = boundary_derivative_modulus(seq, order, np.angle(z))[:, None]
+        closed = np.abs(b_t[None, :] - b_z[:, None]) ** 2 / (np.where(off, gap, 1.0) ** 2 * dz)
+        assert np.abs(np.where(off, rows - closed, 0.0)).max() <= 1e-13 * want.max()
+        on_grid = gap < 1e-12
+        assert on_grid.sum() == min(len(z), 3)
+        diagonal = rows[on_grid] / np.broadcast_to(dz, rows.shape)[on_grid]
+        assert np.abs(diagonal - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", ["64-points", "48-points", "near-circle", "off-grid"])
+    def test_spectral_route_declines_bit_for_bit(self, case):
+        # 64 points at n = 8 (|a| <= 0.7): the spectrum needs M0 = 512 >= N;
+        # 48 points are no power of two; poles 1 - 2^-k need J > 1024 power
+        # sums; one of 512 points 1e-12 off the grid, where 256 points
+        # would resolve the spectrum.  Each takes the rows formula exactly.
+        sizes = {"64-points": (8, 64), "48-points": (8, 48), "near-circle": (30, 4096)}
+        order, npts = sizes.get(case, (8, 512))
+        if case == "near-circle":
+            seq = PointSequence(tuple(1.0 - 0.5 ** np.arange(1.0, order + 1.0)))
+        else:
+            seq = _random_sequence(order, 0.5 if case == "off-grid" else 0.7, order)
+        basis = TMBasis(seq, order)
+        t = circle_grid(npts)
+        if case == "off-grid":
+            t[100] *= np.exp(1e-12j)
+        z = np.exp(1j * np.array([0.0, 0.3, 2.1, 4.4]))
+        for shape in ("rows", "columns", "scalar"):
+            zs = z[:1] if shape == "scalar" else z
+            tt, zz, arrange = self.layout(t, zs, shape)
+            got = np.asarray(fejer_kernel(basis, tt, zz))
+            assert got.tobytes() == arrange(self.rows_formula(basis, t, zs)).tobytes()
+
+    def test_fine_grid_rows_peak_below_12mb(self):
+        # n = 32 on 2^16 points: the n x N basis rows would take 32 MB; the
+        # spectral route forms the four rows of K_n and their moduli.
+        basis = TMBasis(_random_sequence(32, 0.7, 9), 32)
+        t = circle_grid(1 << 16)
+        rows_at = np.exp(2j * np.pi * np.array([0.1, 0.35, 0.6, 0.85]))
+        assert _traced_peak(lambda: fejer_kernel(basis, t[None, :], rows_at[:, None])) < 12e6
 
 
 class TestSigmaPositive:
@@ -815,14 +913,7 @@ class TestSigmaRusak:
             lambda: sigma_rusak(large, basis, probes),
         )
         for call in calls:
-            call()
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 4e6
+            assert _traced_peak(call) < 4e6
 
     def test_contraction_in_all_norms(self, seq_mixed):
         basis = TMBasis(seq_mixed, 8)
