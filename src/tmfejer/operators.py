@@ -24,13 +24,15 @@ and for h in H^2 the part of h in B_n H^2 integrates to zero against it,
 so for any boundary data sigma_rusak(f) = T(c) + conj(T(d)) - f_0, with
 d_k = <conj f, phi_k> and f_0 the mean of f.
 
-Two users need the n basis rows on a uniform grid of N points, and both
-take them from the rows' spectrum where that is cheaper.  The rows are
-holomorphic past the circle, so their spectrum decays geometrically;
-`_basis_spectrum` takes it on the least power-of-two grid of M points
-that resolves it, from M0 = 512 for n <= 32 poles |a| <= 0.7, and
-declines where M would reach N or the poles need more than _GRID_TERMS
-power sums.  Then:
+Both circle FFTs, of the n basis rows and of f conj(B_n), take a
+geometrically decaying spectrum on the least power-of-two grid of M
+points that resolves it: `_grid_start` caps the power sums of B_n at
+_GRID_TERMS and gives the first M, `_tame_size` (which also sizes the
+contour rule) doubles M until f's growth bounds f's part of the band
+M/4 .. M/2, and `_resolve` doubles M until the band holds rounding
+alone.  Two users need the basis rows on a uniform grid of N points, and
+both take them from `_basis_spectrum` where that is cheaper (M0 = 512
+for n <= 32 poles |a| <= 0.7), and not where M would reach N.  Then:
 
 - sigma_rusak's c and d on grid data come by the discrete Parseval
   identity, one FFT of the N samples against the spectrum: O(n M +
@@ -193,21 +195,28 @@ def coefficients(f: BoundaryGridFunction, basis: TMBasis) -> np.ndarray:
 _RING = _grid(64)[1]
 
 
-def _tame(f: AnalyticTestFunction, r: float, outer: float) -> bool:
-    """Whether f is holomorphic beyond |t| = outer and, sampled on _RING, at
-    most _CONTOUR_GROWTH times as large there as on |t| = r.
+def _tame_size(f: AnalyticTestFunction, r: float, npts: int, k: int) -> int:
+    """The least power of two N >= npts, or the first past CONTOUR_CAP, at
+    which f is holomorphic beyond |t| = outer = r _CONTOUR_DECAY^(-k/N)
+    and, sampled on _RING, at most _CONTOUR_GROWTH times as large there as
+    on |t| = r.
 
     Cauchy's estimate then bounds the m-th Fourier coefficient of f(r e) by
-    _CONTOUR_GROWTH max|f(r e)| (r / outer)^m.  A radius alone is not
-    enough: an entire f of high degree has radius inf and slowly decaying
-    coefficients.  f may overflow at |t| = outer, so overflow is silenced
-    here; written so that a NaN or inf fails the test.
+    _CONTOUR_GROWTH max|f(r e)| (r / outer)^m, which is _CONTOUR_DECAY
+    times that at m = N / k.  A radius alone is not enough: an entire f of
+    high degree has radius inf and slowly decaying coefficients.  f may
+    overflow at |t| = outer, so overflow is silenced here; written so that
+    a NaN or inf fails the test.
     """
-    if not f.radius > outer:
-        return False
     with np.errstate(over="ignore", invalid="ignore"):
-        top = np.abs(f.value(outer * _RING)).max()
-        return bool(top <= _CONTOUR_GROWTH * np.abs(f.value(r * _RING)).max())
+        while npts <= CONTOUR_CAP:
+            outer = r * _CONTOUR_DECAY ** (-k / npts)
+            if f.radius > outer and np.abs(f.value(outer * _RING)).max() <= (
+                _CONTOUR_GROWTH * np.abs(f.value(r * _RING)).max()
+            ):
+                break
+            npts *= 2
+    return npts
 
 
 def _contour(f: AnalyticTestFunction, inner: float) -> tuple[float, float]:
@@ -240,20 +249,18 @@ def _contour_size(f: AnalyticTestFunction, r: float, rho: float) -> int:
 
     An integrand analytic in an annulus has Fourier coefficients that
     decay like rho^m; N is the smallest power of two >= 16 with
-    rho^(N/2) <= 1e-17 at which f passes `_tame` out to |t| = R s,
-    s^(-N) = 1e-17, so that f's part of the N-point rule's aliasing is
-    rounding.  rho comes from the poles and f's radius alone, and an
-    entire f of high degree aliases without the second test: with zero
-    poles, N = 16 and z^16, the 8- and 16-point rules both return R^16 for
-    the constant term.  N may exceed CONTOUR_CAP.
+    rho^(N/2) <= 1e-17 that `_tame_size` accepts for k = 1, so that
+    f's part of the N-point rule's aliasing is rounding.  rho comes
+    from the poles and f's radius alone, and an entire f of high degree
+    aliases without the second test: with zero poles, N = 16 and z^16, the
+    8- and 16-point rules both return R^16 for the constant term.  N may
+    exceed CONTOUR_CAP.
     """
     npts = 16
     if rho > 0.0:
         terms = math.ceil(math.log(_CONTOUR_DECAY) / math.log(rho))
         npts = max(npts, next_power_of_two(2 * terms))
-    while npts <= CONTOUR_CAP and not _tame(f, r, r * _CONTOUR_DECAY ** (-1.0 / npts)):
-        npts *= 2
-    return npts
+    return _tame_size(f, r, npts, 1)
 
 
 def coefficients_of(f: AnalyticTestFunction, basis: TMBasis) -> np.ndarray:
@@ -344,8 +351,11 @@ def fejer_kernel(basis: TMBasis, t, z):
         spec, vz = spectral
         cd = np.fft.ifft(np.conj(vz).T @ spec, n=tf.size, axis=1, norm="forward")
     out = np.abs(cd) ** 2 / (np.abs(vz) ** 2).sum(axis=0)[:, None]
-    # Entry (i, j) belongs to z's flat point i and t's flat point j.
-    return out[np.arange(z.size).reshape(z.shape), np.arange(t.size).reshape(t.shape)][()]
+    # Entry (i, j) belongs to z's flat point i and t's flat point j: pair each
+    # axis of z with the same axis of t (one of the two has length one).
+    rank = len(shape)
+    out = out.reshape((1,) * (rank - z.ndim) + z.shape + (1,) * (rank - t.ndim) + t.shape)
+    return out.transpose(np.arange(2 * rank).reshape(2, rank).T.ravel()).reshape(shape)[()]
 
 
 def fejer_kernel_angular(basis: TMBasis, x, y):
@@ -412,44 +422,30 @@ def sigma_positive(
     return _restore(out, shape, scalar)
 
 
-def _power_terms(sequence: PointSequence, n: int) -> int:
-    """The least J with max|a_k|^J <= _CONTOUR_DECAY over the first n poles, 0 when all vanish."""
-    mod = float(np.abs(np.asarray(sequence.points[:n], dtype=np.complex128)).max())
-    return math.ceil(math.log(_CONTOUR_DECAY) / math.log(mod)) if mod > 0.0 else 0
-
-
 def _grid_start(sequence: PointSequence, n: int) -> tuple[int, int] | None:
-    """(M0, J): the least grid size M0 that `_projected_derivative`'s FFT
-    may run on and J, the number of power sums of B_n; None when no grid
-    size can serve.  `_basis_spectrum` starts on M0 points too: the rows
-    phi_k, k < n, have their spectrum on frequencies 0 up to about n + J.
+    """(M0, J): the least J with max|a_k|^J <= _CONTOUR_DECAY over the first
+    n poles (0 when all vanish), the number of power sums of B_n that every
+    grid route takes, and M0, the grid size both circle FFTs start on;
+    None past J = _GRID_TERMS.
 
-    The FFT needs the spectrum of f conj(B_n) at rounding level from
+    The projection needs the spectrum of f conj(B_n) at rounding level from
     frequency M / 4 up to M / 2, where the negative half begins.  The power
     sums of B_n decay like max|a_k|^j, which falls to _CONTOUR_DECAY at
     j = J, and conj(B_n) has its spectrum from 0 down to about -(n + J):
     its mean frequency is -n, and t^n is all of it when the poles vanish.
     So M0 is the least power of two >= max(64, 4n, 4J), which puts
     -(n + J) in the negative half; on 64 points with 64 zero poles
-    conj(B_n) = 1 and delta(z) would lose its z^64 term.  Past
-    J = _GRID_TERMS the rounding of the long power sums grows: at J = 10^4
-    (poles 1 - 2^-k, n = 8) the route was 3e-13 to 8e-13 off the recursion.
+    conj(B_n) = 1 and delta(z) would lose its z^64 term.  The rows phi_k,
+    k < n, have their spectrum on frequencies 0 up to about n + J, so the
+    basis spectrum starts on M0 too.  Past J = _GRID_TERMS the rounding of
+    the long power sums grows: at J = 10^4 (poles 1 - 2^-k, n = 8) the
+    route was 3e-13 to 8e-13 off the recursion.
     """
-    terms = _power_terms(sequence, n)
+    mod = float(np.abs(np.asarray(sequence.points[:n], dtype=np.complex128)).max())
+    terms = math.ceil(math.log(_CONTOUR_DECAY) / math.log(mod)) if mod > 0.0 else 0
     if terms > _GRID_TERMS:
         return None
     return max(64, next_power_of_two(4 * max(n, terms))), terms
-
-
-def _grid_tame(f: AnalyticTestFunction, npts: int) -> bool:
-    """Whether f's spectrum on npts points is at rounding level from M / 4 on.
-
-    Cauchy's estimate on |t| = rho with rho^(-M/4) = _CONTOUR_DECAY bounds
-    f's k-th coefficient by max|f| there times rho^(-k), so f must pass
-    `_tame` out to rho; a radius alone says nothing of size, and an entire
-    f of high degree fails this test.
-    """
-    return _tame(f, 1.0, _CONTOUR_DECAY ** (-4.0 / npts))
 
 
 def _grid_rotation(zf: np.ndarray) -> complex | None:
@@ -470,16 +466,14 @@ def _grid_rotation(zf: np.ndarray) -> complex | None:
 
 def _uniform_grid(sequence: PointSequence, n: int, zf: np.ndarray):
     """(z0, roots, J) when the flat points zf are z0 roots[m],
-    roots[m] = e^{2 pi i m / M}, as `_grid_rotation` tests, and J =
-    `_power_terms` is at most _GRID_TERMS with 2J < M, which
-    `_grid_blaschke` needs; None otherwise."""
+    roots[m] = e^{2 pi i m / M}, as `_grid_rotation` tests, and
+    `_grid_start` gives J with 2J < M, which `_grid_blaschke` needs; None
+    otherwise."""
     z0 = _grid_rotation(zf)
-    if z0 is None:
+    start = None if z0 is None else _grid_start(sequence, n)
+    if start is None or 2 * start[1] >= zf.size:
         return None
-    terms = _power_terms(sequence, n)
-    if terms > _GRID_TERMS or 2 * terms >= zf.size:
-        return None
-    return z0, _grid(zf.size)[1], terms
+    return z0, _grid(zf.size)[1], start[1]
 
 
 def _grid_series(coefs: np.ndarray, z0: complex, npts: int) -> np.ndarray:
@@ -512,26 +506,21 @@ def _resolved(mag: np.ndarray) -> bool:
     return bool(mag[..., npts // 4 : npts // 2].max() <= _CONTOUR_TOL * mag.max())
 
 
-def _positive_spectrum(fv: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """k g_k for k = 1 .. K, with g_k the Fourier coefficients of h = f conj(B_n)
-    from its samples fv conj(b) on a uniform grid of M points, or None
-    when the grid does not resolve h.
+def _resolve(sample: Callable, npts: int, stop: int):
+    """(sample(M), its spectrum at m < M/2) for the least M = npts 2^j
+    whose spectrum `_resolved` passes; None once M reaches stop.
 
-    The band k = M/4 .. M/2 - 1 must hold rounding alone, at most
-    _CONTOUR_TOL max|g|, and K comes from `_live_terms` on k < M/2.
-    `_grid_tame` bounds f's part of the band; the test also catches the
-    spectrum of conj(B_n), which reaches down to about -max|B_n'| and
-    folds into the band when the grid does not resolve it (64 poles of
-    modulus 0.96 within 0.07 rad of each other on 4096 points put 1e-2
-    max|g| there).
+    The spectrum is the forward-normed FFT of the last M values along the
+    last axis of sample(M), the samples on the M grid points; values ahead
+    of them ride along in the same pass of the basis recursion.
     """
-    npts = fv.size
-    g = np.fft.fft(fv * np.conj(b)) / npts
-    mag = np.abs(g)
-    if not _resolved(mag):
-        return None
-    top = _live_terms(mag[: npts // 2])
-    return np.arange(1, top) * g[1:top]
+    while npts < stop:
+        values = sample(npts)
+        spec = np.fft.fft(values[..., -npts:], axis=-1, norm="forward")
+        if _resolved(np.abs(spec)):
+            return values, spec[..., : npts // 2]
+        npts *= 2
+    return None
 
 
 def _sigma_from_sums(bz, bpz, s, sp) -> np.ndarray:
@@ -553,21 +542,18 @@ def _basis_spectrum(basis: TMBasis, z0: complex, npts: int, zf: np.ndarray = _NO
     such grid exists.
 
     The rows phi_k, k < n, are holomorphic past the circle, so their
-    spectrum decays geometrically and lives on m >= 0: M starts at
-    `_grid_start`'s M0 and doubles until `_resolved` finds the band
-    M/4 .. M/2 - 1 at rounding level, as `_positive_spectrum` does.  None
-    when `_grid_start` declines or M would reach npts, where the rows on
-    the npts points themselves cost no more.
+    spectrum decays geometrically and lives on m >= 0: `_resolve` sizes
+    the grid from `_grid_start`'s M0, with the points zf ahead of the grid
+    points in each pass.  None when `_grid_start` declines or M would
+    reach npts, where the rows on the npts points themselves cost no more.
     """
     start = _grid_start(basis.sequence, basis.order)
-    size = npts if start is None else start[0]
-    while size < npts:
-        rows = phi_values(basis, np.concatenate([zf, z0 * _grid(size)[1]]))
-        spec = np.fft.fft(rows[:, zf.size :], axis=1, norm="forward")
-        if _resolved(np.abs(spec)):
-            return spec[:, : size // 2], rows[:, : zf.size]
-        size *= 2
-    return None
+
+    def sample(m: int) -> np.ndarray:
+        return phi_values(basis, np.concatenate([zf, z0 * _grid(m)[1]]))
+
+    resolved = None if start is None else _resolve(sample, start[0], npts)
+    return None if resolved is None else (resolved[1], resolved[0][:, : zf.size])
 
 
 def _parseval_coefficients(f: BoundaryGridFunction, basis: TMBasis) -> np.ndarray:
@@ -702,29 +688,33 @@ def _projected_derivative(
 
     The Taylor coefficients g_k of g are the Fourier coefficients of
     f conj(B_n) on the circle: one FFT of its samples on M points, with
-    B_n there from `_grid_blaschke`.  M starts at the smallest power of two >=
-    `_grid_start`'s M0 on which f passes `_grid_tame`, and doubles while
-    `_positive_spectrum` finds it too coarse: conj(B_n)'s spectrum has a
+    B_n there from `_grid_blaschke`.  `_tame_size` (k = 4) raises
+    `_grid_start`'s M0 until f's part of the band M/4 .. M/2 is rounding,
+    as it stays on every doubled grid (by the maximum modulus principle),
+    and `_resolve` doubles M while conj(B_n)'s is not: its spectrum has a
     tail past -(n + J) (64 random poles |a| <= 0.5 reach -130 at 1e-14,
-    J = 56), and poles near one another put it near -max|B_n'|.  f passes
-    `_grid_tame` on every doubled grid, since by the maximum modulus
-    principle its growth test only gets easier.  None when `_grid_start`
-    declines or M would pass CONTOUR_CAP.
+    J = 56), and 64 poles of modulus 0.96 within 0.07 rad reach -max|B_n'|
+    and put 1e-2 max|g| in the band on 4096 points.  k runs up to
+    `_live_terms` on k < M/2.  None when `_grid_start` declines or M would
+    pass CONTOUR_CAP.
     """
     start = _grid_start(sequence, n)
     if start is None:
         return None
     npts, terms = start
-    while npts <= CONTOUR_CAP and not _grid_tame(f, npts):
-        npts *= 2
-    kg = None
-    while kg is None and npts <= CONTOUR_CAP:
-        roots = _grid(npts)[1]
+
+    def sample(m: int) -> np.ndarray:
+        roots = _grid(m)[1]
         b, _ = _grid_blaschke(sequence, n, 1.0, roots, terms)
         fv = np.broadcast_to(np.asarray(f.value(roots), dtype=np.complex128), roots.shape)
-        kg = _positive_spectrum(fv, b)
-        npts *= 2
-    return kg
+        return fv * np.conj(b)
+
+    resolved = _resolve(sample, _tame_size(f, 1.0, npts, 4), 2 * CONTOUR_CAP)
+    if resolved is None:
+        return None
+    g = resolved[1]
+    top = _live_terms(np.abs(g))
+    return np.arange(1, top) * g[1:top]
 
 
 def delta(f: AnalyticTestFunction, basis: TMBasis, z, coeffs: np.ndarray | None = None):

@@ -262,7 +262,15 @@ class TestFejerKernel:
 
     @pytest.mark.parametrize(
         "t_shape, z_shape",
-        [((1, 512), (5, 1)), ((512, 1), (1, 5)), ((512,), ()), ((), (5,)), ((3, 1, 4), (1, 5, 1))],
+        [
+            ((1, 512), (5, 1)),
+            ((512, 1), (1, 5)),
+            ((512,), ()),
+            ((), (5,)),
+            ((3, 1, 4), (1, 5, 1)),
+            ((512,), (5, 1)),
+            ((), ()),
+        ],
     )
     def test_outer_shapes_match_pair_sums(self, t_shape, z_shape):
         # Outer shapes take one matrix product of the basis rows; the fully
