@@ -21,8 +21,11 @@ comment, list values sit in brackets:
 
 Unknown keys, duplicates and malformed lines are ParseError (exit 2);
 value-level problems are ValidationError (exit 2); numerical failures
-exit 3.  A report goes from the drivers to the file as columns.  Reruns
-of an identical config on the same machine produce byte-identical files:
+exit 3.  --out, --format and --seed pass the same checks as their config
+keys, and every pole, a list's entries included, must pass PointSequence's
+rule |a_k| < 1 - MODULUS_MARGIN.  A report goes from the drivers to the
+file as columns.  Reruns of an identical config on the same machine
+produce byte-identical files:
 no timestamps, `%.17g` floats in CSV and float repr in JSON, sorted JSON
 keys.  Every float cell is finite: an undefined or non-finite value
 exits 2 in either format.  No command takes a grid setting, and a config
@@ -58,7 +61,7 @@ from tmfejer.analysis import (
     convergence_experiment,
     saturation_check,
 )
-from tmfejer.blaschke import MODULUS_MARGIN, PointSequence, PoleProximity
+from tmfejer.blaschke import PointSequence, PoleProximity
 from tmfejer.corpus import constant_one, identity_map, mobius, polynomial, simple_pole
 from tmfejer.operators import CriticalPoint, fejer_kernel_angular
 from tmfejer.quadrature import NoConvergence
@@ -79,7 +82,8 @@ GENERATOR_VERSION = "1"
 
 
 class ParseError(Exception):
-    """Structural problem in a config document (line-level)."""
+    """A config document that cannot be read, is malformed at a line, or
+    names another command than the command line."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -115,80 +119,72 @@ def _parse_bracket_list(text: str, field: str) -> list[str]:
     return [item.strip() for item in inner.split(",")]
 
 
+def _point_sequence(points) -> PointSequence:
+    """The points under PointSequence's rule, a breach of it a ValidationError."""
+    try:
+        return PointSequence(tuple(points))
+    except ValueError as exc:
+        raise ValidationError("sequence", str(exc)) from None
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     """Named pole-sequence generator: constant, geometric, harmonic or list.
 
     geometric:r yields a_k = 1 - r^k and harmonic:c yields a_k = 1 - 1/(k+c),
-    both for k = 1, 2, ...; materialization re-checks that every modulus
-    stays inside the open disc with the standard margin.
+    both for k = 1, 2, ...; a bare bracketed list is a list.  Every point,
+    and every entry of a list when parsed, must pass PointSequence's rule.
     """
 
-    kind: str
-    parameter: tuple
     raw: str
 
     @staticmethod
     def parse(text: str) -> "SequenceSpec":
-        return _parse_sequence(text)
+        spec = SequenceSpec(text.strip())
+        spec._generate(0)
+        return spec
 
     def materialize(self, count: int) -> PointSequence:
         if count < 1:
             raise ValidationError("orders", "need at least order 1")
-        if self.kind == "constant":
-            vals = [self.parameter[0]] * count
-        elif self.kind == "geometric":
-            r = self.parameter[0]
-            vals = [1.0 - r ** k for k in range(1, count + 1)]
-        elif self.kind == "harmonic":
-            c = self.parameter[0]
-            vals = [1.0 - 1.0 / (k + c) for k in range(1, count + 1)]
+        return self._generate(count)
+
+    def _generate(self, count: int) -> PointSequence:
+        """a_1, ..., a_count, after the check of the family's parameter."""
+        s = self.raw
+        if s.startswith("["):
+            s = "list:" + s
+        kind, sep, arg = s.partition(":")
+        kind = kind.strip()
+        if not sep:
+            raise ValidationError("sequence", f"expected kind:parameter, got {self.raw!r}")
+        if kind == "constant":
+            vals = [_parse_complex(arg, "sequence")] * count
+        elif kind == "geometric":
+            r = _parse_complex(arg, "sequence")
+            if r.imag != 0 or not 0.0 < r.real < 1.0:
+                raise ValidationError("sequence", "geometric ratio must satisfy 0 < r < 1")
+            vals = [1.0 - r.real ** k for k in range(1, count + 1)]
+        elif kind == "harmonic":
+            c = _parse_complex(arg, "sequence")
+            if c.imag != 0 or c.real < 0.0:
+                raise ValidationError("sequence", "harmonic offset must satisfy c >= 0")
+            vals = [1.0 - 1.0 / (k + c.real) for k in range(1, count + 1)]
+        elif kind == "list":
+            items = _parse_bracket_list(arg, "sequence")
+            vals = _point_sequence(_parse_complex(v, "sequence") for v in items).points
+            if count > len(vals):
+                raise ValidationError("sequence", f"list holds {len(vals)} points, need {count}")
+            vals = vals[:count]
         else:
-            if count > len(self.parameter):
-                raise ValidationError(
-                    "sequence", f"list holds {len(self.parameter)} points, need {count}"
-                )
-            vals = list(self.parameter[:count])
-        try:
-            return PointSequence(tuple(vals))
-        except ValueError as exc:
-            raise ValidationError("sequence", str(exc)) from None
-
-
-def _parse_sequence(text: str) -> SequenceSpec:
-    s = text.strip()
-    if s.startswith("["):
-        s = "list:" + s
-    kind, sep, arg = s.partition(":")
-    kind = kind.strip()
-    if not sep:
-        raise ValidationError("sequence", f"expected kind:parameter, got {text!r}")
-    if kind == "constant":
-        return SequenceSpec("constant", (_parse_complex(arg, "sequence"),), text.strip())
-    if kind == "geometric":
-        r = _parse_complex(arg, "sequence")
-        if r.imag != 0 or not 0.0 < r.real < 1.0:
-            raise ValidationError("sequence", "geometric ratio must satisfy 0 < r < 1")
-        return SequenceSpec("geometric", (r.real,), text.strip())
-    if kind == "harmonic":
-        c = _parse_complex(arg, "sequence")
-        if c.imag != 0 or c.real < 0.0:
-            raise ValidationError("sequence", "harmonic offset must satisfy c >= 0")
-        return SequenceSpec("harmonic", (c.real,), text.strip())
-    if kind == "list":
-        items = _parse_bracket_list(arg, "sequence")
-        vals = tuple(_parse_complex(v, "sequence") for v in items)
-        for v in vals:
-            if abs(v) >= 1.0 - MODULUS_MARGIN:
-                raise ValidationError("sequence", f"modulus of {v} not inside the open disc")
-        return SequenceSpec("list", vals, text.strip())
-    raise ValidationError("sequence", f"unknown generator {kind!r}")
+            raise ValidationError("sequence", f"unknown generator {kind!r}")
+        return _point_sequence(vals)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str | None = None
-    sequence: SequenceSpec = SequenceSpec("constant", (0.5 + 0j,), "constant:0.5")
+    sequence: SequenceSpec = SequenceSpec("constant:0.5")
     orders: tuple = (1, 2, 3, 4, 6, 8)
     seed: int = 0
     out: str | None = None
@@ -197,9 +193,6 @@ class ExperimentConfig:
     probes: int = 16
     trials: int = 50
     kernel_samples: int = 64
-
-
-_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def _parse_int(text: str, field: str, minimum: int) -> int:
@@ -222,6 +215,39 @@ def _parse_orders(text: str) -> tuple:
     return orders
 
 
+def _parse_command(text: str) -> str:
+    if text not in COMMANDS:
+        raise ValidationError("command", f"unknown command {text!r}")
+    return text
+
+
+def _parse_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValidationError("format", f"expected csv or json, got {text!r}")
+    return text
+
+
+def _parse_function(text: str) -> str:
+    _resolve_function(text)
+    return text
+
+
+# Each ExperimentConfig field's parser, in field order: the order in which a
+# config's values are checked.  The command line's overrides use the same.
+_PARSERS = {
+    "command": _parse_command,
+    "sequence": SequenceSpec.parse,
+    "orders": _parse_orders,
+    "seed": lambda text: _parse_int(text, "seed", 0),
+    "out": str,
+    "format": _parse_format,
+    "function": _parse_function,
+    "probes": lambda text: _parse_int(text, "probes", 1),
+    "trials": lambda text: _parse_int(text, "trials", 1),
+    "kernel_samples": lambda text: _parse_int(text, "kernel_samples", 2),
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Strict parse of a key = value document into an ExperimentConfig."""
     fields: dict = {}
@@ -234,41 +260,16 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ParseError(f"expected key = value, got {rawline.strip()!r}", lineno)
         key = key.strip()
         value = value.strip()
-        if key not in _KEYS:
+        if key not in _PARSERS:
             raise ParseError(f"unknown key {key!r}", lineno)
         if key in fields:
             raise ParseError(f"duplicate key {key!r}", lineno)
         if not value:
             raise ParseError(f"empty value for {key!r}", lineno)
         fields[key] = value
-
-    kwargs: dict = {}
-    if "command" in fields:
-        if fields["command"] not in COMMANDS:
-            raise ValidationError("command", f"unknown command {fields['command']!r}")
-        kwargs["command"] = fields["command"]
-    if "sequence" in fields:
-        kwargs["sequence"] = _parse_sequence(fields["sequence"])
-    if "orders" in fields:
-        kwargs["orders"] = _parse_orders(fields["orders"])
-    if "seed" in fields:
-        kwargs["seed"] = _parse_int(fields["seed"], "seed", 0)
-    if "out" in fields:
-        kwargs["out"] = fields["out"]
-    if "format" in fields:
-        if fields["format"] not in ("csv", "json"):
-            raise ValidationError("format", f"expected csv or json, got {fields['format']!r}")
-        kwargs["format"] = fields["format"]
-    if "function" in fields:
-        _resolve_function(fields["function"])
-        kwargs["function"] = fields["function"]
-    if "probes" in fields:
-        kwargs["probes"] = _parse_int(fields["probes"], "probes", 1)
-    if "trials" in fields:
-        kwargs["trials"] = _parse_int(fields["trials"], "trials", 1)
-    if "kernel_samples" in fields:
-        kwargs["kernel_samples"] = _parse_int(fields["kernel_samples"], "kernel_samples", 2)
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(
+        **{key: parse(fields[key]) for key, parse in _PARSERS.items() if key in fields}
+    )
 
 
 def _resolve_function(name: str):
@@ -324,10 +325,8 @@ def _execute(config: ExperimentConfig) -> dict[str, list]:
         rows = [r for n in config.orders for r in saturation_check(sequence, int(n))]
     elif config.command == "frostman":
         rows = _diagnose_orders(sequence, config.orders)
-    elif config.command == "counterexample":
-        rows = cesaro_counterexample(sequence.points, config.orders)
     else:
-        raise ValidationError("command", f"unknown command {config.command!r}")
+        rows = cesaro_counterexample(sequence.points, config.orders)
     dicts = [r.to_row() for r in rows]
     return {key: [d[key] for d in dicts] for key in dicts[0]}
 
@@ -432,8 +431,7 @@ def run(config: ExperimentConfig) -> int:
             sys.stdout.write(text)
         else:
             path = Path(config.out)
-            if path.parent and not path.parent.exists():
-                path.parent.mkdir(parents=True, exist_ok=True)
+            path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(text.encode("utf-8"))
         return 0
     except (ParseError, ValidationError, ValueError) as exc:
@@ -458,8 +456,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a key = value config document")
     parser.add_argument("--out", help="report path (default: config `out`, else stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), help="override config format")
-    parser.add_argument("--seed", type=int, help="override config seed")
+    parser.add_argument("--format", metavar="{csv,json}", help="override config format")
+    parser.add_argument("--seed", help="override config seed")
     return parser
 
 
@@ -470,34 +468,22 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"tmfejer: error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    try:
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ParseError(f"cannot read config: {exc}") from None
         config = parse_config(text)
+        if config.command not in (None, args.command):
+            raise ParseError(
+                f"command mismatch: config says {config.command!r},"
+                f" command line says {args.command!r}"
+            )
+        flags = {"out": args.out, "format": args.format, "seed": args.seed}
+        updates = {key: _PARSERS[key](value) for key, value in flags.items() if value is not None}
+        config = dataclasses.replace(config, command=args.command, **updates)
     except (ParseError, ValidationError) as exc:
         print(f"tmfejer: error: {exc}", file=sys.stderr)
         return 2
-
-    if config.command is not None and config.command != args.command:
-        print(
-            f"tmfejer: error: command mismatch: config says {config.command!r},"
-            f" command line says {args.command!r}",
-            file=sys.stderr,
-        )
-        return 2
-    updates: dict = {"command": args.command}
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.format is not None:
-        updates["format"] = args.format
-    if args.seed is not None:
-        if args.seed < 0:
-            print("tmfejer: error: seed: must be >= 0", file=sys.stderr)
-            return 2
-        updates["seed"] = args.seed
-    config = dataclasses.replace(config, **updates)
     return run(config)
 
 

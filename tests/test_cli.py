@@ -11,6 +11,7 @@ import pytest
 from tmfejer import __version__, analysis
 from tmfejer.analysis import _diagnose_orders
 from tmfejer.cli import (
+    _PARSERS,
     COMMANDS,
     ExperimentConfig,
     ParseError,
@@ -113,6 +114,10 @@ class TestParsing:
     def test_bad_function(self):
         with pytest.raises(ValidationError):
             parse_config(MINIMAL + "function = tangent\n")
+
+    def test_every_field_has_one_parser(self):
+        # A field added to ExperimentConfig without its rule fails here.
+        assert list(_PARSERS) == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
     def test_config_is_frozen(self):
         cfg = parse_config(MINIMAL)
@@ -609,6 +614,25 @@ class TestMainEntry:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
         assert not (tmp_path / "r.csv").exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flags,body,field",
+        [
+            (["--seed", "-1"], "", "seed"),
+            (["--seed", "1.5"], "", "seed"),
+            (["--format", "xml"], "", "format"),
+            ([], "sequence = list:[]\n", "sequence"),
+            ([], "sequence = constant:1.5\n", "sequence"),
+        ],
+        ids=["seed-negative", "seed-fraction", "format-xml", "list-empty", "constant-outside"],
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, flags, body, field):
+        # A flag passes its config key's check, and each pole PointSequence's.
+        cfg = write_cfg(tmp_path, "command = frostman\norders = [1, 2]\n" + body)
+        out = tmp_path / "r.csv"
+        assert main(["frostman", "--config", str(cfg), "--out", str(out)] + flags) == 2
+        assert not out.exists()
+        assert f"tmfejer: error: {field}: " in capsys.readouterr().err
 
     def test_out_not_writable(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL)
